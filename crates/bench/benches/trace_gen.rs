@@ -1,8 +1,6 @@
 //! Criterion microbenchmarks: synthetic image generation and walker
-//! throughput, plus trace codec encode/decode rates.
+//! throughput.
 
-use btbx_core::types::Arch;
-use btbx_trace::codec;
 use btbx_trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
 use btbx_trace::TraceSource;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -34,31 +32,9 @@ fn bench_walker(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let image = ProgramImage::generate(&SynthParams::server(200), 9);
-    let instrs: Vec<_> = SyntheticTrace::new(image, "bench", 9)
-        .take_instrs(50_000)
-        .into_iter_instrs()
-        .collect();
-    let encoded = codec::encode("bench", Arch::Arm64, instrs.clone());
-    let mut group = c.benchmark_group("codec");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(instrs.len() as u64));
-    group.bench_function("encode_50k", |b| {
-        b.iter(|| black_box(codec::encode("bench", Arch::Arm64, instrs.iter().copied())));
-    });
-    group.bench_function("decode_50k", |b| {
-        b.iter(|| {
-            let d = codec::Decoder::new(encoded.clone()).unwrap();
-            black_box(d.into_iter_instrs().count())
-        });
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_generation, bench_walker, bench_codec
+    targets = bench_generation, bench_walker
 }
 criterion_main!(benches);

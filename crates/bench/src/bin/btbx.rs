@@ -696,10 +696,11 @@ subcommands:
       print a container's header: stream name, arch, events, blocks,
       escapes and content hash
   check FILE [--shards N]
-      replay the trace serially and as N interval shards (exact mode:
-      full carry-in, commit width 1) and fail unless the stats are
-      byte-identical, peak event memory stays at one block per shard
-      slot, and the sharded serial-setup share is under the bench gate";
+      replay the trace serially and as N interval shards (warm snapshots
+      handed shard to shard, default commit width) and fail unless the
+      stats are byte-identical, peak event memory stays at one block per
+      shard slot, and the sharded serial-setup share is under the bench
+      gate";
 
 fn trace_cmd(mut args: Vec<String>) {
     if args.first().map(String::as_str) == Some("--help")
@@ -874,10 +875,10 @@ fn trace_check(args: Vec<String>) {
     let warmup = total / 5;
     let measure = total - warmup;
 
-    // Checkpoint mode: shards restore warm microarchitectural snapshots
-    // and measure to absolute committed targets on the serial
-    // trajectory — byte-identical stats for ANY trace at the default
-    // commit width (see EXPERIMENTS.md, "Interval sharding").
+    // Shards restore warm microarchitectural snapshots and measure to
+    // absolute committed targets on the serial trajectory —
+    // byte-identical stats for ANY trace at the default commit width
+    // (see EXPERIMENTS.md, "Interval sharding").
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX);
 
@@ -896,7 +897,6 @@ fn trace_check(args: Vec<String>) {
             .warmup(warmup)
             .measure(measure)
             .shards(shards)
-            .checkpoints(true)
             .run()
             .unwrap_or_else(|e| fail(&format!("sharded replay: {e}")))
     };

@@ -434,11 +434,7 @@ pub fn run_sweep_observed(
         Some(url) => ResultStore::open_url(url, opts.http_timeout()),
     }
     .map_err(ClusterError::Store)?;
-    let point_names: Vec<String> = sweep
-        .points()
-        .iter()
-        .map(|p| p.cache_file_for(fleet.shards))
-        .collect();
+    let point_names: Vec<String> = sweep.points().iter().map(SimPoint::cache_file).collect();
     let (jnl, recovery) =
         SweepJournal::open(&opts.out_dir, journal::sweep_key(&point_names), opts.resume).map_err(
             |source| {
@@ -456,7 +452,7 @@ pub fn run_sweep_observed(
     let mut by_key: HashMap<String, usize> = HashMap::new();
     let mut items: Vec<WorkItem> = Vec::new();
     for (i, point) in points.iter().enumerate() {
-        let key = point.cache_file_for(fleet.shards);
+        let key = point.cache_file();
         match by_key.get(&key) {
             Some(&at) => items[at].indices.push(i),
             None => {

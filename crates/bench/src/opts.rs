@@ -24,9 +24,10 @@ pub struct HarnessOpts {
     pub out_dir: PathBuf,
     /// Worker threads.
     pub threads: usize,
-    /// Trace shards per simulation (1 = serial replay). Sharded runs
-    /// replay each simulation as `N` interval shards with warm-up
-    /// carry-in (see EXPERIMENTS.md, "Interval sharding").
+    /// Trace shards per simulation (1 = serial). Sharded runs split each
+    /// simulation into `N` interval shards that hand warm snapshots to
+    /// each other, bit-identical to the serial run (see EXPERIMENTS.md,
+    /// "Interval sharding").
     pub shards: usize,
     /// Replay this `.btbt` trace container instead of the synthetic
     /// suites (`sweep` substitutes it for the selected suite; `bench`

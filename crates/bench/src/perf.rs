@@ -22,8 +22,8 @@
 //! matrix run once per-point (the serial sweep path) and once through
 //! [`btbx_uarch::BatchSession`] over a single materialized event window
 //! (the batched sweep path), both on one thread so the ratio isolates
-//! what batching amortizes (trace decode, event staging, inert-cycle
-//! fast-forward) rather than thread-level parallelism. The run *fails*
+//! what batching amortizes (trace decode and event staging) rather than
+//! thread-level parallelism. The run *fails*
 //! when the batched lanes are not bit-identical to the per-point runs or
 //! when the speedup falls below [`BATCH_SPEEDUP_FLOOR`]
 //! ([`check_batched`]). Both passes also land as `matrix/per-point` and
@@ -88,11 +88,11 @@ pub const REGRESSION_TOLERANCE: f64 = 0.25;
 pub const SETUP_SHARE_LIMIT: f64 = 0.15;
 /// Minimum tolerated batched-over-per-point speedup on the lane matrix
 /// before the bench fails. Single-threaded batching amortizes trace
-/// decode, event staging and inert-cycle fast-forward across the lanes
-/// of one traversal — measured ≈1.4× on the smoke matrix; the floor sits
-/// conservatively below it so host noise cannot fail a healthy build,
-/// while a change that quietly re-serializes decode per lane (speedup
-/// →1.0×) still trips the gate.
+/// decode and event staging across the lanes of one traversal, while a change that quietly re-serializes decode per lane
+/// (speedup →1.0×) trips the gate. The floor was set when only batched
+/// lanes skipped inert cycles (then ≈1.3×); with fast-forward in every
+/// run the smoke matrix measures a median 1.13× on a 2-vCPU host, so
+/// the gate fails about half its runs until the floor is revisited.
 pub const BATCH_SPEEDUP_FLOOR: f64 = 1.15;
 /// Budget tiers of the batched lane matrix (× [`OrgKind::PAPER_EVAL`]
 /// orgs × FDIP off/on = 18 lanes, a realistic sweep group).
@@ -130,8 +130,8 @@ pub struct BenchEntry {
     /// of `ParallelSession::run` (gated by [`SETUP_SHARE_LIMIT`]).
     #[serde(default)]
     pub serial_setup_share: f64,
-    /// Sharded runs: summed seconds the shards spent positioning their
-    /// streams (checkpoint claims plus generator skip-steps).
+    /// Sharded runs: seconds spent positioning streams outside the
+    /// shards' restore — always 0 under checkpoint sharding.
     #[serde(default)]
     pub position_seconds: f64,
     /// Sharded runs: largest sealed warm snapshot restored or produced
@@ -194,10 +194,6 @@ pub struct BenchWindows {
     pub warmup: u64,
     /// Measured instructions.
     pub measure: u64,
-    /// Historical (schema ≤ 3): per-shard simulated warm-up carry-in of
-    /// the approximate sharded mode. Warm-checkpoint sharding has no
-    /// carry-in; recorded as 0 since schema v4.
-    pub carry_in: u64,
     /// Shard count of the sharded mode.
     pub shards: usize,
 }
@@ -590,7 +586,6 @@ pub fn run(opts: &HarnessOpts, smoke: bool, baseline: Option<&Path>) -> Result<(
         windows: BenchWindows {
             warmup,
             measure,
-            carry_in: 0,
             shards: SHARDS,
         },
         generation,
@@ -918,7 +913,6 @@ mod tests {
             windows: BenchWindows {
                 warmup: 1,
                 measure: 1,
-                carry_in: 1,
                 shards: SHARDS,
             },
             generation: GenPass::default(),

@@ -635,7 +635,7 @@ fn blob_put(
 /// 503 (this request exceeded its budget; the server is healthy), any
 /// other panic or cache failure a 500.
 fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), (u16, String)> {
-    let name = point.cache_file_for(state.shards);
+    let name = point.cache_file();
     let ladder = state.ladder_for(point);
     let abort = state.arm_deadline();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1123,10 +1123,7 @@ pub fn sweep_via_server(
     protocol::verify_orgs(addr, &info, &sweep.orgs)?;
 
     let points = sweep.points();
-    let names: Vec<String> = points
-        .iter()
-        .map(|p| p.cache_file_for(info.shards))
-        .collect();
+    let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
     let (journal, recovery) =
         SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
             |source| {

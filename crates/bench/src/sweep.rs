@@ -165,8 +165,9 @@ impl SimPoint {
     }
 
     /// Run the simulation for this point split into `shards` interval
-    /// shards in warm-checkpoint mode ([`ParallelSession::checkpoints`]):
-    /// the result is **bit-identical** to the serial [`run`]
+    /// shards that hand warm snapshots to each other
+    /// ([`ParallelSession`]): the result is **bit-identical** to the
+    /// serial [`run`]
     /// (SimPoint::run) for any workload. `shards <= 1` falls back to the
     /// serial path. See EXPERIMENTS.md, "Interval sharding".
     pub fn run_sharded(&self, shards: usize, threads: usize) -> SimResult {
@@ -211,8 +212,7 @@ impl SimPoint {
             .warmup(self.warmup)
             .measure(self.measure)
             .shards(shards)
-            .threads(threads)
-            .checkpoints(true);
+            .threads(threads);
         if let Some(warm) = warm {
             session = session.warm_ladder(warm);
         }
@@ -223,14 +223,6 @@ impl SimPoint {
             .run()
             .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
             .result
-    }
-
-    /// Cache file name for a run at the given shard count. Since
-    /// checkpoint mode (cache v3) sharded results are bit-identical to
-    /// serial ones, so every shard count shares the serial entry; the
-    /// parameter remains so callers keep a single call site.
-    pub fn cache_file_for(&self, _shards: usize) -> String {
-        self.cache_file()
     }
 }
 
@@ -473,7 +465,7 @@ impl Sweep {
         .unwrap_or_else(|e| panic!("[{}] opening result cache: {e}", self.name));
         let points = self.points();
         let shards = opts.shards.max(1);
-        let names: Vec<String> = points.iter().map(|p| p.cache_file_for(shards)).collect();
+        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
         let (journal, recovery) =
             SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume)
                 .unwrap_or_else(|e| panic!("[{}] opening sweep journal: {e}", self.name));

@@ -97,7 +97,7 @@ fn three_node_sweep_is_byte_identical_to_serial_cli_and_computes_once() {
     // Byte identity: the coordinator's cache entries must match the
     // serial CLI's, file for file.
     for point in sweep.points() {
-        let name = point.cache_file_for(1);
+        let name = point.cache_file();
         let serial_bytes = fs::read(serial_out.join("cache").join(&name)).expect("serial entry");
         let coord_bytes = fs::read(coord_out.join("cache").join(&name)).expect("coord entry");
         assert_eq!(serial_bytes, coord_bytes, "cache entry {name} diverges");

@@ -198,7 +198,7 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
         assert_eq!(&served, cli, "served result diverges from CLI");
         // Byte-level: the response body is the serialized result, which
         // must match the CLI's cache file exactly.
-        let cache_file = cli_out.join("cache").join(point.cache_file_for(1));
+        let cache_file = cli_out.join("cache").join(point.cache_file());
         assert_eq!(
             response.body,
             fs::read_to_string(cache_file).unwrap(),

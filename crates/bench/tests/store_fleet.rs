@@ -176,7 +176,7 @@ fn fleet_shares_one_store_and_traceless_nodes_fetch_containers_by_hash() {
     // CLI's cache entries, file for file, for every point of both
     // phases.
     for point in serial_a.points().iter().chain(serial_b.points().iter()) {
-        let name = point.cache_file_for(1);
+        let name = point.cache_file();
         let serial_bytes = fs::read(serial_out.join("cache").join(&name)).expect("serial entry");
         let shared_bytes = fs::read(blob_out.join("cache").join(&name)).expect("shared entry");
         assert_eq!(serial_bytes, shared_bytes, "cache entry {name} diverges");

@@ -8,14 +8,13 @@
 //! ChampSim files, and `.btbt` packed containers — behind one concrete
 //! type that is `Clone + Send` and fully seekable, so a shard factory
 //! (`Fn() -> AnySource`) works identically for every workload kind and
-//! one [`CheckpointLadder`](../../btbx_uarch/parallel) type
-//! ([`AnyCheckpoint`]) serves them all.
+//! one checkpoint type ([`AnyCheckpoint`]) serves them all.
 //!
 //! [`AnySource::open`] sniffs the file kind by magic: `BTBT` means a
 //! packed container; anything else whose length is a whole number of
-//! 64-byte records is treated as a raw ChampSim trace (the `BTBX` codec
-//! magic is recognized and redirected — varint streams have no random
-//! access, so they must be converted first).
+//! 64-byte records is treated as a raw ChampSim trace. Files carrying the
+//! `BTBX` magic of the retired varint codec are rejected with a typed
+//! error rather than misparsed as ChampSim records.
 
 use crate::champsim::{ChampSimCheckpoint, ChampSimError, ChampSimFileSource};
 use crate::container::{ContainerError, FileCheckpoint, PackedFileSource};
@@ -26,6 +25,10 @@ use crate::synth::{SynthCheckpoint, SyntheticTrace};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
+
+/// Leading magic of the retired varint trace codec; such files are
+/// refused by [`AnySource::open`].
+const LEGACY_CODEC_MAGIC: &[u8; 4] = b"BTBX";
 
 /// A trace stream of any replayable kind; see the module docs.
 #[derive(Debug, Clone)]
@@ -56,9 +59,9 @@ pub enum AnyCheckpoint {
 pub enum TraceOpenError {
     /// An I/O failure while sniffing or opening.
     Io(std::io::Error),
-    /// The file is a varint `BTBX` codec stream, which has no random
-    /// access; convert it to a `.btbt` container first.
-    CodecNotSeekable,
+    /// The file is a stream of the retired varint `BTBX` codec, which
+    /// this crate no longer reads.
+    LegacyCodec,
     /// A `.btbt` container that failed to open or validate.
     Container(ContainerError),
     /// A ChampSim file that failed to open (typically a truncated tail).
@@ -69,10 +72,10 @@ impl std::fmt::Display for TraceOpenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceOpenError::Io(e) => write!(f, "opening trace: {e}"),
-            TraceOpenError::CodecNotSeekable => write!(
+            TraceOpenError::LegacyCodec => write!(
                 f,
-                "BTBX codec streams are not seekable; convert to a .btbt \
-                 container first (btbx trace convert)"
+                "BTBX varint codec traces are no longer supported; use a \
+                 .btbt container or a ChampSim trace"
             ),
             TraceOpenError::Container(e) => write!(f, "{e}"),
             TraceOpenError::ChampSim(e) => write!(f, "{e}"),
@@ -90,13 +93,13 @@ impl From<std::io::Error> for TraceOpenError {
 
 impl AnySource {
     /// Open a trace file, sniffing its kind by magic bytes: `.btbt`
-    /// containers and raw ChampSim traces are accepted; varint codec
-    /// streams are rejected with a conversion hint.
+    /// containers and raw ChampSim traces are accepted; retired varint
+    /// codec streams are rejected.
     ///
     /// # Errors
     ///
-    /// [`TraceOpenError`] when the file is unreadable, unseekable by
-    /// design, or structurally invalid for its detected kind.
+    /// [`TraceOpenError`] when the file is unreadable, in the retired
+    /// codec format, or structurally invalid for its detected kind.
     pub fn open(path: impl AsRef<Path>) -> Result<AnySource, TraceOpenError> {
         let path = path.as_ref();
         let mut magic = [0u8; 4];
@@ -106,8 +109,8 @@ impl AnySource {
                 .map(AnySource::Packed)
                 .map_err(TraceOpenError::Container);
         }
-        if n >= 4 && &magic == crate::codec::MAGIC {
-            return Err(TraceOpenError::CodecNotSeekable);
+        if n >= 4 && &magic == LEGACY_CODEC_MAGIC {
+            return Err(TraceOpenError::LegacyCodec);
         }
         ChampSimFileSource::open(path)
             .map(AnySource::ChampSim)
@@ -264,7 +267,7 @@ mod tests {
         std::fs::write(&codec, b"BTBX rest does not matter").unwrap();
         assert!(matches!(
             AnySource::open(&codec),
-            Err(TraceOpenError::CodecNotSeekable)
+            Err(TraceOpenError::LegacyCodec)
         ));
 
         for p in [btbt, champ, codec] {

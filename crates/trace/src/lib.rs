@@ -13,8 +13,6 @@
 //!   `input_instr` format, including ChampSim's register-based branch
 //!   classification, so real IPC-1 traces can be fed in when available,
 //!   plus a seekable file-backed reader with typed truncation errors;
-//! * [`codec`] — a compact varint-encoded native trace format with
-//!   round-trip guarantees;
 //! * [`packed`] — 16-byte-per-event SoA buffers ([`PackedBuf`]) for the
 //!   few places that still buffer events, and [`PackedSource`] to replay
 //!   them;
@@ -37,7 +35,6 @@
 
 pub mod any;
 pub mod champsim;
-pub mod codec;
 pub mod container;
 pub mod packed;
 pub mod record;

@@ -2,9 +2,9 @@
 //! window.
 //!
 //! A sweep evaluates the same workload against K organization × budget ×
-//! FDIP points. Run separately, each point re-decodes the trace and ticks
-//! through the same inert front-end cycles; batched, the org-independent
-//! work is paid once per group:
+//! FDIP points. Run separately, each point re-decodes the trace and
+//! rebuilds its engine; batched, the org-independent work is paid once per
+//! group:
 //!
 //! * **Trace decode / generation** — the event window (`warmup + measure`
 //!   plus a bounded look-ahead slack) is materialized once into an
@@ -13,9 +13,9 @@
 //! * **Engine construction** — all lane BTBs are validated and built in
 //!   one [`EngineBank`] pass before any lane runs, so a bad spec fails
 //!   the group up front.
-//! * **Inert cycles** — every lane runs with
-//!   [`Simulator::set_fast_forward`](crate::sim::Simulator::set_fast_forward)
-//!   enabled, jumping spans of cycles in which no pipeline stage can act.
+//!
+//! Inert-cycle fast-forward is not batch-specific: each lane runs the
+//! same simulator loop a solo session uses (see [`crate::sim`]).
 //!
 //! # Lane divergence rules
 //!
@@ -139,9 +139,8 @@ impl BatchStream {
 
     /// Run one lane over the shared window, building its engine from the
     /// lane spec. The construction path is the same
-    /// [`SimSession`](crate::SimSession) back half a solo run uses —
-    /// bit-identity with unbatched runs holds by construction — with
-    /// fast-forward enabled.
+    /// [`SimSession`](crate::SimSession) back half a solo run uses, so
+    /// bit-identity with unbatched runs holds by construction.
     ///
     /// # Errors
     ///
@@ -164,7 +163,6 @@ impl BatchStream {
             self.measure,
             None,
             None,
-            true,
         )
     }
 }

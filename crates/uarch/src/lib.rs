@@ -27,7 +27,8 @@
 //! * [`sim`] — the cycle loop tying everything together;
 //! * [`stats`] — IPC, MPKI, flush and energy-relevant access statistics;
 //! * [`runner`] — the panic-safe work-queue thread pool;
-//! * [`parallel`] — interval-sharded replay of one run across the pool;
+//! * [`parallel`] — interval-sharded runs of one point across the pool,
+//!   handing warm snapshots from shard to shard;
 //! * [`batch`] — batched multi-lane execution: many org×budget lanes over
 //!   one materialized event window, bit-identical to solo runs.
 //!
@@ -60,8 +61,8 @@ pub mod stats;
 pub use batch::{BatchLane, BatchSession, BatchStream};
 pub use config::SimConfig;
 pub use parallel::{
-    warm_identity, AnyLadder, AnyWarmLadder, CheckpointLadder, ParallelOutcome, ParallelSession,
-    ParallelTelemetry, WarmEntry, WarmLadder,
+    warm_identity, AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmEntry,
+    WarmLadder,
 };
 pub use session::{IntervalStats, SessionError, SimSession};
 pub use sim::{simulate, Simulator};

@@ -1,85 +1,39 @@
 //! Interval-sharded simulation: split one run's measurement window into
-//! `K` streaming trace shards, replay them on the [`crate::runner`] thread
-//! pool, and deterministically merge the results.
+//! `K` contiguous shards, run them on the [`crate::runner`] thread pool,
+//! and deterministically merge the results.
 //!
-//! # How a shard replays
+//! # How a shard runs
 //!
 //! A serial run warms `W` instructions and measures `M`. A sharded run
-//! splits `[W, W + M)` into `K` contiguous chunks at exact
-//! trace-instruction boundaries. Shard `i` rebuilds state for its chunk by
-//! simulating a bounded **warm-up carry-in** of `C` instructions
-//! immediately before its chunk:
+//! splits `[W, W + M)` into `K` chunks and hands **warm
+//! microarchitectural snapshots** from shard to shard through a
+//! [`WarmLadder`]. Shard 0 warms from position 0 exactly as a serial run
+//! would. Every shard, on reaching the next chunk boundary, serializes its
+//! complete state (BTB, direction predictor, RAS, caches, MSHRs, FTQ,
+//! ROB, FDIP and all in-flight bookkeeping — see [`btbx_core::snap`]) and
+//! publishes it together with a trace checkpoint. The next shard restores
+//! that pair in O(state) and continues on the *identical* serial
+//! trajectory.
 //!
-//! ```text
-//! shard i:  carry-in C (warm-up)  →  measure M/K     over trace
-//!           [W + i·M/K − C, W + (i+1)·M/K)
-//! ```
+//! Each shard **streams** its window from its own trace source, so there
+//! is no shared materialization pass and no `O(window)` event buffer —
+//! peak event memory is one packed [`crate::sim::EVENT_BLOCK_BYTES`]
+//! staging block per live shard (plus, for file-backed
+//! [`btbx_trace::AnySource`] streams, one decoded container block per
+//! live shard).
 //!
-//! Each shard **streams** its window: it positions its own trace source at
-//! the window start and generates events on the fly while simulating, so
-//! there is no shared materialization pass and no `O(window)` event
-//! buffer — peak event memory is one packed
-//! [`crate::sim::EVENT_BLOCK_BYTES`] staging block per live shard (plus,
-//! for file-backed [`btbx_trace::AnySource`] streams, one decoded
-//! container block per live shard — still O(shards), never O(window)). The
-//! simulated work drops from `W + M` to `K·C + M`, which wins wall-clock
-//! even on one core when `K·C < W`, and the shards then parallelize
-//! across cores.
-//!
-//! # The checkpoint ladder
-//!
-//! Positioning a shard at trace offset `lo` costs `lo` generator
-//! skip-steps from a cold source — cheap next to simulation, but still
-//! the dominant non-simulated work of a sharded run. The
-//! [`CheckpointLadder`] removes it wherever a position has been reached
-//! before: shards snapshot their source ([`SeekableSource::checkpoint`])
-//! at every shard boundary they stream across and publish the snapshots;
-//! a shard starting at `lo` first claims the deepest snapshot at or below
-//! `lo` and only skip-steps the difference. Within one run this pipelines
-//! shards on few-core hosts (shard `i` streams across shard `i+1`'s start
-//! and hands it a zero-cost start); **across** runs — a budget sweep, an
-//! FDIP ablation, repeated benchmarking of the same workload — passing a
-//! shared ladder via [`ParallelSession::ladder`] makes every later run
-//! seek in `O(state)` instead of `O(position)`, amortizing trace
-//! generation over the whole experiment the way the paper's Table IV
-//! sweep demands.
+//! A cold run pipelines shards hand to hand. Re-runs through a shared
+//! warm ladder ([`ParallelSession::warm_ladder`]: a repeated bench, a
+//! sweep repetition, a served point) restore every boundary immediately
+//! and execute fully in parallel.
 //!
 //! # Determinism and serial equivalence
 //!
-//! A checkpoint restore reproduces the generator state bit-for-bit, so a
-//! shard's stream is identical whether it stepped from zero, restored a
-//! same-run snapshot, or restored a snapshot from a previous run. The
-//! merge is a pure, order-independent reduction over per-shard counters,
-//! so a sharded run is byte-identical across repetitions and thread
-//! schedules. Equivalence with a *serial* [`SimSession`] holds:
-//!
-//! * **always** for `shards = 1` with the default carry-in — the shard
-//!   replays exactly the serial session;
-//! * **exactly** for `shards > 1` when the carry-in fully converges
-//!   microarchitectural state before each chunk (the workload's working
-//!   set fits the modelled structures and `C` covers its steady state, as
-//!   in the synthetic loop suites — pinned by
-//!   `tests/parallel_determinism.rs`);
-//! * **approximately** otherwise: each shard measures its exact chunk of
-//!   the trace, but state at a chunk boundary reflects `C` instructions of
-//!   history instead of the full prefix, perturbing boundary-local counts.
-//!
-//! # Checkpoint mode: exact sharding at any carry-in
-//!
-//! [`ParallelSession::checkpoints`] closes the "approximately" case. In
-//! checkpoint mode shards exchange **warm microarchitectural snapshots**
-//! through a [`WarmLadder`]: shard 0 warms from position 0 exactly as a
-//! serial run would, and every shard, on reaching the next chunk
-//! boundary, serializes its complete state (BTB, direction predictor,
-//! RAS, caches, MSHRs, FTQ, ROB, FDIP and all in-flight bookkeeping — see
-//! [`btbx_core::snap`]) and publishes it together with a trace checkpoint.
-//! The next shard restores that pair in O(state) and continues on the
-//! *identical* serial trajectory, so the merged counters are
-//! **bit-identical to the serial run for any workload and any carry-in**
-//! (the carry-in setting is simply ignored: no prefix is replayed at
-//! all). A cold run pipelines shards hand-to-hand; re-runs through a
-//! shared warm ladder (a repeated bench, a sweep repetition) restore
-//! every boundary immediately and execute fully in parallel.
+//! A snapshot restore reproduces the simulator and the trace source
+//! bit for bit, and the merge is a pure reduction over per-shard counters
+//! in shard order. A sharded run is therefore **bit-identical to the
+//! serial [`SimSession`] for any workload and any shard count**, and
+//! byte-identical across repetitions and thread schedules.
 //!
 //! See EXPERIMENTS.md ("Interval sharding") for the user-facing contract.
 
@@ -91,93 +45,15 @@ use crate::stats::SimResult;
 use crate::SimConfig;
 use btbx_core::snap::{restore_sealed, save_sealed};
 use btbx_core::spec::BtbSpec;
-use btbx_trace::packed::PackedBuf;
-use btbx_trace::record::TraceInstr;
 use btbx_trace::source::SeekableSource;
-use btbx_trace::TraceSource;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Upper bound on retained checkpoints; later publishes are dropped once
-/// the ladder is full (positions already present keep being reusable).
+/// Upper bound on retained warm rungs per ladder; later publishes are
+/// dropped once the ladder is full (rungs already present stay usable).
 const LADDER_CAPACITY: usize = 1024;
-
-/// The ladder type for [`btbx_trace::AnySource`] streams — what sweeps
-/// and benches share across runs now that synthetic, ChampSim and
-/// packed-container workloads all ride the same sharded engine.
-pub type AnyLadder = CheckpointLadder<btbx_trace::AnyCheckpoint>;
-
-/// A shared store of trace-source snapshots keyed by stream position.
-///
-/// One ladder serves one logical trace stream (same workload, same seed):
-/// the first source that touches the ladder binds its
-/// [`TraceSource::source_name`], and any later use by a differently named
-/// stream panics rather than silently replaying the wrong trace. Share a
-/// ladder across [`ParallelSession`] runs of the same workload to make
-/// repeat positioning O(state); see the module docs.
-#[derive(Debug, Default)]
-pub struct CheckpointLadder<C> {
-    stream: Mutex<Option<String>>,
-    slots: Mutex<BTreeMap<u64, C>>,
-}
-
-impl<C: Clone> CheckpointLadder<C> {
-    /// An empty, unbound ladder.
-    pub fn new() -> Self {
-        CheckpointLadder {
-            stream: Mutex::new(None),
-            slots: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Bind the ladder to a stream name (first caller wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the ladder is already bound to a different name: a
-    /// ladder must never be shared across distinct workloads.
-    pub fn bind(&self, name: &str) {
-        let mut stream = self.stream.lock().unwrap();
-        match stream.as_deref() {
-            None => *stream = Some(name.to_string()),
-            Some(bound) => assert_eq!(
-                bound, name,
-                "checkpoint ladder is bound to stream `{bound}`; \
-                 refusing to reuse it for `{name}`"
-            ),
-        }
-    }
-
-    /// The deepest snapshot at or below `pos`, if any.
-    pub fn claim(&self, pos: u64) -> Option<(u64, C)> {
-        let slots = self.slots.lock().unwrap();
-        slots
-            .range(..=pos)
-            .next_back()
-            .map(|(p, c)| (*p, c.clone()))
-    }
-
-    /// Store a snapshot taken at `pos` (first publish wins; ignored once
-    /// [`LADDER_CAPACITY`] distinct positions are held).
-    pub fn publish(&self, pos: u64, cp: C) {
-        let mut slots = self.slots.lock().unwrap();
-        if slots.len() < LADDER_CAPACITY {
-            slots.entry(pos).or_insert(cp);
-        }
-    }
-
-    /// Number of snapshots held.
-    pub fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-
-    /// `true` when no snapshot is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// The warm-ladder type for [`btbx_trace::AnySource`] streams.
 pub type AnyWarmLadder = WarmLadder<btbx_trace::AnyCheckpoint>;
@@ -228,8 +104,8 @@ struct WarmState<C> {
 }
 
 /// A shared store of warm microarchitectural snapshots keyed by *nominal*
-/// instruction count (`warmup + i·chunk`), the backbone of checkpoint
-/// mode ([`ParallelSession::checkpoints`]).
+/// instruction count (`warmup + i·chunk`): how the shards of a
+/// [`ParallelSession`] hand warm state to each other.
 ///
 /// One warm ladder serves one exact simulation identity — workload, BTB
 /// spec, warm-up length and simulator configuration. The first publisher
@@ -375,68 +251,6 @@ impl<C: Clone> Drop for PoisonGuard<'_, C> {
     }
 }
 
-/// A pass-through [`TraceSource`] that publishes a checkpoint to the
-/// ladder whenever the stream crosses one of the pending boundary
-/// positions — this is how shard `i` seeds the starts of shards `> i`
-/// while streaming its own window.
-struct LadderTap<'a, S: SeekableSource> {
-    inner: S,
-    ladder: &'a CheckpointLadder<S::Checkpoint>,
-    /// Ascending positions still to publish.
-    pending: Vec<u64>,
-    next: usize,
-}
-
-impl<'a, S: SeekableSource> LadderTap<'a, S> {
-    fn new(inner: S, ladder: &'a CheckpointLadder<S::Checkpoint>, boundaries: Vec<u64>) -> Self {
-        let pos = inner.position();
-        let next = boundaries.partition_point(|&b| b <= pos);
-        LadderTap {
-            inner,
-            ladder,
-            pending: boundaries,
-            next,
-        }
-    }
-
-    /// Publish every pending boundary the stream has reached.
-    #[inline]
-    fn publish_reached(&mut self) {
-        while let Some(&b) = self.pending.get(self.next) {
-            let pos = self.inner.position();
-            if pos < b {
-                break;
-            }
-            self.next += 1;
-            if pos == b {
-                self.ladder.publish(b, self.inner.checkpoint());
-            }
-        }
-    }
-}
-
-impl<S: SeekableSource> TraceSource for LadderTap<'_, S> {
-    fn next_instr(&mut self) -> Option<TraceInstr> {
-        self.publish_reached();
-        self.inner.next_instr()
-    }
-
-    fn source_name(&self) -> &str {
-        self.inner.source_name()
-    }
-
-    fn fill_block(&mut self, block: &mut PackedBuf, max: usize) -> usize {
-        self.publish_reached();
-        // Never batch past the next boundary: the snapshot must be taken
-        // exactly there.
-        let cap = match self.pending.get(self.next) {
-            Some(&b) => max.min((b - self.inner.position()) as usize),
-            None => max,
-        };
-        self.inner.fill_block(block, cap.max(1))
-    }
-}
-
 /// Per-run positioning and buffering telemetry; `btbx bench` records it
 /// so the serial generation pass cannot silently creep back.
 #[derive(Debug, Clone, Copy, Default)]
@@ -445,27 +259,24 @@ pub struct ParallelTelemetry {
     /// (validation and shard planning) before any shard job started. The
     /// streaming design keeps this O(1) in the window length.
     pub serial_setup_seconds: f64,
-    /// Summed wall-clock the shards spent positioning their sources
-    /// (claiming checkpoints and skip-stepping to the window start) —
-    /// the generation-side share of the run.
+    /// Wall-clock spent positioning sources outside the shards' restore.
+    /// Always 0: a checkpoint shard restores its trace position as part
+    /// of `restore_seconds`. Kept so existing readers of the telemetry
+    /// still compile.
     pub position_seconds: f64,
-    /// Total instructions skip-stepped while positioning (0 when every
-    /// shard start was served from the checkpoint ladder).
-    pub advanced_instructions: u64,
     /// Event-buffer footprint of the run's design: one packed staging
     /// block per concurrently live shard (`threads × EVENT_BLOCK_BYTES`),
     /// O(shards) not O(window). Computed from the streaming structure,
     /// not instrumented at runtime; a reintroduced serial buffering pass
     /// shows up in `serial_setup_seconds`, which `btbx bench` gates.
     pub peak_event_buffer_bytes: u64,
-    /// Checkpoint mode: summed wall-clock the shards spent restoring warm
-    /// state (trace checkpoint + snapshot deserialization) — O(state),
-    /// never O(position).
+    /// Summed wall-clock the shards spent restoring warm state (trace
+    /// checkpoint + snapshot deserialization) — O(state), never
+    /// O(position).
     pub restore_seconds: f64,
-    /// Checkpoint mode: largest sealed snapshot produced or consumed this
-    /// run, in bytes.
+    /// Largest sealed snapshot produced or consumed this run, in bytes.
     pub snapshot_bytes: u64,
-    /// Checkpoint mode: instructions *simulated* to build warm state this
+    /// Instructions *simulated* to build warm state this
     /// run (shard 0's cold warm-up). Zero when every boundary — including
     /// the warm-up itself — was restored from the warm ladder, the
     /// telemetry signature of an O(state) re-run.
@@ -481,8 +292,7 @@ pub struct ParallelOutcome {
     pub result: SimResult,
     /// Global interval stream: shard-local intervals re-indexed and
     /// re-accumulated in trace order, matching what a serial
-    /// [`SimSession::every`] observer would see under the equivalence
-    /// conditions above.
+    /// [`SimSession::every`] observer would see.
     pub intervals: Vec<IntervalStats>,
     /// Positioning/buffering telemetry for this run.
     pub telemetry: ParallelTelemetry,
@@ -501,11 +311,8 @@ pub struct ParallelSession<'l, S: SeekableSource, F> {
     warmup: u64,
     measure: u64,
     shards: usize,
-    carry_in: Option<u64>,
     interval: Option<u64>,
     threads: usize,
-    ladder: Option<&'l CheckpointLadder<S::Checkpoint>>,
-    checkpoint_mode: bool,
     warm: Option<&'l WarmLadder<S::Checkpoint>>,
     abort: Option<Arc<AtomicBool>>,
 }
@@ -518,9 +325,9 @@ where
     /// Start a sharded session: `factory` yields one trace stream per
     /// shard, `spec` describes the BTB under test.
     ///
-    /// Defaults: Table II config, no warm-up, 1 shard, carry-in equal to
-    /// the warm-up, one interval per shard, one thread per shard (capped
-    /// at the host's parallelism), run-local checkpoint ladder.
+    /// Defaults: Table II config, no warm-up, 1 shard, one interval per
+    /// shard, one thread per shard (capped at the host's parallelism),
+    /// run-local warm ladder.
     pub fn new(factory: F, spec: BtbSpec) -> Self {
         ParallelSession {
             factory,
@@ -530,13 +337,10 @@ where
             warmup: 0,
             measure: u64::MAX,
             shards: 1,
-            carry_in: None,
             interval: None,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            ladder: None,
-            checkpoint_mode: false,
             warm: None,
             abort: None,
         }
@@ -573,14 +377,6 @@ where
         self
     }
 
-    /// Simulated warm-up carry-in per shard (default: the full `warmup`,
-    /// the most conservative setting). Smaller values trade boundary
-    /// accuracy for speed; the skipped prefix is never simulated.
-    pub fn carry_in(mut self, instructions: u64) -> Self {
-        self.carry_in = Some(instructions);
-        self
-    }
-
     /// Emit merged [`IntervalStats`] every `interval` measured
     /// instructions (default: one interval per shard chunk). For aligned
     /// boundaries use an interval that divides the chunk size.
@@ -596,33 +392,23 @@ where
         self
     }
 
-    /// Reuse a [`CheckpointLadder`] across runs of the *same workload*
-    /// (same factory output): shard positions reached by any earlier run
-    /// are then restored in O(state) instead of re-derived by stepping.
-    /// The results are bit-identical with or without a shared ladder.
-    pub fn ladder(mut self, ladder: &'l CheckpointLadder<S::Checkpoint>) -> Self {
-        self.ladder = Some(ladder);
+    /// Kept for source compatibility: shards always hand warm snapshots
+    /// to each other (see the module docs), so this does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `on` is `false`: no other sharding mode exists.
+    pub fn checkpoints(self, on: bool) -> Self {
+        assert!(on, "sharded sessions always run in checkpoint mode");
         self
     }
 
-    /// Run shards in checkpoint mode (see the module docs): shards hand
-    /// warm microarchitectural snapshots to each other instead of
-    /// replaying a carry-in prefix, making the sharded result
-    /// bit-identical to the serial run for any workload. The carry-in
-    /// setting is ignored in this mode.
-    pub fn checkpoints(mut self, on: bool) -> Self {
-        self.checkpoint_mode = on;
-        self
-    }
-
-    /// Reuse a [`WarmLadder`] across checkpoint-mode runs of the *same
-    /// simulation identity* (workload, spec, warm-up and configuration):
-    /// every boundary already published restores in O(state), so re-runs
-    /// skip the serial warm-up entirely and execute fully in parallel.
-    /// Implies [`checkpoints`](Self::checkpoints).
+    /// Reuse a [`WarmLadder`] across runs of the *same simulation
+    /// identity* (workload, spec, warm-up and configuration): every
+    /// boundary already published restores in O(state), so re-runs skip
+    /// the serial warm-up entirely and execute fully in parallel.
     pub fn warm_ladder(mut self, ladder: &'l WarmLadder<S::Checkpoint>) -> Self {
         self.warm = Some(ladder);
-        self.checkpoint_mode = true;
         self
     }
 
@@ -688,115 +474,15 @@ where
             });
         }
 
-        if self.checkpoint_mode {
-            return self.run_checkpointed(shards, setup_started);
-        }
-
-        let chunk = self.measure.div_ceil(shards as u64);
-        // Rounding `chunk` up can leave the tail shards with nothing to
-        // measure (e.g. measure 10 over 7 shards → chunk 2 covers the
-        // window in 5); drop the empty tail so every shard measures at
-        // least one instruction.
-        let shards = self.measure.div_ceil(chunk) as usize;
-        let carry = self.carry_in.unwrap_or(self.warmup);
-
-        struct ShardPlan {
-            lo: u64,
-            start: u64,
-            measure: u64,
-        }
-        let plans: Vec<ShardPlan> = (0..shards as u64)
-            .map(|i| {
-                let start = self.warmup + i * chunk;
-                let measure = chunk.min(self.measure - i * chunk);
-                ShardPlan {
-                    lo: start.saturating_sub(carry),
-                    start,
-                    measure,
-                }
-            })
-            .collect();
-        // Every shard window start is a ladder boundary: a shard that
-        // streams across a later shard's start publishes its state there.
-        let boundaries: Vec<u64> = plans.iter().map(|p| p.lo).collect();
-
-        let local_ladder;
-        let ladder = match self.ladder {
-            Some(shared) => shared,
-            None => {
-                local_ladder = CheckpointLadder::new();
-                &local_ladder
-            }
-        };
-
-        let config = &self.config;
-        let label = &self.label;
-        let factory = &self.factory;
-        let boundaries = &boundaries;
-        let abort = &self.abort;
-        let jobs: Vec<(String, _)> = plans
-            .into_iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let job = move || {
-                    // Position the stream at the window start: claim the
-                    // deepest published snapshot, skip-step the rest.
-                    let positioning = Instant::now();
-                    let mut source = factory();
-                    ladder.bind(source.source_name());
-                    if let Some((_, cp)) = ladder.claim(plan.lo) {
-                        source.restore(&cp);
-                    }
-                    let advanced = source.advance(plan.lo - source.position());
-                    if source.position() == plan.lo {
-                        ladder.publish(plan.lo, source.checkpoint());
-                    }
-                    let position_seconds = positioning.elapsed().as_secs_f64();
-
-                    let tap = LadderTap::new(source, ladder, boundaries.clone());
-                    let mut intervals = Vec::new();
-                    let mut session = SimSession::new(tap)
-                        .btb_spec(spec)
-                        .config(config.clone())
-                        .warmup(plan.start - plan.lo)
-                        .measure(plan.measure);
-                    if let Some(l) = label {
-                        session = session.label(l.clone());
-                    }
-                    if let Some(a) = abort {
-                        session = session.abort(Arc::clone(a));
-                    }
-                    let result = session
-                        .every(interval.unwrap_or(plan.measure).min(plan.measure), |iv| {
-                            intervals.push(*iv)
-                        })
-                        .run()
-                        .expect("spec validated before sharding");
-                    (result, intervals, position_seconds, advanced)
-                };
-                (format!("shard{i}"), job)
-            })
-            .collect();
-
-        let pool_label = self
-            .label
-            .clone()
-            .unwrap_or_else(|| spec.org.id().to_string());
-        let threads = self.threads.min(shards);
-        let serial_setup_seconds = setup_started.elapsed().as_secs_f64();
-        let shard_outputs = run_named_jobs(&pool_label, threads, jobs);
-        let mut outcome = merge(shard_outputs);
-        outcome.telemetry.serial_setup_seconds = serial_setup_seconds;
-        outcome.telemetry.peak_event_buffer_bytes = threads as u64 * EVENT_BLOCK_BYTES;
-        Ok(outcome)
+        self.run_sharded(shards, setup_started)
     }
 
-    /// Checkpoint-mode back half of [`run`](Self::run): shards restore
-    /// warm snapshots from the [`WarmLadder`] (or hand them forward while
-    /// a cold run pipelines) and measure to *absolute* committed targets
-    /// on the serial trajectory, so the merge is bit-identical to a
-    /// serial session for any workload.
-    fn run_checkpointed(
+    /// Sharded back half of [`run`](Self::run): shards restore warm
+    /// snapshots from the [`WarmLadder`] (or hand them forward while a
+    /// cold run pipelines) and measure to *absolute* committed targets on
+    /// the serial trajectory, so the merge is bit-identical to a serial
+    /// session for any workload.
+    fn run_sharded(
         self,
         shards: usize,
         setup_started: Instant,
@@ -806,7 +492,9 @@ where
         let warmup = self.warmup;
         let measure = self.measure;
         let chunk = measure.div_ceil(shards as u64);
-        // Drop the empty tail exactly as approximate mode does.
+        // Rounding `chunk` up can leave the tail shards with nothing to
+        // measure (e.g. measure 10 over 7 shards → chunk 2 covers the
+        // window in 5); drop the empty tail.
         let shards = measure.div_ceil(chunk) as usize;
 
         let local_warm;
@@ -1034,50 +722,6 @@ where
     }
 }
 
-/// Deterministically merge per-shard results and interval streams in
-/// shard (= trace) order.
-#[allow(clippy::type_complexity)]
-fn merge(shards: Vec<(SimResult, Vec<IntervalStats>, f64, u64)>) -> ParallelOutcome {
-    let mut telemetry = ParallelTelemetry::default();
-    let mut iter = shards.into_iter();
-    let (mut result, first_intervals, pos_secs, advanced) =
-        iter.next().expect("at least one shard");
-    telemetry.position_seconds += pos_secs;
-    telemetry.advanced_instructions += advanced;
-    let mut intervals: Vec<IntervalStats> = first_intervals;
-
-    for (shard_result, shard_intervals, pos_secs, advanced) in iter {
-        telemetry.position_seconds += pos_secs;
-        telemetry.advanced_instructions += advanced;
-        // Re-accumulate the shard's cumulative fields on top of the
-        // global totals so far.
-        let (base_instr, base_cycles, base_bpu) = intervals
-            .last()
-            .map(|iv| (iv.instructions, iv.cycles, iv.bpu))
-            .unwrap_or_default();
-        for iv in &shard_intervals {
-            intervals.push(IntervalStats {
-                index: intervals.len() as u64,
-                instructions: base_instr + iv.instructions,
-                cycles: base_cycles + iv.cycles,
-                delta_instructions: iv.delta_instructions,
-                delta_cycles: iv.delta_cycles,
-                bpu: {
-                    let mut b = base_bpu;
-                    b.merge(&iv.bpu);
-                    b
-                },
-            });
-        }
-        result.stats.merge(&shard_result.stats);
-    }
-    ParallelOutcome {
-        result,
-        intervals,
-        telemetry,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1148,22 +792,33 @@ mod tests {
         assert!(out.result.stats.instructions <= 5_000);
     }
 
+    fn serial(trace: VecSource, spec: BtbSpec, warmup: u64, measure: u64) -> SimResult {
+        SimSession::new(trace)
+            .btb_spec(spec)
+            .fdip(false)
+            .warmup(warmup)
+            .measure(measure)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn shard_instruction_coverage_is_exact() {
-        // Whatever the boundary effects, the measured instruction count
-        // must cover the requested window (each shard measures its chunk,
-        // possibly overshooting by < commit width).
+        // The measured instruction count covers the requested window,
+        // overshooting by less than the commit width exactly as the
+        // serial run does.
         let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
         let out = ParallelSession::new(|| straight_line(200_000), spec)
             .config(SimConfig::without_fdip())
             .warmup(10_000)
             .measure(80_000)
             .shards(4)
-            .carry_in(2_000)
             .run()
             .unwrap();
+        let reference = serial(straight_line(200_000), spec, 10_000, 80_000);
+        assert_eq!(out.result.stats, reference.stats);
         assert!(out.result.stats.instructions >= 80_000);
-        assert!(out.result.stats.instructions < 80_000 + 4 * 6);
+        assert!(out.result.stats.instructions < 80_000 + 6);
         assert_eq!(out.intervals.len(), 4);
         let sum: u64 = out.intervals.iter().map(|iv| iv.delta_instructions).sum();
         assert_eq!(sum, out.result.stats.instructions);
@@ -1179,7 +834,9 @@ mod tests {
     fn tiny_measure_with_many_shards_partitions_cleanly() {
         // Regression: chunk rounding used to leave tail shards with
         // `measure - i * chunk` underflowing (or zero instructions to
-        // measure); the empty tail must be dropped instead.
+        // measure); the empty tail must be dropped instead. Chunks below
+        // the commit width also exercise shards whose restored snapshot
+        // already sits past their target.
         let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
         for (measure, shards) in [(10u64, 7usize), (10, 6), (10, 16), (1, 4), (3, 2)] {
             let out = ParallelSession::new(|| straight_line(50_000), spec)
@@ -1189,9 +846,10 @@ mod tests {
                 .shards(shards)
                 .run()
                 .unwrap_or_else(|e| panic!("measure {measure} over {shards} shards: {e}"));
-            assert!(
-                out.result.stats.instructions >= measure,
-                "measure {measure} over {shards} shards under-covered"
+            let reference = serial(straight_line(50_000), spec, 64, measure);
+            assert_eq!(
+                out.result.stats, reference.stats,
+                "measure {measure} over {shards} shards"
             );
             let sum: u64 = out.intervals.iter().map(|iv| iv.delta_instructions).sum();
             assert_eq!(sum, out.result.stats.instructions, "{measure}/{shards}");
@@ -1207,7 +865,6 @@ mod tests {
                 .warmup(8_000)
                 .measure(60_000)
                 .shards(3)
-                .carry_in(1_000)
                 .run()
                 .unwrap()
         };
@@ -1226,45 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ladder_reruns_are_byte_identical_and_skip_positioning() {
-        let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-        let ladder = CheckpointLadder::new();
-        let run = |ladder: Option<&CheckpointLadder<u64>>| {
-            let mut s = ParallelSession::new(|| straight_line(150_000), spec)
-                .config(SimConfig::without_fdip())
-                .warmup(8_000)
-                .measure(60_000)
-                .shards(4)
-                .carry_in(1_000)
-                .threads(1);
-            if let Some(l) = ladder {
-                s = s.ladder(l);
-            }
-            s.run().unwrap()
-        };
-        let cold = run(None);
-        let first = run(Some(&ladder));
-        assert!(
-            !ladder.is_empty(),
-            "shard boundaries must be published to the shared ladder"
-        );
-        let warm = run(Some(&ladder));
-        assert_eq!(
-            warm.telemetry.advanced_instructions, 0,
-            "every shard start must be served from the ladder"
-        );
-        for out in [&first, &warm] {
-            assert_eq!(
-                out.result.stats.instructions,
-                cold.result.stats.instructions
-            );
-            assert_eq!(out.result.stats.cycles, cold.result.stats.cycles);
-            assert_eq!(out.result.stats.bpu, cold.result.stats.bpu);
-            assert_eq!(out.result.stats.btb_counts, cold.result.stats.btb_counts);
-        }
-    }
-
-    #[test]
     fn telemetry_reports_streaming_costs() {
         let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
         let out = ParallelSession::new(|| straight_line(100_000), spec)
@@ -1272,17 +890,9 @@ mod tests {
             .warmup(10_000)
             .measure(40_000)
             .shards(4)
-            .carry_in(1_000)
             .threads(2)
             .run()
             .unwrap();
-        // Cold run with a fresh per-run ladder and one worker claiming in
-        // order: shard 0 advances to its own start; later shards restore
-        // published boundaries, so the total advanced count stays at or
-        // below the sum of all window starts.
-        assert!(out.telemetry.advanced_instructions >= 9_000);
-        let lo_sum: u64 = (0..4u64).map(|i| 10_000 + i * 10_000 - 1_000).sum();
-        assert!(out.telemetry.advanced_instructions <= lo_sum);
         assert_eq!(
             out.telemetry.peak_event_buffer_bytes,
             2 * EVENT_BLOCK_BYTES,
@@ -1291,18 +901,10 @@ mod tests {
         assert!(out.telemetry.serial_setup_seconds < 1.0);
     }
 
-    #[test]
-    #[should_panic(expected = "refusing to reuse")]
-    fn ladder_rejects_a_different_workload() {
-        let ladder: CheckpointLadder<u64> = CheckpointLadder::new();
-        ladder.bind("workload-a");
-        ladder.bind("workload-b");
-    }
-
     /// A pseudo-random branchy trace (calls, returns, conditionals,
     /// indirect branches, loads and stores) whose microarchitectural
-    /// state never converges — the adversarial case for carry-in
-    /// sharding.
+    /// state never converges, so a shard that started from anything but
+    /// the exact serial state would diverge.
     fn branchy(n: u64) -> VecSource {
         use btbx_core::types::{BranchClass, BranchEvent};
         use btbx_trace::record::MemAccess;
@@ -1335,9 +937,9 @@ mod tests {
 
     #[test]
     fn checkpoint_mode_matches_serial_bit_exactly() {
-        // The exactness claim of checkpoint mode: for a workload where
-        // carry-in sharding measurably diverges, every shard count must
-        // still equal the serial run — all counters, not just MPKI.
+        // The exactness claim of sharding: even on a workload whose state
+        // never converges, every shard count must equal the serial run —
+        // all counters, not just MPKI.
         let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
         let serial = SimSession::new(branchy(90_000))
             .btb_spec(spec)
@@ -1350,7 +952,6 @@ mod tests {
                 .warmup(8_000)
                 .measure(50_000)
                 .shards(shards)
-                .checkpoints(true)
                 .run()
                 .unwrap();
             assert_eq!(out.result.stats, serial.stats, "shards = {shards}");
@@ -1358,28 +959,6 @@ mod tests {
             let sum: u64 = out.intervals.iter().map(|iv| iv.delta_instructions).sum();
             assert_eq!(sum, out.result.stats.instructions);
         }
-    }
-
-    #[test]
-    fn checkpoint_mode_ignores_carry_in() {
-        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-        let run = |carry: u64| {
-            ParallelSession::new(|| branchy(80_000), spec)
-                .config(SimConfig::without_fdip())
-                .warmup(6_000)
-                .measure(40_000)
-                .shards(4)
-                .carry_in(carry)
-                .checkpoints(true)
-                .run()
-                .unwrap()
-        };
-        let a = run(0);
-        let b = run(6_000);
-        assert_eq!(
-            a.result.stats, b.result.stats,
-            "checkpoint mode must not depend on the carry-in setting"
-        );
     }
 
     #[test]

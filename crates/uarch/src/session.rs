@@ -39,7 +39,7 @@ use std::sync::Arc;
 ///
 /// All counters are cumulative over the measurement window; the `delta_*`
 /// fields cover just the interval that ended.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalStats {
     /// 0-based interval number.
     pub index: u64,
@@ -148,7 +148,6 @@ pub struct SimSession<'a, S, B: Btb = Box<dyn Btb>> {
     label: Option<String>,
     observer: Option<Observer<'a>>,
     abort: Option<Arc<AtomicBool>>,
-    fast_forward: bool,
 }
 
 impl<'a, S: TraceSource> SimSession<'a, S> {
@@ -163,7 +162,6 @@ impl<'a, S: TraceSource> SimSession<'a, S> {
             label: None,
             observer: None,
             abort: None,
-            fast_forward: false,
         }
     }
 }
@@ -189,7 +187,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
             label: self.label,
             observer: self.observer,
             abort: self.abort,
-            fast_forward: self.fast_forward,
         }
     }
 
@@ -249,18 +246,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
         self
     }
 
-    /// Enable the O(1) inert-cycle fast-forward
-    /// ([`Simulator::set_fast_forward`]): spans of cycles in which no
-    /// pipeline stage can act are jumped instead of ticked. Results are
-    /// bit-identical to the plain tick loop — the batched executor
-    /// ([`crate::batch`]) turns this on for every lane, and the
-    /// differential suite pins the identity. Off by default so the
-    /// reference tick loop stays the oracle.
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
-        self
-    }
-
     /// Run the simulation.
     ///
     /// # Errors
@@ -284,7 +269,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                 self.measure,
                 self.observer,
                 self.abort,
-                self.fast_forward,
             )),
             BtbSource::Spec(spec) => {
                 // Static dispatch: the engine monomorphizes the hot path.
@@ -299,7 +283,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                     self.measure,
                     self.observer,
                     self.abort,
-                    self.fast_forward,
                 ))
             }
         }
@@ -322,14 +305,12 @@ pub(crate) fn run_with<S: TraceSource, B: Btb>(
     measure: u64,
     mut observer: Option<Observer<'_>>,
     abort: Option<Arc<AtomicBool>>,
-    fast_forward: bool,
 ) -> SimResult {
     let bpu = Bpu::new(btb, config.ras_entries, config.decode_resteer);
     let mut sim = Simulator::new(config, trace, bpu, label, budget_bits);
     if let Some(flag) = abort {
         sim.set_abort(flag);
     }
-    sim.set_fast_forward(fast_forward);
     let interval = observer.as_ref().map(|(n, _)| *n);
     let mut result = sim.run_observed(warmup, measure, interval, &mut |iv| {
         if let Some((_, cb)) = observer.as_mut() {

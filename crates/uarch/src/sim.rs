@@ -11,6 +11,12 @@
 //! instruction count before statistics are collected; the BTB is updated
 //! at commit by taken branches; BTB-missing unconditional-direct branches
 //! and taken-predicted conditionals resteer at decode.
+//!
+//! The driving loops skip spans of provably inert cycles in one O(1) jump
+//! (see `Simulator::fast_forward_span`) instead of ticking through them.
+//! The trajectory — every counter, every structure — is bit-identical to
+//! ticking every cycle; the unit tests keep that plain tick loop as an
+//! oracle and compare the two.
 
 use crate::bpu::{Bpu, Resolution};
 use crate::config::SimConfig;
@@ -104,11 +110,10 @@ pub struct Simulator<S, B: btbx_core::Btb = Box<dyn btbx_core::Btb>> {
     /// loops panic with [`ABORT_MARKER`] at the next poll boundary.
     abort: Option<Arc<AtomicBool>>,
     abort_poll: u32,
-    /// Skip provably inert cycles in O(1) jumps (see
-    /// [`Self::fast_forward_span`]). Off by default: the plain tick loop
-    /// is the reference trajectory; the batched executor turns this on
-    /// and the differential suite pins the two bit-identical.
-    fast_forward: bool,
+    /// Test-only oracle switch: tick every cycle instead of jumping inert
+    /// spans, reproducing the plain tick loop the fast-forward must match.
+    #[cfg(test)]
+    plain: bool,
     /// Number of leading FTQ entries known to have issued their L1-I
     /// access (`block_ready` is `Some`). Derived state, never serialized:
     /// a snapshot restore resets it to 0 and the next ifetch window
@@ -159,20 +164,10 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             budget_bits,
             abort: None,
             abort_poll: 0,
-            fast_forward: false,
+            #[cfg(test)]
+            plain: false,
             issued_prefix: 0,
         }
-    }
-
-    /// Enable inert-cycle fast-forwarding: spans of cycles in which every
-    /// stage is provably a no-op (up to stall counters) are skipped in one
-    /// O(1) jump instead of being ticked one by one. The resulting
-    /// trajectory — every counter, every structure — is bit-identical to
-    /// the plain tick loop; `crates/bench/tests/batch_differential.rs`
-    /// pins this for every organization. The serial session leaves this off so it stays
-    /// the plain reference model; the batched executor turns it on.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
     }
 
     /// Attach a cancellation flag: once `flag` turns true, the driving
@@ -221,10 +216,10 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
 
     /// Tick until the *absolute* committed-instruction count reaches
     /// `target` (or the trace drains). The warm-up building block of both
-    /// the serial path and checkpoint-mode shards.
+    /// the serial path and sharded runs.
     pub fn run_until_committed(&mut self, target: u64) {
         while self.committed < target && !self.finished() {
-            if !(self.fast_forward && self.fast_forward_span()) {
+            if !self.skip_inert() {
                 self.tick();
             }
             self.poll_abort();
@@ -246,7 +241,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
 
     /// [`run_measured`](Self::run_measured) with the interval grid
     /// anchored `grid_offset` instructions *before* this simulator's
-    /// measurement start. Checkpoint-mode shards restore mid-window — the
+    /// measurement start. Shards restore mid-window — the
     /// predecessor's cut overshoots the nominal boundary by up to
     /// `commit_width - 1` instructions — and pass that overshoot here so
     /// boundaries still fire at the exact committed counts the serial
@@ -289,7 +284,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             (instructions, cycles)
         };
         while self.committed < target && !self.finished() {
-            if self.fast_forward && self.fast_forward_span() {
+            if self.skip_inert() {
                 // A jump commits nothing, so no boundary can fire.
                 self.poll_abort();
                 continue;
@@ -321,7 +316,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         self.committed
     }
 
-    /// Borrow the trace source (checkpoint-mode shards record the source
+    /// Borrow the trace source (shards record the source
     /// position alongside a microarchitectural snapshot).
     pub fn trace(&self) -> &S {
         &self.trace
@@ -395,6 +390,17 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             btb_budget_bits: self.budget_bits,
             stats,
         }
+    }
+
+    /// [`fast_forward_span`](Self::fast_forward_span), except in the
+    /// test-only plain oracle, which never jumps.
+    #[inline]
+    fn skip_inert(&mut self) -> bool {
+        #[cfg(test)]
+        if self.plain {
+            return false;
+        }
+        self.fast_forward_span()
     }
 
     /// Try to jump over a span of inert cycles in O(1); returns `true`
@@ -545,15 +551,14 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         let cycle = self.cycle;
         let limit = window.min(self.ftq.len());
         // Entries below the issued prefix are already `Some`; re-scanning
-        // them is a no-op, so starting there is semantically identical
-        // and saves the O(window) rescan every cycle. The reference path
-        // keeps the full scan so the oracle stays the plain model.
-        let start = if self.fast_forward {
-            self.issued_prefix.min(limit)
-        } else {
-            0
-        };
-        for idx in start..limit {
+        // them would be a no-op, so starting there saves the O(window)
+        // rescan every cycle. The test-only plain oracle scans the whole
+        // window, which pins the prefix bookkeeping against a full scan.
+        #[cfg(test)]
+        let start = if self.plain { 0 } else { self.issued_prefix };
+        #[cfg(not(test))]
+        let start = self.issued_prefix;
+        for idx in start.min(limit)..limit {
             // Safe: idx < len.
             let (pc, pending) = {
                 let e = self.ftq.get(idx).unwrap();
@@ -857,11 +862,13 @@ pub fn simulate<S: TraceSource, B: btbx_core::Btb>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btbx_core::snap::{restore_sealed, save_sealed};
+    use btbx_core::spec::BtbSpec;
     use btbx_core::storage::BudgetPoint;
     use btbx_core::types::{Arch, BranchClass};
-    use btbx_core::{factory, OrgKind};
+    use btbx_core::{factory, BtbEngine, OrgKind};
     use btbx_trace::record::TraceInstr;
-    use btbx_trace::source::VecSource;
+    use btbx_trace::source::{SeekableSource, VecSource};
     use btbx_trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
 
     fn btb(kind: OrgKind) -> Box<dyn btbx_core::Btb> {
@@ -1081,5 +1088,82 @@ mod tests {
             100_000, // more than available: must stop at trace end
         );
         assert!(r.stats.instructions <= 4_000);
+    }
+
+    /// A simulator of `kind` at 3.6 KB; `plain` selects the oracle that
+    /// ticks every cycle instead of jumping inert spans.
+    fn oracle_sim<S: TraceSource>(
+        trace: S,
+        kind: OrgKind,
+        fdip: bool,
+        plain: bool,
+    ) -> Simulator<S, BtbEngine> {
+        let spec = BtbSpec::of(kind).at(BudgetPoint::Kb3_6);
+        let config = if fdip {
+            SimConfig::with_fdip()
+        } else {
+            SimConfig::without_fdip()
+        };
+        let bpu = Bpu::new(
+            spec.build_engine().unwrap(),
+            config.ras_entries,
+            config.decode_resteer,
+        );
+        let mut sim = Simulator::new(config, trace, bpu, kind.id(), spec.bits());
+        sim.plain = plain;
+        sim
+    }
+
+    /// Measure `measure` instructions from the current state with an
+    /// interval that does not divide the window, so the stream ends in a
+    /// trailing partial record.
+    fn measure_intervals<S: TraceSource>(
+        mut sim: Simulator<S, BtbEngine>,
+        measure: u64,
+    ) -> (SimStats, Vec<IntervalStats>) {
+        sim.begin_measurement();
+        let target = sim.committed() + measure;
+        let mut intervals = Vec::new();
+        sim.run_measured(target, Some(7_000), &mut |iv| intervals.push(*iv));
+        (sim.into_result().stats, intervals)
+    }
+
+    #[test]
+    fn fast_forward_matches_the_plain_tick_loop() {
+        const WARMUP: u64 = 20_000;
+        const MEASURE: u64 = 30_000;
+        let image = ProgramImage::generate(&SynthParams::server(300), 21);
+        let trace = || SyntheticTrace::new(image.clone(), "server_oracle", 21);
+        for kind in OrgKind::ALL {
+            for fdip in [false, true] {
+                let what = format!("{} fdip={fdip}", kind.id());
+                let straight = |plain: bool| {
+                    let mut sim = oracle_sim(trace(), kind, fdip, plain);
+                    sim.run_until_committed(WARMUP);
+                    measure_intervals(sim, MEASURE)
+                };
+                let fast = straight(false);
+                assert_eq!(fast, straight(true), "{what}");
+                assert!(fast.1.len() > 1, "{what}: intervals must stream");
+
+                // A restore resets the derived `issued_prefix` while the
+                // FTQ is occupied; both loops must still agree, and with
+                // the uninterrupted run.
+                let mut warm = oracle_sim(trace(), kind, fdip, false);
+                warm.run_until_committed(WARMUP);
+                let sealed = save_sealed("oracle", &warm);
+                let checkpoint = warm.trace().checkpoint();
+                let restored = |plain: bool| {
+                    let mut source = trace();
+                    source.restore(&checkpoint);
+                    let mut sim = oracle_sim(source, kind, fdip, plain);
+                    restore_sealed(&mut sim, "oracle", &sealed).unwrap();
+                    measure_intervals(sim, MEASURE)
+                };
+                let resumed = restored(false);
+                assert_eq!(resumed, restored(true), "{what} restored");
+                assert_eq!(resumed, fast, "{what} restored vs uninterrupted");
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Trace interoperability: serialize a synthetic workload into the
-//! ChampSim `input_instr` format and into the native compact codec, then
-//! replay the ChampSim bytes through the simulator.
+//! ChampSim `input_instr` format and into a `.btbt` packed container,
+//! then replay the ChampSim bytes through the simulator.
 //!
 //! This is the bridge for running the *real* Qualcomm IPC-1 traces (which
 //! ship in ChampSim format) through this repository when you have them.
@@ -12,8 +12,10 @@
 use btbx::core::spec::BtbSpec;
 use btbx::core::{Arch, OrgKind};
 use btbx::trace::champsim::{write_champsim, ChampSimReader};
+use btbx::trace::container::write_container;
+use btbx::trace::source::VecSource;
 use btbx::trace::suite;
-use btbx::trace::{codec, TraceSource};
+use btbx::trace::{PackedFileSource, TraceSource};
 use btbx::uarch::SimSession;
 
 fn main() {
@@ -31,14 +33,23 @@ fn main() {
     let mut champsim_bytes = Vec::new();
     write_champsim(&mut champsim_bytes, instrs.iter().copied()).expect("in-memory write");
 
-    // Native codec: a few bytes per instruction.
-    let native = codec::encode(&spec.name, Arch::Arm64, instrs.iter().copied());
+    // Packed container: 16 bytes per canonical instruction plus an index.
+    let path = std::env::temp_dir().join(format!("champsim_traces_{}.btbt", std::process::id()));
+    let file = std::fs::File::create(&path).expect("create container file");
+    let summary = write_container(
+        std::io::BufWriter::new(file),
+        &spec.name,
+        Arch::Arm64,
+        &mut VecSource::new(spec.name.clone(), instrs.clone()),
+        n,
+    )
+    .expect("write container");
     println!(
-        "{} instructions: ChampSim {} KB vs native {} KB ({:.1}x smaller)",
+        "{} instructions: ChampSim {} KB vs .btbt {} KB ({:.1}x smaller)",
         instrs.len(),
         champsim_bytes.len() / 1024,
-        native.len() / 1024,
-        champsim_bytes.len() as f64 / native.len() as f64
+        summary.bytes / 1024,
+        champsim_bytes.len() as f64 / summary.bytes as f64
     );
 
     // Replay the ChampSim bytes through the simulator.
@@ -55,12 +66,13 @@ fn main() {
         r.stats.btb_mpki()
     );
 
-    // And through the native decoder, verifying identical instruction
+    // And back out of the container, verifying identical instruction
     // streams.
-    let decoded: Vec<_> = codec::Decoder::new(native)
-        .expect("valid header")
+    let decoded: Vec<_> = PackedFileSource::open(&path)
+        .expect("valid container")
         .into_iter_instrs()
         .collect();
-    assert_eq!(decoded, instrs, "native codec is lossless");
-    println!("native codec round-trip: lossless ✓");
+    std::fs::remove_file(&path).expect("remove container file");
+    assert_eq!(decoded, instrs, ".btbt container is lossless");
+    println!(".btbt round-trip: lossless ✓");
 }

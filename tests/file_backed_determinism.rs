@@ -3,13 +3,10 @@
 //! to the serial `SimSession`, with no full-trace materialization —
 //! the file-backed mirror of `tests/parallel_determinism.rs`.
 //!
-//! Unlike the synthetic suite, which leans on periodic workloads to make
-//! the bounded carry-in exact, these tests run in **exact mode**: commit
-//! width 1 (chunk boundaries land on commit boundaries) and a carry-in
-//! covering the whole prefix (every shard replays the serial history up
-//! to its chunk). Under those settings sharded equals serial for ANY
-//! trace — which is precisely what lets real, aperiodic server traces
-//! ride the sharded engine without an equivalence caveat.
+//! Shards hand warm microarchitectural snapshots to each other, so
+//! sharded equals serial for ANY trace at the default configuration —
+//! which is precisely what lets real, aperiodic server traces ride the
+//! sharded engine without an equivalence caveat.
 //!
 //! The fixture is a ~50k-instruction ChampSim `input_instr` file under
 //! `tests/fixtures/`, generated deterministically from the synthetic
@@ -66,13 +63,6 @@ fn convert_fixture(path: &Path) {
     .expect("fixture converts");
 }
 
-/// Exact-equivalence configuration: see the module docs.
-fn exact_config() -> SimConfig {
-    let mut config = SimConfig::with_fdip();
-    config.commit_width = 1;
-    config
-}
-
 const WARMUP: u64 = 10_000;
 const MEASURE: u64 = 32_000;
 /// Divides the chunk size at every shard count used here (1, 2, 4, 8
@@ -86,7 +76,7 @@ fn serial_reference(
     let mut intervals = Vec::new();
     let result = SimSession::new(source)
         .btb_spec(spec)
-        .config(exact_config())
+        .config(SimConfig::with_fdip())
         .warmup(WARMUP)
         .measure(MEASURE)
         .every(INTERVAL, |iv| intervals.push(*iv))
@@ -98,13 +88,11 @@ fn serial_reference(
 fn sharded(proto: &AnySource, spec: BtbSpec, shards: usize) -> ParallelOutcome {
     let proto = proto.clone();
     ParallelSession::new(move || proto.clone(), spec)
-        .config(exact_config())
+        .config(SimConfig::with_fdip())
         .warmup(WARMUP)
         .measure(MEASURE)
         .every(INTERVAL)
         .shards(shards)
-        // Full-prefix carry-in: exact for any trace (module docs).
-        .carry_in(WARMUP + MEASURE)
         .run()
         .expect("valid sharded session")
 }

@@ -1,14 +1,13 @@
 //! Determinism suite: `ParallelSession` must reproduce the serial
-//! `SimSession` exactly — same totals, same interval boundaries — on
-//! workloads that satisfy the documented equivalence contract (periodic
-//! working set converged by the warm-up carry-in; see the module docs of
-//! `btbx_uarch::parallel` and EXPERIMENTS.md, "Interval sharding").
+//! `SimSession` exactly — same totals, same interval boundaries — at the
+//! default commit width, for every shard count and thread count (see the
+//! module docs of `btbx_uarch::parallel` and EXPERIMENTS.md, "Interval
+//! sharding").
 //!
-//! The workloads here are steady-state loops whose dynamic period divides
-//! the warm-up, the shard chunk and the interval length, so every shard
-//! replays a stream identical (not merely similar) to the serial stream at
-//! its chunk position and all microarchitectural state converges within
-//! the carry-in.
+//! The workloads are small steady-state loops exercising every front-end
+//! structure (BTB, RAS, direction predictor, caches, FTQ); the aperiodic
+//! cases live in `tests/file_backed_determinism.rs` and the unit tests of
+//! `btbx_uarch::parallel`.
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
@@ -182,26 +181,9 @@ fn sharded(
     .expect("valid sharded session")
 }
 
-/// The measurement loop commits up to `commit_width` instructions per
-/// cycle and stops at the first crossing of the window, so a chunk can
-/// overshoot by up to `commit_width - 1` instructions. Exact serial
-/// equivalence therefore additionally needs chunk boundaries to fall on
-/// commit boundaries; `commit_width: 1` guarantees that for any window,
-/// making the equality below exact rather than approximate. (The
-/// default-width behaviour is pinned separately further down.)
-fn exact_config(fdip: bool) -> SimConfig {
-    let mut config = if fdip {
-        SimConfig::with_fdip()
-    } else {
-        SimConfig::without_fdip()
-    };
-    config.commit_width = 1;
-    config
-}
-
 #[test]
 fn call_loop_is_shard_invariant() {
-    let config = exact_config(true);
+    let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
     let (serial, serial_intervals) = serial_reference("call", call_loop_body(), spec, &config);
     for shards in [1usize, 2, 8] {
@@ -219,7 +201,7 @@ fn call_loop_is_shard_invariant() {
 
 #[test]
 fn branchy_loop_is_shard_invariant() {
-    let config = exact_config(false);
+    let config = SimConfig::without_fdip();
     let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
     let (serial, serial_intervals) =
         serial_reference("branchy", branchy_loop_body(), spec, &config);
@@ -236,7 +218,7 @@ fn branchy_loop_is_shard_invariant() {
 /// organization, and all of it rides through shard merge).
 #[test]
 fn every_paper_org_is_shard_invariant_on_the_call_loop() {
-    let config = exact_config(true);
+    let config = SimConfig::with_fdip();
     for org in OrgKind::PAPER_EVAL {
         let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
         let (serial, serial_intervals) = serial_reference("call", call_loop_body(), spec, &config);
@@ -249,13 +231,11 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop() {
     }
 }
 
-/// Warm-checkpoint mode drops both preconditions of the replay-based
-/// equivalence contract: shards restore the serial machine snapshot at
-/// exact committed-instruction boundaries instead of re-warming from a
-/// carry-in, so the merged run equals the serial run bit-for-bit for any
-/// workload, any shard count and the *default* commit width (no
-/// `commit_width: 1` needed — boundaries are committed targets, not tick
-/// counts).
+/// Shards restore the serial machine snapshot at exact
+/// committed-instruction boundaries, so the merged run equals the serial
+/// run bit-for-bit at the *default* commit width even though a cut can
+/// overshoot its nominal boundary by up to `commit_width - 1`
+/// instructions: boundaries are committed targets, not tick counts.
 #[test]
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
@@ -272,7 +252,6 @@ fn checkpoint_mode_is_exact_at_default_width() {
         .measure(MEASURE)
         .every(INTERVAL)
         .shards(shards)
-        .checkpoints(true)
         .run()
         .expect("valid checkpointed session");
         let ctx = format!("checkpointed call loop, {shards} shard(s)");
@@ -285,10 +264,11 @@ fn checkpoint_mode_is_exact_at_default_width() {
     }
 }
 
-/// With the default 6-wide commit, chunk boundaries may overshoot by up
-/// to `commit_width - 1` instructions per shard. Pin the documented
-/// contract: coverage is complete (never short), bounded overshoot, and
-/// the run remains deterministic across repetitions and thread counts.
+/// With the default 6-wide commit, the window may overshoot by up to
+/// `commit_width - 1` instructions, exactly as the serial run does. Pin
+/// the contract: coverage is complete (never short), the overshoot stays
+/// that of one serial window, and the run remains deterministic across
+/// thread counts.
 #[test]
 fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let config = SimConfig::with_fdip();
@@ -311,7 +291,7 @@ fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let a = run(1);
     let b = run(8);
     assert!(a.result.stats.instructions >= MEASURE);
-    assert!(a.result.stats.instructions < MEASURE + 8 * config.commit_width as u64);
+    assert!(a.result.stats.instructions < MEASURE + config.commit_width as u64);
     assert_stats_identical("thread-count invariance", &a.result.stats, &b.result.stats);
     assert_intervals_identical("thread-count invariance", &a.intervals, &b.intervals);
 }
