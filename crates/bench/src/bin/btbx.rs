@@ -50,13 +50,12 @@ commands:
   sweep           run a custom workload x org x budget x FDIP matrix
   serve           run a JSON-over-HTTP simulation service over the cache
   cluster         probe a fleet of serve nodes (cluster status ADDR,...)
-  bench           measure simulator throughput, write BENCH_sim.json
   trace           convert/inspect/check .btbt trace containers
   list            list every runnable experiment
   help            show this help
 
-`sweep` and `bench` accept --trace FILE to replay a .btbt container
-instead of the synthetic suites.
+`sweep` accepts --trace FILE to replay a .btbt container instead of
+the synthetic suites.
 
 run `btbx <command> --help` for the command's options.";
 
@@ -161,7 +160,6 @@ fn main() {
         "sweep" => sweep_cmd(args),
         "serve" => serve_cmd(args),
         "cluster" => cluster_cmd(args),
-        "bench" => bench_cmd(args),
         "trace" => trace_cmd(args),
         name => match registry::find(name) {
             Some(e) => {
@@ -229,10 +227,6 @@ fn list() {
     println!(
         "  {:<12} {:<8} custom matrix (see btbx sweep --help)",
         "sweep", ""
-    );
-    println!(
-        "  {:<12} {:<8} simulator throughput, writes BENCH_sim.json",
-        "bench", ""
     );
     println!(
         "  {:<12} {:<8} JSON-over-HTTP simulation service (btbx serve --help)",
@@ -637,50 +631,6 @@ fn cluster_cmd(mut args: Vec<String>) {
     println!("fleet OK: {} node(s) healthy and compatible", nodes.len());
 }
 
-const BENCH_USAGE: &str = "\
-usage: btbx bench [options]
-
-Measures end-to-end simulation throughput (events/sec = measured
-instructions per wall-clock second) per paper-evaluation organization in
-three modes — statically dispatched serial, dyn-dispatch serial, and
-4-shard interval-sharded — and writes <out>/BENCH_sim.json.
-
-options:
-  --smoke          small windows for CI (one order of magnitude faster)
-  --baseline FILE  compare against a recorded BENCH_sim.json and fail on
-                   a >25% events/sec regression for any matching entry
-                   (normalized by the median throughput ratio, so a
-                   uniformly faster/slower host is not a regression)";
-
-fn bench_cmd(args: Vec<String>) {
-    let mut smoke = false;
-    let mut baseline: Option<String> = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--baseline expects a file path")),
-                );
-            }
-            "--help" | "-h" => {
-                println!("{BENCH_USAGE}\n\n{OPTIONS_USAGE}");
-                return;
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    let opts = parse_opts(rest, "bench", Some(BENCH_USAGE));
-    let baseline = baseline.map(std::path::PathBuf::from);
-    if let Err(msg) = btbx_bench::perf::run(&opts, smoke, baseline.as_deref()) {
-        eprintln!("error: {msg}");
-        std::process::exit(1);
-    }
-}
-
 const TRACE_USAGE: &str = "\
 usage: btbx trace <subcommand>
 
@@ -698,9 +648,8 @@ subcommands:
   check FILE [--shards N]
       replay the trace serially and as N interval shards (warm snapshots
       handed shard to shard, default commit width) and fail unless the
-      stats are byte-identical, peak event memory stays at one block per
-      shard slot, and the sharded serial-setup share is under the bench
-      gate";
+      stats are byte-identical and peak event memory stays at one block
+      per shard slot";
 
 fn trace_cmd(mut args: Vec<String>) {
     if args.first().map(String::as_str) == Some("--help")
@@ -889,7 +838,6 @@ fn trace_check(args: Vec<String>) {
         .measure(measure)
         .run()
         .unwrap_or_else(|e| fail(&format!("serial replay: {e}")));
-    let sharded_started = std::time::Instant::now();
     let sharded = {
         let proto = proto.clone();
         ParallelSession::new(move || proto.clone(), spec)
@@ -900,12 +848,10 @@ fn trace_check(args: Vec<String>) {
             .run()
             .unwrap_or_else(|e| fail(&format!("sharded replay: {e}")))
     };
-    let sharded_wall = sharded_started.elapsed().as_secs_f64();
 
     let serial_json = serde_json::to_string(&serial.stats).expect("stats serialize");
     let sharded_json = serde_json::to_string(&sharded.result.stats).expect("stats serialize");
     let telemetry = sharded.telemetry;
-    let setup_share = telemetry.serial_setup_seconds / sharded_wall.max(1e-9);
     println!(
         "{path}: {total} instructions, serial vs {shards} shards \
          (warmup {warmup}, measure {measure})"
@@ -919,12 +865,9 @@ fn trace_check(args: Vec<String>) {
         sharded.result.stats.instructions, sharded.result.stats.cycles
     );
     println!(
-        "  telemetry: {} B peak event buffers, {:.2}% serial setup, \
-         {} instrs warmed, {} B largest snapshot",
-        telemetry.peak_event_buffer_bytes,
-        setup_share * 100.0,
-        telemetry.warmed_instructions,
-        telemetry.snapshot_bytes,
+        "  telemetry: {} B peak event buffers, {} instrs warmed, \
+         {} B largest snapshot",
+        telemetry.peak_event_buffer_bytes, telemetry.warmed_instructions, telemetry.snapshot_bytes,
     );
 
     let mut failures = Vec::new();
@@ -936,13 +879,6 @@ fn trace_check(args: Vec<String>) {
         failures.push(format!(
             "peak event buffers {} B exceed one block per shard slot ({buffer_cap} B)",
             telemetry.peak_event_buffer_bytes
-        ));
-    }
-    if setup_share > btbx_bench::perf::SETUP_SHARE_LIMIT {
-        failures.push(format!(
-            "serial setup share {:.2}% exceeds the {:.0}% streaming gate",
-            setup_share * 100.0,
-            btbx_bench::perf::SETUP_SHARE_LIMIT * 100.0
         ));
     }
     if failures.is_empty() {

@@ -31,8 +31,6 @@
 //! * [`cluster`] — the distributed sweep fabric: a coordinator that
 //!   drives a sweep matrix across a fleet of serve nodes with work
 //!   stealing, health tracking, and retry-on-node-loss;
-//! * [`perf`] — the `btbx bench` simulator-throughput benchmark and its
-//!   `BENCH_sim.json` trajectory/regression gate;
 //! * [`report`] — text/CSV emission helpers.
 
 pub mod cluster;
@@ -41,7 +39,6 @@ pub mod faults;
 pub mod figures;
 pub mod journal;
 pub mod opts;
-pub mod perf;
 pub mod registry;
 pub mod report;
 pub mod runner;

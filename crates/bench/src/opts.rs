@@ -45,8 +45,7 @@ pub struct HarnessOpts {
     /// config) group into one trace traversal (`btbx_uarch::batch`).
     /// Batched results are bit-identical to per-point runs and publish
     /// under the same cache keys; `--no-batch` forces the per-point path
-    /// (reference oracle, and the baseline side of `btbx bench`'s
-    /// batched-throughput gate).
+    /// (the reference oracle CI compares batched cache entries against).
     pub batch: bool,
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.

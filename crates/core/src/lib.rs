@@ -58,7 +58,6 @@
 //! assert_eq!(hit.target, TargetSource::Address(0x9000));
 //! ```
 
-pub mod batch;
 pub mod btb;
 pub mod conv;
 pub mod engine;
@@ -79,7 +78,6 @@ pub mod tag;
 pub mod types;
 pub mod x;
 
-pub use batch::EngineBank;
 pub use btb::{Btb, BtbHit, HitSite};
 pub use conv::ConvBtb;
 pub use engine::BtbEngine;

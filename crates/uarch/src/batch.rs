@@ -2,17 +2,19 @@
 //! window.
 //!
 //! A sweep evaluates the same workload against K organization × budget ×
-//! FDIP points. Run separately, each point re-decodes the trace and
-//! rebuilds its engine; batched, the org-independent work is paid once per
-//! group:
+//! FDIP points. Run separately, each point re-decodes (or regenerates)
+//! the trace; batched, that org-independent work is paid once per group:
+//! the event window (`warmup + measure` plus a bounded look-ahead slack)
+//! is materialized once into an `Arc<PackedBuf>`
+//! ([`BatchStream::materialize`]) and every lane streams it through a
+//! zero-copy [`SharedSource`] clone. A unit test pins this as an event
+//! count: a group of K lanes pulls exactly as many events from its source
+//! as a group of one.
 //!
-//! * **Trace decode / generation** — the event window (`warmup + measure`
-//!   plus a bounded look-ahead slack) is materialized once into an
-//!   `Arc<PackedBuf>` ([`BatchStream::materialize`]); every lane streams
-//!   it through a zero-copy [`SharedSource`] clone.
-//! * **Engine construction** — all lane BTBs are validated and built in
-//!   one [`EngineBank`] pass before any lane runs, so a bad spec fails
-//!   the group up front.
+//! [`BatchSession`] validates every lane spec before any lane runs, so a
+//! bad spec fails the group up front; each lane then builds its own
+//! engine through [`BatchStream::run_lane`], the same path `Sweep`'s
+//! batched groups take.
 //!
 //! Inert-cycle fast-forward is not batch-specific: each lane runs the
 //! same simulator loop a solo session uses (see [`crate::sim`]).
@@ -45,9 +47,7 @@ use crate::config::SimConfig;
 use crate::session::{self, SessionError};
 use crate::sim::EVENT_BLOCK_EVENTS;
 use crate::stats::SimResult;
-use btbx_core::engine::BtbEngine;
 use btbx_core::spec::BtbSpec;
-use btbx_core::EngineBank;
 use btbx_trace::packed::{PackedBuf, SharedSource};
 use btbx_trace::TraceSource;
 use std::sync::{Arc, Mutex};
@@ -146,15 +146,8 @@ impl BatchStream {
     ///
     /// [`SessionError::Spec`] when the lane's spec does not validate.
     pub fn run_lane(&self, lane: &BatchLane) -> Result<SimResult, SessionError> {
-        let engine = lane.spec.build_engine()?;
-        Ok(self.run_lane_engine(engine, lane))
-    }
-
-    /// [`run_lane`](Self::run_lane) with a pre-built engine (e.g. one
-    /// lane of an [`EngineBank`]).
-    pub fn run_lane_engine(&self, engine: BtbEngine, lane: &BatchLane) -> SimResult {
-        session::run_with(
-            engine,
+        Ok(session::run_with(
+            lane.spec.build_engine()?,
             lane.label.clone(),
             lane.spec.bits(),
             lane.config.clone(),
@@ -163,7 +156,7 @@ impl BatchStream {
             self.measure,
             None,
             None,
-        )
+        ))
     }
 }
 
@@ -269,7 +262,9 @@ impl<S: TraceSource> BatchSession<S> {
         self,
         on_done: impl FnMut(usize, &SimResult) + Send,
     ) -> Result<Vec<SimResult>, SessionError> {
-        let bank = EngineBank::from_specs(self.lanes.iter().map(|l| &l.spec))?;
+        for lane in &self.lanes {
+            lane.spec.validate()?;
+        }
         let slack = self
             .lanes
             .iter()
@@ -278,16 +273,15 @@ impl<S: TraceSource> BatchSession<S> {
             .unwrap_or(0);
         let stream = BatchStream::materialize(self.trace, self.warmup, self.measure, slack)?;
         let sink = Mutex::new(on_done);
-        let jobs: Vec<_> = bank
-            .into_engines()
-            .into_iter()
-            .zip(&self.lanes)
+        let jobs: Vec<_> = self
+            .lanes
+            .iter()
             .enumerate()
-            .map(|(i, (engine, lane))| {
+            .map(|(i, lane)| {
                 let stream = &stream;
                 let sink = &sink;
                 move || {
-                    let result = stream.run_lane_engine(engine, lane);
+                    let result = stream.run_lane(lane).expect("lane specs validated above");
                     (sink.lock().expect("sink poisoned"))(i, &result);
                     result
                 }
@@ -385,6 +379,46 @@ mod tests {
         for (i, (lane, instrs)) in seen.iter().enumerate() {
             assert_eq!(*lane, i);
             assert_eq!(*instrs, results[i].stats.instructions);
+        }
+    }
+
+    #[test]
+    fn a_group_traverses_its_trace_once_whatever_its_width() {
+        use crate::counting::CountingSource;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // 18 lanes: three orgs × three budgets × FDIP off/on.
+        let mut all = Vec::new();
+        for org in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX] {
+            for budget in [BudgetPoint::Kb0_9, BudgetPoint::Kb3_6, BudgetPoint::Kb14_5] {
+                for fdip in [false, true] {
+                    all.push(BatchLane {
+                        spec: BtbSpec::of(org).at(budget),
+                        config: SimConfig {
+                            fdip,
+                            ..SimConfig::default()
+                        },
+                        label: org.id().to_string(),
+                    });
+                }
+            }
+        }
+        let spec = &suite::ipc1_server()[0];
+        let pulled_by = |k: usize| {
+            let pulled = Arc::new(AtomicU64::new(0));
+            let results =
+                BatchSession::new(CountingSource::new(spec.build_trace(), pulled.clone()))
+                    .lanes(all[..k].iter().cloned())
+                    .warmup(2_000)
+                    .measure(4_000)
+                    .run()
+                    .unwrap();
+            assert_eq!(results.len(), k);
+            pulled.load(Ordering::Relaxed)
+        };
+        let one = pulled_by(1);
+        assert!(one >= 6_000);
+        for k in [6, 18] {
+            assert_eq!(pulled_by(k), one, "{k} lanes must pull what one lane pulls");
         }
     }
 

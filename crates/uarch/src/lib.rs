@@ -47,6 +47,8 @@ pub mod batch;
 pub mod bpu;
 pub mod cache;
 pub mod config;
+#[cfg(test)]
+mod counting;
 pub mod fdip;
 pub mod ftq;
 pub mod hierarchy;

@@ -251,8 +251,9 @@ impl<C: Clone> Drop for PoisonGuard<'_, C> {
     }
 }
 
-/// Per-run positioning and buffering telemetry; `btbx bench` records it
-/// so the serial generation pass cannot silently creep back.
+/// Per-run positioning and buffering telemetry (perfbench reports it as
+/// its `parallel.*` metrics). That no serial generation pass creeps back
+/// is pinned by an event-count test, not by these timings.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelTelemetry {
     /// Wall-clock spent in the serial prelude of [`ParallelSession::run`]
@@ -268,7 +269,8 @@ pub struct ParallelTelemetry {
     /// block per concurrently live shard (`threads × EVENT_BLOCK_BYTES`),
     /// O(shards) not O(window). Computed from the streaming structure,
     /// not instrumented at runtime; a reintroduced serial buffering pass
-    /// shows up in `serial_setup_seconds`, which `btbx bench` gates.
+    /// would show up in the events the run pulls from its sources, which
+    /// the module's tests bound.
     pub peak_event_buffer_bytes: u64,
     /// Summed wall-clock the shards spent restoring warm state (trace
     /// checkpoint + snapshot deserialization) — O(state), never
@@ -899,6 +901,72 @@ mod tests {
             "two concurrent shards, one packed block each"
         );
         assert!(out.telemetry.serial_setup_seconds < 1.0);
+    }
+
+    /// Events a sharded run pulls from its sources, against the serial
+    /// run's: each shard streams only its own chunk (plus what is in
+    /// flight at its stop), so no serial walk of the window may precede
+    /// the shards.
+    fn assert_sharded_pull_is_bounded<S>(proto: S, warmup: u64, measure: u64)
+    where
+        S: SeekableSource + Clone + Send + Sync,
+    {
+        use crate::counting::CountingSource;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const SHARDS: usize = 4;
+        let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
+        let config = SimConfig::default();
+        let serial_pulled = Arc::new(AtomicU64::new(0));
+        let serial = SimSession::new(CountingSource::new(proto.clone(), serial_pulled.clone()))
+            .btb_spec(spec)
+            .config(config.clone())
+            .warmup(warmup)
+            .measure(measure)
+            .run()
+            .unwrap();
+        let sharded_pulled = Arc::new(AtomicU64::new(0));
+        let out = ParallelSession::new(
+            || CountingSource::new(proto.clone(), sharded_pulled.clone()),
+            spec,
+        )
+        .config(config.clone())
+        .warmup(warmup)
+        .measure(measure)
+        .shards(SHARDS)
+        .run()
+        .unwrap();
+        assert_eq!(out.result.stats, serial.stats);
+        let serial_pulled = serial_pulled.load(Ordering::Relaxed);
+        let sharded_pulled = sharded_pulled.load(Ordering::Relaxed);
+        assert!(serial_pulled >= warmup + measure);
+        let bound = serial_pulled + SHARDS as u64 * crate::batch::lookahead_slack(&config);
+        assert!(
+            sharded_pulled <= bound,
+            "{SHARDS} shards pulled {sharded_pulled} events; the serial run pulled \
+             {serial_pulled}, so at most {bound} are allowed"
+        );
+    }
+
+    #[test]
+    fn sharded_runs_pull_no_more_events_than_serial_plus_slack() {
+        let synthetic = btbx_trace::suite::ipc1_server()[0].build_trace();
+        assert_sharded_pull_is_bounded(synthetic.clone(), 20_000, 60_000);
+
+        let path =
+            std::env::temp_dir().join(format!("btbx-parallel-pull-{}.btbt", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        let mut walker = synthetic;
+        btbx_trace::container::write_container(
+            file,
+            "server",
+            btbx_core::types::Arch::Arm64,
+            &mut walker,
+            120_000,
+        )
+        .unwrap();
+        let container = btbx_trace::PackedFileSource::open(&path).unwrap();
+        assert_sharded_pull_is_bounded(container, 20_000, 60_000);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A pseudo-random branchy trace (calls, returns, conditionals,

@@ -42,7 +42,8 @@ pub const EVENT_BLOCK_EVENTS: usize = 256;
 
 /// Bytes of event buffering one live simulator holds
 /// ([`EVENT_BLOCK_EVENTS`] packed 16-byte events) — O(1) in the window
-/// length, reported by `btbx bench` as the peak per-shard buffer cost.
+/// length, reported in [`crate::ParallelTelemetry`] as the peak
+/// per-shard buffer cost.
 pub const EVENT_BLOCK_BYTES: u64 = EVENT_BLOCK_EVENTS as u64 * 16;
 
 /// Panic message used when a run is cancelled through an abort flag

@@ -5,15 +5,17 @@
 //! sharding").
 //!
 //! The workloads are small steady-state loops exercising every front-end
-//! structure (BTB, RAS, direction predictor, caches, FTQ); the aperiodic
-//! cases live in `tests/file_backed_determinism.rs` and the unit tests of
-//! `btbx_uarch::parallel`.
+//! structure (BTB, RAS, direction predictor, caches, FTQ), plus a
+//! small-window synthetic server trace for the paper's organizations;
+//! more aperiodic cases live in `tests/file_backed_determinism.rs` and the
+//! unit tests of `btbx_uarch::parallel`.
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
 use btbx::core::{BranchEvent, BtbSpec, OrgKind};
 use btbx::trace::record::{MemAccess, TraceInstr};
-use btbx::trace::source::VecSource;
+use btbx::trace::source::{SeekableSource, TraceSource, VecSource};
+use btbx::trace::suite;
 use btbx::uarch::{IntervalStats, ParallelSession, SimConfig, SimSession, SimStats};
 
 const WARMUP: u64 = 8_000;
@@ -96,6 +98,14 @@ fn looped(name: &str, body: Vec<TraceInstr>, total: u64) -> VecSource {
     VecSource::new(name, instrs)
 }
 
+fn call_loop() -> VecSource {
+    looped("call", call_loop_body(), WARMUP + MEASURE + 1_000)
+}
+
+fn branchy_loop() -> VecSource {
+    looped("branchy", branchy_loop_body(), WARMUP + MEASURE + 1_000)
+}
+
 fn assert_stats_identical(ctx: &str, a: &SimStats, b: &SimStats) {
     assert_eq!(a.instructions, b.instructions, "{ctx}: instructions");
     assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
@@ -143,13 +153,12 @@ fn assert_intervals_identical(ctx: &str, a: &[IntervalStats], b: &[IntervalStats
 }
 
 fn serial_reference(
-    name: &'static str,
-    body: Vec<TraceInstr>,
+    trace: impl TraceSource,
     spec: BtbSpec,
     config: &SimConfig,
 ) -> (btbx::uarch::SimResult, Vec<IntervalStats>) {
     let mut intervals = Vec::new();
-    let result = SimSession::new(looped(name, body, WARMUP + MEASURE + 1_000))
+    let result = SimSession::new(trace)
         .btb_spec(spec)
         .config(config.clone())
         .warmup(WARMUP)
@@ -160,34 +169,29 @@ fn serial_reference(
     (result, intervals)
 }
 
-fn sharded(
-    name: &'static str,
-    body: &[TraceInstr],
+fn sharded<S: SeekableSource + Send>(
+    factory: impl Fn() -> S + Sync,
     spec: BtbSpec,
     config: &SimConfig,
     shards: usize,
 ) -> btbx::uarch::ParallelOutcome {
-    let body = body.to_vec();
-    ParallelSession::new(
-        move || looped(name, body.clone(), WARMUP + MEASURE + 1_000),
-        spec,
-    )
-    .config(config.clone())
-    .warmup(WARMUP)
-    .measure(MEASURE)
-    .every(INTERVAL)
-    .shards(shards)
-    .run()
-    .expect("valid sharded session")
+    ParallelSession::new(factory, spec)
+        .config(config.clone())
+        .warmup(WARMUP)
+        .measure(MEASURE)
+        .every(INTERVAL)
+        .shards(shards)
+        .run()
+        .expect("valid sharded session")
 }
 
 #[test]
 fn call_loop_is_shard_invariant() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let (serial, serial_intervals) = serial_reference("call", call_loop_body(), spec, &config);
+    let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
     for shards in [1usize, 2, 8] {
-        let out = sharded("call", &call_loop_body(), spec, &config, shards);
+        let out = sharded(call_loop, spec, &config, shards);
         let ctx = format!("call loop, {shards} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
         assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
@@ -203,10 +207,9 @@ fn call_loop_is_shard_invariant() {
 fn branchy_loop_is_shard_invariant() {
     let config = SimConfig::without_fdip();
     let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-    let (serial, serial_intervals) =
-        serial_reference("branchy", branchy_loop_body(), spec, &config);
+    let (serial, serial_intervals) = serial_reference(branchy_loop(), spec, &config);
     for shards in [1usize, 2, 8] {
-        let out = sharded("branchy", &branchy_loop_body(), spec, &config, shards);
+        let out = sharded(branchy_loop, spec, &config, shards);
         let ctx = format!("branchy loop, {shards} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
         assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
@@ -215,18 +218,26 @@ fn branchy_loop_is_shard_invariant() {
 
 /// Every paper-evaluation organization stays shard-invariant, not just
 /// the default one (the replacement and indirection machinery differs per
-/// organization, and all of it rides through shard merge).
+/// organization, and all of it rides through shard merge) — on the call
+/// loop and on a small-window synthetic server trace.
 #[test]
-fn every_paper_org_is_shard_invariant_on_the_call_loop() {
+fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
     let config = SimConfig::with_fdip();
+    let server = suite::ipc1_server()[0].build_trace();
     for org in OrgKind::PAPER_EVAL {
         let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
-        let (serial, serial_intervals) = serial_reference("call", call_loop_body(), spec, &config);
-        for shards in [2usize, 8] {
-            let out = sharded("call", &call_loop_body(), spec, &config, shards);
-            let ctx = format!("{org}, {shards} shards");
+        let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
+        let (server_serial, server_intervals) = serial_reference(server.clone(), spec, &config);
+        for shards in [2usize, 4, 8] {
+            let out = sharded(call_loop, spec, &config, shards);
+            let ctx = format!("{org}, call loop, {shards} shards");
             assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
             assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+
+            let out = sharded(|| server.clone(), spec, &config, shards);
+            let ctx = format!("{org}, {}, {shards} shards", server.source_name());
+            assert_stats_identical(&ctx, &server_serial.stats, &out.result.stats);
+            assert_intervals_identical(&ctx, &server_intervals, &out.intervals);
         }
     }
 }
@@ -240,20 +251,16 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop() {
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let (serial, serial_intervals) = serial_reference("call", call_loop_body(), spec, &config);
+    let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
     for shards in [2usize, 5, 8] {
-        let body = call_loop_body();
-        let out = ParallelSession::new(
-            move || looped("call", body.clone(), WARMUP + MEASURE + 1_000),
-            spec,
-        )
-        .config(config.clone())
-        .warmup(WARMUP)
-        .measure(MEASURE)
-        .every(INTERVAL)
-        .shards(shards)
-        .run()
-        .expect("valid checkpointed session");
+        let out = ParallelSession::new(call_loop, spec)
+            .config(config.clone())
+            .warmup(WARMUP)
+            .measure(MEASURE)
+            .every(INTERVAL)
+            .shards(shards)
+            .run()
+            .expect("valid checkpointed session");
         let ctx = format!("checkpointed call loop, {shards} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
         assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
@@ -274,19 +281,15 @@ fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
     let run = |threads: usize| {
-        let body = call_loop_body();
-        ParallelSession::new(
-            move || looped("call", body.clone(), WARMUP + MEASURE + 1_000),
-            spec,
-        )
-        .config(config.clone())
-        .warmup(WARMUP)
-        .measure(MEASURE)
-        .every(INTERVAL)
-        .shards(8)
-        .threads(threads)
-        .run()
-        .expect("valid sharded session")
+        ParallelSession::new(call_loop, spec)
+            .config(config.clone())
+            .warmup(WARMUP)
+            .measure(MEASURE)
+            .every(INTERVAL)
+            .shards(8)
+            .threads(threads)
+            .run()
+            .expect("valid sharded session")
     };
     let a = run(1);
     let b = run(8);
