@@ -23,7 +23,7 @@
 //!   with a precise list of what failed where — never a bare panic
 //!   mid-sweep.
 
-use crate::serve::{http_request_timeout, ServeStats};
+use crate::serve::{http_request_bytes, ServeStats};
 use crate::store::StoreError;
 use crate::sweep::{SimPoint, CACHE_VERSION};
 use btbx_core::OrgKind;
@@ -244,6 +244,30 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// One request to a node whose `200` reply is JSON, parsed as `T`;
+/// `what` names the reply in parse errors.
+fn request_json<T: Deserialize>(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    timeout: Duration,
+    what: &str,
+) -> Result<T, RequestError> {
+    let response = http_request_bytes(addr, method, path, body.as_bytes(), timeout)
+        .map_err(RequestError::Io)?;
+    let text = String::from_utf8(response.body).map_err(|_| {
+        RequestError::Io(io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))
+    })?;
+    if response.status != 200 {
+        return Err(RequestError::Status {
+            status: response.status,
+            body: text,
+        });
+    }
+    serde_json::from_str(&text).map_err(|e| RequestError::BadBody(format!("{what}: {e}")))
+}
+
 /// Probe a node's `GET /healthz` and parse the handshake.
 ///
 /// # Errors
@@ -253,17 +277,7 @@ impl std::error::Error for ClusterError {}
 /// `/healthz` carries no version fields) — both mean "not usable as a
 /// fleet member".
 pub fn probe_health(addr: &str, timeout: Duration) -> Result<HealthInfo, RequestError> {
-    let timeout = crate::opts::sane_timeout(timeout);
-    let response =
-        http_request_timeout(addr, "GET", "/healthz", "", timeout).map_err(RequestError::Io)?;
-    if response.status != 200 {
-        return Err(RequestError::Status {
-            status: response.status,
-            body: response.body,
-        });
-    }
-    serde_json::from_str(&response.body)
-        .map_err(|e| RequestError::BadBody(format!("healthz handshake: {e}")))
+    request_json(addr, "GET", "/healthz", "", timeout, "healthz handshake")
 }
 
 /// Probe a node's `GET /stats`.
@@ -272,16 +286,7 @@ pub fn probe_health(addr: &str, timeout: Duration) -> Result<HealthInfo, Request
 ///
 /// [`RequestError`] on transport, status or parse failures.
 pub fn probe_stats(addr: &str, timeout: Duration) -> Result<ServeStats, RequestError> {
-    let timeout = crate::opts::sane_timeout(timeout);
-    let response =
-        http_request_timeout(addr, "GET", "/stats", "", timeout).map_err(RequestError::Io)?;
-    if response.status != 200 {
-        return Err(RequestError::Status {
-            status: response.status,
-            body: response.body,
-        });
-    }
-    serde_json::from_str(&response.body).map_err(|e| RequestError::BadBody(format!("stats: {e}")))
+    request_json(addr, "GET", "/stats", "", timeout, "stats")
 }
 
 /// POST one [`SimPoint`] to a node's `/sim` and parse the result.
@@ -295,18 +300,8 @@ pub fn post_point(
     point: &SimPoint,
     timeout: Duration,
 ) -> Result<SimResult, RequestError> {
-    let timeout = crate::opts::sane_timeout(timeout);
     let body = serde_json::to_string(point).expect("points serialize");
-    let response =
-        http_request_timeout(addr, "POST", "/sim", &body, timeout).map_err(RequestError::Io)?;
-    if response.status != 200 {
-        return Err(RequestError::Status {
-            status: response.status,
-            body: response.body,
-        });
-    }
-    serde_json::from_str(&response.body)
-        .map_err(|e| RequestError::BadBody(format!("sim result: {e}")))
+    request_json(addr, "POST", "/sim", &body, timeout, "sim result")
 }
 
 /// Refuse a node whose [`CACHE_VERSION`] differs from this client's.

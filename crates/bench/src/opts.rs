@@ -30,8 +30,7 @@ pub struct HarnessOpts {
     /// "Interval sharding").
     pub shards: usize,
     /// Replay this `.btbt` trace container instead of the synthetic
-    /// suites (`sweep` substitutes it for the selected suite; `bench`
-    /// measures file-backed throughput on it).
+    /// suites (`sweep` substitutes it for the selected suite).
     pub trace: Option<PathBuf>,
     /// HTTP client timeout in milliseconds for `--server`/`--cluster`
     /// transports, applied per phase (connect, write, read) so a wedged
@@ -41,11 +40,10 @@ pub struct HarnessOpts {
     /// records as done (and whose cache entries exist) are skipped, and
     /// only incomplete points are re-dispatched.
     pub resume: bool,
-    /// Batch cache-missing sweep points that share a (workload, windows,
-    /// config) group into one trace traversal (`btbx_uarch::batch`).
-    /// Batched results are bit-identical to per-point runs and publish
-    /// under the same cache keys; `--no-batch` forces the per-point path
-    /// (the reference oracle CI compares batched cache entries against).
+    /// Read nowhere: every sweep runs its cache-missing points in
+    /// [`plan_batches`](crate::sweep::plan_batches) groups that share one
+    /// trace source. Kept only so struct literals that set it still
+    /// compile.
     pub batch: bool,
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.
@@ -261,9 +259,6 @@ options:
   --resume           resume a crashed sweep from its journal
                      (<out>/cache/journal/), re-dispatching only
                      incomplete points
-  --no-batch         run sweep points one at a time instead of batching
-                     same-workload points into one trace traversal
-                     (results are bit-identical either way)
   --fault-plan FILE  arm a JSON fault-injection plan for the run
                      (chaos testing; see EXPERIMENTS.md)
   --store URL        content-addressed store for cache blobs:
@@ -310,7 +305,6 @@ impl HarnessOpts {
                 }
                 "--fresh" => opts.fresh = true,
                 "--resume" => opts.resume = true,
-                "--no-batch" => opts.batch = false,
                 "--fault-plan" => {
                     let file = it.next().ok_or(OptError::BadValue {
                         flag: "--fault-plan".to_string(),
@@ -369,10 +363,10 @@ impl HarnessOpts {
 
     /// [`pool_split`](Self::pool_split) for a run with a known number of
     /// dispatchable `jobs`, each parallelizable up to `width` — see
-    /// [`pool_split_for`]. Batched sweeps pass their batch-group count:
-    /// one batched traversal replaces N points, so point-level
-    /// parallelism must key on groups, not raw points, or the pool
-    /// oversubscribes with workers that have nothing to run.
+    /// [`pool_split_for`]. Sweeps pass their group count: one group
+    /// replaces N points, so point-level parallelism must key on groups,
+    /// not raw points, or the pool oversubscribes with workers that have
+    /// nothing to run.
     pub fn pool_split_for(&self, width: usize, jobs: usize) -> (usize, usize) {
         pool_split_for(self.threads, width, jobs)
     }
@@ -434,13 +428,13 @@ pub fn pool_split(threads: usize, shards: usize) -> (usize, usize) {
 }
 
 /// [`pool_split`] generalized to a run with `jobs` dispatchable units
-/// (batch groups, or points when unbatched), each parallelizable up to
-/// `width` threads (shard count for a sharded point, lane count for a
-/// batched group). Point-level workers beyond `jobs` never receive work,
-/// so the budget they would have held is released to the per-job fan-out
-/// instead; fan-out beyond `width` is likewise wasted and released to
-/// job-level concurrency. Ties still prefer the wider fan-out (fewer
-/// jobs in flight → fewer live event windows → less peak memory).
+/// (a sweep's groups), each parallelizable up to `width` threads (shard
+/// count for a group of one, member count for a larger group).
+/// Point-level workers beyond `jobs` never receive work, so the budget
+/// they would have held is released to the per-job fan-out instead;
+/// fan-out beyond `width` is likewise wasted and released to job-level
+/// concurrency. Ties still prefer the wider fan-out (fewer jobs in
+/// flight → fewer live trace sources → less peak memory).
 ///
 /// `jobs == 0` degenerates to [`pool_split`] (an all-cache-hit sweep
 /// dispatches nothing; the split is moot but must stay well-formed).
@@ -611,20 +605,14 @@ mod tests {
     }
 
     #[test]
-    fn no_batch_flag() {
-        assert!(parse(&[]).unwrap().batch, "batching is the default");
-        assert!(!parse(&["--no-batch"]).unwrap().batch);
-    }
-
-    #[test]
     fn pool_split_for_keys_on_jobs_not_points() {
-        // One batch group replacing 18 points: all threads go to the
-        // group's lane fan-out instead of 17 idle point workers.
+        // One group replacing 18 points: all threads go to the group's
+        // member fan-out instead of 17 idle point workers.
         assert_eq!(pool_split_for(8, 18, 1), (1, 8));
-        // Two groups of 9 lanes on 8 threads: the tie prefers one live
-        // group with full fan-out (fewer materialized windows).
+        // Two groups of 9 members on 8 threads: the tie prefers one live
+        // group with full fan-out (fewer live trace sources).
         assert_eq!(pool_split_for(8, 9, 2), (1, 8));
-        // Unbatched sharded points behave like pool_split when jobs are
+        // Sharded groups of one behave like pool_split when jobs are
         // plentiful...
         assert_eq!(pool_split_for(8, 4, 100), pool_split(8, 4));
         assert_eq!(pool_split_for(6, 4, 100), pool_split(6, 4));

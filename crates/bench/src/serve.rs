@@ -66,7 +66,7 @@ use crate::runner::ServicePool;
 use crate::store::{
     atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
 };
-use crate::sweep::{SimPoint, Sweep};
+use crate::sweep::{RunOpts, SimPoint, Sweep};
 use btbx_core::faults;
 use btbx_trace::container;
 use btbx_uarch::sim::ABORT_MARKER;
@@ -643,12 +643,13 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
             // Resolve inside the compute closure: cache hits and joins
             // never need the trace bytes at all.
             let point = resolve_trace(state, point);
-            point.run_sharded_abortable(
-                state.shards,
-                state.shard_threads,
-                ladder.as_deref(),
-                abort.clone(),
-            )
+            point.run_with(RunOpts {
+                shards: state.shards,
+                threads: state.shard_threads,
+                warm: ladder.as_deref(),
+                abort: abort.clone(),
+                source: None,
+            })
         })
     }));
     match outcome {
@@ -890,18 +891,19 @@ fn respond_bytes(
     stream.flush()
 }
 
-/// A parsed HTTP response from [`http_request`].
+/// A parsed HTTP response: a text body from [`http_request`], raw bytes
+/// from [`http_request_bytes`].
 #[derive(Debug)]
-pub struct HttpResponse {
+pub struct HttpResponse<B = String> {
     /// Status code.
     pub status: u16,
     /// Response headers, lower-cased names.
     pub headers: Vec<(String, String)>,
     /// Response body.
-    pub body: String,
+    pub body: B,
 }
 
-impl HttpResponse {
+impl<B> HttpResponse<B> {
     /// Look up a header by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
@@ -912,43 +914,18 @@ impl HttpResponse {
     }
 }
 
-/// Minimal blocking HTTP/1.1 client for the service (the `btbx sweep
-/// --server` transport, tests, and smoke scripts). `addr` is
-/// `host:port`, optionally prefixed with `http://`. Uses the default
-/// request timeout ([`crate::opts::DEFAULT_HTTP_TIMEOUT_MS`]); cluster
-/// paths use [`http_request_timeout`] to honour `--http-timeout-ms`.
+/// Minimal blocking HTTP/1.1 client for the service (tests, smoke
+/// scripts and the benchmark) with a text body and the default request
+/// timeout ([`crate::opts::DEFAULT_HTTP_TIMEOUT_MS`]); see
+/// [`http_request_bytes`]. `addr` is `host:port`, optionally prefixed
+/// with `http://`.
 ///
 /// # Errors
 ///
-/// [`io::Error`] on connection or protocol failures. Non-2xx statuses
-/// are returned, not errors.
+/// [`io::Error`] on connection or protocol failures, or a non-UTF-8
+/// body. Non-2xx statuses are returned, not errors.
 pub fn http_request(addr: &str, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
-    http_request_timeout(
-        addr,
-        method,
-        path,
-        body,
-        Duration::from_millis(crate::opts::DEFAULT_HTTP_TIMEOUT_MS),
-    )
-}
-
-/// [`http_request`] with an explicit timeout applied to *every* phase —
-/// connect, write, and read — so a hung or wedged peer can never stall
-/// the caller indefinitely (one wedged node must not pin a whole
-/// cluster sweep).
-///
-/// # Errors
-///
-/// [`io::Error`] on connection or protocol failures;
-/// [`io::ErrorKind::TimedOut`]/[`io::ErrorKind::WouldBlock`] when a
-/// phase exceeds `timeout`.
-pub fn http_request_timeout(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> io::Result<HttpResponse> {
+    let timeout = Duration::from_millis(crate::opts::DEFAULT_HTTP_TIMEOUT_MS);
     let response = http_request_bytes(addr, method, path, body.as_bytes(), timeout)?;
     let body = String::from_utf8(response.body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
@@ -959,48 +936,27 @@ pub fn http_request_timeout(
     })
 }
 
-/// A parsed binary HTTP response from [`http_request_bytes`].
-#[derive(Debug)]
-pub struct HttpBytesResponse {
-    /// Status code.
-    pub status: u16,
-    /// Response headers, lower-cased names.
-    pub headers: Vec<(String, String)>,
-    /// Response body, raw bytes.
-    pub body: Vec<u8>,
-}
-
-impl HttpBytesResponse {
-    /// Look up a header by (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// The binary core of the HTTP client: request and response bodies are
-/// raw bytes, which the blob transport ([`crate::store::HttpStore`])
-/// needs — trace containers and warm snapshots are not UTF-8. The
-/// string-bodied [`http_request_timeout`] is a thin wrapper. Every
-/// phase (connect, write, read) honours `timeout`, and the
-/// `Connect`/`HttpRead` fault-injection checkpoints fire here, so
-/// remote store operations are injectable exactly like local ones.
+/// The HTTP client: request and response bodies are raw bytes, which
+/// the blob transport ([`crate::store::HttpStore`]) needs — trace
+/// containers and warm snapshots are not UTF-8. Every phase (connect,
+/// write, read) honours `timeout`, so a hung or wedged peer can never
+/// stall the caller indefinitely (one wedged node must not pin a whole
+/// cluster sweep), and the `Connect`/`HttpRead` fault-injection
+/// checkpoints fire here, so remote operations are injectable exactly
+/// like local ones.
 ///
 /// # Errors
 ///
 /// [`io::Error`] on connection or protocol failures;
 /// [`io::ErrorKind::TimedOut`]/[`io::ErrorKind::WouldBlock`] when a
-/// phase exceeds `timeout`.
+/// phase exceeds `timeout`. Non-2xx statuses are returned, not errors.
 pub fn http_request_bytes(
     addr: &str,
     method: &str,
     path: &str,
     body: &[u8],
     timeout: Duration,
-) -> io::Result<HttpBytesResponse> {
+) -> io::Result<HttpResponse<Vec<u8>>> {
     let addr = addr
         .trim_start_matches("http://")
         .trim_end_matches('/')
@@ -1076,7 +1032,7 @@ pub fn http_request_bytes(
             }
         }
     };
-    Ok(HttpBytesResponse {
+    Ok(HttpResponse {
         status,
         headers,
         body,

@@ -39,6 +39,7 @@
 //! exactly like `Enospc` exercises [`DirStore`].
 
 use super::StoreError;
+use crate::serve::{http_request_bytes, HttpResponse};
 use btbx_core::faults;
 use std::collections::HashMap;
 use std::fs;
@@ -366,25 +367,23 @@ impl HttpStore {
         method: &str,
         key: &str,
         body: &[u8],
-    ) -> Result<crate::serve::HttpBytesResponse, StoreError> {
+    ) -> Result<HttpResponse<Vec<u8>>, StoreError> {
         let path = format!("/blob/{key}");
-        crate::serve::http_request_bytes(&self.addr, method, &path, body, self.timeout).map_err(
-            |source| {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                StoreError::Remote {
-                    action,
-                    url: self.url(key),
-                    detail: source.to_string(),
-                }
-            },
-        )
+        http_request_bytes(&self.addr, method, &path, body, self.timeout).map_err(|source| {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+            StoreError::Remote {
+                action,
+                url: self.url(key),
+                detail: source.to_string(),
+            }
+        })
     }
 
     fn unexpected(
         &self,
         action: &'static str,
         key: &str,
-        response: &crate::serve::HttpBytesResponse,
+        response: &HttpResponse<Vec<u8>>,
     ) -> StoreError {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
         StoreError::Remote {

@@ -46,8 +46,8 @@ use crate::store::ResultStore;
 use btbx_core::spec::{BtbSpec, Budget};
 use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
-use btbx_uarch::batch::{lookahead_slack, BatchLane, BatchStream};
-use btbx_uarch::{AnyWarmLadder, ParallelSession, SimConfig, SimResult, SimSession};
+use btbx_trace::AnySource;
+use btbx_uarch::{AnyWarmLadder, ParallelSession, SessionError, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -134,7 +134,12 @@ impl SimPoint {
     /// Panics when a referenced trace container is missing or its
     /// content hash no longer matches (the sweep's results would
     /// silently describe a different trace otherwise).
-    fn source(&self) -> btbx_trace::AnySource {
+    fn source(&self) -> AnySource {
+        #[cfg(test)]
+        tests::SOURCES_BUILT
+            .lock()
+            .unwrap()
+            .push(self.workload.name.clone());
         self.workload
             .build_source()
             .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
@@ -142,88 +147,86 @@ impl SimPoint {
 
     /// Run the simulation for this point (no caching).
     pub fn run(&self) -> SimResult {
-        self.run_abortable(None)
-    }
-
-    /// [`run`](SimPoint::run) with an optional cooperative abort flag:
-    /// the simulation polls it and unwinds (with
-    /// [`btbx_uarch::sim::ABORT_MARKER`]) once it is set — how the serve
-    /// layer enforces per-request deadlines.
-    fn run_abortable(&self, abort: Option<Arc<AtomicBool>>) -> SimResult {
-        let mut session = SimSession::new(self.source())
-            .btb_spec(self.btb_spec())
-            .config(self.config.clone())
-            .label(self.org.id())
-            .warmup(self.warmup)
-            .measure(self.measure);
-        if let Some(flag) = abort {
-            session = session.abort(flag);
-        }
-        session
-            .run()
-            .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
+        self.run_with(RunOpts::default())
     }
 
     /// Run the simulation for this point split into `shards` interval
     /// shards that hand warm snapshots to each other
     /// ([`ParallelSession`]): the result is **bit-identical** to the
-    /// serial [`run`]
-    /// (SimPoint::run) for any workload. `shards <= 1` falls back to the
-    /// serial path. See EXPERIMENTS.md, "Interval sharding".
+    /// serial [`run`](SimPoint::run) for any workload. `shards <= 1`
+    /// runs serially. See EXPERIMENTS.md, "Interval sharding".
     pub fn run_sharded(&self, shards: usize, threads: usize) -> SimResult {
-        self.run_sharded_with(shards, threads, None)
+        self.run_with(RunOpts {
+            shards,
+            threads,
+            ..RunOpts::default()
+        })
     }
 
-    /// [`run_sharded`](SimPoint::run_sharded) with an optional shared
-    /// [`AnyWarmLadder`]: a warm ladder reused across runs of the same
-    /// point (e.g. by `btbx serve` across requests) restores warmed
-    /// microarchitectural state at every shard boundary in O(state), so
-    /// re-runs skip the warm-up prefix entirely and parallelize fully.
-    pub fn run_sharded_with(
-        &self,
-        shards: usize,
-        threads: usize,
-        warm: Option<&AnyWarmLadder>,
-    ) -> SimResult {
-        self.run_sharded_abortable(shards, threads, warm, None)
-    }
-
-    /// [`run_sharded_with`](SimPoint::run_sharded_with) plus an optional
-    /// cooperative abort flag threaded into every shard (and the serial
-    /// fallback), so a deadline can stop a runaway simulation mid-run.
-    pub fn run_sharded_abortable(
-        &self,
-        shards: usize,
-        threads: usize,
-        warm: Option<&AnyWarmLadder>,
-        abort: Option<Arc<AtomicBool>>,
-    ) -> SimResult {
-        if shards <= 1 {
-            return self.run_abortable(abort);
+    /// Run the simulation for this point as `opts` says (no caching).
+    /// Every way of running a point goes through here; the result is
+    /// bit-identical whatever the options.
+    pub fn run_with(&self, opts: RunOpts<'_>) -> SimResult {
+        let proto = match opts.source {
+            Some(source) => source.clone(),
+            None => self.source(),
+        };
+        let fail =
+            |e: SessionError| -> SimResult { panic!("sim point {}: {e}", self.cache_file()) };
+        if opts.shards <= 1 {
+            let mut session = SimSession::new(proto)
+                .btb_spec(self.btb_spec())
+                .config(self.config.clone())
+                .label(self.org.id())
+                .warmup(self.warmup)
+                .measure(self.measure);
+            if let Some(flag) = opts.abort {
+                session = session.abort(flag);
+            }
+            return session.run().unwrap_or_else(fail);
         }
-        // Build the stream once; shards clone it (synthetic images are
-        // Arc-shared so a walker clone is O(dynamic state); file-backed
-        // sources share the handle, index and escape table, so a clone
-        // is O(1) and each shard streams its own blocks).
-        let proto = self.source();
+        // Shards clone the stream (synthetic images are Arc-shared so a
+        // walker clone is O(dynamic state); file-backed sources share the
+        // handle, index and escape table, so a clone is O(1) and each
+        // shard streams its own blocks).
         let mut session = ParallelSession::new(move || proto.clone(), self.btb_spec())
             .config(self.config.clone())
             .label(self.org.id())
             .warmup(self.warmup)
             .measure(self.measure)
-            .shards(shards)
-            .threads(threads);
-        if let Some(warm) = warm {
+            .shards(opts.shards)
+            .threads(opts.threads);
+        if let Some(warm) = opts.warm {
             session = session.warm_ladder(warm);
         }
-        if let Some(flag) = abort {
+        if let Some(flag) = opts.abort {
             session = session.abort(flag);
         }
-        session
-            .run()
-            .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
-            .result
+        session.run().map(|out| out.result).unwrap_or_else(fail)
     }
+}
+
+/// How [`SimPoint::run_with`] runs a point. The default is a serial run
+/// over a freshly built source.
+#[derive(Debug, Default)]
+pub struct RunOpts<'a> {
+    /// Interval shards; `<= 1` runs serially.
+    pub shards: usize,
+    /// Worker threads for the shards.
+    pub threads: usize,
+    /// A warm ladder shared across runs of the same point (e.g. by
+    /// `btbx serve` across requests): sharded runs restore warmed
+    /// microarchitectural state at every shard boundary from it, so
+    /// re-runs skip the warm-up prefix entirely.
+    pub warm: Option<&'a AnyWarmLadder>,
+    /// A cooperative abort flag: the simulation polls it and unwinds
+    /// (with [`btbx_uarch::sim::ABORT_MARKER`]) once it is set — how the
+    /// serve layer enforces per-request deadlines.
+    pub abort: Option<Arc<AtomicBool>>,
+    /// Clone this already-built source instead of building the point's
+    /// own; it must be the point's workload stream (how a sweep group
+    /// shares one source among its members).
+    pub source: Option<&'a AnySource>,
 }
 
 /// 64-bit FNV-1a over `bytes`, folded over `seed`.
@@ -236,33 +239,25 @@ fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     hash
 }
 
-/// Cache-missing points of one sweep that share a trace traversal: same
+/// Cache-missing points of one sweep that share a trace source: same
 /// workload, same windows, same configuration up to the per-point FDIP
-/// flag. The batched executor materializes the group's event window once
-/// and runs one lane per member.
+/// flag. [`Sweep::run`] builds the group's source once and runs every
+/// member over a clone of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchGroup {
     /// Indices into the sweep's [`Sweep::points`] order, ascending.
     pub members: Vec<usize>,
 }
 
-/// Ceiling on a group's materialized window (`warmup + measure`, in
-/// events ≈ 16 bytes each): larger windows fall back to the streaming
-/// per-point path rather than hold a multi-hundred-MB buffer per live
-/// group. 2²³ events ≈ 128 MB.
-pub const MAX_BATCH_WINDOW_EVENTS: u64 = 1 << 23;
-
 /// Group cache-missing points (`misses`, indices into `points`) into
-/// [`BatchGroup`]s of points that can share one trace traversal.
+/// [`BatchGroup`]s of points that can share one trace source.
 ///
 /// The grouping key is the *stream-determining* part of a point — the
 /// workload, the warm-up/measure windows, and the simulator configuration
-/// with FDIP normalized out — because those decide which decoded events
-/// every lane consumes and how far past its target a lane can read
-/// ([`lookahead_slack`]). Organization, budget and the FDIP flag are
-/// per-lane state and deliberately absent. The shard count is absent too:
-/// checkpoint-mode sharding is bit-identical to serial replay (cache v3),
-/// so a batched group may run its lanes unsharded and still publish
+/// with FDIP normalized out. Organization, budget and the FDIP flag are
+/// per-member state and deliberately absent. The shard count is absent
+/// too: checkpoint-mode sharding is bit-identical to serial replay (cache
+/// v3), so a group may run its members unsharded and still publish
 /// byte-identical entries under the shared cache keys.
 ///
 /// Groups come back in first-member order and members stay ascending, so
@@ -416,28 +411,22 @@ impl Sweep {
     /// any concurrent sweep or `btbx serve` on the same directory).
     /// Results come back in [`Sweep::points`] order.
     ///
-    /// With `opts.shards > 1` each simulation replays as that many
+    /// Cache-missing points run in [`plan_batches`] groups: each group
+    /// builds its trace source once — for a synthetic workload, its
+    /// program image — and every member runs over a clone of it through
+    /// [`SimPoint::run_with`], the one run path. A member's result is
+    /// therefore exactly its own [`SimPoint::run`], published under the
+    /// same cache key (`crates/bench/tests/batch_differential.rs` pins
+    /// stats *and* cache-entry bytes).
+    ///
+    /// With `opts.shards > 1` a group of one replays as that many
     /// interval shards in warm-checkpoint mode
-    /// ([`SimPoint::run_sharded`]); since checkpoint-mode results are
-    /// bit-identical to serial ones they share the serial cache entries,
-    /// so any mix of shard counts serves from one cache. The thread
-    /// budget splits between concurrent dispatch units and per-unit
-    /// fan-out by [`HarnessOpts::pool_split_for`].
-    ///
-    /// # Batched execution
-    ///
-    /// With `opts.batch` (the default) cache-missing points that share a
-    /// (workload, windows, FDIP-normalized config) stream are grouped
-    /// ([`plan_batches`]) and each group costs **one** trace traversal:
-    /// the decoded event window is materialized once and every
-    /// org×budget×FDIP member runs as an independent lane over it
-    /// ([`btbx_uarch::batch`]). Batched lanes are bit-identical to
-    /// per-point runs — `crates/bench/tests/batch_differential.rs` pins
-    /// stats *and* cache-entry bytes — and publish under the same cache
-    /// keys, so figures, `--server`, `--cluster` and `--resume` consume
-    /// them unchanged. A batched group runs its lanes unsharded (exactly
-    /// equivalent, per the cache-v3 contract); `--no-batch` forces the
-    /// per-point path.
+    /// ([`SimPoint::run_sharded`]); a larger group runs its members
+    /// unsharded and concurrently instead. Checkpoint-mode results are
+    /// bit-identical to serial ones, so both share the serial cache
+    /// entries. The thread budget splits between concurrent groups and
+    /// per-group fan-out (shards or members) by
+    /// [`HarnessOpts::pool_split_for`].
     ///
     /// # Crash resumability
     ///
@@ -507,86 +496,70 @@ impl Sweep {
         if hits > 0 {
             eprintln!("[{}] {hits}/{} cached", self.name, points.len());
         }
-        // Plan the dispatch units: batch groups of same-stream points
-        // when batching is on, singletons otherwise. Oversized windows
-        // and one-member groups fall back to the streaming per-point
-        // path (nothing to amortize, or too much to materialize).
-        let groups: Vec<Vec<usize>> = if opts.batch {
-            plan_batches(&points, &misses)
-                .into_iter()
-                .flat_map(|g| {
-                    let first = &points[g.members[0]];
-                    let batchable = g.members.len() > 1
-                        && first.measure != u64::MAX
-                        && first.warmup.saturating_add(first.measure) <= MAX_BATCH_WINDOW_EVENTS;
-                    if batchable {
-                        vec![g.members]
-                    } else {
-                        g.members.into_iter().map(|i| vec![i]).collect()
-                    }
-                })
-                .collect()
-        } else {
-            misses.iter().map(|&i| vec![i]).collect()
-        };
-        // Thread accounting keys on dispatch units, not raw points: one
-        // batched traversal replaces its whole group, so `groups.len()`
-        // (not `misses.len()`) bounds useful point-level parallelism and
-        // the rest of the budget flows to per-job fan-out — shards for a
-        // singleton, concurrent lanes for a batched group.
+        let groups = plan_batches(&points, &misses);
+        // A group of one fans its share of the threads out to shards, a
+        // larger group to its members.
         let width = groups
             .iter()
-            .map(|g| if g.len() == 1 { shards } else { g.len() })
+            .map(|g| match g.members.len() {
+                1 => shards,
+                n => n,
+            })
             .max()
             .unwrap_or(shards);
-        let (point_threads, fanout_threads) = opts.pool_split_for(width, groups.len());
-        let mut jobs = Vec::new();
-        let mut job_members: Vec<Vec<usize>> = Vec::new();
-        for group in groups {
-            let first = &points[group[0]];
-            let label = if group.len() == 1 {
-                format!(
-                    "{}:{}@{}",
-                    first.workload.name,
-                    first.org.id(),
-                    first.budget.label()
-                )
-            } else {
-                format!("{}:batch[{}]", first.workload.name, group.len())
+        let (group_threads, fanout_threads) = opts.pool_split_for(width, groups.len());
+        let label = |group: &BatchGroup| {
+            let first = &points[group.members[0]];
+            format!("{}[{}]", first.workload.name, group.members.len())
+        };
+        // Build the group's source once, then run every member over a
+        // clone of it. Each member publishes through the store's
+        // single-flight path and journals the moment it finishes, so a
+        // crash mid-group loses only unfinished members.
+        let run_group = |group: &BatchGroup| -> Vec<SimResult> {
+            let (shards, member_threads) = match group.members.len() {
+                1 => (shards, 1),
+                _ => (1, fanout_threads),
             };
-            job_members.push(group.clone());
-            let points = &points;
-            let names = &names;
-            let store = &store;
-            let journal = &journal;
-            let fresh = opts.fresh;
-            jobs.push((label.clone(), move || -> Vec<SimResult> {
-                if let [i] = group[..] {
-                    vec![journaled(journal, &names[i], &label, || {
-                        store
-                            .get_or_compute(&names[i], fresh, || {
-                                points[i].run_sharded(shards, fanout_threads)
-                            })
-                            .unwrap_or_else(|e| panic!("caching {}: {e}", names[i]))
-                            .0
-                    })]
-                } else {
-                    compute_batched_group(
-                        points,
-                        &group,
-                        names,
-                        store,
-                        journal,
-                        fresh,
-                        fanout_threads,
-                        &label,
-                    )
-                }
-            }));
-        }
-        let computed = run_named_jobs(&self.name, point_threads, jobs);
-        for (members, group_results) in job_members.into_iter().zip(computed) {
-            for (i, result) in members.into_iter().zip(group_results) {
+            let source = points[group.members[0]].source();
+            let jobs: Vec<_> = group
+                .members
+                .iter()
+                .map(|&i| {
+                    let (point, name, source) = (&points[i], &names[i], &source);
+                    let (store, journal) = (&store, &journal);
+                    move || {
+                        let point_label = format!(
+                            "{}:{}@{}",
+                            point.workload.name,
+                            point.org.id(),
+                            point.budget.label()
+                        );
+                        journaled(journal, name, &point_label, || {
+                            store
+                                .get_or_compute(name, opts.fresh, || {
+                                    point.run_with(RunOpts {
+                                        shards,
+                                        threads: fanout_threads,
+                                        source: Some(source),
+                                        ..RunOpts::default()
+                                    })
+                                })
+                                .unwrap_or_else(|e| panic!("caching {name}: {e}"))
+                                .0
+                        })
+                    }
+                })
+                .collect();
+            run_jobs(&label(group), member_threads, jobs)
+        };
+        let jobs: Vec<_> = groups
+            .iter()
+            .map(|group| (label(group), move || run_group(group)))
+            .collect();
+        let computed = run_named_jobs(&self.name, group_threads, jobs);
+        for (group, group_results) in groups.iter().zip(computed) {
+            for (&i, result) in group.members.iter().zip(group_results) {
                 results[i] = Some(result);
             }
         }
@@ -601,7 +574,7 @@ impl Sweep {
     }
 }
 
-/// Journal bracket shared by every compute path: `attempt` before the
+/// Journal bracket around one point's computation: `attempt` before the
 /// work, `done` strictly after `compute` returned — i.e. after
 /// [`ResultStore::get_or_compute`] durably published the entry — and
 /// `failed` + re-unwind on panic so `--resume` re-dispatches the point.
@@ -624,66 +597,6 @@ fn journaled(
     }
 }
 
-/// Run one batch group: materialize the shared event window once, then
-/// one simulation lane per member over it (up to `lane_threads`
-/// concurrently). Every member publishes through the same single-flight
-/// store path as a per-point run — under the same cache key, with
-/// byte-identical contents, since batched lanes are bit-identical to
-/// solo runs — and journals individually the moment its lane finishes,
-/// so a crash mid-group loses only unfinished lanes.
-#[allow(clippy::too_many_arguments)]
-fn compute_batched_group(
-    points: &[SimPoint],
-    members: &[usize],
-    names: &[String],
-    store: &ResultStore,
-    journal: &SweepJournal,
-    fresh: bool,
-    lane_threads: usize,
-    label: &str,
-) -> Vec<SimResult> {
-    let first = &points[members[0]];
-    let slack = members
-        .iter()
-        .map(|&i| lookahead_slack(&points[i].config))
-        .max()
-        .expect("non-empty group");
-    let stream = BatchStream::materialize(first.source(), first.warmup, first.measure, slack)
-        .unwrap_or_else(|e| panic!("{label}: materializing batch window: {e}"));
-    let lane_jobs: Vec<_> = members
-        .iter()
-        .map(|&i| {
-            let point = &points[i];
-            let name = &names[i];
-            let stream = &stream;
-            move || {
-                let lane_label = format!(
-                    "{}:{}@{}",
-                    point.workload.name,
-                    point.org.id(),
-                    point.budget.label()
-                );
-                journaled(journal, name, &lane_label, || {
-                    store
-                        .get_or_compute(name, fresh, || {
-                            let lane = BatchLane {
-                                spec: point.btb_spec(),
-                                config: point.config.clone(),
-                                label: point.org.id().to_string(),
-                            };
-                            stream
-                                .run_lane(&lane)
-                                .unwrap_or_else(|e| panic!("sim point {}: {e}", point.cache_file()))
-                        })
-                        .unwrap_or_else(|e| panic!("caching {name}: {e}"))
-                        .0
-                })
-            }
-        })
-        .collect();
-    run_jobs(label, lane_threads, lane_jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,6 +604,10 @@ mod tests {
     use btbx_trace::suite;
     use std::fs;
     use std::path::Path;
+    use std::sync::Mutex;
+
+    /// Workload names of every source [`SimPoint::source`] built.
+    pub(super) static SOURCES_BUILT: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
     fn tiny_opts(dir: &str) -> HarnessOpts {
         HarnessOpts {
@@ -983,43 +900,36 @@ mod tests {
         let mut diverged = points.clone();
         diverged[0].config.rob_entries += 1;
         assert_eq!(plan_batches(&diverged, &all).len(), 3);
-        // And different windows never share a window materialization.
+        // And different windows never share a source.
         let mut windows = points.clone();
         windows[1].measure += 1;
         assert_eq!(plan_batches(&windows, &all).len(), 3);
     }
 
     #[test]
-    fn batched_sweep_matches_per_point_results_and_cache_bytes() {
-        let sweep = Sweep::named("batchrun")
-            .workloads(suite::ipc1_client().into_iter().take(1))
-            .orgs([OrgKind::Conv, OrgKind::BtbX])
-            .budgets([BudgetPoint::Kb1_8])
+    fn a_group_builds_its_source_once() {
+        // A workload name no other test uses, so the count is this
+        // test's alone.
+        let mut workload = suite::ipc1_client().remove(0);
+        workload.name = "source-once".into();
+        let sweep = Sweep::named("once")
+            .workloads([workload])
+            .orgs(OrgKind::PAPER_EVAL)
+            .budgets([BudgetPoint::Kb0_9, BudgetPoint::Kb3_6])
             .fdip_both()
-            .windows(4_000, 8_000);
-        let batched_opts = tiny_opts("btbx-sweep-batched");
-        let mut serial_opts = tiny_opts("btbx-sweep-unbatched");
-        serial_opts.batch = false;
-        let _ = fs::remove_dir_all(&batched_opts.out_dir);
-        let _ = fs::remove_dir_all(&serial_opts.out_dir);
-
-        let batched = sweep.run(&batched_opts);
-        let serial = sweep.run(&serial_opts);
-        assert_eq!(batched.len(), 4);
-        for (b, s) in batched.iter().zip(&serial) {
-            assert_eq!(b, s, "batched lane must equal the per-point run");
-        }
-        // The published artifacts are byte-identical, entry for entry —
-        // the contract that keeps figures, serve and cluster oblivious
-        // to how a point was computed.
-        for p in sweep.points() {
-            let name = p.cache_file();
-            let a = fs::read(batched_opts.out_dir.join("cache").join(&name)).unwrap();
-            let b = fs::read(serial_opts.out_dir.join("cache").join(&name)).unwrap();
-            assert_eq!(a, b, "cache entry bytes for {name}");
-        }
-        let _ = fs::remove_dir_all(&batched_opts.out_dir);
-        let _ = fs::remove_dir_all(&serial_opts.out_dir);
+            .windows(1_000, 2_000);
+        let opts = tiny_opts("btbx-sweep-source-once");
+        let _ = fs::remove_dir_all(&opts.out_dir);
+        let results = sweep.run(&opts);
+        assert_eq!(results.len(), 12);
+        let built = SOURCES_BUILT
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|name| *name == "source-once")
+            .count();
+        assert_eq!(built, 1, "12 points in one group must build one source");
+        let _ = fs::remove_dir_all(&opts.out_dir);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Differential suite for batched execution: a batched sweep must be a
-//! pure performance optimization — bit-identical statistics AND
-//! byte-identical cache entries versus the per-point serial path, for
+//! Differential suite for grouped sweep execution: a sweep runs its
+//! points in groups that share one trace source, and that must be a pure
+//! performance optimization — bit-identical statistics AND
+//! byte-identical cache entries versus each point run alone with
+//! `SimPoint::run` and published through its own `ResultStore`, for
 //! every organization, across sharding, warm-ladder reuse and
-//! crash-resume. Any divergence here means the batched executor is
-//! simulating a *different* machine, not the same machine faster.
+//! crash-resume. Any divergence here means a group is simulating a
+//! *different* machine, not the same machine faster.
 
 use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::store::ResultStore;
+use btbx_bench::sweep::RunOpts;
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
@@ -39,8 +42,25 @@ fn opts(out_dir: &Path) -> HarnessOpts {
     }
 }
 
-/// Assert that two completed sweep output directories hold
-/// byte-identical cache entries for every point of `sweep`.
+/// The per-point reference: every point of `sweep` run alone with
+/// `SimPoint::run` and published through a `ResultStore` of its own
+/// under `dir/cache`.
+fn per_point(sweep: &Sweep, dir: &Path) -> Vec<SimResult> {
+    let store = ResultStore::open(dir.join("cache")).unwrap();
+    sweep
+        .points()
+        .iter()
+        .map(|p| {
+            store
+                .get_or_compute(&p.cache_file(), false, || p.run())
+                .unwrap()
+                .0
+        })
+        .collect()
+}
+
+/// Assert that two output directories hold byte-identical cache entries
+/// for every point of `sweep`.
 fn assert_cache_bytes_equal(sweep: &Sweep, a: &Path, b: &Path) {
     for p in sweep.points() {
         let name = p.cache_file();
@@ -53,8 +73,8 @@ fn assert_cache_bytes_equal(sweep: &Sweep, a: &Path, b: &Path) {
 }
 
 /// Every organization the factory knows, at three budget tiers: if any
-/// lane's pipeline interaction (decode resteer, FDIP, MSHR timeliness)
-/// leaked across lanes, at least one of these 24 points would diverge.
+/// member's pipeline interaction (decode resteer, FDIP, MSHR timeliness)
+/// leaked across members, at least one of these points would diverge.
 #[test]
 fn batched_matches_per_point_for_every_org_and_budget() {
     let sweep = Sweep::named("diff-all-orgs")
@@ -65,17 +85,14 @@ fn batched_matches_per_point_for_every_org_and_budget() {
         .windows(2_000, 4_000);
     let batched_dir = scratch("all-orgs-batched");
     let serial_dir = scratch("all-orgs-serial");
-    let batched_opts = opts(&batched_dir);
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
 
-    let batched = sweep.run(&batched_opts);
-    let serial = sweep.run(&serial_opts);
+    let batched = sweep.run(&opts(&batched_dir));
+    let serial = per_point(&sweep, &serial_dir);
     assert_eq!(batched.len(), OrgKind::ALL.len() * 3);
     for (b, s) in batched.iter().zip(&serial) {
         assert_eq!(
             b, s,
-            "batched lane diverges from the serial run for {}@{}",
+            "group member diverges from the per-point run for {}@{}",
             b.org, b.btb_budget_bits
         );
     }
@@ -84,12 +101,11 @@ fn batched_matches_per_point_for_every_org_and_budget() {
     let _ = fs::remove_dir_all(&serial_dir);
 }
 
-/// Sharding composed with batching: a batched group runs its lanes
+/// Sharding composed with grouping: a group of four runs its members
 /// unsharded, which per the cache-v3 contract (sharded == serial,
-/// bit-for-bit) must still produce the bytes a sharded-unbatched or
-/// serial-unbatched sweep would publish.
+/// bit-for-bit) must still publish the bytes a per-point run would.
 #[test]
-fn sharded_batched_sweep_matches_serial_unbatched_bytes() {
+fn sharded_sweep_matches_per_point_bytes() {
     let sweep = Sweep::named("diff-sharded")
         .workloads(suite::ipc1_client().into_iter().take(1))
         .orgs([OrgKind::Conv, OrgKind::BtbX])
@@ -100,20 +116,18 @@ fn sharded_batched_sweep_matches_serial_unbatched_bytes() {
     let serial_dir = scratch("sharded-serial");
     let mut sharded_opts = opts(&sharded_dir);
     sharded_opts.shards = 3;
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
 
     let sharded_batched = sweep.run(&sharded_opts);
-    let serial = sweep.run(&serial_opts);
+    let serial = per_point(&sweep, &serial_dir);
     assert_eq!(sharded_batched, serial);
     assert_cache_bytes_equal(&sweep, &sharded_dir, &serial_dir);
     let _ = fs::remove_dir_all(&sharded_dir);
     let _ = fs::remove_dir_all(&serial_dir);
 }
 
-/// Warm-ladder reuse next to batching: the serve layer restores warmed
+/// Warm-ladder reuse next to grouping: the serve layer restores warmed
 /// microarchitectural state from an [`AnyWarmLadder`] across repeat
-/// runs; those restored runs must agree exactly with what a batched
+/// runs; those restored runs must agree exactly with what a grouped
 /// sweep published for the same points.
 #[test]
 fn warm_ladder_reuse_stays_bit_identical_alongside_batching() {
@@ -127,19 +141,27 @@ fn warm_ladder_reuse_stays_bit_identical_alongside_batching() {
     let batched = sweep.run(&opts(&dir));
     for (point, expected) in sweep.points().iter().zip(&batched) {
         let ladder = AnyWarmLadder::new();
-        let populate = point.run_sharded_with(3, 2, Some(&ladder));
+        let sharded = || {
+            point.run_with(RunOpts {
+                shards: 3,
+                threads: 2,
+                warm: Some(&ladder),
+                ..RunOpts::default()
+            })
+        };
+        let populate = sharded();
         assert!(!ladder.is_empty(), "populate run must fill the ladder");
-        let reuse = point.run_sharded_with(3, 2, Some(&ladder));
+        let reuse = sharded();
         assert_eq!(&populate, expected, "ladder-populating run diverges");
         assert_eq!(&reuse, expected, "warm-restored run diverges");
     }
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Crash-resume under batching: with some lanes of a batch group
-/// journalled `done` (and durably published) and the rest lost, a
-/// `--resume` run restores exactly the completed points and recomputes
-/// only the missing ones — at lane granularity, not group granularity.
+/// Crash-resume under grouping: with some members of a group journalled
+/// `done` (and durably published) and the rest lost, a `--resume` run
+/// restores exactly the completed points and recomputes only the
+/// missing ones — at member granularity, not group granularity.
 #[test]
 fn resume_restores_exactly_completed_points_under_batching() {
     let sweep = Sweep::named("diff-resume")
@@ -157,7 +179,7 @@ fn resume_restores_exactly_completed_points_under_batching() {
         .map(|n| fs::read(dir.join("cache").join(n)).unwrap())
         .collect();
 
-    // Simulate a crash after two lanes published: drop the other two
+    // Simulate a crash after two members published: drop the other two
     // entries and craft the journal a dying sweep would have left —
     // `done` strictly for the survivors, no `finish`.
     for name in &names[2..] {
@@ -183,7 +205,7 @@ fn resume_restores_exactly_completed_points_under_batching() {
     assert_eq!(
         store.counters().computes,
         2,
-        "exactly the lost lanes recompute; journalled-done points are restored"
+        "exactly the lost members recompute; journalled-done points are restored"
     );
     for (name, bytes) in names.iter().zip(&baseline) {
         let now = fs::read(dir.join("cache").join(name)).unwrap();
@@ -199,11 +221,11 @@ fn resume_restores_exactly_completed_points_under_batching() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `--no-batch` and batching agree even when the planner would have
-/// formed mixed groups (two workloads, both FDIP settings): grouping is
-/// invisible in every published artifact.
+/// Grouping is invisible in every published artifact even when the
+/// planner forms several mixed groups (two workloads, both FDIP
+/// settings).
 #[test]
-fn mixed_workload_groups_match_unbatched_end_to_end() {
+fn mixed_workload_groups_match_per_point_end_to_end() {
     let sweep = Sweep::named("diff-mixed")
         .workloads(suite::ipc1_client().into_iter().take(2))
         .orgs([OrgKind::Pdede, OrgKind::BtbXNoXc])
@@ -212,11 +234,9 @@ fn mixed_workload_groups_match_unbatched_end_to_end() {
         .windows(2_000, 4_000);
     let batched_dir = scratch("mixed-batched");
     let serial_dir = scratch("mixed-serial");
-    let mut serial_opts = opts(&serial_dir);
-    serial_opts.batch = false;
 
     let batched = sweep.run(&opts(&batched_dir));
-    let serial = sweep.run(&serial_opts);
+    let serial = per_point(&sweep, &serial_dir);
     assert_eq!(batched, serial);
     assert_cache_bytes_equal(&sweep, &batched_dir, &serial_dir);
     let _ = fs::remove_dir_all(&batched_dir);

@@ -198,22 +198,6 @@ impl PackedBuf {
         source.fill_block(&mut buf, max);
         buf
     }
-
-    /// Append events `start..end` of `src` to this buffer: a column
-    /// memcpy when `src` has no escaped records (the universal case —
-    /// every in-repo workload packs), element-wise otherwise so escape
-    /// indices stay valid in the destination's own side table.
-    pub fn extend_from_range(&mut self, src: &PackedBuf, start: usize, end: usize) {
-        assert!(start <= end && end <= src.len(), "range within source");
-        if src.overflow.is_empty() {
-            self.lo.extend_from_slice(&src.lo[start..end]);
-            self.hi.extend_from_slice(&src.hi[start..end]);
-        } else {
-            for i in start..end {
-                self.push(src.get(i));
-            }
-        }
-    }
 }
 
 impl FromIterator<TraceInstr> for PackedBuf {
@@ -274,90 +258,6 @@ impl TraceSource for PackedSource {
 }
 
 impl SeekableSource for PackedSource {
-    type Checkpoint = u64;
-
-    fn position(&self) -> u64 {
-        self.pos as u64
-    }
-
-    fn checkpoint(&self) -> u64 {
-        self.pos as u64
-    }
-
-    fn restore(&mut self, cp: &u64) {
-        assert!(
-            *cp <= self.buf.len() as u64,
-            "checkpoint beyond the buffer: not from this stream"
-        );
-        self.pos = *cp as usize;
-    }
-
-    fn seek(&mut self, n: u64) -> u64 {
-        self.pos = (n as usize).min(self.buf.len());
-        self.pos as u64
-    }
-}
-
-/// A [`TraceSource`] replaying an [`Arc`](std::sync::Arc)-shared
-/// [`PackedBuf`]: the batched executor's per-lane stream. Unlike
-/// [`PackedSource`], cloning is O(1) — every lane of a batch group walks
-/// the same decoded buffer — and [`fill_block`](TraceSource::fill_block)
-/// bulk-copies packed columns instead of decoding and re-encoding each
-/// event, so refilling a simulator's staging block is a memcpy.
-#[derive(Debug, Clone)]
-pub struct SharedSource {
-    name: std::sync::Arc<str>,
-    buf: std::sync::Arc<PackedBuf>,
-    pos: usize,
-}
-
-impl SharedSource {
-    /// Replay `buf` under the given source name.
-    pub fn new(name: impl Into<String>, buf: std::sync::Arc<PackedBuf>) -> Self {
-        SharedSource {
-            name: name.into().into(),
-            buf,
-            pos: 0,
-        }
-    }
-
-    /// Borrow the shared buffer.
-    pub fn buffer(&self) -> &PackedBuf {
-        &self.buf
-    }
-}
-
-impl TraceSource for SharedSource {
-    fn next_instr(&mut self) -> Option<TraceInstr> {
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let i = self.buf.get(self.pos);
-        self.pos += 1;
-        Some(i)
-    }
-
-    fn source_name(&self) -> &str {
-        &self.name
-    }
-
-    fn advance(&mut self, n: u64) -> u64 {
-        let left = (self.buf.len() - self.pos) as u64;
-        let skipped = n.min(left);
-        self.pos += skipped as usize;
-        skipped
-    }
-
-    fn fill_block(&mut self, block: &mut PackedBuf, max: usize) -> usize {
-        let end = (self.pos + max).min(self.buf.len());
-        let n = end - self.pos;
-        block.extend_from_range(&self.buf, self.pos, end);
-        self.pos = end;
-        n
-    }
-}
-
-impl SeekableSource for SharedSource {
     type Checkpoint = u64;
 
     fn position(&self) -> u64 {

@@ -1,56 +1,38 @@
-//! Batched multi-lane execution: many simulations over one decoded event
-//! window.
+//! Batched multi-lane execution: many simulations over one trace source.
 //!
 //! A sweep evaluates the same workload against K organization × budget ×
-//! FDIP points. Run separately, each point re-decodes (or regenerates)
-//! the trace; batched, that org-independent work is paid once per group:
-//! the event window (`warmup + measure` plus a bounded look-ahead slack)
-//! is materialized once into an `Arc<PackedBuf>`
-//! ([`BatchStream::materialize`]) and every lane streams it through a
-//! zero-copy [`SharedSource`] clone. A unit test pins this as an event
-//! count: a group of K lanes pulls exactly as many events from its source
-//! as a group of one.
+//! FDIP points. Run separately, each point rebuilds its trace source —
+//! for a synthetic workload that means regenerating its program image,
+//! most of a short run's cost. Batched, the source is built once per
+//! group and every lane runs as an ordinary [`SimSession`] over its own
+//! clone of it. A clone is cheap: a synthetic walker shares its image
+//! behind an `Arc` and copies only its dynamic state, and a file-backed
+//! source shares its handle and index.
 //!
 //! [`BatchSession`] validates every lane spec before any lane runs, so a
-//! bad spec fails the group up front; each lane then builds its own
-//! engine through [`BatchStream::run_lane`], the same path `Sweep`'s
-//! batched groups take.
-//!
-//! Inert-cycle fast-forward is not batch-specific: each lane runs the
-//! same simulator loop a solo session uses (see [`crate::sim`]).
+//! bad spec fails the group up front. A sweep (`btbx_bench`'s
+//! `Sweep::run`) runs its groups the same way, one source per group.
 //!
 //! # Lane divergence rules
 //!
-//! Everything *behind* the decoded event stream is per-lane and must stay
-//! so: BTB contents, perceptron weights, RAS, FTQ occupancy, FDIP cursor,
-//! and — less obviously — the cache hierarchy. The FTQ only ever holds
+//! Everything a lane simulates is per-lane and must stay so: BTB
+//! contents, perceptron weights, RAS, FTQ occupancy, FDIP cursor, and —
+//! less obviously — the cache hierarchy. The FTQ only ever holds
 //! correct-path instructions, so the *order* of L1-I accesses is
 //! org-independent, but their **timeliness** is not: MSHR coalescing
 //! depends on the wall-cycle gap between accesses, which depends on how
 //! often the lane's BTB stalls prediction. No microarchitectural state is
-//! therefore shared between lanes; only the immutable decoded events are.
-//! That is exactly why batched results are bit-identical to solo runs —
-//! each lane is a complete, independent simulator fed the same bytes.
-//!
-//! # Look-ahead slack
-//!
-//! A lane stops on its committed-instruction target but has already
-//! pulled events for everything in flight: up to `rob_entries` waiting to
-//! commit, up to `ftq_entries` predicted-but-unfetched, plus staging-
-//! block refill granularity. [`lookahead_slack`] over-approximates that
-//! bound, so a lane never exhausts the materialized window before its
-//! serial twin would have stopped — if the window comes up short, the
-//! underlying trace itself ended, and the serial run sees the same end at
-//! the same event.
+//! therefore shared between lanes; only the immutable program image (or
+//! container index) behind the cloned source is. That is why batched
+//! results are bit-identical to solo runs: each lane *is* a solo run,
+//! over a clone of the source the solo run would have built.
 
 use crate::config::SimConfig;
-use crate::session::{self, SessionError};
-use crate::sim::EVENT_BLOCK_EVENTS;
+use crate::session::{SessionError, SimSession};
 use crate::stats::SimResult;
 use btbx_core::spec::BtbSpec;
-use btbx_trace::packed::{PackedBuf, SharedSource};
 use btbx_trace::TraceSource;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One simulation lane of a batched group: a BTB point plus the full
 /// simulator configuration it runs under (the per-lane FDIP flag lives in
@@ -65,102 +47,7 @@ pub struct BatchLane {
     pub label: String,
 }
 
-/// Upper bound on events a lane can consume beyond its committed target:
-/// in-flight ROB entries + FTQ occupancy + two staging-block refills,
-/// plus margin for the commit-width overshoot. Deliberately generous —
-/// slack costs 16 bytes per event once per group.
-pub fn lookahead_slack(config: &SimConfig) -> u64 {
-    (config.rob_entries + config.ftq_entries) as u64 + 2 * EVENT_BLOCK_EVENTS as u64 + 64
-}
-
-/// A decoded, immutable event window shared by every lane of a batched
-/// group: the "one trace traversal" the group amortizes.
-#[derive(Debug, Clone)]
-pub struct BatchStream {
-    name: String,
-    buf: Arc<PackedBuf>,
-    warmup: u64,
-    measure: u64,
-}
-
-impl BatchStream {
-    /// Decode `warmup + measure + slack` events of `trace` into a shared
-    /// buffer. `slack` must be at least [`lookahead_slack`] of the widest
-    /// lane configuration that will run over the stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::UnboundedMeasure`]: a batched group needs a finite
-    /// window to know how much to materialize.
-    pub fn materialize<S: TraceSource>(
-        mut trace: S,
-        warmup: u64,
-        measure: u64,
-        slack: u64,
-    ) -> Result<Self, SessionError> {
-        if measure == u64::MAX {
-            return Err(SessionError::UnboundedMeasure);
-        }
-        let window = warmup
-            .saturating_add(measure)
-            .saturating_add(slack)
-            .min(usize::MAX as u64) as usize;
-        let name = trace.source_name().to_string();
-        let mut buf = PackedBuf::with_capacity(window.min(1 << 24));
-        trace.fill_block(&mut buf, window);
-        Ok(BatchStream {
-            name,
-            buf: Arc::new(buf),
-            warmup,
-            measure,
-        })
-    }
-
-    /// Events materialized (less than requested only when the trace
-    /// itself ended).
-    pub fn events(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Warm-up window every lane runs.
-    pub fn warmup(&self) -> u64 {
-        self.warmup
-    }
-
-    /// Measurement window every lane runs.
-    pub fn measure(&self) -> u64 {
-        self.measure
-    }
-
-    /// A zero-copy per-lane view of the window (an `Arc` clone).
-    pub fn source(&self) -> SharedSource {
-        SharedSource::new(self.name.clone(), Arc::clone(&self.buf))
-    }
-
-    /// Run one lane over the shared window, building its engine from the
-    /// lane spec. The construction path is the same
-    /// [`SimSession`](crate::SimSession) back half a solo run uses, so
-    /// bit-identity with unbatched runs holds by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Spec`] when the lane's spec does not validate.
-    pub fn run_lane(&self, lane: &BatchLane) -> Result<SimResult, SessionError> {
-        Ok(session::run_with(
-            lane.spec.build_engine()?,
-            lane.label.clone(),
-            lane.spec.bits(),
-            lane.config.clone(),
-            self.source(),
-            self.warmup,
-            self.measure,
-            None,
-            None,
-        ))
-    }
-}
-
-/// Builder for a batched group: one workload window, many lanes.
+/// Builder for a batched group: one trace source, many lanes.
 ///
 /// ```
 /// use btbx_core::spec::BtbSpec;
@@ -195,7 +82,7 @@ pub struct BatchSession<S> {
     threads: usize,
 }
 
-impl<S: TraceSource> BatchSession<S> {
+impl<S: TraceSource + Clone + Send + Sync> BatchSession<S> {
     /// Start a batched session over `trace`.
     pub fn new(trace: S) -> Self {
         BatchSession {
@@ -225,7 +112,7 @@ impl<S: TraceSource> BatchSession<S> {
         self
     }
 
-    /// Measured instructions per lane (must be finite).
+    /// Measured instructions per lane (default: to trace end).
     pub fn measure(mut self, instructions: u64) -> Self {
         self.measure = instructions;
         self
@@ -243,8 +130,7 @@ impl<S: TraceSource> BatchSession<S> {
     /// # Errors
     ///
     /// [`SessionError::Spec`] when any lane spec is invalid (checked for
-    /// the whole group before anything runs) and
-    /// [`SessionError::UnboundedMeasure`] without a finite window.
+    /// the whole group before anything runs).
     pub fn run(self) -> Result<Vec<SimResult>, SessionError> {
         self.run_each(|_, _| {})
     }
@@ -265,23 +151,23 @@ impl<S: TraceSource> BatchSession<S> {
         for lane in &self.lanes {
             lane.spec.validate()?;
         }
-        let slack = self
-            .lanes
-            .iter()
-            .map(|l| lookahead_slack(&l.config))
-            .max()
-            .unwrap_or(0);
-        let stream = BatchStream::materialize(self.trace, self.warmup, self.measure, slack)?;
         let sink = Mutex::new(on_done);
         let jobs: Vec<_> = self
             .lanes
             .iter()
             .enumerate()
             .map(|(i, lane)| {
-                let stream = &stream;
+                let trace = &self.trace;
                 let sink = &sink;
                 move || {
-                    let result = stream.run_lane(lane).expect("lane specs validated above");
+                    let result = SimSession::new(trace.clone())
+                        .btb_spec(lane.spec)
+                        .config(lane.config.clone())
+                        .label(lane.label.clone())
+                        .warmup(self.warmup)
+                        .measure(self.measure)
+                        .run()
+                        .expect("lane specs validated above");
                     (sink.lock().expect("sink poisoned"))(i, &result);
                     result
                 }
@@ -294,7 +180,6 @@ impl<S: TraceSource> BatchSession<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimSession;
     use btbx_core::storage::BudgetPoint;
     use btbx_core::OrgKind;
     use btbx_trace::suite;
@@ -380,57 +265,6 @@ mod tests {
             assert_eq!(*lane, i);
             assert_eq!(*instrs, results[i].stats.instructions);
         }
-    }
-
-    #[test]
-    fn a_group_traverses_its_trace_once_whatever_its_width() {
-        use crate::counting::CountingSource;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // 18 lanes: three orgs × three budgets × FDIP off/on.
-        let mut all = Vec::new();
-        for org in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX] {
-            for budget in [BudgetPoint::Kb0_9, BudgetPoint::Kb3_6, BudgetPoint::Kb14_5] {
-                for fdip in [false, true] {
-                    all.push(BatchLane {
-                        spec: BtbSpec::of(org).at(budget),
-                        config: SimConfig {
-                            fdip,
-                            ..SimConfig::default()
-                        },
-                        label: org.id().to_string(),
-                    });
-                }
-            }
-        }
-        let spec = &suite::ipc1_server()[0];
-        let pulled_by = |k: usize| {
-            let pulled = Arc::new(AtomicU64::new(0));
-            let results =
-                BatchSession::new(CountingSource::new(spec.build_trace(), pulled.clone()))
-                    .lanes(all[..k].iter().cloned())
-                    .warmup(2_000)
-                    .measure(4_000)
-                    .run()
-                    .unwrap();
-            assert_eq!(results.len(), k);
-            pulled.load(Ordering::Relaxed)
-        };
-        let one = pulled_by(1);
-        assert!(one >= 6_000);
-        for k in [6, 18] {
-            assert_eq!(pulled_by(k), one, "{k} lanes must pull what one lane pulls");
-        }
-    }
-
-    #[test]
-    fn unbounded_measure_is_rejected() {
-        let spec = &suite::ipc1_client()[0];
-        let err = BatchSession::new(spec.build_trace())
-            .lanes(lanes())
-            .warmup(1_000)
-            .run()
-            .unwrap_err();
-        assert_eq!(err, SessionError::UnboundedMeasure);
     }
 
     #[test]

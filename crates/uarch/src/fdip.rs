@@ -56,8 +56,8 @@ impl Fdip {
     }
 
     /// Index of the next FTQ entry to examine. A tick is a no-op exactly
-    /// when the cursor has caught up with the FTQ tail; the batched
-    /// executor's inert-cycle detector relies on this.
+    /// when the cursor has caught up with the FTQ tail; the simulator's
+    /// inert-cycle detector relies on this.
     pub fn cursor(&self) -> usize {
         self.cursor
     }

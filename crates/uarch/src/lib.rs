@@ -29,8 +29,8 @@
 //! * [`runner`] — the panic-safe work-queue thread pool;
 //! * [`parallel`] — interval-sharded runs of one point across the pool,
 //!   handing warm snapshots from shard to shard;
-//! * [`batch`] — batched multi-lane execution: many org×budget lanes over
-//!   one materialized event window, bit-identical to solo runs.
+//! * [`batch`] — batched multi-lane execution: many org×budget lanes,
+//!   each a solo session over a clone of one shared trace source.
 //!
 //! # Model fidelity
 //!
@@ -60,7 +60,7 @@ pub mod session;
 pub mod sim;
 pub mod stats;
 
-pub use batch::{BatchLane, BatchSession, BatchStream};
+pub use batch::{BatchLane, BatchSession};
 pub use config::SimConfig;
 pub use parallel::{
     warm_identity, AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmEntry,

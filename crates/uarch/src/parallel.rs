@@ -903,6 +903,15 @@ mod tests {
         assert!(out.telemetry.serial_setup_seconds < 1.0);
     }
 
+    /// Upper bound on events a run can pull beyond its committed target:
+    /// in-flight ROB entries + FTQ occupancy + two staging-block refills,
+    /// plus margin for the commit-width overshoot.
+    fn lookahead_slack(config: &SimConfig) -> u64 {
+        (config.rob_entries + config.ftq_entries) as u64
+            + 2 * crate::sim::EVENT_BLOCK_EVENTS as u64
+            + 64
+    }
+
     /// Events a sharded run pulls from its sources, against the serial
     /// run's: each shard streams only its own chunk (plus what is in
     /// flight at its stop), so no serial walk of the window may precede
@@ -939,7 +948,7 @@ mod tests {
         let serial_pulled = serial_pulled.load(Ordering::Relaxed);
         let sharded_pulled = sharded_pulled.load(Ordering::Relaxed);
         assert!(serial_pulled >= warmup + measure);
-        let bound = serial_pulled + SHARDS as u64 * crate::batch::lookahead_slack(&config);
+        let bound = serial_pulled + SHARDS as u64 * lookahead_slack(&config);
         assert!(
             sharded_pulled <= bound,
             "{SHARDS} shards pulled {sharded_pulled} events; the serial run pulled \

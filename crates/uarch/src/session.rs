@@ -290,12 +290,8 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
 }
 
 /// Shared back half of [`SimSession::run`], monomorphized per BTB type.
-/// `pub(crate)` so the batched executor ([`crate::batch`]) constructs its
-/// lanes through the *same* code path as a solo session — the
-/// bit-identity contract then holds by construction, not by parallel
-/// maintenance of two assembly sequences.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_with<S: TraceSource, B: Btb>(
+fn run_with<S: TraceSource, B: Btb>(
     btb: B,
     label: String,
     budget_bits: u64,
