@@ -28,6 +28,36 @@ pub const RBTB_PAGE_ENTRY_BITS: u64 = 36 + 4;
 /// the page locality his design exploits).
 pub const RBTB_PAGE_DIVISOR: usize = 16;
 
+/// Page-BTB entries of an R-BTB with `entries` Main-BTB entries.
+fn page_entries_for(entries: usize) -> usize {
+    (entries / RBTB_PAGE_DIVISOR).clamp(4, 64)
+}
+
+/// Main-BTB and Page-BTB bits of an R-BTB with `entries` Main-BTB entries.
+fn partition_bits(entries: usize, arch: Arch) -> (u64, u64) {
+    let page_entries = page_entries_for(entries);
+    let page_ptr_bits = usize::BITS - (page_entries - 1).leading_zeros();
+    // valid 1 + tag 12 + type 2 + rep 3 + offset (12 - align) + pointer.
+    let main_entry_bits = 1
+        + PARTIAL_TAG_BITS as u64
+        + 2
+        + 3
+        + (12 - arch.align_bits()) as u64
+        + page_ptr_bits as u64;
+    (
+        entries as u64 * main_entry_bits,
+        page_entries as u64 * RBTB_PAGE_ENTRY_BITS,
+    )
+}
+
+/// Total storage bits of an R-BTB with `entries` Main-BTB entries on
+/// `arch`: what `RBtb::with_entries(entries, arch).storage()` reports,
+/// computed without building the instance.
+pub(crate) fn storage_bits(entries: usize, arch: Arch) -> u64 {
+    let (main_bits, page_bits) = partition_bits(entries, arch);
+    main_bits + page_bits
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MainEntry {
     valid: bool,
@@ -72,8 +102,10 @@ impl RBtb {
             entries > 0 && entries.is_multiple_of(WAYS),
             "entries must be a multiple of 8"
         );
+        #[cfg(test)]
+        tests::INSTANCES_BUILT.with(|n| n.set(n.get() + 1));
         let sets = entries / WAYS;
-        let page_entries = (entries / RBTB_PAGE_DIVISOR).clamp(4, 64);
+        let page_entries = page_entries_for(entries);
         RBtb {
             arch,
             sets,
@@ -85,19 +117,14 @@ impl RBtb {
         }
     }
 
-    /// Build the largest R-BTB fitting `budget_bits`.
+    /// Build the largest R-BTB fitting `budget_bits` (one set when even
+    /// that does not fit).
     pub fn with_budget_bits(budget_bits: u64, arch: Arch) -> Self {
-        // Solve entries from: entries × entry_bits(entries) +
-        // pages(entries) × page_entry_bits <= budget, iterating on the
-        // pointer width.
+        // `storage_bits` never decreases as entries grow, so the first
+        // multiple of 8 whose successor overflows is the largest that fits.
         let mut entries = WAYS;
-        loop {
-            let next = entries + WAYS;
-            let trial = Self::with_entries(next, arch);
-            if trial.storage().total_bits > budget_bits {
-                break;
-            }
-            entries = next;
+        while storage_bits(entries + WAYS, arch) <= budget_bits {
+            entries += WAYS;
         }
         Self::with_entries(entries, arch)
     }
@@ -110,19 +137,6 @@ impl RBtb {
     /// Page-BTB entries.
     pub fn page_entries(&self) -> usize {
         self.pages.len()
-    }
-
-    fn page_ptr_bits(&self) -> u32 {
-        usize::BITS - (self.pages.len() - 1).leading_zeros()
-    }
-
-    fn main_entry_bits(&self) -> u64 {
-        // valid 1 + tag 12 + type 2 + rep 3 + offset (12 - align) + pointer.
-        1 + PARTIAL_TAG_BITS as u64
-            + 2
-            + 3
-            + (12 - self.arch.align_bits()) as u64
-            + self.page_ptr_bits() as u64
     }
 
     fn find_way(&self, set: usize, tag: u16) -> Option<usize> {
@@ -232,8 +246,7 @@ impl Btb for RBtb {
     }
 
     fn storage(&self) -> StorageReport {
-        let main_bits = self.main.len() as u64 * self.main_entry_bits();
-        let page_bits = self.pages.len() as u64 * RBTB_PAGE_ENTRY_BITS;
+        let (main_bits, page_bits) = partition_bits(self.main.len(), self.arch);
         StorageReport {
             name: "rbtb".into(),
             total_bits: main_bits + page_bits,
@@ -325,7 +338,14 @@ impl Snapshot for RBtb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::BudgetPoint;
     use crate::types::BranchClass;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Instances [`RBtb::with_entries`] built on this test's thread.
+        pub(super) static INSTANCES_BUILT: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn round_trip_any_distance() {
@@ -398,12 +418,38 @@ mod tests {
     }
 
     #[test]
-    fn budget_sizing_respects_budget() {
-        for bits in [7424u64, 118784, 475136] {
-            let b = RBtb::with_budget_bits(bits, Arch::Arm64);
-            assert!(b.storage().total_bits <= bits);
-            // And is reasonably tight (> 90 % utilization).
-            assert!(b.storage().total_bits as f64 > bits as f64 * 0.9);
+    fn storage_bits_matches_built_instances() {
+        // Past the 58 KB instance (13,896 entries on Arm64).
+        for arch in [Arch::Arm64, Arch::X86] {
+            for entries in (WAYS..=14_400).step_by(WAYS) {
+                assert_eq!(
+                    storage_bits(entries, arch),
+                    RBtb::with_entries(entries, arch).storage().total_bits,
+                    "{entries} entries on {}",
+                    arch.name()
+                );
+            }
         }
+    }
+
+    #[test]
+    fn budget_sizing_respects_budget() {
+        // Within budget, and 8 more entries would not be.
+        for arch in [Arch::Arm64, Arch::X86] {
+            for bp in BudgetPoint::ALL {
+                let bits = bp.bits(arch);
+                let n = RBtb::with_budget_bits(bits, arch).entries();
+                assert!(storage_bits(n, arch) <= bits, "{bp} over budget");
+                assert!(storage_bits(n + WAYS, arch) > bits, "{bp} not maximal");
+            }
+        }
+    }
+
+    #[test]
+    fn budget_sizing_builds_one_instance() {
+        INSTANCES_BUILT.with(|n| n.set(0));
+        let b = RBtb::with_budget_bits(475_136, Arch::Arm64);
+        assert_eq!(b.entries(), 13_896);
+        assert_eq!(INSTANCES_BUILT.with(Cell::get), 1);
     }
 }

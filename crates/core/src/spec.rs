@@ -141,11 +141,7 @@ pub fn min_budget_bits(org: OrgKind, arch: Arch) -> u64 {
                 .total_bits
         }
         OrgKind::BtbX | OrgKind::BtbXUniform | OrgKind::BtbXNoXc => btbx_total_bits(8, arch),
-        OrgKind::RBtb => {
-            crate::rbtb::RBtb::with_entries(8, arch)
-                .storage()
-                .total_bits
-        }
+        OrgKind::RBtb => crate::rbtb::storage_bits(8, arch),
         OrgKind::Hoogerbrugge => {
             crate::hooger::MixedBtb::with_budget_bits(1, arch)
                 .storage()

@@ -42,21 +42,27 @@ fn headline_ratios_hold() {
 
 #[test]
 fn built_instances_respect_budgets_at_every_tier() {
-    for bp in BudgetPoint::ALL {
-        let bits = bp.bits(Arch::Arm64);
-        for kind in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX, OrgKind::RBtb] {
-            let btb = factory::build(kind, bits, Arch::Arm64);
-            assert!(
-                btb.storage().total_bits <= bits,
-                "{kind} over budget at {bp}"
-            );
-            // Storage utilization must be high — an organization that
-            // leaves >12 % of its budget idle is mis-sized.
-            assert!(
-                btb.storage().total_bits as f64 >= bits as f64 * 0.88,
-                "{kind} underutilizes {bp}: {} of {bits}",
-                btb.storage().total_bits
-            );
+    // Both arches: offset widths (R-BTB's among them) follow the
+    // arch's alignment bits.
+    for arch in [Arch::Arm64, Arch::X86] {
+        for bp in BudgetPoint::ALL {
+            let bits = bp.bits(arch);
+            for kind in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX, OrgKind::RBtb] {
+                let btb = factory::build(kind, bits, arch);
+                assert!(
+                    btb.storage().total_bits <= bits,
+                    "{kind} over budget at {bp} on {}",
+                    arch.name()
+                );
+                // Storage utilization must be high — an organization that
+                // leaves >12 % of its budget idle is mis-sized.
+                assert!(
+                    btb.storage().total_bits as f64 >= bits as f64 * 0.88,
+                    "{kind} underutilizes {bp} on {}: {} of {bits}",
+                    arch.name(),
+                    btb.storage().total_bits
+                );
+            }
         }
     }
 }
