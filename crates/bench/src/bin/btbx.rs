@@ -74,7 +74,8 @@ selection:
   --trace FILE     replay a .btbt container instead of a suite
                    (orgs/budgets/fdip still apply; see btbx trace)
   --server ADDR    POST every point to a running `btbx serve` at ADDR
-                   (host:port) instead of simulating locally
+                   (host:port) instead of simulating locally: a one-node
+                   --cluster, keeping --threads requests in flight
   --cluster LIST   fan the matrix out across a fleet of serve nodes
                    (comma-separated host:port list) with work stealing,
                    health probing and retry-on-node-loss; results are
@@ -361,17 +362,17 @@ fn sweep_cmd(args: Vec<String>) {
         return;
     }
 
-    let results = if let Some(list) = &cluster_list {
-        let nodes =
-            cluster::parse_node_list(list).unwrap_or_else(|e| fail(&format!("--cluster: {e}")));
+    // `--server ADDR` is a one-node `--cluster`.
+    let fleet = match cluster_list {
+        Some(list) => Some(
+            cluster::parse_node_list(&list).unwrap_or_else(|e| fail(&format!("--cluster: {e}"))),
+        ),
+        None => server.map(|addr| vec![addr]),
+    };
+    let results = if let Some(nodes) = fleet {
         let config = ClusterConfig::from_opts(nodes, &opts);
         cluster::sweep_via_cluster(&sweep, &opts, &config).unwrap_or_else(|e| {
-            eprintln!("error: cluster sweep failed: {e}");
-            std::process::exit(1);
-        })
-    } else if let Some(addr) = &server {
-        btbx_bench::serve::sweep_via_server(&sweep, &opts, addr).unwrap_or_else(|e| {
-            eprintln!("error: server sweep failed: {e}");
+            eprintln!("error: sweep failed: {e}");
             std::process::exit(1);
         })
     } else {

@@ -2,13 +2,12 @@
 //! matrix across a fleet of `btbx serve` nodes.
 //!
 //! The ROADMAP's north star is serving the paper's org×budget×workload
-//! matrix at fleet scale; `btbx serve` (the single-node service) and
-//! `btbx sweep --server` (a client for exactly one of them) stop short
-//! of that. This subsystem closes the gap with a *coordinator*: point
-//! the CLI at a node list (`btbx sweep --cluster host1:port,host2:port`)
-//! and the whole matrix fans out over the existing JSON-over-HTTP
-//! protocol with work stealing, health tracking, and
-//! retry-on-node-loss.
+//! matrix at fleet scale; `btbx serve` is the single-node service. This
+//! subsystem adds a *coordinator*: point the CLI at a node list (`btbx
+//! sweep --cluster host1:port,host2:port`) and the whole matrix fans out
+//! over the existing JSON-over-HTTP protocol with work stealing, health
+//! tracking, and retry-on-node-loss. `btbx sweep --server ADDR` is the
+//! same coordinator over a one-node fleet.
 //!
 //! Layering:
 //!
@@ -151,11 +150,6 @@ impl LocalCluster {
     /// One node's address.
     pub fn addr(&self, i: usize) -> &str {
         &self.addrs[i]
-    }
-
-    /// One node's cache directory (for asserting fleet-wide counters).
-    pub fn node_cache_dir(&self, i: usize) -> PathBuf {
-        self.base.join(format!("node{i}")).join("cache")
     }
 
     /// Number of nodes (killed ones included).

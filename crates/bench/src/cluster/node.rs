@@ -150,6 +150,11 @@ impl NodeTracker {
         t.probe_failures
     }
 
+    /// Consecutive failed `/healthz` probes so far.
+    pub(crate) fn probe_failures(&self) -> u32 {
+        self.inner.lock().unwrap().probe_failures
+    }
+
     /// Snapshot for the end-of-run fleet summary.
     pub fn summary(&self) -> NodeSummary {
         let t = self.inner.lock().unwrap();

@@ -1,6 +1,6 @@
 //! The cluster wire protocol: typed requests, the version/compat
-//! handshake, and the error taxonomy shared by the coordinator and
-//! `btbx sweep --server`.
+//! handshake, and the coordinator's error taxonomy (`btbx sweep
+//! --server` is a one-node coordinator).
 //!
 //! Everything rides the existing JSON-over-HTTP service protocol from
 //! [`crate::serve`] — this module adds the *client-side typing* that a
@@ -96,6 +96,12 @@ impl RequestError {
         matches!(self, RequestError::Status { status, .. }
             if (400..500).contains(status) && *status != 429)
     }
+
+    /// Whether the node shed the request (`429`): it is alive but at its
+    /// admission limit, and the same request succeeds once load drains.
+    pub(crate) fn is_shed(&self) -> bool {
+        matches!(self, RequestError::Status { status: 429, .. })
+    }
 }
 
 impl fmt::Display for RequestError {
@@ -147,13 +153,6 @@ pub enum ClusterError {
         /// Why each node was rejected.
         detail: String,
     },
-    /// A required node could not be probed.
-    Unreachable {
-        /// Node address.
-        node: String,
-        /// The probe failure.
-        error: RequestError,
-    },
     /// A node runs a different [`CACHE_VERSION`]: its results would be
     /// incompatible with this client's cache (and the rest of the
     /// fleet's), so the sweep is refused instead of silently mixing.
@@ -197,9 +196,6 @@ impl fmt::Display for ClusterError {
             ClusterError::NoNodes => f.write_str("cluster has no nodes"),
             ClusterError::NoUsableNodes { detail } => {
                 write!(f, "no usable nodes: {detail}")
-            }
-            ClusterError::Unreachable { node, error } => {
-                write!(f, "node {node} is unreachable: {error}")
             }
             ClusterError::CacheVersionMismatch {
                 node,

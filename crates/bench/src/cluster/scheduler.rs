@@ -7,24 +7,30 @@
 //! duplicates collapse onto one work item keyed by the point's
 //! content-hashed cache entry name, and points already present in the
 //! coordinator's local [`ResultStore`] never enter the queue at all.
-//! Each node gets one worker loop that **pulls greedily**: a fast node
-//! simply comes back for more work sooner, so load balancing (and work
-//! stealing from slow nodes) falls out of the queue discipline with no
-//! explicit placement policy.
+//! Each node gets `ceil(threads / nodes)` worker loops (at least one),
+//! so that many requests are in flight per node, and every worker
+//! **pulls greedily**: a fast node simply comes back for more work
+//! sooner, so load balancing (and work stealing from slow nodes) falls
+//! out of the queue discipline with no explicit placement policy.
 //!
 //! # Failure semantics
 //!
 //! A failed request feeds the node's state machine
 //! ([`super::node::NodeTracker`]) and requeues the point with bounded
 //! exponential backoff, so work in flight on a dying node migrates to
-//! the survivors. Dead nodes drop out of rotation and probe `/healthz`
-//! for probation re-admission (re-verifying the compat handshake — a
-//! node restarted with a different [`crate::sweep::CACHE_VERSION`] is
-//! not let back in); after `probe_give_up` consecutive failed probes
-//! the worker retires. Deterministic rejections (HTTP 4xx) fail the
-//! point immediately — retrying a malformed point on every node cannot
-//! help. A sweep therefore always terminates: with complete results,
-//! or with a precise [`PointError`] list of what failed where.
+//! the survivors. Dead nodes drop out of rotation and one of each dead
+//! node's workers probes `/healthz` for probation re-admission
+//! (re-verifying the compat handshake — a node restarted with a
+//! different [`crate::sweep::CACHE_VERSION`] is not let back in); after
+//! `probe_give_up` consecutive failed probes the node's workers retire.
+//! Deterministic rejections (HTTP 4xx) fail the point immediately —
+//! retrying a malformed point on every node cannot help. A shed request
+//! (HTTP 429: the node is alive but at its `--max-inflight` limit) is
+//! neither a node failure nor an attempt: the worker holding the point
+//! re-sends it after `min(100 ms × sheds, 2 s)`, and the point fails
+//! only after 60 sheds in a row. A sweep therefore always terminates:
+//! with complete results, or with a precise [`PointError`] list of what
+//! failed where.
 //!
 //! # Cache flow
 //!
@@ -42,6 +48,11 @@ use btbx_uarch::SimResult;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Sheds (HTTP 429) in a row one request absorbs before its point is
+/// reported failed. With the `min(100 ms × n, 2 s)` delay between
+/// re-sends that outlasts about 100 s of sustained overload.
+const MAX_SHEDS: u32 = 60;
 
 /// Coordinator tuning; [`ClusterConfig::new`] picks defaults that suit
 /// a local fleet, [`ClusterConfig::from_opts`] threads the CLI's
@@ -290,7 +301,8 @@ impl Queue {
 
     /// Settle a failed request: requeue with backoff, or convert to a
     /// permanent [`PointError`] when attempts are exhausted (or the
-    /// rejection was deterministic). Returns the requeue decision.
+    /// rejection was deterministic, or the point's sheds ran out).
+    /// Returns the requeue decision.
     fn settle_failure(
         &self,
         mut item: WorkItem,
@@ -300,7 +312,9 @@ impl Queue {
         jnl: &SweepJournal,
     ) -> Option<usize> {
         item.attempts += 1;
-        let permanent = error.is_permanent() || item.attempts >= config.max_attempts;
+        // A 429 gets here only after `post_riding_sheds` gave up on it.
+        let permanent =
+            error.is_permanent() || error.is_shed() || item.attempts >= config.max_attempts;
         if permanent {
             jnl.failed(&item.key, &error.to_string());
         }
@@ -522,12 +536,13 @@ pub fn run_sweep_observed(
     }
 
     let to_compute = pending.len();
+    let per_node = opts.threads.div_ceil(trackers.len()).max(1);
     let queue = Queue {
         name: format!("{}@cluster", sweep.name),
         state: Mutex::new(QueueState {
             pending,
             in_flight: 0,
-            live_workers: trackers.len(),
+            live_workers: trackers.len() * per_node,
             to_compute,
             results,
             failures: Vec::new(),
@@ -539,13 +554,16 @@ pub fn run_sweep_observed(
 
     std::thread::scope(|scope| {
         for tracker in &trackers {
-            let queue = &queue;
-            let store = &store;
-            let fleet = &fleet;
-            let jnl = &jnl;
-            scope.spawn(move || {
-                node_worker(queue, tracker, config, store, fleet, jnl, observer);
-            });
+            for lane in 0..per_node {
+                let queue = &queue;
+                let store = &store;
+                let fleet = &fleet;
+                let jnl = &jnl;
+                scope.spawn(move || {
+                    let prober = lane == 0;
+                    node_worker(queue, tracker, prober, config, store, fleet, jnl, observer);
+                });
+            }
         }
     });
 
@@ -617,11 +635,15 @@ fn publish_pending_traces(name: &str, store: &ResultStore, pending: &[WorkItem])
     }
 }
 
-/// One node's worker loop: pull greedily while the node serves, probe
-/// for re-admission while it is dead, retire past the give-up bound.
+/// One of a node's worker loops: pull greedily while the node serves.
+/// While it is dead, the node's `prober` worker probes for re-admission
+/// and the others wait for the verdict; all of them retire once the
+/// probes pass the give-up bound.
+#[allow(clippy::too_many_arguments)]
 fn node_worker(
     queue: &Queue,
     tracker: &NodeTracker,
+    prober: bool,
     config: &ClusterConfig,
     store: &ResultStore,
     fleet: &HealthInfo,
@@ -634,6 +656,12 @@ fn node_worker(
             // Out of rotation: probe for probation re-admission.
             if queue.wait_finished(config.probe_interval) {
                 break;
+            }
+            if !prober {
+                if tracker.probe_failures() >= config.probe_give_up {
+                    break;
+                }
+                continue;
             }
             match protocol::probe_health(addr, config.probe_timeout) {
                 Ok(info)
@@ -672,7 +700,7 @@ fn node_worker(
         }
         let Some(item) = queue.pull() else { break };
         jnl.attempt(&item.key, &item.label);
-        match protocol::post_point(addr, &item.point, config.http_timeout) {
+        match post_riding_sheds(addr, &item.point, config.http_timeout) {
             Ok(result) => {
                 tracker.record_success();
                 let key = item.key.clone();
@@ -683,12 +711,15 @@ fn node_worker(
                 });
             }
             Err(error) => {
-                let state = tracker.record_failure();
-                eprintln!("[cluster] {addr} failed `{}`: {error}", item.label);
-                if state == NodeState::Dead {
-                    observer(ClusterEvent::NodeDied {
-                        node: addr.to_string(),
-                    });
+                // Even sheds that ran out say the node is alive.
+                if !error.is_shed() {
+                    let state = tracker.record_failure();
+                    eprintln!("[cluster] {addr} failed `{}`: {error}", item.label);
+                    if state == NodeState::Dead {
+                        observer(ClusterEvent::NodeDied {
+                            node: addr.to_string(),
+                        });
+                    }
                 }
                 let key = item.key.clone();
                 match queue.settle_failure(item, addr, error, config, jnl) {
@@ -706,6 +737,27 @@ fn node_worker(
         }
     }
     queue.retire_worker(addr);
+}
+
+/// POST `point` to `addr`, re-sending it after `min(100 ms × n, 2 s)`
+/// while the node sheds it (HTTP 429: alive, but at its `--max-inflight`
+/// limit), up to [`MAX_SHEDS`] times in a row.
+fn post_riding_sheds(
+    addr: &str,
+    point: &SimPoint,
+    timeout: Duration,
+) -> Result<SimResult, RequestError> {
+    let mut sheds = 0;
+    loop {
+        match protocol::post_point(addr, point, timeout) {
+            Err(error) if error.is_shed() && sheds < MAX_SHEDS => {
+                sheds += 1;
+                let delay = Duration::from_millis(100 * u64::from(sheds));
+                std::thread::sleep(delay.min(Duration::from_secs(2)));
+            }
+            other => return other,
+        }
+    }
 }
 
 /// Run a sweep across the fleet and insist on completeness: the

@@ -111,27 +111,6 @@ pub fn offsets_for(specs: &[WorkloadSpec], instrs: u64, threads: usize) -> Offse
     agg
 }
 
-/// Per-workload trace statistics (used by `fig04` for the per-workload
-/// curves and by `table05` for branch mixes).
-pub fn trace_stats_for(
-    specs: &[WorkloadSpec],
-    instrs: u64,
-    threads: usize,
-) -> Vec<(String, TraceStats)> {
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            move || {
-                let mut trace = spec.build_trace();
-                let stats = TraceStats::collect(&mut trace, instrs, spec.params.arch);
-                (spec.name.clone(), stats)
-            }
-        })
-        .collect();
-    run_jobs("trace-stats", threads, jobs)
-}
-
 /// Server/client split of IPC-1 results by workload name.
 pub fn is_server_workload(name: &str) -> bool {
     name.starts_with("server")

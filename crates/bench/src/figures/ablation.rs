@@ -20,7 +20,7 @@ use btbx_analysis::table::TextTable;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::types::Arch;
 use btbx_core::x::{BtbX, BtbXConfig};
-use btbx_core::{Btb, OrgKind};
+use btbx_core::{Btb, BtbEngine, OrgKind};
 use btbx_trace::suite;
 use btbx_uarch::{simulate, SimConfig};
 
@@ -66,7 +66,7 @@ pub fn run(opts: &HarnessOpts) {
                         // Build directly so the result records the actual
                         // storage (the uniform ablation exceeds the
                         // nominal budget by design).
-                        let btb = btbx_core::factory::build(org, budget, Arch::Arm64);
+                        let btb = BtbEngine::build(org, budget, Arch::Arm64);
                         simulate(
                             SimConfig::with_fdip(),
                             spec.build_trace(),
@@ -87,7 +87,7 @@ pub fn run(opts: &HarnessOpts) {
                             }
                             entries += 8;
                         }
-                        let btb = Box::new(BtbX::with_config(entries, Arch::Arm64, cfg));
+                        let btb = BtbX::with_config(entries, Arch::Arm64, cfg);
                         simulate(
                             SimConfig::with_fdip(),
                             spec.build_trace(),
@@ -104,7 +104,7 @@ pub fn run(opts: &HarnessOpts) {
                         };
                         let entries =
                             btbx_core::factory::btbx_entries_for_budget(budget, Arch::Arm64);
-                        let btb = Box::new(BtbX::with_config(entries, Arch::Arm64, cfg));
+                        let btb = BtbX::with_config(entries, Arch::Arm64, cfg);
                         simulate(
                             SimConfig::with_fdip(),
                             spec.build_trace(),

@@ -1,11 +1,12 @@
 //! The crash-resumable sweep journal.
 //!
-//! Every sweep transport (local, `--server`, `--cluster`) appends one
-//! JSON record per per-point event — `attempt`, `done`, `failed` — to an
-//! fsync'd journal under `<out>/cache/journal/`, keyed by a content hash
-//! of the sweep's work list. A sweep killed mid-run leaves behind a
-//! journal whose `done` records name exactly the points that were fully
-//! published; `--resume` reads it back and re-dispatches only the rest,
+//! Every sweep transport (local, and the coordinator behind `--server`
+//! and `--cluster`) appends one JSON record per per-point event —
+//! `attempt`, `done`, `failed` — to an fsync'd journal under
+//! `<out>/cache/journal/`, keyed by a content hash of the sweep's work
+//! list. A sweep killed mid-run leaves behind a journal whose `done`
+//! records name exactly the points that were fully published;
+//! `--resume` reads it back and re-dispatches only the rest,
 //! producing the same bytes on disk as an undisturbed run (each point's
 //! cache entry is content-addressed, so "skip what finished" composes
 //! with "recompute what didn't" without any merge step).

@@ -22,7 +22,8 @@ pub struct HarnessOpts {
     pub fresh: bool,
     /// Output directory for CSV/JSON artifacts and the simulation cache.
     pub out_dir: PathBuf,
-    /// Worker threads.
+    /// Worker threads; through `--server`/`--cluster`, the coordinator's
+    /// bound on requests in flight.
     pub threads: usize,
     /// Trace shards per simulation (1 = serial). Sharded runs split each
     /// simulation into `N` interval shards that hand warm snapshots to
@@ -249,7 +250,8 @@ options:
   --measure N        measured instructions per simulation  [1000000]
   --offset-instrs N  instructions per offset study         [1000000]
   --quick            preset: 150k warm-up / 300k measured windows
-  --threads N        worker threads                        [all cores]
+  --threads N        worker threads (with --server or      [all cores]
+                     --cluster: requests in flight)
   --shards N         interval shards per simulation        [1]
   --trace FILE       replay a .btbt trace container instead of the
                      synthetic suites (see `btbx trace --help`)
@@ -375,22 +377,6 @@ impl HarnessOpts {
     /// the sane range (see [`sane_timeout`]).
     pub fn http_timeout(&self) -> std::time::Duration {
         sane_timeout(std::time::Duration::from_millis(self.http_timeout_ms))
-    }
-
-    /// Parse from the process arguments, exiting with usage on errors (the
-    /// behaviour every binary wants at top level).
-    pub fn from_env() -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(OptError::HelpRequested) => {
-                println!("{OPTIONS_USAGE}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: {e}\n{OPTIONS_USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 }
 

@@ -59,14 +59,13 @@
 //! counts `/sim` responses served from a pre-existing on-disk entry
 //! (work a restarted client did *not* re-run).
 
-use crate::cluster::protocol::{self, ClusterError, PointError, RequestError};
-use crate::journal::{self, SweepJournal};
+use crate::cluster::protocol;
 use crate::opts::{pool_split, sane_timeout, HarnessOpts, StoreUrl};
 use crate::runner::ServicePool;
 use crate::store::{
     atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
 };
-use crate::sweep::{RunOpts, SimPoint, Sweep};
+use crate::sweep::{RunOpts, SimPoint};
 use btbx_core::faults;
 use btbx_trace::container;
 use btbx_uarch::sim::ABORT_MARKER;
@@ -1037,145 +1036,4 @@ pub fn http_request_bytes(
         headers,
         body,
     })
-}
-
-/// Run a sweep *through a server* instead of locally: every point is
-/// POSTed to `addr`'s `/sim` endpoint on `opts.threads` concurrent
-/// client jobs. Results come back in [`Sweep::points`] order, exactly
-/// like [`Sweep::run`] — the server owns the cache and the dedup.
-///
-/// Before any work is dispatched the server's `/healthz` handshake is
-/// verified: a server on a different `CACHE_VERSION` (or missing one of
-/// the sweep's organizations) is refused up front, because its results
-/// would be silently incompatible with this client's cache.
-///
-/// Requests shed by the server (429) are retried with a bounded backoff
-/// honouring its `Retry-After` hint, so a sweep overrunning a node's
-/// `--max-inflight` degrades to slower progress, not to failures.
-///
-/// Per-point progress is journalled exactly like the local path
-/// ([`Sweep::run`]); with `--resume` the journal reports how many points
-/// a previous (killed) invocation already published — the server's disk
-/// cache answers those instantly, so only incomplete points re-run.
-///
-/// # Errors
-///
-/// [`ClusterError::Unreachable`]/[`ClusterError::CacheVersionMismatch`]
-/// /[`ClusterError::MissingOrgs`] when the handshake fails, and
-/// [`ClusterError::Points`] naming every point (node address + cache
-/// key + status) that failed — no more panicking mid-sweep.
-pub fn sweep_via_server(
-    sweep: &Sweep,
-    opts: &HarnessOpts,
-    addr: &str,
-) -> Result<Vec<SimResult>, ClusterError> {
-    let timeout = opts.http_timeout();
-    let info =
-        protocol::probe_health(addr, timeout).map_err(|error| ClusterError::Unreachable {
-            node: addr.to_string(),
-            error,
-        })?;
-    protocol::verify_cache_version(addr, &info)?;
-    protocol::verify_orgs(addr, &info, &sweep.orgs)?;
-
-    let points = sweep.points();
-    let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
-    let (journal, recovery) =
-        SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
-            |source| {
-                ClusterError::Store(StoreError::Io {
-                    action: "opening sweep journal",
-                    path: journal::journal_dir(&opts.out_dir),
-                    source,
-                })
-            },
-        )?;
-    if opts.resume {
-        let resumed = names
-            .iter()
-            .filter(|n| recovery.completed.contains(n.as_str()))
-            .count();
-        eprintln!(
-            "[{}] resume: {resumed}/{} point(s) already published (resumed_points={resumed})",
-            sweep.name,
-            names.len()
-        );
-    }
-    let journal_ref = &journal;
-    let jobs: Vec<(String, _)> = points
-        .into_iter()
-        .zip(names)
-        .map(|(point, name)| {
-            let label = format!("{}:{}@server", point.workload.name, point.org.id());
-            let full_label = format!(
-                "{}:{}@{}",
-                point.workload.name,
-                point.org.id(),
-                point.budget
-            );
-            let addr = addr.to_string();
-            let job = move || -> Result<SimResult, PointError> {
-                journal_ref.attempt(&name, &full_label);
-                match post_point_shedding_aware(&addr, &point, timeout) {
-                    Ok(result) => {
-                        journal_ref.done(&name);
-                        Ok(result)
-                    }
-                    Err(error) => {
-                        journal_ref.failed(&name, &error.to_string());
-                        Err(PointError {
-                            node: addr.clone(),
-                            point: name,
-                            label: full_label,
-                            error,
-                        })
-                    }
-                }
-            };
-            (label, job)
-        })
-        .collect();
-    let outcomes =
-        crate::runner::run_named_jobs(&format!("{}@server", sweep.name), opts.threads, jobs);
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut failures = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(e) => failures.push(e),
-        }
-    }
-    if !failures.is_empty() {
-        // The journal stays on disk: a follow-up --resume re-dispatches
-        // exactly the recorded failures plus anything never attempted.
-        return Err(ClusterError::Points(failures));
-    }
-    journal.finish();
-    Ok(results)
-}
-
-/// [`protocol::post_point`] plus shed handling: a 429 means the server
-/// chose to shed this request, so honour its `Retry-After` hint (capped
-/// at 2 s) and try again, long enough to outlast any plausible burst.
-/// Every other failure propagates unchanged.
-fn post_point_shedding_aware(
-    addr: &str,
-    point: &SimPoint,
-    timeout: Duration,
-) -> Result<SimResult, RequestError> {
-    const MAX_ATTEMPTS: u32 = 60;
-    let mut attempt = 0;
-    loop {
-        match protocol::post_point(addr, point, timeout) {
-            Err(RequestError::Status { status: 429, body }) if attempt < MAX_ATTEMPTS => {
-                attempt += 1;
-                let _ = body;
-                std::thread::sleep(
-                    sane_timeout(Duration::from_millis(100 * attempt as u64))
-                        .min(Duration::from_secs(2)),
-                );
-            }
-            other => return other,
-        }
-    }
 }

@@ -5,7 +5,7 @@
 //! survivors).
 
 use btbx_bench::cluster::{
-    self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState,
+    self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState, RequestError,
 };
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
@@ -14,7 +14,7 @@ use btbx_trace::suite;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -132,15 +132,32 @@ fn three_node_sweep_is_byte_identical_to_serial_cli_and_computes_once() {
 
 #[test]
 fn killing_a_node_mid_sweep_requeues_its_work_onto_survivors() {
-    let serial_out = scratch("kill-serial");
+    kill_a_node_mid_sweep("kill", 2);
+}
+
+/// With `threads` ≥ 2 × nodes every node runs two workers: the killed
+/// node's two workers must both retire (one probing, one waiting on the
+/// probes) for the sweep to return.
+#[test]
+fn killing_a_node_with_two_workers_requeues_its_work_onto_survivors() {
+    kill_a_node_mid_sweep("kill2", 6);
+}
+
+/// Run the twelve-point sweep on a 3-node fleet with `threads`
+/// coordinator workers, killing the node that completes the first point.
+fn kill_a_node_mid_sweep(tag: &str, threads: usize) {
+    let serial_out = scratch(&format!("{tag}-serial"));
     let sweep = twelve_point_sweep();
     let serial = sweep.run(&opts(&serial_out));
 
-    let base = scratch("kill-fleet");
+    let base = scratch(&format!("{tag}-fleet"));
     let cluster = LocalCluster::start(3, &base, 2, 1).expect("cluster starts");
     let addrs = cluster.addrs();
     let coord_out = base.join("coordinator");
-    let coord_opts = opts(&coord_out);
+    let coord_opts = HarnessOpts {
+        threads,
+        ..opts(&coord_out)
+    };
 
     // Fault injection: on the first completed point, kill the node that
     // served it (graceful shutdown closes its listener, so the worker's
@@ -190,6 +207,64 @@ fn killing_a_node_mid_sweep_requeues_its_work_onto_survivors() {
     );
 
     cluster.into_inner().unwrap().shutdown();
+    let _ = fs::remove_dir_all(&base);
+    let _ = fs::remove_dir_all(&serial_out);
+}
+
+/// A one-node fleet whose node dies mid-sweep, with four workers on it:
+/// once the probes give up, every worker retires and the last one fails
+/// the remaining points with `FleetDown` instead of hanging.
+#[test]
+fn a_dead_one_node_fleet_fails_its_points_instead_of_hanging() {
+    let serial_out = scratch("dead-serial");
+    let sweep = twelve_point_sweep();
+    let serial = sweep.run(&opts(&serial_out));
+
+    let base = scratch("dead-fleet");
+    let cluster = LocalCluster::start(1, &base, 2, 1).expect("node starts");
+    let addrs = cluster.addrs();
+    let cluster = Arc::new(Mutex::new(cluster));
+    let coord_opts = HarnessOpts {
+        threads: 4,
+        ..opts(&base.join("coordinator"))
+    };
+    // Detached, so that a hung sweep fails the test at the timeout.
+    let (tx, rx) = mpsc::channel();
+    let fleet = Arc::clone(&cluster);
+    std::thread::spawn(move || {
+        let killed = AtomicBool::new(false);
+        let report = cluster::run_sweep_observed(&sweep, &coord_opts, &config(addrs), &|ev| {
+            if matches!(ev, ClusterEvent::PointDone { .. }) && !killed.swap(true, Ordering::SeqCst)
+            {
+                fleet.lock().unwrap().kill(0);
+            }
+        });
+        tx.send(report).unwrap();
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a dead fleet must end the sweep, not hang")
+        .expect("the node passed the startup handshake");
+
+    assert_eq!(report.nodes[0].state, NodeState::Dead);
+    assert!(!report.failures.is_empty(), "{:?}", report.stats);
+    assert!(
+        report
+            .failures
+            .iter()
+            .all(|f| matches!(f.error, RequestError::FleetDown)),
+        "{:?}",
+        report.failures
+    );
+    let settled = report.stats.completed + report.stats.failed;
+    assert_eq!(settled, 12, "{:?}", report.stats);
+    for (got, want) in report.results.iter().zip(&serial) {
+        if let Some(got) = got {
+            assert_eq!(got, want);
+        }
+    }
+
+    cluster.lock().unwrap().kill(0);
     let _ = fs::remove_dir_all(&base);
     let _ = fs::remove_dir_all(&serial_out);
 }

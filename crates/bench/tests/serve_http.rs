@@ -2,6 +2,7 @@
 //! request deduplication, byte-identity with the serial CLI sweep path,
 //! and graceful shutdown.
 
+use btbx_bench::cluster::{self, ClusterConfig, ClusterError};
 use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
 use btbx_bench::serve::{http_request, ServeConfig, Server};
 use btbx_bench::{HarnessOpts, Sweep};
@@ -212,8 +213,10 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
     let _ = fs::remove_dir_all(&cli_out);
 }
 
+/// `btbx sweep --server` is a one-node coordinator: it mirrors the local
+/// sweep and publishes the same cache entries into its own `<out>/cache`.
 #[test]
-fn sweep_via_server_matches_local_sweep_order_and_results() {
+fn one_node_coordinator_matches_local_sweep_order_and_results() {
     let (server, out) = start("sweep-client", 1);
     let addr = server.addr().to_string();
     let sweep = two_point_sweep();
@@ -234,22 +237,34 @@ fn sweep_via_server_matches_local_sweep_order_and_results() {
         store: None,
     };
     let local = sweep.run(&opts);
-    let remote =
-        btbx_bench::serve::sweep_via_server(&sweep, &opts, &addr).expect("server sweep succeeds");
+    let remote_out = scratch("sweep-client-remote");
+    let remote_opts = HarnessOpts {
+        out_dir: remote_out.clone(),
+        ..opts.clone()
+    };
+    let one_node = |addr: &str| ClusterConfig::from_opts(vec![addr.to_string()], &remote_opts);
+    let remote = cluster::sweep_via_cluster(&sweep, &remote_opts, &one_node(&addr))
+        .expect("server sweep succeeds");
     assert_eq!(local, remote, "remote sweep must mirror the local one");
+    for point in sweep.points() {
+        let name = point.cache_file();
+        assert_eq!(
+            fs::read(remote_out.join("cache").join(&name)).unwrap(),
+            fs::read(local_out.join("cache").join(&name)).unwrap(),
+            "{name}: the coordinator's cache entry diverges from the local one"
+        );
+    }
 
     // A dead address surfaces as a typed handshake error, not a panic.
-    let err = btbx_bench::serve::sweep_via_server(&sweep, &opts, "127.0.0.1:9")
+    let err = cluster::sweep_via_cluster(&sweep, &remote_opts, &one_node("127.0.0.1:9"))
         .expect_err("unreachable server must be a typed error");
-    assert!(
-        matches!(err, btbx_bench::cluster::ClusterError::Unreachable { .. }),
-        "{err}"
-    );
+    assert!(matches!(err, ClusterError::NoUsableNodes { .. }), "{err}");
 
     server.shutdown().unwrap();
     server.join();
-    let _ = fs::remove_dir_all(&out);
-    let _ = fs::remove_dir_all(&local_out);
+    for dir in [out, local_out, remote_out] {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

@@ -56,7 +56,9 @@ impl BtbHit {
 /// A branch target buffer organization.
 ///
 /// All methods take `&mut self`: probes update recency state and counters.
-/// The trait is object-safe; the simulator stores a `Box<dyn Btb>`.
+/// In-tree organizations run as a [`crate::BtbEngine`]; the simulator is
+/// generic over `B: Btb`, so an out-of-tree organization plugs in by
+/// implementing this trait.
 pub trait Btb {
     /// Probe the BTB at fetch time. Returns `None` when `pc` does not
     /// match any entry (the front-end then assumes a non-branch and
@@ -98,47 +100,6 @@ pub trait Btb {
     /// Number of branches this instance can track (Table IV column).
     fn branch_capacity(&self) -> u64 {
         self.storage().branch_capacity
-    }
-}
-
-impl<T: Btb + ?Sized> Btb for Box<T> {
-    #[inline]
-    fn lookup(&mut self, pc: u64) -> Option<BtbHit> {
-        (**self).lookup(pc)
-    }
-
-    #[inline]
-    fn update(&mut self, event: &BranchEvent) {
-        (**self).update(event)
-    }
-
-    #[inline]
-    fn note_target_consumed(&mut self, hit: &BtbHit) {
-        (**self).note_target_consumed(hit)
-    }
-
-    fn storage(&self) -> StorageReport {
-        (**self).storage()
-    }
-
-    fn counts(&self) -> AccessCounts {
-        (**self).counts()
-    }
-
-    fn reset_counts(&mut self) {
-        (**self).reset_counts()
-    }
-
-    fn clear(&mut self) {
-        (**self).clear()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn branch_capacity(&self) -> u64 {
-        (**self).branch_capacity()
     }
 }
 

@@ -1,17 +1,12 @@
-//! Construction of BTB organizations at a given storage budget.
+//! The selectable BTB organizations ([`OrgKind`]) and the BTB-X budget
+//! sizing rule.
 //!
-//! The simulator and experiment harness are generic over [`crate::Btb`];
-//! this module maps an [`OrgKind`] plus a budget in bits (usually a
-//! [`crate::storage::BudgetPoint`]) to a boxed instance sized the way the
-//! paper sizes it in Section VI-B.
+//! [`crate::BtbEngine::build`] maps an [`OrgKind`] plus a budget in bits
+//! (usually a [`crate::storage::BudgetPoint`]) to an instance sized the
+//! way the paper sizes it in Section VI-B.
 
-use crate::conv::ConvBtb;
-use crate::pdede::PdedeBtb;
-use crate::rbtb::RBtb;
 use crate::storage::btbx_total_bits;
 use crate::types::Arch;
-use crate::x::{BtbX, BtbXConfig};
-use crate::Btb;
 use serde::{Deserialize, Serialize};
 
 /// Selectable BTB organizations, including the paper's two evaluation
@@ -92,49 +87,6 @@ impl std::fmt::Display for OrgKind {
     }
 }
 
-/// Build an organization that fits `budget_bits` of storage, sized per the
-/// paper's Section VI-B conventions.
-///
-/// For the BTB-X variants the budget is interpreted the way the paper
-/// defines the tiers — the entry count whose Table III storage equals the
-/// budget — so `build(BtbX, BudgetPoint::Kb14_5.bits(arch), arch)` yields
-/// exactly 4096 + 64 entries.
-///
-/// # Panics
-///
-/// Panics if the budget is too small to hold the smallest legal instance
-/// of the requested organization (one 8-way set).
-pub fn build(kind: OrgKind, budget_bits: u64, arch: Arch) -> Box<dyn Btb> {
-    match kind {
-        OrgKind::Conv => Box::new(ConvBtb::with_budget_bits(budget_bits, arch)),
-        OrgKind::Pdede => Box::new(PdedeBtb::with_budget_bits(budget_bits, arch)),
-        OrgKind::BtbX => Box::new(BtbX::with_entries(
-            btbx_entries_for_budget(budget_bits, arch),
-            arch,
-        )),
-        OrgKind::RBtb => Box::new(RBtb::with_budget_bits(budget_bits, arch)),
-        OrgKind::Hoogerbrugge => {
-            Box::new(crate::hooger::MixedBtb::with_budget_bits(budget_bits, arch))
-        }
-        OrgKind::Infinite => Box::new(crate::infinite::InfiniteBtb::new()),
-        OrgKind::BtbXUniform => {
-            // Same *entry count* as the paper BTB-X at this budget would
-            // have, so the bench shows the storage inflation; callers that
-            // want equal-storage comparisons should shrink entries instead.
-            let entries = btbx_entries_for_budget(budget_bits, arch);
-            Box::new(BtbX::with_config(entries, arch, BtbXConfig::uniform(arch)))
-        }
-        OrgKind::BtbXNoXc => {
-            let entries = btbx_entries_for_budget(budget_bits, arch);
-            let config = BtbXConfig {
-                with_overflow: false,
-                ..BtbXConfig::paper(arch)
-            };
-            Box::new(BtbX::with_config(entries, arch, config))
-        }
-    }
-}
-
 /// Largest BTB-X entry count (multiple of 8) whose Table III storage fits
 /// in `budget_bits`.
 pub fn btbx_entries_for_budget(budget_bits: u64, arch: Arch) -> usize {
@@ -153,7 +105,7 @@ pub fn btbx_entries_for_budget(budget_bits: u64, arch: Arch) -> usize {
 mod tests {
     use super::*;
     use crate::storage::BudgetPoint;
-    use crate::types::{BranchClass, BranchEvent};
+    use crate::BtbEngine;
 
     #[test]
     fn budget_tiers_reproduce_exact_entry_counts() {
@@ -167,23 +119,12 @@ mod tests {
     fn all_organizations_fit_their_budget() {
         let bits = BudgetPoint::Kb14_5.bits(Arch::Arm64);
         for kind in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX, OrgKind::RBtb] {
-            let btb = build(kind, bits, Arch::Arm64);
+            let btb = BtbEngine::build(kind, bits, Arch::Arm64);
             assert!(
                 btb.storage().total_bits <= bits,
                 "{kind} exceeds budget: {} > {bits}",
                 btb.storage().total_bits
             );
-        }
-    }
-
-    #[test]
-    fn built_instances_function() {
-        let bits = BudgetPoint::Kb0_9.bits(Arch::Arm64);
-        for kind in OrgKind::ALL {
-            let mut btb = build(kind, bits, Arch::Arm64);
-            let ev = BranchEvent::taken(0x1000, 0x1080, BranchClass::CondDirect);
-            btb.update(&ev);
-            assert!(btb.lookup(0x1000).is_some(), "{kind} lost a short branch");
         }
     }
 
@@ -215,9 +156,9 @@ mod tests {
         // At every tier: BTB-X > PDede > Conv in trackable branches.
         for bp in BudgetPoint::ALL {
             let bits = bp.bits(Arch::Arm64);
-            let x = build(OrgKind::BtbX, bits, Arch::Arm64).branch_capacity();
-            let p = build(OrgKind::Pdede, bits, Arch::Arm64).branch_capacity();
-            let c = build(OrgKind::Conv, bits, Arch::Arm64).branch_capacity();
+            let x = BtbEngine::build(OrgKind::BtbX, bits, Arch::Arm64).branch_capacity();
+            let p = BtbEngine::build(OrgKind::Pdede, bits, Arch::Arm64).branch_capacity();
+            let c = BtbEngine::build(OrgKind::Conv, bits, Arch::Arm64).branch_capacity();
             assert!(x > p && p > c, "{bp}: x={x} p={p} c={c}");
         }
     }

@@ -18,9 +18,9 @@
 //!   whose offsets exceed the largest way.
 //!
 //! The common abstraction is the [`Btb`] trait; organizations are built for
-//! a given storage budget through [`factory::build`] and budgets themselves
-//! through [`storage`], which reproduces the paper's Table III and Table IV
-//! bit-for-bit.
+//! a given storage budget as a [`BtbEngine`] (directly or through a
+//! validated [`BtbSpec`]) and budgets themselves through [`storage`], which
+//! reproduces the paper's Table III and Table IV bit-for-bit.
 //!
 //! # Target offsets
 //!
@@ -45,12 +45,12 @@
 //! # Quick start
 //!
 //! ```
-//! use btbx_core::{factory, Arch, BranchClass, BranchEvent, OrgKind, TargetSource};
+//! use btbx_core::{Arch, BranchClass, BranchEvent, BtbEngine, OrgKind, TargetSource};
 //! use btbx_core::storage::BudgetPoint;
 //!
 //! // A 14.5 KB BTB-X, the paper's default evaluation budget.
 //! let budget = BudgetPoint::Kb14_5.bits(Arch::Arm64);
-//! let mut btb = factory::build(OrgKind::BtbX, budget, Arch::Arm64);
+//! let mut btb = BtbEngine::build(OrgKind::BtbX, budget, Arch::Arm64);
 //!
 //! let call = BranchEvent::taken(0x1000, 0x9000, BranchClass::CallDirect);
 //! btb.update(&call);
@@ -81,7 +81,7 @@ pub mod x;
 pub use btb::{Btb, BtbHit, HitSite};
 pub use conv::ConvBtb;
 pub use engine::BtbEngine;
-pub use factory::{build, OrgKind};
+pub use factory::OrgKind;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hooger::MixedBtb;
 pub use infinite::InfiniteBtb;

@@ -287,12 +287,6 @@ impl PdedeBtb {
         self.pages.len() / self.page_sets
     }
 
-    /// Width of the stored page-offset field: 12 bits minus the
-    /// architecture's alignment bits (10 on Arm64 — Figure 7).
-    pub fn offset_bits(&self) -> u32 {
-        12 - self.arch.align_bits()
-    }
-
     fn split_offset(&self, target: u64) -> u16 {
         ((target & 0xfff) >> self.arch.align_bits()) as u16
     }

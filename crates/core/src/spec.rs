@@ -1,7 +1,7 @@
 //! Typed, validated construction of BTB organizations: the [`BtbSpec`]
 //! builder.
 //!
-//! [`crate::factory::build`] is the low-level positional entry point; it
+//! [`crate::BtbEngine::build`] is the low-level positional entry point; it
 //! panics on undersized budgets and forces every caller to thread
 //! `(org, bits, arch)` tuples around. `BtbSpec` is the public way to
 //! describe *which* BTB to build:
@@ -14,7 +14,7 @@
 //! let btb = BtbSpec::of(OrgKind::BtbX)
 //!     .at(BudgetPoint::Kb14_5)
 //!     .arch(Arch::Arm64)
-//!     .build()
+//!     .build_engine()
 //!     .expect("14.5 KB is a valid BTB-X budget");
 //! assert!(btb.branch_capacity() > 4000);
 //!
@@ -26,7 +26,8 @@
 //! Specs are plain serializable data, so experiment definitions (see
 //! `btbx-bench`'s `Sweep`) can carry them in JSON.
 
-use crate::factory::{self, OrgKind};
+use crate::engine::BtbEngine;
+use crate::factory::OrgKind;
 use crate::storage::{btbx_total_bits, BudgetPoint};
 use crate::types::Arch;
 use crate::Btb;
@@ -156,7 +157,7 @@ pub fn min_budget_bits(org: OrgKind, arch: Arch) -> u64 {
 ///
 /// Construct with [`BtbSpec::of`] and refine with the builder methods; the
 /// spec itself is inert data (serde-serializable, hashable) and only
-/// [`build`](BtbSpec::build) touches real storage.
+/// [`build_engine`](BtbSpec::build_engine) touches real storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BtbSpec {
     /// BTB organization.
@@ -233,25 +234,9 @@ impl BtbSpec {
     ///
     /// Everything [`validate`](BtbSpec::validate) reports; on `Ok` the
     /// construction itself cannot panic.
-    pub fn build(&self) -> Result<Box<dyn Btb>, SpecError> {
+    pub fn build_engine(&self) -> Result<BtbEngine, SpecError> {
         self.validate()?;
-        Ok(factory::build(self.org, self.bits(), self.arch))
-    }
-
-    /// Build the described BTB as a statically dispatched
-    /// [`crate::engine::BtbEngine`] — the fast path the simulator prefers.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`validate`](BtbSpec::validate) reports; on `Ok` the
-    /// construction itself cannot panic.
-    pub fn build_engine(&self) -> Result<crate::engine::BtbEngine, SpecError> {
-        self.validate()?;
-        Ok(crate::engine::BtbEngine::build(
-            self.org,
-            self.bits(),
-            self.arch,
-        ))
+        Ok(BtbEngine::build(self.org, self.bits(), self.arch))
     }
 
     /// Short stable identity, e.g. `btbx@14.5KB/arm64` — used in cache
@@ -282,7 +267,9 @@ mod tests {
         for org in OrgKind::ALL {
             for bp in BudgetPoint::ALL {
                 let spec = BtbSpec::of(org).at(bp);
-                let mut btb = spec.build().unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let mut btb = spec
+                    .build_engine()
+                    .unwrap_or_else(|e| panic!("{spec}: {e}"));
                 let ev = BranchEvent::taken(0x1000, 0x1080, BranchClass::CondDirect);
                 btb.update(&ev);
                 assert!(btb.lookup(0x1000).is_some(), "{spec}");
@@ -296,7 +283,7 @@ mod tests {
             if org == OrgKind::Infinite {
                 continue;
             }
-            let Err(err) = BtbSpec::of(org).budget_bits(4).build() else {
+            let Err(err) = BtbSpec::of(org).budget_bits(4).build_engine() else {
                 panic!("{org}: 4 bits must not build");
             };
             let SpecError::BudgetTooSmall {
@@ -313,7 +300,10 @@ mod tests {
         for org in OrgKind::ALL {
             let min = min_budget_bits(org, Arch::Arm64);
             let spec = BtbSpec::of(org).budget_bits(min);
-            assert!(spec.build().is_ok(), "{org} must build at its min {min}");
+            assert!(
+                spec.build_engine().is_ok(),
+                "{org} must build at its min {min}"
+            );
             if min > 0 {
                 assert!(
                     BtbSpec::of(org).budget_bits(min - 1).validate().is_err(),
@@ -327,7 +317,7 @@ mod tests {
     fn infinite_ignores_budget() {
         assert!(BtbSpec::of(OrgKind::Infinite)
             .budget_bits(0)
-            .build()
+            .build_engine()
             .is_ok());
     }
 
@@ -370,7 +360,7 @@ mod tests {
     fn built_storage_respects_budget_at_tiers() {
         for org in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX, OrgKind::RBtb] {
             let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
-            let btb = spec.build().unwrap();
+            let btb = spec.build_engine().unwrap();
             assert!(btb.storage().total_bits <= spec.bits(), "{spec}");
         }
     }

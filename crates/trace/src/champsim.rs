@@ -449,15 +449,6 @@ impl ChampSimFileSource {
         self.records
     }
 
-    /// Override the fixed instruction size assumed when reconstructing
-    /// fall-through addresses (default 4, the Arm64/IPC-1 convention —
-    /// ChampSim records carry no size field, so x86 streams need an
-    /// explicit, necessarily approximate choice).
-    pub fn with_instr_size(mut self, size: u8) -> Self {
-        self.instr_size = size;
-        self
-    }
-
     /// Fetch record `i`, reading a fresh 64 KiB window when the buffer
     /// does not cover it.
     ///

@@ -190,14 +190,6 @@ impl PackedBuf {
     pub fn iter(&self) -> impl Iterator<Item = TraceInstr> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
-
-    /// Collect up to `max` instructions from `source` into a fresh
-    /// buffer.
-    pub fn collect_from<S: TraceSource>(source: &mut S, max: usize) -> Self {
-        let mut buf = PackedBuf::with_capacity(max.min(1 << 20));
-        source.fill_block(&mut buf, max);
-        buf
-    }
 }
 
 impl FromIterator<TraceInstr> for PackedBuf {

@@ -2,7 +2,7 @@
 //! and consumers (the simulator, analyses).
 
 use btbx_core::snap::{SnapError, SnapReader, SnapWriter};
-use btbx_core::types::{Arch, BranchEvent};
+use btbx_core::types::BranchEvent;
 use serde::{Deserialize, Serialize};
 
 /// A data-memory access performed by an instruction.
@@ -101,15 +101,6 @@ impl TraceInstr {
         match &self.op {
             Op::Branch(ev) if ev.taken => ev.target,
             _ => self.pc + self.size as u64,
-        }
-    }
-
-    /// Default instruction size for an architecture (Arm64's fixed 4
-    /// bytes; x86 callers should carry real sizes).
-    pub fn default_size(arch: Arch) -> u8 {
-        match arch {
-            Arch::Arm64 => 4,
-            Arch::X86 => 4,
         }
     }
 

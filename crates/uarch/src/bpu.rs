@@ -195,10 +195,10 @@ impl Snapshot for BpuStats {
 
 /// The branch prediction unit.
 ///
-/// Generic over the BTB representation: `Box<dyn Btb>` (the default) keeps
-/// the open, object-safe compatibility path, while a concrete type such as
-/// [`btbx_core::BtbEngine`] monomorphizes every probe on the hot path.
-pub struct Bpu<B: Btb = Box<dyn Btb>> {
+/// Generic over the BTB: [`btbx_core::BtbEngine`] for every in-tree
+/// organization, or any other [`Btb`] implementation; either way every
+/// probe on the hot path is monomorphized.
+pub struct Bpu<B: Btb> {
     btb: B,
     dir: HashedPerceptron,
     ras: ReturnAddressStack,
@@ -423,11 +423,11 @@ mod tests {
     use super::*;
     use btbx_core::storage::BudgetPoint;
     use btbx_core::types::Arch;
-    use btbx_core::{factory, OrgKind};
+    use btbx_core::{BtbEngine, OrgKind};
 
-    fn bpu() -> Bpu {
+    fn bpu() -> Bpu<BtbEngine> {
         let bits = BudgetPoint::Kb14_5.bits(Arch::Arm64);
-        Bpu::new(factory::build(OrgKind::BtbX, bits, Arch::Arm64), 64, true)
+        Bpu::new(BtbEngine::build(OrgKind::BtbX, bits, Arch::Arm64), 64, true)
     }
 
     fn taken(pc: u64, target: u64, class: BranchClass) -> BranchEvent {
@@ -470,7 +470,11 @@ mod tests {
     #[test]
     fn decode_resteer_disabled_falls_back_to_execute() {
         let bits = BudgetPoint::Kb14_5.bits(Arch::Arm64);
-        let mut b = Bpu::new(factory::build(OrgKind::BtbX, bits, Arch::Arm64), 64, false);
+        let mut b = Bpu::new(
+            BtbEngine::build(OrgKind::BtbX, bits, Arch::Arm64),
+            64,
+            false,
+        );
         let ev = taken(0x1000, 0x2000, BranchClass::UncondDirect);
         let v = b.predict(0x1000, 4, Some(&ev));
         assert_eq!(v.resolution, Resolution::ExecuteResteer);
@@ -574,7 +578,11 @@ mod tests {
     #[test]
     fn pdede_different_page_hits_cost_an_extra_bpu_cycle() {
         let bits = BudgetPoint::Kb14_5.bits(Arch::Arm64);
-        let mut b = Bpu::new(factory::build(OrgKind::Pdede, bits, Arch::Arm64), 64, true);
+        let mut b = Bpu::new(
+            BtbEngine::build(OrgKind::Pdede, bits, Arch::Arm64),
+            64,
+            true,
+        );
         // Same-page branch: single-cycle lookup.
         let near = taken(0x1000, 0x1400, BranchClass::UncondDirect);
         b.predict(near.pc, 4, Some(&near));
@@ -593,7 +601,11 @@ mod tests {
 
     #[test]
     fn infinite_btb_only_misses_cold() {
-        let mut b = Bpu::new(factory::build(OrgKind::Infinite, 0, Arch::Arm64), 64, true);
+        let mut b = Bpu::new(
+            BtbEngine::build(OrgKind::Infinite, 0, Arch::Arm64),
+            64,
+            true,
+        );
         for i in 0..2000u64 {
             let ev = taken(0x10_0000 + i * 8, 0x20_0000, BranchClass::UncondDirect);
             b.predict(ev.pc, 4, Some(&ev));

@@ -242,12 +242,6 @@ impl Cache {
         self.stats.prefetches += 1;
         Some(now)
     }
-
-    /// Number of in-flight misses (after expiry at `now`).
-    pub fn inflight(&mut self, now: u64) -> usize {
-        self.expire_mshrs(now);
-        self.mshrs.len()
-    }
 }
 
 impl Snapshot for CacheStats {

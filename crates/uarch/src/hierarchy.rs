@@ -72,13 +72,6 @@ impl Hierarchy {
         true
     }
 
-    /// `true` when the instruction block holding `addr` would hit in the
-    /// L1-I right now (probe without statistics side effects is not
-    /// needed; FDIP uses `probe_prefetch` which is side-effect-aware).
-    pub fn l1i_inflight(&mut self, now: u64) -> usize {
-        self.l1i.inflight(now)
-    }
-
     fn lower_access(&mut self, block: u64, now: u64) -> u64 {
         match self.l2.probe(block, now) {
             Probe::Hit(t) | Probe::Pending(t) => t,

@@ -5,8 +5,8 @@
 //! end (Table II) with the two methodological changes of Section VI-A
 //! built in natively:
 //!
-//! 1. a *realistic* BTB (pluggable [`btbx_core::Btb`]) instead of
-//!    ChampSim's implicit oracle BTB, and
+//! 1. a *realistic* BTB (a [`btbx_core::BtbEngine`], or any other
+//!    [`btbx_core::Btb`]) instead of ChampSim's implicit oracle BTB, and
 //! 2. decode-stage resteer for BTB-missing unconditional direct branches
 //!    and taken-predicted conditionals (instead of execute-stage-only
 //!    resolution), plus commit-time, taken-only BTB updates.

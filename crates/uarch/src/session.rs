@@ -30,7 +30,7 @@ use crate::config::SimConfig;
 use crate::sim::Simulator;
 use crate::stats::SimResult;
 use btbx_core::spec::{BtbSpec, SpecError};
-use btbx_core::Btb;
+use btbx_core::{Btb, BtbEngine};
 use btbx_trace::TraceSource;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -134,12 +134,11 @@ pub(crate) type Observer<'a> = (u64, Box<dyn FnMut(&IntervalStats) + 'a>);
 /// Defaults: Table II config with FDIP enabled, no warm-up, measurement to
 /// the end of the trace, no interval streaming.
 ///
-/// The session is generic over the BTB representation `B`. Spec-driven
-/// sessions ([`btb_spec`](Self::btb_spec)) build a statically dispatched
-/// [`btbx_core::BtbEngine`] regardless of `B`, so the common path pays no
-/// virtual call per event; [`btb`](Self::btb) accepts any [`Btb`]
-/// instance — boxed or concrete — as the compatibility path.
-pub struct SimSession<'a, S, B: Btb = Box<dyn Btb>> {
+/// The session is generic over the BTB type `B`. Spec-driven sessions
+/// ([`btb_spec`](Self::btb_spec)) build a [`btbx_core::BtbEngine`]
+/// regardless of `B`; [`btb`](Self::btb) accepts any already-built [`Btb`]
+/// instance, which is how out-of-tree organizations plug in.
+pub struct SimSession<'a, S, B: Btb = BtbEngine> {
     trace: S,
     btb: BtbSource<B>,
     config: SimConfig,
@@ -167,8 +166,8 @@ impl<'a, S: TraceSource> SimSession<'a, S> {
 }
 
 impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
-    /// Use an already-built BTB instance — `Box<dyn Btb>` or any concrete
-    /// [`Btb`] such as [`btbx_core::BtbEngine`]. Its reported storage is
+    /// Use an already-built BTB instance — a [`btbx_core::BtbEngine`] or
+    /// any other [`Btb`] implementation. Its reported storage is
     /// recorded as the budget; prefer [`btb_spec`](Self::btb_spec) for
     /// validated, declarative construction.
     pub fn btb<B2: Btb>(self, btb: B2) -> SimSession<'a, S, B2> {
@@ -363,7 +362,7 @@ mod tests {
         let positional = crate::sim::simulate(
             SimConfig::without_fdip(),
             straight_line(40_000),
-            spec.build().unwrap(),
+            spec.build_engine().unwrap(),
             "conv",
             5_000,
             20_000,

@@ -76,11 +76,10 @@ enum BpuState {
 
 /// A configured simulation of one workload on one BTB organization.
 ///
-/// Generic over the trace source and the BTB representation: with a
-/// concrete `B` (e.g. [`btbx_core::BtbEngine`]) every per-event BTB probe
-/// is statically dispatched; `Box<dyn Btb>` remains the compatibility
-/// path for out-of-tree organizations.
-pub struct Simulator<S, B: btbx_core::Btb = Box<dyn btbx_core::Btb>> {
+/// Generic over the trace source and the BTB ([`btbx_core::BtbEngine`] or
+/// an out-of-tree [`btbx_core::Btb`]), so every per-event BTB probe is
+/// statically dispatched.
+pub struct Simulator<S, B: btbx_core::Btb> {
     config: SimConfig,
     trace: S,
     bpu: Bpu<B>,
@@ -321,11 +320,6 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     /// position alongside a microarchitectural snapshot).
     pub fn trace(&self) -> &S {
         &self.trace
-    }
-
-    /// Mutable trace source access.
-    pub fn trace_mut(&mut self) -> &mut S {
-        &mut self.trace
     }
 
     /// Pop the next trace event from the staging block, refilling it from
@@ -838,8 +832,7 @@ impl<S: TraceSource, B: btbx_core::Btb> std::fmt::Debug for Simulator<S, B> {
 }
 
 /// Positional convenience over [`crate::session::SimSession`]: run
-/// `trace` against an already-built BTB — boxed (`Box<dyn Btb>`) or
-/// concrete (e.g. [`btbx_core::BtbEngine`], which dispatches statically).
+/// `trace` against an already-built BTB (e.g. a [`btbx_core::BtbEngine`]).
 /// Prefer the session builder for new code — it validates specs and
 /// exposes interval streaming.
 pub fn simulate<S: TraceSource, B: btbx_core::Btb>(
@@ -867,13 +860,13 @@ mod tests {
     use btbx_core::spec::BtbSpec;
     use btbx_core::storage::BudgetPoint;
     use btbx_core::types::{Arch, BranchClass};
-    use btbx_core::{factory, BtbEngine, OrgKind};
+    use btbx_core::{BtbEngine, OrgKind};
     use btbx_trace::record::TraceInstr;
     use btbx_trace::source::{SeekableSource, VecSource};
     use btbx_trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
 
-    fn btb(kind: OrgKind) -> Box<dyn btbx_core::Btb> {
-        factory::build(kind, BudgetPoint::Kb14_5.bits(Arch::Arm64), Arch::Arm64)
+    fn btb(kind: OrgKind) -> BtbEngine {
+        BtbEngine::build(kind, BudgetPoint::Kb14_5.bits(Arch::Arm64), Arch::Arm64)
     }
 
     fn straight_line(n: u64) -> VecSource {

@@ -113,7 +113,7 @@ fn main() {
     let spec = &suite::ipc1_server()[4];
     let (warmup, measure) = (200_000, 400_000);
 
-    let toy = Box::new(FullyAssocBtb::new(64));
+    let toy = FullyAssocBtb::new(64);
     let toy_bits = toy.storage().total_bits;
     let r_toy = SimSession::new(spec.build_trace())
         .btb(toy)
@@ -125,7 +125,7 @@ fn main() {
     // BTB-X squeezed into the same (tiny) storage, via a validated spec.
     let btbx_spec = BtbSpec::of(OrgKind::BtbX).budget_bits(toy_bits);
     let cap = btbx_spec
-        .build()
+        .build_engine()
         .expect("toy budget fits BTB-X")
         .branch_capacity();
     let r_btbx = SimSession::new(spec.build_trace())

@@ -22,7 +22,7 @@ fn main() {
     for kind in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX] {
         let btb = BtbSpec::of(kind)
             .at(BudgetPoint::Kb14_5)
-            .build()
+            .build_engine()
             .expect("paper budgets are always valid");
         let storage = btb.storage();
         println!(
@@ -37,7 +37,7 @@ fn main() {
     // and a cross-region call that lands in BTB-XC.
     let mut btb = BtbSpec::of(OrgKind::BtbX)
         .budget_bits(budget)
-        .build()
+        .build_engine()
         .unwrap();
     let branches = [
         BranchEvent::taken(0x40_1000, 0x40_1040, BranchClass::CondDirect),

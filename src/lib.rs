@@ -30,7 +30,7 @@
 //!
 //! // The paper's default evaluation point: BTB-X at 14.5 KB on Arm64.
 //! let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb14_5);
-//! let btb = spec.build().expect("a valid budget");
+//! let btb = spec.build_engine().expect("a valid budget");
 //! assert!(btb.branch_capacity() > 4000);
 //!
 //! // A short simulation of an IPC-1-like client workload.

@@ -8,10 +8,11 @@ use btbx::core::storage::BudgetPoint;
 use btbx::core::types::{BranchClass, BranchEvent, TargetSource};
 use btbx::core::{Btb, OrgKind};
 
-fn build(org: OrgKind) -> Box<dyn Btb> {
+/// Built through the spec layer but used only through the `Btb` trait.
+fn build(org: OrgKind) -> impl Btb {
     BtbSpec::of(org)
         .at(BudgetPoint::Kb3_6)
-        .build()
+        .build_engine()
         .unwrap_or_else(|e| panic!("{org}: {e}"))
 }
 

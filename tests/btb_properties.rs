@@ -3,7 +3,7 @@
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::{Arch, BranchClass, BranchEvent, TargetSource};
-use btbx::core::{factory, OrgKind};
+use btbx::core::{BtbEngine, OrgKind};
 use proptest::prelude::*;
 
 const ORGS: [OrgKind; 6] = [
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn lookup_after_update_is_exact(ev in arb_branch()) {
         for org in ORGS {
-            let mut btb = factory::build(org, BudgetPoint::Kb3_6.bits(Arch::Arm64), Arch::Arm64);
+            let mut btb = BtbEngine::build(org, BudgetPoint::Kb3_6.bits(Arch::Arm64), Arch::Arm64);
             btb.update(&ev);
             let hit = btb.lookup(ev.pc)
                 .unwrap_or_else(|| panic!("{org}: freshly inserted branch must hit"));
@@ -86,7 +86,7 @@ proptest! {
             last.insert(ev.pc, *ev);
         }
         for org in ORGS {
-            let mut btb = factory::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
+            let mut btb = BtbEngine::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
             for ev in &branches {
                 btb.update(ev);
             }
@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn not_taken_never_allocates(pc in (0u64..(1u64 << 40)).prop_map(|v| v << 2)) {
         for org in ORGS {
-            let mut btb = factory::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
+            let mut btb = BtbEngine::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
             btb.update(&BranchEvent::not_taken(pc, pc + 64));
             prop_assert!(btb.lookup(pc).is_none(), "{}", org.id());
         }
@@ -123,7 +123,7 @@ proptest! {
     #[test]
     fn counters_are_consistent(branches in proptest::collection::vec(arb_branch(), 1..60)) {
         for org in ORGS {
-            let mut btb = factory::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
+            let mut btb = BtbEngine::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
             for ev in &branches {
                 btb.update(ev);
                 btb.lookup(ev.pc);
@@ -140,7 +140,7 @@ proptest! {
 fn clear_behaves_uniformly() {
     let ev = BranchEvent::taken(0x1000, 0x1100, BranchClass::CondDirect);
     for org in ORGS {
-        let mut btb = factory::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
+        let mut btb = BtbEngine::build(org, BudgetPoint::Kb0_9.bits(Arch::Arm64), Arch::Arm64);
         btb.update(&ev);
         assert!(btb.lookup(0x1000).is_some(), "{org}");
         btb.clear();

@@ -3,7 +3,7 @@
 //! claims behind Figures 9–11.
 
 use btbx::core::storage::BudgetPoint;
-use btbx::core::{factory, Arch, OrgKind};
+use btbx::core::{Arch, BtbEngine, OrgKind};
 use btbx::trace::suite;
 use btbx::uarch::{simulate, SimConfig, SimResult};
 
@@ -20,7 +20,7 @@ fn run(workload: &str, org: OrgKind, budget: BudgetPoint, fdip: bool) -> SimResu
     } else {
         SimConfig::without_fdip()
     };
-    let btb = factory::build(org, budget.bits(Arch::Arm64), Arch::Arm64);
+    let btb = BtbEngine::build(org, budget.bits(Arch::Arm64), Arch::Arm64);
     simulate(config, spec.build_trace(), btb, org.id(), WARM, MEAS)
 }
 
@@ -166,7 +166,7 @@ fn champsim_round_trip_preserves_simulation_behaviour() {
     let mut bytes = Vec::new();
     write_champsim(&mut bytes, instrs.iter().copied()).unwrap();
     let reader = ChampSimReader::new(&bytes[..], spec.name.clone());
-    let btb = factory::build(
+    let btb = BtbEngine::build(
         OrgKind::BtbX,
         BudgetPoint::Kb14_5.bits(Arch::Arm64),
         Arch::Arm64,

@@ -4,7 +4,7 @@
 
 use btbx::analysis::reference;
 use btbx::core::storage::{self, BudgetPoint};
-use btbx::core::{factory, Arch, OrgKind};
+use btbx::core::{Arch, BtbEngine, OrgKind};
 
 #[test]
 fn table_iv_reproduces_published_numbers() {
@@ -48,7 +48,7 @@ fn built_instances_respect_budgets_at_every_tier() {
         for bp in BudgetPoint::ALL {
             let bits = bp.bits(arch);
             for kind in [OrgKind::Conv, OrgKind::Pdede, OrgKind::BtbX, OrgKind::RBtb] {
-                let btb = factory::build(kind, bits, arch);
+                let btb = BtbEngine::build(kind, bits, arch);
                 assert!(
                     btb.storage().total_bits <= bits,
                     "{kind} over budget at {bp} on {}",
