@@ -646,11 +646,11 @@ subcommands:
   info FILE
       print a container's header: stream name, arch, events, blocks,
       escapes and content hash
-  check FILE [--shards N]
-      replay the trace serially and as N interval shards (warm snapshots
-      handed shard to shard, default commit width) and fail unless the
-      stats are byte-identical and peak event memory stays at one block
-      per shard slot";
+  check CONTAINER [--shards N]
+      replay a .btbt container serially and as N interval shards (warm
+      snapshots handed shard to shard, default commit width) and fail
+      unless the stats are byte-identical and peak event memory stays at
+      one block per shard slot";
 
 fn trace_cmd(mut args: Vec<String>) {
     if args.first().map(String::as_str) == Some("--help")
@@ -698,10 +698,14 @@ fn trace_convert(args: Vec<String>) {
                     .unwrap_or_else(|_| fail("--limit expects a number"));
             }
             "--instr-size" => {
+                // A zero size would make every fall-through equal the
+                // instruction's own pc.
                 instr_size = Some(
                     value("--instr-size")
                         .parse()
-                        .unwrap_or_else(|_| fail("--instr-size expects a byte count")),
+                        .ok()
+                        .filter(|&b: &u8| b > 0)
+                        .unwrap_or_else(|| fail("--instr-size expects a byte count of 1-255")),
                 );
             }
             "--help" | "-h" => {
@@ -810,7 +814,7 @@ fn trace_check(args: Vec<String>) {
             other => fail(&format!("trace check: unexpected `{other}`")),
         }
     }
-    let path = path.unwrap_or_else(|| fail("trace check expects a trace file"));
+    let path = path.unwrap_or_else(|| fail("trace check expects a .btbt container"));
     let shards = shards.max(2);
 
     let proto = AnySource::open(&path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));

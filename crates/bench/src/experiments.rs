@@ -4,7 +4,6 @@
 //! EXPERIMENTS.md for the cache layout and window-size guidance).
 
 use crate::opts::HarnessOpts;
-use crate::runner::run_jobs;
 use crate::sweep::{SimPoint, Sweep};
 use btbx_analysis::hist::OffsetAggregate;
 use btbx_core::spec::Budget;
@@ -12,6 +11,7 @@ use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::stats::TraceStats;
 use btbx_trace::suite::{self, WorkloadSpec};
+use btbx_uarch::runner::run_jobs;
 use btbx_uarch::{SimConfig, SimResult};
 
 /// Run one simulation: `spec` on `org` at `budget_bits`, FDIP on/off

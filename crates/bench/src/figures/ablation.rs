@@ -13,7 +13,6 @@
 //! * `rbtb` — Seznec's R-BTB as the historical baseline.
 
 use crate::report::emit_table;
-use crate::runner::run_jobs;
 use crate::HarnessOpts;
 use btbx_analysis::metrics::mean;
 use btbx_analysis::table::TextTable;
@@ -22,6 +21,7 @@ use btbx_core::types::Arch;
 use btbx_core::x::{BtbX, BtbXConfig};
 use btbx_core::{Btb, BtbEngine, OrgKind};
 use btbx_trace::suite;
+use btbx_uarch::runner::run_jobs;
 use btbx_uarch::{simulate, SimConfig};
 
 pub fn run(opts: &HarnessOpts) {

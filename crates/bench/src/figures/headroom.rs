@@ -8,7 +8,6 @@
 
 use crate::experiments::sim_one;
 use crate::report::emit_table;
-use crate::runner::run_jobs;
 use crate::HarnessOpts;
 use btbx_analysis::metrics::mean;
 use btbx_analysis::table::TextTable;
@@ -16,6 +15,7 @@ use btbx_core::storage::BudgetPoint;
 use btbx_core::types::Arch;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
+use btbx_uarch::runner::run_jobs;
 
 pub fn run(opts: &HarnessOpts) {
     let budget = BudgetPoint::Kb14_5.bits(Arch::Arm64);

@@ -20,8 +20,6 @@
 //!   `btbx_core::faults`;
 //! * [`journal`] — the fsync'd per-point sweep journal behind
 //!   `btbx sweep --resume`;
-//! * [`runner`] — the panic-safe work-queue thread pool (re-exported
-//!   from `btbx-uarch`);
 //! * [`store`] — the durable per-point result cache ([`ResultStore`]):
 //!   atomic temp-file+rename writes, corrupt-entry quarantine, and
 //!   process-wide single-flight computation, shared by sweeps and the
@@ -41,7 +39,6 @@ pub mod journal;
 pub mod opts;
 pub mod registry;
 pub mod report;
-pub mod runner;
 pub mod serve;
 pub mod store;
 pub mod sweep;

@@ -61,13 +61,13 @@
 
 use crate::cluster::protocol;
 use crate::opts::{pool_split, sane_timeout, HarnessOpts, StoreUrl};
-use crate::runner::ServicePool;
 use crate::store::{
     atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
 };
 use crate::sweep::{RunOpts, SimPoint};
 use btbx_core::faults;
 use btbx_trace::container;
+use btbx_uarch::runner::ServicePool;
 use btbx_uarch::sim::ABORT_MARKER;
 use btbx_uarch::{AnyWarmLadder, SimResult};
 use serde::{Deserialize, Serialize};

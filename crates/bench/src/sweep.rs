@@ -1,6 +1,6 @@
 //! Declarative simulation sweeps: the cross-product of workloads ×
 //! organizations × budgets × FDIP expressed as plain data, executed on the
-//! [`crate::runner`] thread pool behind a content-addressed result cache.
+//! [`btbx_uarch::runner`] thread pool behind a content-addressed result cache.
 //!
 //! A [`Sweep`] is serde-serializable, so experiment matrices can live in
 //! JSON files and travel between machines:
@@ -41,12 +41,12 @@
 
 use crate::journal::{self, SweepJournal};
 use crate::opts::HarnessOpts;
-use crate::runner::{run_jobs, run_named_jobs};
 use crate::store::ResultStore;
 use btbx_core::spec::{BtbSpec, Budget};
 use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
 use btbx_trace::AnySource;
+use btbx_uarch::runner::{run_jobs, run_named_jobs};
 use btbx_uarch::{AnyWarmLadder, ParallelSession, SessionError, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -440,8 +440,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Panics when the cache directory is unusable or a cache write
-    /// fails — the old code silently discarded those errors and
-    /// recomputed forever.
+    /// fails.
     pub fn run(&self, opts: &HarnessOpts) -> Vec<SimResult> {
         // `--store` swaps the cache backend (mem/http/tiered) without
         // touching any of the guarantees above; the default stays the

@@ -1,22 +1,20 @@
 //! [`AnySource`]: the one trace entry point every consumer shards
 //! through.
 //!
-//! Before this module, only the synthetic walker implemented
-//! [`SeekableSource`], so `btbx_uarch::ParallelSession`'s streaming
-//! shards were synthetic-only. `AnySource` closes that gap: it unifies
-//! the three replayable stream kinds — the synthetic walker, raw
-//! ChampSim files, and `.btbt` packed containers — behind one concrete
-//! type that is `Clone + Send` and fully seekable, so a shard factory
-//! (`Fn() -> AnySource`) works identically for every workload kind and
-//! one checkpoint type ([`AnyCheckpoint`]) serves them all.
+//! `AnySource` unifies the two replayable stream kinds — the synthetic
+//! walker and `.btbt` packed containers — behind one concrete type that
+//! is `Clone + Send` and fully seekable, so a shard factory
+//! (`Fn() -> AnySource`) such as `btbx_uarch::ParallelSession`'s works
+//! identically for every workload kind and one checkpoint type
+//! ([`AnyCheckpoint`]) serves them all.
 //!
-//! [`AnySource::open`] sniffs the file kind by magic: `BTBT` means a
-//! packed container; anything else whose length is a whole number of
-//! 64-byte records is treated as a raw ChampSim trace. Files carrying the
-//! `BTBX` magic of the retired varint codec are rejected with a typed
-//! error rather than misparsed as ChampSim records.
+//! `.btbt` is the only trace file format that replays. Raw ChampSim
+//! traces are an import format: `btbx trace convert` turns them into
+//! containers, and [`AnySource::open`] refuses them with
+//! [`ContainerError::BadMagic`], whose message names that command. Files
+//! carrying the `BTBX` magic of the retired varint codec get their own
+//! typed error.
 
-use crate::champsim::{ChampSimCheckpoint, ChampSimError, ChampSimFileSource};
 use crate::container::{ContainerError, FileCheckpoint, PackedFileSource};
 use crate::packed::PackedBuf;
 use crate::record::TraceInstr;
@@ -35,8 +33,6 @@ const LEGACY_CODEC_MAGIC: &[u8; 4] = b"BTBX";
 pub enum AnySource {
     /// The synthetic walker.
     Synth(SyntheticTrace),
-    /// A raw 64-byte-record ChampSim trace file.
-    ChampSim(ChampSimFileSource),
     /// A `.btbt` indexed packed container.
     Packed(PackedFileSource),
 }
@@ -48,8 +44,6 @@ pub enum AnySource {
 pub enum AnyCheckpoint {
     /// Snapshot of a synthetic walker.
     Synth(SynthCheckpoint),
-    /// Snapshot of a ChampSim file source.
-    ChampSim(ChampSimCheckpoint),
     /// Snapshot of a packed container source.
     Packed(FileCheckpoint),
 }
@@ -62,10 +56,9 @@ pub enum TraceOpenError {
     /// The file is a stream of the retired varint `BTBX` codec, which
     /// this crate no longer reads.
     LegacyCodec,
-    /// A `.btbt` container that failed to open or validate.
+    /// A file that is not a valid `.btbt` container (raw ChampSim
+    /// traces land here as [`ContainerError::BadMagic`]).
     Container(ContainerError),
-    /// A ChampSim file that failed to open (typically a truncated tail).
-    ChampSim(ChampSimError),
 }
 
 impl std::fmt::Display for TraceOpenError {
@@ -75,10 +68,10 @@ impl std::fmt::Display for TraceOpenError {
             TraceOpenError::LegacyCodec => write!(
                 f,
                 "BTBX varint codec traces are no longer supported; use a \
-                 .btbt container or a ChampSim trace"
+                 .btbt container (`btbx trace convert` makes one from a \
+                 ChampSim trace)"
             ),
             TraceOpenError::Container(e) => write!(f, "{e}"),
-            TraceOpenError::ChampSim(e) => write!(f, "{e}"),
         }
     }
 }
@@ -92,29 +85,24 @@ impl From<std::io::Error> for TraceOpenError {
 }
 
 impl AnySource {
-    /// Open a trace file, sniffing its kind by magic bytes: `.btbt`
-    /// containers and raw ChampSim traces are accepted; retired varint
-    /// codec streams are rejected.
+    /// Open a `.btbt` container. Retired varint codec streams are
+    /// recognised by their magic and refused.
     ///
     /// # Errors
     ///
     /// [`TraceOpenError`] when the file is unreadable, in the retired
-    /// codec format, or structurally invalid for its detected kind.
+    /// codec format, or not a valid container — a raw ChampSim trace is
+    /// [`ContainerError::BadMagic`].
     pub fn open(path: impl AsRef<Path>) -> Result<AnySource, TraceOpenError> {
         let path = path.as_ref();
         let mut magic = [0u8; 4];
         let n = File::open(path)?.read(&mut magic)?;
-        if n >= 4 && &magic == crate::container::MAGIC {
-            return PackedFileSource::open(path)
-                .map(AnySource::Packed)
-                .map_err(TraceOpenError::Container);
-        }
         if n >= 4 && &magic == LEGACY_CODEC_MAGIC {
             return Err(TraceOpenError::LegacyCodec);
         }
-        ChampSimFileSource::open(path)
-            .map(AnySource::ChampSim)
-            .map_err(TraceOpenError::ChampSim)
+        PackedFileSource::open(path)
+            .map(AnySource::Packed)
+            .map_err(TraceOpenError::Container)
     }
 
     /// Remaining instructions for finite sources; `None` for the
@@ -122,7 +110,6 @@ impl AnySource {
     pub fn len_instrs(&self) -> Option<u64> {
         match self {
             AnySource::Synth(_) => None,
-            AnySource::ChampSim(s) => Some(s.len_instrs()),
             AnySource::Packed(s) => Some(s.info().total_events),
         }
     }
@@ -131,12 +118,6 @@ impl AnySource {
 impl From<SyntheticTrace> for AnySource {
     fn from(s: SyntheticTrace) -> Self {
         AnySource::Synth(s)
-    }
-}
-
-impl From<ChampSimFileSource> for AnySource {
-    fn from(s: ChampSimFileSource) -> Self {
-        AnySource::ChampSim(s)
     }
 }
 
@@ -150,7 +131,6 @@ impl TraceSource for AnySource {
     fn next_instr(&mut self) -> Option<TraceInstr> {
         match self {
             AnySource::Synth(s) => s.next_instr(),
-            AnySource::ChampSim(s) => s.next_instr(),
             AnySource::Packed(s) => s.next_instr(),
         }
     }
@@ -158,7 +138,6 @@ impl TraceSource for AnySource {
     fn source_name(&self) -> &str {
         match self {
             AnySource::Synth(s) => s.source_name(),
-            AnySource::ChampSim(s) => s.source_name(),
             AnySource::Packed(s) => s.source_name(),
         }
     }
@@ -166,7 +145,6 @@ impl TraceSource for AnySource {
     fn advance(&mut self, n: u64) -> u64 {
         match self {
             AnySource::Synth(s) => s.advance(n),
-            AnySource::ChampSim(s) => s.advance(n),
             AnySource::Packed(s) => s.advance(n),
         }
     }
@@ -176,7 +154,6 @@ impl TraceSource for AnySource {
         // monomorphic, so per-event cost is unchanged.
         match self {
             AnySource::Synth(s) => s.fill_block(block, max),
-            AnySource::ChampSim(s) => s.fill_block(block, max),
             AnySource::Packed(s) => s.fill_block(block, max),
         }
     }
@@ -188,7 +165,6 @@ impl SeekableSource for AnySource {
     fn position(&self) -> u64 {
         match self {
             AnySource::Synth(s) => s.position(),
-            AnySource::ChampSim(s) => SeekableSource::position(s),
             AnySource::Packed(s) => SeekableSource::position(s),
         }
     }
@@ -196,7 +172,6 @@ impl SeekableSource for AnySource {
     fn checkpoint(&self) -> AnyCheckpoint {
         match self {
             AnySource::Synth(s) => AnyCheckpoint::Synth(s.checkpoint()),
-            AnySource::ChampSim(s) => AnyCheckpoint::ChampSim(s.checkpoint()),
             AnySource::Packed(s) => AnyCheckpoint::Packed(s.checkpoint()),
         }
     }
@@ -204,7 +179,6 @@ impl SeekableSource for AnySource {
     fn restore(&mut self, cp: &AnyCheckpoint) {
         match (self, cp) {
             (AnySource::Synth(s), AnyCheckpoint::Synth(c)) => s.restore(c),
-            (AnySource::ChampSim(s), AnyCheckpoint::ChampSim(c)) => s.restore(c),
             (AnySource::Packed(s), AnyCheckpoint::Packed(c)) => s.restore(c),
             _ => panic!("checkpoint from a different source kind"),
         }
@@ -213,7 +187,6 @@ impl SeekableSource for AnySource {
     fn seek(&mut self, n: u64) -> u64 {
         match self {
             AnySource::Synth(s) => s.seek(n),
-            AnySource::ChampSim(s) => s.seek(n),
             AnySource::Packed(s) => s.seek(n),
         }
     }
@@ -227,7 +200,7 @@ mod tests {
     use crate::source::VecSource;
     use crate::synth::{ProgramImage, SynthParams};
     use btbx_core::types::Arch;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("btbx-any-{tag}-{}", std::process::id()))
@@ -237,20 +210,24 @@ mod tests {
         (0..500u64).map(|i| TraceInstr::other(i * 4, 4)).collect()
     }
 
-    #[test]
-    fn open_sniffs_containers_and_champsim() {
-        let instrs = sample();
-
-        let btbt = temp_path("sniff.btbt");
-        let mut src = VecSource::new("w", instrs.clone());
+    fn write_btbt(path: &Path, instrs: Vec<TraceInstr>) {
+        let mut src = VecSource::new("w", instrs);
         write_container(
-            File::create(&btbt).unwrap(),
+            File::create(path).unwrap(),
             "w",
             Arch::Arm64,
             &mut src,
             u64::MAX,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn open_sniffs_containers_and_champsim() {
+        let instrs = sample();
+
+        let btbt = temp_path("sniff.btbt");
+        write_btbt(&btbt, instrs.clone());
         let opened = AnySource::open(&btbt).unwrap();
         assert!(matches!(opened, AnySource::Packed(_)));
         assert_eq!(opened.len_instrs(), Some(500));
@@ -259,9 +236,14 @@ mod tests {
         let mut bytes = Vec::new();
         write_champsim(&mut bytes, instrs).unwrap();
         std::fs::write(&champ, &bytes).unwrap();
-        let opened = AnySource::open(&champ).unwrap();
-        assert!(matches!(opened, AnySource::ChampSim(_)));
-        assert_eq!(opened.len_instrs(), Some(500));
+        // Raw ChampSim is an import format: refused, with a pointer to
+        // the converter.
+        let err = AnySource::open(&champ).unwrap_err();
+        assert!(
+            matches!(err, TraceOpenError::Container(ContainerError::BadMagic)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("btbx trace convert"), "{err}");
 
         let codec = temp_path("sniff.codec");
         std::fs::write(&codec, b"BTBX rest does not matter").unwrap();
@@ -283,30 +265,13 @@ mod tests {
     fn seek_contract_holds_for_every_kind() {
         // seek(k) == step()×k across all variants, including the synth
         // walker wrapped in AnySource.
-        let instrs = sample();
         let btbt = temp_path("contract.btbt");
-        let mut src = VecSource::new("w", instrs.clone());
-        write_container(
-            File::create(&btbt).unwrap(),
-            "w",
-            Arch::Arm64,
-            &mut src,
-            u64::MAX,
-        )
-        .unwrap();
-        let champ = temp_path("contract.champsim");
-        let mut bytes = Vec::new();
-        write_champsim(&mut bytes, instrs).unwrap();
-        std::fs::write(&champ, &bytes).unwrap();
+        write_btbt(&btbt, sample());
 
         let params = SynthParams::client(40);
         let synth = SyntheticTrace::new(ProgramImage::generate(&params, 7), "synth", 7);
 
-        for mut source in [
-            AnySource::from(synth),
-            AnySource::open(&btbt).unwrap(),
-            AnySource::open(&champ).unwrap(),
-        ] {
+        for mut source in [AnySource::from(synth), AnySource::open(&btbt).unwrap()] {
             let mut stepped = source.clone();
             for _ in 0..123 {
                 stepped.next_instr();
@@ -320,7 +285,6 @@ mod tests {
             assert_eq!(source.next_instr(), a, "restore rewinds one step");
         }
         let _ = std::fs::remove_file(&btbt);
-        let _ = std::fs::remove_file(&champ);
     }
 
     #[test]
@@ -332,13 +296,11 @@ mod tests {
             "synth",
             7,
         ));
-        let champ = temp_path("cross.champsim");
-        let mut bytes = Vec::new();
-        write_champsim(&mut bytes, sample()).unwrap();
-        std::fs::write(&champ, &bytes).unwrap();
-        let mut file_backed = AnySource::open(&champ).unwrap();
+        let btbt = temp_path("cross.btbt");
+        write_btbt(&btbt, sample());
+        let mut file_backed = AnySource::open(&btbt).unwrap();
         let cp = synth.checkpoint();
-        let _ = std::fs::remove_file(&champ);
+        let _ = std::fs::remove_file(&btbt);
         file_backed.restore(&cp);
     }
 }

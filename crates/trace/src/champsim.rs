@@ -20,16 +20,18 @@
 //! registers (stack pointer, instruction pointer, flags) the instruction
 //! reads and writes, and derives the *target* from the next record's `ip`.
 //! This module reproduces both conventions so genuine IPC-1 traces can be
-//! replayed through the simulator, and can also serialize our synthetic
-//! traces into the same format for interoperability.
+//! imported, and can also serialize our synthetic traces into the same
+//! format for interoperability.
+//!
+//! ChampSim is an import format only: [`ChampSimReader`] is a
+//! forward-only stream that `btbx trace convert` drains into a `.btbt`
+//! container (see [`crate::container`]), and that container is what
+//! sweeps, `trace check` and the serving paths replay.
 
 use crate::record::{MemAccess, Op, TraceInstr};
-use crate::source::{SeekableSource, TraceSource};
+use crate::source::TraceSource;
 use btbx_core::types::{BranchClass, BranchEvent};
-use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::io::{self, Read, Write};
 
 /// Size of one `input_instr` record in bytes.
 pub const RECORD_BYTES: usize = 64;
@@ -372,180 +374,6 @@ pub fn write_champsim<W: Write>(
     Ok(written)
 }
 
-/// A seekable [`TraceSource`] over an *uncompressed* ChampSim trace
-/// file: because records are fixed 64-byte cells, instruction `i` lives
-/// at byte `i × 64` and a checkpoint is just the instruction index —
-/// `checkpoint`/`restore`/`seek` are O(1) plus one buffered re-read.
-/// This is the `champsim` arm of [`crate::any::AnySource`]; prefer
-/// converting to a `.btbt` container (`btbx trace convert`) for
-/// repeated runs, which decodes ~4× fewer bytes per event.
-///
-/// Malformed tails are rejected *at open* (the file length exposes a
-/// partial trailing record immediately), so replay never silently drops
-/// records the way a forward-only stream reader has to.
-#[derive(Debug)]
-pub struct ChampSimFileSource {
-    file: Arc<Mutex<File>>,
-    name: String,
-    /// Whole records in the file.
-    records: u64,
-    /// Instructions emitted (= index of the next record to convert).
-    pos: u64,
-    /// Buffered window of raw records: covers indices
-    /// `[buf_first, buf_first + buf.len()/64)`.
-    buf: Vec<u8>,
-    buf_first: u64,
-    instr_size: u8,
-}
-
-/// Snapshot of a [`ChampSimFileSource`]: the instruction index plus the
-/// record count as a cheap foreign-stream guard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChampSimCheckpoint {
-    pos: u64,
-    records: u64,
-}
-
-/// Records buffered per read window (64 KiB of file bytes).
-const FILE_CHUNK_RECORDS: u64 = 1024;
-
-impl ChampSimFileSource {
-    /// Open an uncompressed ChampSim trace file.
-    ///
-    /// # Errors
-    ///
-    /// [`ChampSimError::Io`] when the file cannot be opened or sized;
-    /// [`ChampSimError::TruncatedRecord`] when the length is not a
-    /// multiple of [`RECORD_BYTES`] (a partial trailing record).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ChampSimError> {
-        let path = path.as_ref();
-        let io_err = |error| ChampSimError::Io { offset: 0, error };
-        let file = File::open(path).map_err(io_err)?;
-        let len = file.metadata().map_err(io_err)?.len();
-        let partial = len % RECORD_BYTES as u64;
-        if partial != 0 {
-            return Err(ChampSimError::TruncatedRecord {
-                offset: len - partial,
-                got: partial as usize,
-            });
-        }
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "champsim".to_string());
-        Ok(ChampSimFileSource {
-            file: Arc::new(Mutex::new(file)),
-            name,
-            records: len / RECORD_BYTES as u64,
-            pos: 0,
-            buf: Vec::new(),
-            buf_first: 0,
-            instr_size: 4,
-        })
-    }
-
-    /// Total instructions in the trace.
-    pub fn len_instrs(&self) -> u64 {
-        self.records
-    }
-
-    /// Fetch record `i`, reading a fresh 64 KiB window when the buffer
-    /// does not cover it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the file shrinks or a read fails *after* open
-    /// (open-time validation sized the whole file): replay cannot
-    /// continue soundly past missing bytes, and `TraceSource` has no
-    /// error channel, so external interference is loud by design —
-    /// inside a sharded run the runner converts the panic into a failed
-    /// run labelled with the shard.
-    fn record_at(&mut self, i: u64) -> Option<InputInstr> {
-        if i >= self.records {
-            return None;
-        }
-        let buffered = (self.buf.len() / RECORD_BYTES) as u64;
-        if i < self.buf_first || i >= self.buf_first + buffered {
-            let first = i;
-            let count = FILE_CHUNK_RECORDS.min(self.records - first);
-            self.buf.resize(count as usize * RECORD_BYTES, 0);
-            let mut file = self.file.lock().unwrap();
-            file.seek(SeekFrom::Start(first * RECORD_BYTES as u64))
-                .expect("seeking a sized ChampSim trace");
-            file.read_exact(&mut self.buf)
-                .expect("reading a sized ChampSim trace");
-            self.buf_first = first;
-        }
-        let at = (i - self.buf_first) as usize * RECORD_BYTES;
-        let cell: &[u8; RECORD_BYTES] = self.buf[at..at + RECORD_BYTES].try_into().unwrap();
-        Some(InputInstr::from_bytes(cell))
-    }
-}
-
-impl Clone for ChampSimFileSource {
-    /// Clones share the file handle; cursor and read buffer are
-    /// per-instance.
-    fn clone(&self) -> Self {
-        ChampSimFileSource {
-            file: Arc::clone(&self.file),
-            name: self.name.clone(),
-            records: self.records,
-            pos: self.pos,
-            buf: Vec::new(),
-            buf_first: 0,
-            instr_size: self.instr_size,
-        }
-    }
-}
-
-impl TraceSource for ChampSimFileSource {
-    fn next_instr(&mut self) -> Option<TraceInstr> {
-        let cur = self.record_at(self.pos)?;
-        let next = self.record_at(self.pos + 1);
-        self.pos += 1;
-        Some(convert_record(cur, next.as_ref(), self.instr_size))
-    }
-
-    fn source_name(&self) -> &str {
-        &self.name
-    }
-
-    fn advance(&mut self, n: u64) -> u64 {
-        let left = self.records - self.pos;
-        let skipped = n.min(left);
-        self.pos += skipped;
-        skipped
-    }
-}
-
-impl SeekableSource for ChampSimFileSource {
-    type Checkpoint = ChampSimCheckpoint;
-
-    fn position(&self) -> u64 {
-        self.pos
-    }
-
-    fn checkpoint(&self) -> ChampSimCheckpoint {
-        ChampSimCheckpoint {
-            pos: self.pos,
-            records: self.records,
-        }
-    }
-
-    fn restore(&mut self, cp: &ChampSimCheckpoint) {
-        assert_eq!(
-            cp.records, self.records,
-            "checkpoint from a different trace (record count mismatch)"
-        );
-        self.pos = cp.pos;
-    }
-
-    fn seek(&mut self, n: u64) -> u64 {
-        self.pos = n.min(self.records);
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,87 +557,5 @@ mod tests {
             }
             other => panic!("expected Io, got {other:?}"),
         }
-    }
-
-    fn temp_trace(tag: &str, records: &[InputInstr]) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("btbx-champsim-{tag}-{}", std::process::id()));
-        let mut bytes = Vec::new();
-        for r in records {
-            bytes.extend_from_slice(&r.to_bytes());
-        }
-        std::fs::write(&path, bytes).unwrap();
-        path
-    }
-
-    fn jump_chain(n: u64) -> Vec<InputInstr> {
-        let (dst, src) = InputInstr::registers_for(BranchClass::UncondDirect);
-        (0..n)
-            .map(|i| InputInstr {
-                ip: 0x1000 + i * 0x100,
-                is_branch: 1,
-                branch_taken: 1,
-                destination_registers: dst,
-                source_registers: src,
-                ..InputInstr::default()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn file_source_matches_the_streaming_reader() {
-        let recs = jump_chain(2500); // spans two buffered windows
-        let path = temp_trace("match", &recs);
-        let mut bytes = Vec::new();
-        for r in &recs {
-            bytes.extend_from_slice(&r.to_bytes());
-        }
-        let streamed: Vec<TraceInstr> = ChampSimReader::new(&bytes[..], "s")
-            .into_iter_instrs()
-            .collect();
-        let source = ChampSimFileSource::open(&path).unwrap();
-        assert_eq!(source.len_instrs(), 2500);
-        let filed: Vec<TraceInstr> = source.into_iter_instrs().collect();
-        assert_eq!(filed, streamed);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn file_source_seeks_and_restores_in_o1() {
-        let recs = jump_chain(2000);
-        let path = temp_trace("seek", &recs);
-        let mut s = ChampSimFileSource::open(&path).unwrap();
-        let all: Vec<TraceInstr> = s.clone().into_iter_instrs().collect();
-        s.seek(1500);
-        assert_eq!(s.next_instr().unwrap(), all[1500]);
-        let cp = s.checkpoint();
-        s.seek(10);
-        assert_eq!(s.next_instr().unwrap(), all[10], "seek rewinds");
-        s.restore(&cp);
-        assert_eq!(s.next_instr().unwrap(), all[1501]);
-        assert_eq!(s.seek(1 << 40), 2000, "clamped to end");
-        assert!(s.next_instr().is_none());
-
-        let mut b = s.clone();
-        b.seek(7);
-        s.seek(9);
-        assert_eq!(b.position(), 7, "clones position independently");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn file_source_rejects_partial_tails_at_open() {
-        let recs = jump_chain(3);
-        let path = temp_trace("tail", &recs);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&[0xAA; 10]);
-        std::fs::write(&path, &bytes).unwrap();
-        match ChampSimFileSource::open(&path) {
-            Err(ChampSimError::TruncatedRecord { offset, got }) => {
-                assert_eq!(offset, 3 * RECORD_BYTES as u64);
-                assert_eq!(got, 10);
-            }
-            other => panic!("expected TruncatedRecord, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

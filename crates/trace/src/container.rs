@@ -86,7 +86,8 @@ const KIND_BRANCH0: u8 = 3;
 pub enum ContainerError {
     /// An I/O failure from the underlying file.
     Io(io::Error),
-    /// The file does not start with the `BTBT` magic.
+    /// The file does not start with the `BTBT` magic (a raw ChampSim
+    /// trace, for one, must be converted first).
     BadMagic,
     /// A container version this build does not understand.
     BadVersion(u16),
@@ -101,7 +102,11 @@ impl std::fmt::Display for ContainerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ContainerError::Io(e) => write!(f, "container I/O error: {e}"),
-            ContainerError::BadMagic => write!(f, "not a .btbt container (bad magic)"),
+            ContainerError::BadMagic => write!(
+                f,
+                "not a .btbt container (bad magic); convert a raw ChampSim \
+                 trace with `btbx trace convert IN -o OUT.btbt`"
+            ),
             ContainerError::BadVersion(v) => write!(f, "unsupported container version {v}"),
             ContainerError::BadArch(a) => write!(f, "unknown architecture byte {a}"),
             ContainerError::Corrupt(what) => write!(f, "corrupt container: {what}"),

@@ -9,19 +9,20 @@
 //!   ([`TraceInstr`]), carrying branch and memory semantics;
 //! * [`source`] — the [`TraceSource`] streaming abstraction with
 //!   combinators (`take`, `skip`) used by the simulator;
-//! * [`champsim`] — a parser/writer for the 64-byte ChampSim
+//! * [`champsim`] — a streaming parser/writer for the 64-byte ChampSim
 //!   `input_instr` format, including ChampSim's register-based branch
-//!   classification, so real IPC-1 traces can be fed in when available,
-//!   plus a seekable file-backed reader with typed truncation errors;
+//!   classification and typed truncation errors. ChampSim is an import
+//!   format: real IPC-1 traces are converted to `.btbt` containers
+//!   (`btbx trace convert`) before they are replayed;
 //! * [`packed`] — 16-byte-per-event SoA buffers ([`PackedBuf`]) for the
-//!   few places that still buffer events, and [`PackedSource`] to replay
-//!   them;
-//! * [`container`] — the on-disk `.btbt` form of the packed format: an
-//!   indexed block container whose [`PackedFileSource`] seeks in O(1),
-//!   bringing file-backed traces onto the sharded streaming engine;
-//! * [`any`] — [`AnySource`], the unified
-//!   synthetic / ChampSim / packed-file entry point every consumer
-//!   (sessions, sweeps, benches) builds its streams through;
+//!   few places that still buffer events;
+//! * [`container`] — the on-disk `.btbt` form of the packed format and
+//!   the only trace file format that replays: an indexed block container
+//!   whose [`PackedFileSource`] seeks in O(1), bringing file-backed
+//!   traces onto the sharded streaming engine;
+//! * [`any`] — [`AnySource`], the unified synthetic / packed-file entry
+//!   point every consumer (sessions, sweeps, benches) builds its streams
+//!   through;
 //! * [`synth`] — the synthetic workload generator: a seeded program image
 //!   (functions, basic blocks, calls across pages and library regions)
 //!   plus a dynamic walker that emits instruction streams whose branch
@@ -45,7 +46,7 @@ pub mod synth;
 
 pub use any::{AnyCheckpoint, AnySource, TraceOpenError};
 pub use container::{ContainerInfo, ContainerWriter, PackedFileSource};
-pub use packed::{PackedBuf, PackedInstr, PackedSource};
+pub use packed::{PackedBuf, PackedInstr};
 pub use record::{MemAccess, Op, TraceInstr};
 pub use source::{SeekableSource, TraceSource};
 pub use stats::TraceStats;

@@ -24,10 +24,11 @@
 //!
 //! Used by the simulator's streaming block buffer (the only place trace
 //! events are still buffered now that sharded runs stream their windows)
-//! and by [`PackedSource`] for in-memory replays.
+//! and by the on-disk `.btbt` container ([`crate::container`]), which
+//! stores the same word layout block by block. In-memory replays use
+//! [`crate::source::VecSource`].
 
 use crate::record::{MemAccess, Op, TraceInstr};
-use crate::source::{SeekableSource, TraceSource};
 use btbx_core::types::{BranchClass, BranchEvent};
 
 const ADDR_BITS: u32 = 48;
@@ -202,78 +203,6 @@ impl FromIterator<TraceInstr> for PackedBuf {
     }
 }
 
-/// A [`TraceSource`] replaying a [`PackedBuf`] — the 16-byte-per-event
-/// replacement for buffering windows as `Vec<TraceInstr>`.
-#[derive(Debug, Clone)]
-pub struct PackedSource {
-    name: String,
-    buf: PackedBuf,
-    pos: usize,
-}
-
-impl PackedSource {
-    /// Replay `buf` under the given source name.
-    pub fn new(name: impl Into<String>, buf: PackedBuf) -> Self {
-        PackedSource {
-            name: name.into(),
-            buf,
-            pos: 0,
-        }
-    }
-
-    /// Borrow the underlying buffer.
-    pub fn buffer(&self) -> &PackedBuf {
-        &self.buf
-    }
-}
-
-impl TraceSource for PackedSource {
-    fn next_instr(&mut self) -> Option<TraceInstr> {
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let i = self.buf.get(self.pos);
-        self.pos += 1;
-        Some(i)
-    }
-
-    fn source_name(&self) -> &str {
-        &self.name
-    }
-
-    fn advance(&mut self, n: u64) -> u64 {
-        let left = (self.buf.len() - self.pos) as u64;
-        let skipped = n.min(left);
-        self.pos += skipped as usize;
-        skipped
-    }
-}
-
-impl SeekableSource for PackedSource {
-    type Checkpoint = u64;
-
-    fn position(&self) -> u64 {
-        self.pos as u64
-    }
-
-    fn checkpoint(&self) -> u64 {
-        self.pos as u64
-    }
-
-    fn restore(&mut self, cp: &u64) {
-        assert!(
-            *cp <= self.buf.len() as u64,
-            "checkpoint beyond the buffer: not from this stream"
-        );
-        self.pos = *cp as usize;
-    }
-
-    fn seek(&mut self, n: u64) -> u64 {
-        self.pos = (n as usize).min(self.buf.len());
-        self.pos as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,21 +282,6 @@ mod tests {
         for (i, want) in weird.iter().enumerate() {
             assert_eq!(buf.get(i), *want, "escaped record {i}");
         }
-    }
-
-    #[test]
-    fn packed_source_replays_in_order_and_seeks() {
-        let instrs = sample_instrs();
-        let mut s = PackedSource::new("packed", instrs.iter().copied().collect());
-        assert_eq!(s.source_name(), "packed");
-        let replay: Vec<TraceInstr> = s.clone().into_iter_instrs().collect();
-        assert_eq!(replay, instrs);
-        s.seek(3);
-        assert_eq!(s.next_instr().unwrap(), instrs[3]);
-        let cp = s.checkpoint();
-        s.advance(2);
-        s.restore(&cp);
-        assert_eq!(s.next_instr().unwrap(), instrs[4]);
     }
 
     #[test]

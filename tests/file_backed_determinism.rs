@@ -16,10 +16,10 @@
 
 use btbx::core::{BtbSpec, OrgKind};
 use btbx::trace::champsim::ChampSimReader;
-use btbx::trace::container::{write_container, PackedFileSource};
+use btbx::trace::container::{write_container, ContainerError, PackedFileSource};
 use btbx::trace::source::TraceSource;
 use btbx::trace::suite::WorkloadSpec;
-use btbx::trace::{AnySource, TraceInstr};
+use btbx::trace::{AnySource, TraceInstr, TraceOpenError};
 use btbx::uarch::sim::EVENT_BLOCK_BYTES;
 use btbx::uarch::{IntervalStats, ParallelOutcome, ParallelSession, SimConfig, SimSession};
 use std::path::{Path, PathBuf};
@@ -187,16 +187,16 @@ fn file_backed_runs_are_shard_invariant_across_counts() {
 }
 
 #[test]
-fn raw_champsim_files_shard_identically_too() {
-    // The AnySource champsim arm is seekable in its own right; the
-    // container is the fast path, not a correctness requirement.
-    let proto = AnySource::open(fixture_path()).unwrap();
-    assert!(matches!(proto, AnySource::ChampSim(_)));
-    let spec = BtbSpec::of(OrgKind::BtbX);
-    let (serial, serial_intervals) = serial_reference(proto.clone(), spec);
-    let out = sharded(&proto, spec, 4);
-    assert_identical("raw champsim, 4 shards", &serial, &out);
-    assert_intervals_identical("raw champsim", &serial_intervals, &out.intervals);
+fn raw_champsim_files_must_be_converted_first() {
+    // `.btbt` is the only trace file format that replays; a raw ChampSim
+    // file is refused with a pointer to the converter rather than
+    // replayed under guessed instruction sizes and no arch.
+    let err = AnySource::open(fixture_path()).unwrap_err();
+    assert!(
+        matches!(err, TraceOpenError::Container(ContainerError::BadMagic)),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("btbx trace convert"), "{err}");
 }
 
 /// Regenerates `tests/fixtures/ipc1_like_50k.champsim` from the synthetic
