@@ -103,7 +103,7 @@ endpoints:
   GET  /stats      request + cache counters (incl. remote store traffic)
   GET  /blob/KEY   fetch a cache blob by content-addressed key (404 on
                    miss); HEAD probes existence
-  PUT  /blob/KEY   publish a blob (atomic; results, warm snaps, traces)
+  PUT  /blob/KEY   publish a blob (atomic; results, traces)
   POST /shutdown   graceful shutdown (drains in-flight requests)
 
 options:

@@ -42,9 +42,7 @@ pub mod report;
 pub mod serve;
 pub mod store;
 pub mod sweep;
-pub mod warm;
 
 pub use opts::HarnessOpts;
 pub use store::ResultStore;
 pub use sweep::{SimPoint, Sweep};
-pub use warm::WarmCache;

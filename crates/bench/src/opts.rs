@@ -49,9 +49,9 @@ pub struct HarnessOpts {
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.
     pub fault_plan: Option<PathBuf>,
-    /// Where content-addressed cache blobs (results, warm snapshots,
-    /// trace containers) live. `None` keeps today's default: a `dir://`
-    /// store under `<out>/cache`.
+    /// Where content-addressed cache blobs (results, trace containers)
+    /// live. `None` keeps today's default: a `dir://` store under
+    /// `<out>/cache`.
     pub store: Option<StoreUrl>,
 }
 

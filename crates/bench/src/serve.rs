@@ -15,10 +15,11 @@
 //! * **Durability.** Results are written atomically (temp file + rename)
 //!   so a killed server never leaves an entry that a later reader parses
 //!   as valid; damaged entries are quarantined, not served.
-//! * **Warm-state reuse.** Sharded runs of a point share one
-//!   [`AnyWarmLadder`] across requests, so repeat runs restore warmed
-//!   microarchitectural state at every shard boundary in O(state) —
-//!   no warm-up replay — and are bit-identical to serial runs.
+//! * **Sharding.** With `--shards K` a computed point runs as `K`
+//!   interval shards that hand warm snapshots forward within that one
+//!   run (see `btbx_uarch::parallel`); the result is bit-identical to a
+//!   serial run. No warm state outlives the request, so a repeat is
+//!   answered from the durable store, not re-simulated.
 //!
 //! # Protocol
 //!
@@ -69,9 +70,8 @@ use btbx_core::faults;
 use btbx_trace::container;
 use btbx_uarch::runner::ServicePool;
 use btbx_uarch::sim::ABORT_MARKER;
-use btbx_uarch::{AnyWarmLadder, SimResult};
+use btbx_uarch::SimResult;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,11 +179,6 @@ struct ServerState {
     shard_threads: usize,
     max_inflight: usize,
     deadline: Option<Duration>,
-    /// One warm ladder per distinct simulation point (cache key), shared
-    /// across requests so repeat runs restore warmed state in O(state).
-    /// Keyed by the full point (not just the workload) because warm
-    /// snapshots embed the BTB organization, budget and configuration.
-    ladders: Mutex<HashMap<String, Arc<AnyWarmLadder>>>,
     /// Live `/sim` deadline registrations, polled by the watch thread.
     /// Weak: a finished request drops its flag and the entry self-prunes.
     deadlines: Mutex<Vec<(Instant, Weak<AtomicBool>)>>,
@@ -218,35 +213,6 @@ impl ServerState {
             resumed_points: self.resumed_points.load(Ordering::Relaxed),
             store: self.store.counters(),
         }
-    }
-
-    fn ladder_for(&self, point: &SimPoint) -> Option<Arc<AnyWarmLadder>> {
-        if self.shards <= 1 {
-            return None;
-        }
-        let key = point.cache_file();
-        // Recover (not propagate) mutex poison: the map cannot be torn
-        // by a panicking holder — every critical section is a single
-        // entry lookup/insert — and refusing all future warm-state reuse
-        // because one request died would turn one failure into many.
-        let mut ladders = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = ladders
-            .entry(key)
-            .or_insert_with(|| Arc::new(AnyWarmLadder::new()));
-        // A ladder poisoned by a dead shard (deadline abort, simulation
-        // panic) fails every waiter by design; rebuild the entry so the
-        // next request warms fresh instead of inheriting the poison.
-        if entry.is_poisoned() {
-            *entry = Arc::new(AnyWarmLadder::new());
-        }
-        Some(Arc::clone(entry))
-    }
-
-    /// Drop a point's shared ladder after its computation panicked (it
-    /// may have been poisoned mid-warm).
-    fn evict_ladder(&self, point: &SimPoint) {
-        let mut ladders = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
-        ladders.remove(&point.cache_file());
     }
 
     /// Try to take one `/sim` admission slot; `None` means the server is
@@ -366,7 +332,6 @@ impl Server {
             shard_threads,
             max_inflight: config.max_inflight,
             deadline: config.deadline,
-            ladders: Mutex::new(HashMap::new()),
             deadlines: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -547,8 +512,8 @@ fn route(
 /// Blob keys are flat content-addressed file names: no path separators,
 /// no leading dot (dotfiles and `..` cannot be named), a conservative
 /// charset, and a bounded length. Everything a harness consumer
-/// publishes (`<workload>-<org>-<hash>.json`, `warm-<hash>.snap`,
-/// `trace-<hash>.btbt`) passes; traversal attempts do not.
+/// publishes (`<workload>-<org>-<hash>.json`, `trace-<hash>.btbt`)
+/// passes; traversal attempts do not.
 fn valid_blob_key(key: &str) -> bool {
     !key.is_empty()
         && key.len() <= 160
@@ -560,14 +525,11 @@ fn valid_blob_key(key: &str) -> bool {
 
 /// Map a blob key onto this node's cache layout, so blobs published
 /// over HTTP land exactly where local consumers write (and read) them:
-/// warm snapshots under `<cache>/warm`, trace containers under
-/// `<cache>/trace`, everything else (sweep results) at the top level.
-/// That placement is what keeps a coordinator's blob-fed cache
-/// byte-identical to a CLI run's.
+/// trace containers under `<cache>/trace`, everything else (sweep
+/// results) at the top level. That placement is what keeps a
+/// coordinator's blob-fed cache byte-identical to a CLI run's.
 fn blob_dir(cache_dir: &Path, key: &str) -> PathBuf {
-    if key.starts_with("warm-") && key.ends_with(".snap") {
-        cache_dir.join("warm")
-    } else if key.starts_with("trace-") && key.ends_with(".btbt") {
+    if key.starts_with("trace-") && key.ends_with(".btbt") {
         cache_dir.join("trace")
     } else {
         cache_dir.to_path_buf()
@@ -635,7 +597,6 @@ fn blob_put(
 /// other panic or cache failure a 500.
 fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), (u16, String)> {
     let name = point.cache_file();
-    let ladder = state.ladder_for(point);
     let abort = state.arm_deadline();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         state.store.get_or_compute(&name, false, || {
@@ -645,7 +606,6 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
             point.run_with(RunOpts {
                 shards: state.shards,
                 threads: state.shard_threads,
-                warm: ladder.as_deref(),
                 abort: abort.clone(),
                 source: None,
             })
@@ -655,10 +615,6 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
         Ok(Ok(hit)) => Ok(hit),
         Ok(Err(e)) => Err((500, format!("cache: {e}"))),
         Err(payload) => {
-            // The panic may have poisoned this point's shared warm
-            // ladder mid-warm; evict it so the next request builds a
-            // fresh one instead of inheriting the poison.
-            state.evict_ladder(point);
             let msg = btbx_uarch::runner::panic_message(&*payload);
             if msg.contains(ABORT_MARKER) {
                 // Deadline abort (joiners of the same flight see the
@@ -937,10 +893,10 @@ pub fn http_request(addr: &str, method: &str, path: &str, body: &str) -> io::Res
 
 /// The HTTP client: request and response bodies are raw bytes, which
 /// the blob transport ([`crate::store::HttpStore`]) needs — trace
-/// containers and warm snapshots are not UTF-8. Every phase (connect,
-/// write, read) honours `timeout`, so a hung or wedged peer can never
-/// stall the caller indefinitely (one wedged node must not pin a whole
-/// cluster sweep), and the `Connect`/`HttpRead` fault-injection
+/// containers are not UTF-8. Every phase (connect, write, read) honours
+/// `timeout`, so a hung or wedged peer can never stall the caller
+/// indefinitely (one wedged node must not pin a whole cluster sweep),
+/// and the `Connect`/`HttpRead` fault-injection
 /// checkpoints fire here, so remote operations are injectable exactly
 /// like local ones.
 ///

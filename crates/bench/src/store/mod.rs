@@ -36,12 +36,11 @@
 //!
 //! # Backends
 //!
-//! The byte storage itself is pluggable: [`ResultStore`] (and
-//! [`crate::warm::WarmCache`], and the serve node's trace resolution)
-//! sit on the [`Store`] trait from [`backend`], selected by URL scheme
-//! (`dir://` — the default local layout, `mem://`, `http://` — a peer
-//! serve node's blob endpoints, `tiered://` — a local dir in front of a
-//! remote). Every guarantee above is backend-independent; `dir://` is
+//! The byte storage itself is pluggable: [`ResultStore`] and the serve
+//! node's trace resolution sit on the [`Store`] trait from [`backend`],
+//! selected by URL scheme (`dir://` — the default local layout,
+//! `mem://`, `http://` — a peer serve node's blob endpoints,
+//! `tiered://` — a local dir in front of a remote). Every guarantee above is backend-independent; `dir://` is
 //! byte-compatible with every cache written before backends existed.
 
 pub mod backend;
@@ -153,7 +152,7 @@ pub struct StoreCounters {
     pub store_failures: u64,
     /// Blobs served by a remote backend (`http://`/`tiered://` only;
     /// aggregated across every consumer sharing the backend's
-    /// [`RemoteCounters`] — results, warm snapshots, trace fetches).
+    /// [`RemoteCounters`] — results and trace fetches).
     #[serde(default)]
     pub remote_hits: u64,
     /// Blobs a remote backend did not have (404).

@@ -47,7 +47,7 @@ use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
 use btbx_trace::AnySource;
 use btbx_uarch::runner::{run_jobs, run_named_jobs};
-use btbx_uarch::{AnyWarmLadder, ParallelSession, SessionError, SimConfig, SimResult, SimSession};
+use btbx_uarch::{ParallelSession, SessionError, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -196,9 +196,6 @@ impl SimPoint {
             .measure(self.measure)
             .shards(opts.shards)
             .threads(opts.threads);
-        if let Some(warm) = opts.warm {
-            session = session.warm_ladder(warm);
-        }
         if let Some(flag) = opts.abort {
             session = session.abort(flag);
         }
@@ -214,11 +211,6 @@ pub struct RunOpts<'a> {
     pub shards: usize,
     /// Worker threads for the shards.
     pub threads: usize,
-    /// A warm ladder shared across runs of the same point (e.g. by
-    /// `btbx serve` across requests): sharded runs restore warmed
-    /// microarchitectural state at every shard boundary from it, so
-    /// re-runs skip the warm-up prefix entirely.
-    pub warm: Option<&'a AnyWarmLadder>,
     /// A cooperative abort flag: the simulation polls it and unwinds
     /// (with [`btbx_uarch::sim::ABORT_MARKER`]) once it is set — how the
     /// serve layer enforces per-request deadlines.

@@ -3,18 +3,16 @@
 //! performance optimization — bit-identical statistics AND
 //! byte-identical cache entries versus each point run alone with
 //! `SimPoint::run` and published through its own `ResultStore`, for
-//! every organization, across sharding, warm-ladder reuse and
-//! crash-resume. Any divergence here means a group is simulating a
+//! every organization, across sharding and crash-resume. Any divergence here means a group is simulating a
 //! *different* machine, not the same machine faster.
 
 use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::store::ResultStore;
-use btbx_bench::sweep::RunOpts;
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
-use btbx_uarch::{AnyWarmLadder, SimResult};
+use btbx_uarch::SimResult;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -123,39 +121,6 @@ fn sharded_sweep_matches_per_point_bytes() {
     assert_cache_bytes_equal(&sweep, &sharded_dir, &serial_dir);
     let _ = fs::remove_dir_all(&sharded_dir);
     let _ = fs::remove_dir_all(&serial_dir);
-}
-
-/// Warm-ladder reuse next to grouping: the serve layer restores warmed
-/// microarchitectural state from an [`AnyWarmLadder`] across repeat
-/// runs; those restored runs must agree exactly with what a grouped
-/// sweep published for the same points.
-#[test]
-fn warm_ladder_reuse_stays_bit_identical_alongside_batching() {
-    let sweep = Sweep::named("diff-warm")
-        .workloads(suite::ipc1_client().into_iter().take(1))
-        .orgs([OrgKind::Conv, OrgKind::BtbX])
-        .budgets([BudgetPoint::Kb3_6])
-        .fdip_options([false])
-        .windows(2_000, 4_000);
-    let dir = scratch("warm-batched");
-    let batched = sweep.run(&opts(&dir));
-    for (point, expected) in sweep.points().iter().zip(&batched) {
-        let ladder = AnyWarmLadder::new();
-        let sharded = || {
-            point.run_with(RunOpts {
-                shards: 3,
-                threads: 2,
-                warm: Some(&ladder),
-                ..RunOpts::default()
-            })
-        };
-        let populate = sharded();
-        assert!(!ladder.is_empty(), "populate run must fill the ladder");
-        let reuse = sharded();
-        assert_eq!(&populate, expected, "ladder-populating run diverges");
-        assert_eq!(&reuse, expected, "warm-restored run diverges");
-    }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Crash-resume under grouping: with some members of a group journalled

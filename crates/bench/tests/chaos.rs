@@ -351,21 +351,33 @@ fn one_node_coordinator_rides_out_shedding() {
 /// remains healthy for normal-sized work afterwards.
 #[test]
 fn deadline_aborts_runaway_simulations_and_the_server_survives() {
-    let out = scratch("deadline");
+    assert_deadline_abort_is_survived("deadline", 1, 150);
+}
+
+/// The same with sharded simulations: the deadline fires while shard 1
+/// waits for shard 0's hand-off. The run must fail as one request, not
+/// take the server process down.
+#[test]
+fn a_sharded_server_survives_a_deadline_abort() {
+    assert_deadline_abort_is_survived("deadline-sharded", 2, 300);
+}
+
+fn assert_deadline_abort_is_survived(tag: &str, shards: usize, deadline_ms: u64) {
+    let out = scratch(tag);
     let server = Server::start(ServeConfig {
         port: 0,
         cache_dir: out.join("cache"),
         threads: 2,
-        shards: 1,
+        shards,
         max_inflight: 0,
-        deadline: Some(Duration::from_millis(150)),
+        deadline: Some(Duration::from_millis(deadline_ms)),
         store: None,
         http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
     })
     .expect("server starts");
     let addr = server.addr().to_string();
 
-    // A point far too large to finish inside 150 ms.
+    // A point far too large to finish inside the deadline.
     let runaway = Sweep::named("chaos-runaway")
         .workloads(suite::ipc1_client().into_iter().take(1))
         .orgs([OrgKind::BtbX])

@@ -268,11 +268,10 @@ fn one_node_coordinator_matches_local_sweep_order_and_results() {
 }
 
 #[test]
-fn sharded_server_reuses_ladders_across_requests() {
-    // A sharded server re-serving the same workload should still answer
-    // correctly (the ladder makes repositioning cheap; correctness is
-    // what we can assert here).
-    let (server, out) = start("ladder", 2);
+fn sharded_server_serves_a_repeat_from_disk_byte_identically() {
+    // A sharded server computes a point once; asking again is answered
+    // from the durable store with the same bytes, not re-simulated.
+    let (server, out) = start("sharded-repeat", 2);
     let addr = server.addr().to_string();
     let point = &two_point_sweep().points()[0];
     let body = serde_json::to_string(point).unwrap();

@@ -97,8 +97,8 @@ proptest! {
     }
 
     /// A sealed snapshot is rejected under any other identity key — the
-    /// guard that stops a warm-ladder entry from leaking across
-    /// workloads, organizations, or budgets.
+    /// guard that stops a shard from restoring a hand-off sealed for
+    /// another workload, organization, or budget.
     #[test]
     fn sealed_snapshot_refuses_a_foreign_identity(
         events in arb_events(200),

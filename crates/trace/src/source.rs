@@ -14,8 +14,8 @@
 //!   past a shard's prefix;
 //! * [`SeekableSource`] adds snapshot/restore of the full generator state,
 //!   so a position reached once — by anyone — never has to be re-derived
-//!   by stepping again. `btbx_uarch::parallel` builds its checkpoint
-//!   ladder on top of this.
+//!   by stepping again. `btbx_uarch::parallel` hands these checkpoints
+//!   from shard to shard.
 
 use crate::packed::PackedBuf;
 use crate::record::TraceInstr;

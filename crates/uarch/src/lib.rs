@@ -62,10 +62,7 @@ pub mod stats;
 
 pub use batch::{BatchLane, BatchSession};
 pub use config::SimConfig;
-pub use parallel::{
-    warm_identity, AnyWarmLadder, ParallelOutcome, ParallelSession, ParallelTelemetry, WarmEntry,
-    WarmLadder,
-};
+pub use parallel::{ParallelOutcome, ParallelSession, ParallelTelemetry};
 pub use session::{IntervalStats, SessionError, SimSession};
 pub use sim::{simulate, Simulator};
 pub use stats::{SimResult, SimStats};

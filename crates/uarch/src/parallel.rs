@@ -6,14 +6,20 @@
 //!
 //! A serial run warms `W` instructions and measures `M`. A sharded run
 //! splits `[W, W + M)` into `K` chunks and hands **warm
-//! microarchitectural snapshots** from shard to shard through a
-//! [`WarmLadder`]. Shard 0 warms from position 0 exactly as a serial run
-//! would. Every shard, on reaching the next chunk boundary, serializes its
-//! complete state (BTB, direction predictor, RAS, caches, MSHRs, FTQ,
-//! ROB, FDIP and all in-flight bookkeeping — see [`btbx_core::snap`]) and
-//! publishes it together with a trace checkpoint. The next shard restores
-//! that pair in O(state) and continues on the *identical* serial
-//! trajectory.
+//! microarchitectural snapshots** from shard to shard. Shard 0 warms from
+//! position 0 exactly as a serial run would. Every shard but the last, on
+//! reaching its chunk's end, serializes its complete state (BTB,
+//! direction predictor, RAS, caches, MSHRs, FTQ, ROB, FDIP and all
+//! in-flight bookkeeping — see [`btbx_core::snap`]) and sends it, with a
+//! trace checkpoint, over a channel private to that boundary. The next
+//! shard restores that pair in O(state) and continues on the *identical*
+//! serial trajectory.
+//!
+//! Warm state lives for one run: the channels are created by
+//! [`ParallelSession::run`] and dropped with it. A shard that fails drops
+//! its sender unsent; its successor sees the hang-up and returns without
+//! a result, so the one panic the run re-raises is the failing shard's
+//! own (a deadline abort keeps [`crate::sim::ABORT_MARKER`]).
 //!
 //! Each shard **streams** its window from its own trace source, so there
 //! is no shared materialization pass and no `O(window)` event buffer —
@@ -21,11 +27,6 @@
 //! staging block per live shard (plus, for file-backed
 //! [`btbx_trace::AnySource`] streams, one decoded container block per
 //! live shard).
-//!
-//! A cold run pipelines shards hand to hand. Re-runs through a shared
-//! warm ladder ([`ParallelSession::warm_ladder`]: a repeated bench, a
-//! sweep repetition, a served point) restore every boundary immediately
-//! and execute fully in parallel.
 //!
 //! # Determinism and serial equivalence
 //!
@@ -46,24 +47,16 @@ use crate::SimConfig;
 use btbx_core::snap::{restore_sealed, save_sealed};
 use btbx_core::spec::BtbSpec;
 use btbx_trace::source::SeekableSource;
-use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-/// Upper bound on retained warm rungs per ladder; later publishes are
-/// dropped once the ladder is full (rungs already present stay usable).
-const LADDER_CAPACITY: usize = 1024;
-
-/// The warm-ladder type for [`btbx_trace::AnySource`] streams.
-pub type AnyWarmLadder = WarmLadder<btbx_trace::AnyCheckpoint>;
-
-/// The exact-simulation identity a [`WarmLadder`] binds to and warm
-/// snapshots are sealed under: workload stream, BTB organization and
-/// budget, warm-up length, and the full simulator configuration
-/// (fingerprinted via its `Debug` form, which covers every field).
-/// Persistence layers key warm-cache files by this string.
-pub fn warm_identity(source_name: &str, spec: &BtbSpec, warmup: u64, config: &SimConfig) -> String {
+/// The exact-simulation identity warm snapshots are sealed under:
+/// workload stream, BTB organization and budget, warm-up length, and the
+/// full simulator configuration (fingerprinted via its `Debug` form,
+/// which covers every field). Restoring under any other identity fails
+/// with [`btbx_core::snap::SnapError::KeyMismatch`].
+fn warm_identity(source_name: &str, spec: &BtbSpec, warmup: u64, config: &SimConfig) -> String {
     format!(
         "{}|{}|{}b|warm{}|{:?}",
         source_name,
@@ -74,183 +67,20 @@ pub fn warm_identity(source_name: &str, spec: &BtbSpec, warmup: u64, config: &Si
     )
 }
 
-/// One warm-state rung: a trace checkpoint paired with a sealed
-/// microarchitectural snapshot, both taken at the same serial-trajectory
-/// moment (the first tick boundary at or past the rung's nominal
-/// instruction count).
-#[derive(Debug, Clone)]
-pub struct WarmEntry<C> {
+/// What shard `i` sends shard `i + 1`: a trace checkpoint and a sealed
+/// simulator snapshot taken at the same serial-trajectory moment (the
+/// first tick boundary at or past the chunk's end).
+struct Handoff<C> {
     /// Trace-source state at the snapshot moment (the source sits ahead
     /// of commit by the in-flight instructions the snapshot carries).
-    pub checkpoint: C,
-    /// Sealed simulator state ([`btbx_core::snap::save_sealed`] bytes),
-    /// shared cheaply between the ladder and persistence layers.
-    pub snapshot: Arc<Vec<u8>>,
+    checkpoint: C,
+    /// [`save_sealed`] bytes.
+    snapshot: Vec<u8>,
     /// Actual committed count at the end of warm-up (`W′ ≥ warmup`,
     /// overshooting by less than the commit width). All chunk targets are
-    /// `base + i·chunk`, so every restorer continues the same trajectory.
-    pub base: u64,
-    /// Actual committed count at the snapshot moment.
-    pub committed: u64,
-    /// Trace-source position at the snapshot moment (lets persistence
-    /// re-derive `checkpoint` from a fresh source via `seek`).
-    pub position: u64,
+    /// `base + i·chunk`, so every shard continues the same trajectory.
+    base: u64,
 }
-
-#[derive(Debug)]
-struct WarmState<C> {
-    slots: BTreeMap<u64, WarmEntry<C>>,
-    poisoned: bool,
-}
-
-/// A shared store of warm microarchitectural snapshots keyed by *nominal*
-/// instruction count (`warmup + i·chunk`): how the shards of a
-/// [`ParallelSession`] hand warm state to each other.
-///
-/// One warm ladder serves one exact simulation identity — workload, BTB
-/// spec, warm-up length and simulator configuration. The first publisher
-/// binds the identity string; later use under a different identity panics
-/// rather than silently restoring foreign state. Entries are keyed by
-/// nominal counts so that runs with *different shard geometries* reuse
-/// each other's rungs whenever their boundaries coincide: an entry at key
-/// `K` is always "the serial state at the first tick boundary with
-/// `committed ≥ base + (K − warmup)`", independent of which run produced
-/// it.
-#[derive(Debug)]
-pub struct WarmLadder<C> {
-    identity: Mutex<Option<String>>,
-    state: Mutex<WarmState<C>>,
-    ready: Condvar,
-}
-
-impl<C: Clone> Default for WarmLadder<C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<C: Clone> WarmLadder<C> {
-    /// An empty, unbound ladder.
-    pub fn new() -> Self {
-        WarmLadder {
-            identity: Mutex::new(None),
-            state: Mutex::new(WarmState {
-                slots: BTreeMap::new(),
-                poisoned: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Bind the ladder to a simulation identity (first caller wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics when already bound to a different identity: snapshots embed
-    /// the full BTB and cache state, so cross-identity reuse would replay
-    /// the wrong microarchitecture.
-    pub fn bind(&self, identity: &str) {
-        let mut bound = self.identity.lock().unwrap();
-        match bound.as_deref() {
-            None => *bound = Some(identity.to_string()),
-            Some(prev) => assert_eq!(
-                prev, identity,
-                "warm ladder is bound to `{prev}`; refusing to reuse it for `{identity}`"
-            ),
-        }
-    }
-
-    /// The bound identity, if any (persistence keys cache files by it).
-    pub fn identity(&self) -> Option<String> {
-        self.identity.lock().unwrap().clone()
-    }
-
-    /// The entry at nominal key `key`, if already published.
-    pub fn get(&self, key: u64) -> Option<WarmEntry<C>> {
-        self.state.lock().unwrap().slots.get(&key).cloned()
-    }
-
-    /// Block until the entry at `key` is published and return it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the ladder is poisoned — the producing shard died, so
-    /// waiting would hang forever.
-    pub fn wait(&self, key: u64) -> WarmEntry<C> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            assert!(
-                !state.poisoned,
-                "warm ladder poisoned: a producing shard failed before publishing key {key}"
-            );
-            if let Some(e) = state.slots.get(&key) {
-                return e.clone();
-            }
-            state = self.ready.wait(state).unwrap();
-        }
-    }
-
-    /// Store the entry at `key` (first publish wins; capacity-capped) and
-    /// wake every waiter.
-    pub fn publish(&self, key: u64, entry: WarmEntry<C>) {
-        let mut state = self.state.lock().unwrap();
-        if state.slots.len() < LADDER_CAPACITY {
-            state.slots.entry(key).or_insert(entry);
-        }
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Mark the ladder unusable and wake every waiter (they panic instead
-    /// of hanging). Called by the shard-failure drop guard.
-    pub fn poison(&self) {
-        self.state.lock().unwrap().poisoned = true;
-        self.ready.notify_all();
-    }
-
-    /// Whether a producing shard died and poisoned the ladder. A
-    /// poisoned ladder panics every waiter, so long-lived owners (the
-    /// serve layer's per-point ladder map) check this to replace the
-    /// entry instead of handing the poison to the next request.
-    pub fn is_poisoned(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .poisoned
-    }
-
-    /// All entries in key order (persistence walks these).
-    pub fn entries(&self) -> Vec<(u64, WarmEntry<C>)> {
-        let state = self.state.lock().unwrap();
-        state.slots.iter().map(|(k, e)| (*k, e.clone())).collect()
-    }
-
-    /// Number of entries held.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().slots.len()
-    }
-
-    /// `true` when no entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Poisons the warm ladder if a shard job unwinds before disarming, so
-/// waiting shards panic promptly instead of deadlocking on the condvar.
-struct PoisonGuard<'a, C: Clone> {
-    ladder: &'a WarmLadder<C>,
-    armed: bool,
-}
-
-impl<C: Clone> Drop for PoisonGuard<'_, C> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.ladder.poison();
-        }
-    }
-}
-
 /// Per-run positioning and buffering telemetry (perfbench reports it as
 /// its `parallel.*` metrics). That no serial generation pass creeps back
 /// is pinned by an event-count test, not by these timings.
@@ -278,10 +108,9 @@ pub struct ParallelTelemetry {
     pub restore_seconds: f64,
     /// Largest sealed snapshot produced or consumed this run, in bytes.
     pub snapshot_bytes: u64,
-    /// Instructions *simulated* to build warm state this
-    /// run (shard 0's cold warm-up). Zero when every boundary — including
-    /// the warm-up itself — was restored from the warm ladder, the
-    /// telemetry signature of an O(state) re-run.
+    /// Instructions shard 0 simulated to warm up (the committed count at
+    /// the end of warm-up, `W′ ≥ warmup`). Every later shard restores its
+    /// predecessor's snapshot instead, so this never grows with `K`.
     pub warmed_instructions: u64,
 }
 
@@ -305,7 +134,7 @@ pub struct ParallelOutcome {
 /// `factory` must produce a fresh, identical trace stream per call (every
 /// [`btbx_trace::suite::WorkloadSpec`] and any `Clone` source qualifies);
 /// each shard streams its own window from its own source instance.
-pub struct ParallelSession<'l, S: SeekableSource, F> {
+pub struct ParallelSession<F> {
     factory: F,
     spec: BtbSpec,
     config: SimConfig,
@@ -315,11 +144,10 @@ pub struct ParallelSession<'l, S: SeekableSource, F> {
     shards: usize,
     interval: Option<u64>,
     threads: usize,
-    warm: Option<&'l WarmLadder<S::Checkpoint>>,
     abort: Option<Arc<AtomicBool>>,
 }
 
-impl<'l, S, F> ParallelSession<'l, S, F>
+impl<S, F> ParallelSession<F>
 where
     S: SeekableSource + Send,
     F: Fn() -> S + Sync,
@@ -328,8 +156,7 @@ where
     /// shard, `spec` describes the BTB under test.
     ///
     /// Defaults: Table II config, no warm-up, 1 shard, one interval per
-    /// shard, one thread per shard (capped at the host's parallelism),
-    /// run-local warm ladder.
+    /// shard, one thread per shard (capped at the host's parallelism).
     pub fn new(factory: F, spec: BtbSpec) -> Self {
         ParallelSession {
             factory,
@@ -343,7 +170,6 @@ where
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            warm: None,
             abort: None,
         }
     }
@@ -402,15 +228,6 @@ where
     /// Panics when `on` is `false`: no other sharding mode exists.
     pub fn checkpoints(self, on: bool) -> Self {
         assert!(on, "sharded sessions always run in checkpoint mode");
-        self
-    }
-
-    /// Reuse a [`WarmLadder`] across runs of the *same simulation
-    /// identity* (workload, spec, warm-up and configuration): every
-    /// boundary already published restores in O(state), so re-runs skip
-    /// the serial warm-up entirely and execute fully in parallel.
-    pub fn warm_ladder(mut self, ladder: &'l WarmLadder<S::Checkpoint>) -> Self {
-        self.warm = Some(ladder);
         self
     }
 
@@ -479,11 +296,10 @@ where
         self.run_sharded(shards, setup_started)
     }
 
-    /// Sharded back half of [`run`](Self::run): shards restore warm
-    /// snapshots from the [`WarmLadder`] (or hand them forward while a
-    /// cold run pipelines) and measure to *absolute* committed targets on
-    /// the serial trajectory, so the merge is bit-identical to a serial
-    /// session for any workload.
+    /// Sharded back half of [`run`](Self::run): each shard restores its
+    /// predecessor's hand-off (shard 0 warms up instead) and measures to
+    /// *absolute* committed targets on the serial trajectory, so the
+    /// merge is bit-identical to a serial session for any workload.
     fn run_sharded(
         self,
         shards: usize,
@@ -499,14 +315,14 @@ where
         // window in 5); drop the empty tail.
         let shards = measure.div_ceil(chunk) as usize;
 
-        let local_warm;
-        let warm = match self.warm {
-            Some(shared) => shared,
-            None => {
-                local_warm = WarmLadder::new();
-                &local_warm
-            }
-        };
+        // One channel per boundary: shard `i` owns the sender into shard
+        // `i + 1`'s inbox. Unbounded, so a shard never blocks on its send
+        // and a single worker thread runs the shards in order.
+        let (outboxes, inboxes): (Vec<_>, Vec<_>) = (1..shards)
+            .map(|_| mpsc::channel::<Handoff<S::Checkpoint>>())
+            .unzip();
+        let outboxes = outboxes.into_iter().map(Some).chain([None]);
+        let inboxes = [None].into_iter().chain(inboxes.into_iter().map(Some));
 
         struct ShardCost {
             restore_seconds: f64,
@@ -518,71 +334,43 @@ where
         let label = &self.label;
         let factory = &self.factory;
         let abort = &self.abort;
-        let jobs: Vec<(String, _)> = (0..shards)
-            .map(|i| {
+        let jobs: Vec<(String, _)> = inboxes
+            .zip(outboxes)
+            .enumerate()
+            .map(|(i, (inbox, outbox))| {
                 let job = move || {
-                    // If this job dies before handing its snapshot on,
-                    // poison the ladder so downstream shards fail fast
-                    // instead of waiting forever.
-                    let mut guard = PoisonGuard {
-                        ladder: warm,
-                        armed: true,
-                    };
                     let restore_started = Instant::now();
                     let mut source = factory();
                     let identity = warm_identity(source.source_name(), &spec, warmup, config);
-                    warm.bind(&identity);
-                    let key = warmup + i as u64 * chunk;
-                    let mut snapshot_bytes = 0u64;
-                    let mut warmed_instructions = 0u64;
-
                     let engine = spec.build_engine().expect("spec validated before sharding");
                     let bpu = Bpu::new(engine, config.ras_entries, config.decode_resteer);
                     let org = label.clone().unwrap_or_else(|| spec.org.id().to_string());
-
-                    // Shard 0 may build the warm-up from scratch; every
-                    // later shard restores its predecessor's hand-off.
-                    let entry = if i == 0 {
-                        warm.get(key)
-                    } else {
-                        Some(warm.wait(key))
+                    // A hang-up means the predecessor failed; its own
+                    // panic fails the run, so this shard just stops.
+                    let Ok(handoff) = inbox.map(|rx| rx.recv()).transpose() else {
+                        return None;
                     };
-                    let (mut sim, base) = match entry {
-                        Some(e) => {
-                            source.restore(&e.checkpoint);
-                            let mut sim =
-                                Simulator::new(config.clone(), source, bpu, org, spec.bits());
-                            if let Some(a) = abort {
-                                sim.set_abort(Arc::clone(a));
-                            }
-                            restore_sealed(&mut sim, &identity, &e.snapshot).unwrap_or_else(
-                                |err| panic!("warm snapshot restore failed at key {key}: {err}"),
+                    if let Some(h) = &handoff {
+                        source.restore(&h.checkpoint);
+                    }
+                    let mut sim = Simulator::new(config.clone(), source, bpu, org, spec.bits());
+                    if let Some(a) = abort {
+                        sim.set_abort(Arc::clone(a));
+                    }
+                    let mut snapshot_bytes = 0u64;
+                    let mut warmed_instructions = 0u64;
+                    let base = match handoff {
+                        Some(h) => {
+                            restore_sealed(&mut sim, &identity, &h.snapshot).unwrap_or_else(
+                                |err| panic!("warm snapshot restore failed in shard {i}: {err}"),
                             );
-                            snapshot_bytes = snapshot_bytes.max(e.snapshot.len() as u64);
-                            (sim, e.base)
+                            snapshot_bytes = h.snapshot.len() as u64;
+                            h.base
                         }
                         None => {
-                            let mut sim =
-                                Simulator::new(config.clone(), source, bpu, org, spec.bits());
-                            if let Some(a) = abort {
-                                sim.set_abort(Arc::clone(a));
-                            }
                             sim.run_until_committed(warmup);
                             warmed_instructions = sim.committed();
-                            let base = sim.committed();
-                            let bytes = Arc::new(save_sealed(&identity, &sim));
-                            snapshot_bytes = snapshot_bytes.max(bytes.len() as u64);
-                            warm.publish(
-                                key,
-                                WarmEntry {
-                                    checkpoint: sim.trace().checkpoint(),
-                                    snapshot: bytes,
-                                    base,
-                                    committed: sim.committed(),
-                                    position: sim.trace().position(),
-                                },
-                            );
-                            (sim, base)
+                            sim.committed()
                         }
                     };
                     let restore_seconds = restore_started.elapsed().as_secs_f64();
@@ -617,26 +405,19 @@ where
                         None
                     };
 
-                    if i + 1 < shards {
-                        let next_key = warmup + (i as u64 + 1) * chunk;
-                        if warm.get(next_key).is_none() {
-                            let bytes = Arc::new(save_sealed(&identity, &sim));
-                            snapshot_bytes = snapshot_bytes.max(bytes.len() as u64);
-                            warm.publish(
-                                next_key,
-                                WarmEntry {
-                                    checkpoint: sim.trace().checkpoint(),
-                                    snapshot: bytes,
-                                    base,
-                                    committed: sim.committed(),
-                                    position: sim.trace().position(),
-                                },
-                            );
-                        }
+                    if let Some(tx) = outbox {
+                        let snapshot = save_sealed(&identity, &sim);
+                        snapshot_bytes = snapshot_bytes.max(snapshot.len() as u64);
+                        // The successor hangs up only by failing, which
+                        // fails the run anyway.
+                        let _ = tx.send(Handoff {
+                            checkpoint: sim.trace().checkpoint(),
+                            snapshot,
+                            base,
+                        });
                     }
-                    guard.armed = false;
                     let result = sim.into_result();
-                    (
+                    Some((
                         result,
                         intervals,
                         cut,
@@ -645,12 +426,11 @@ where
                             snapshot_bytes,
                             warmed_instructions,
                         },
-                    )
+                    ))
                 };
                 (format!("shard{i}"), job)
             })
             .collect();
-
         let pool_label = self
             .label
             .clone()
@@ -671,7 +451,11 @@ where
         let mut merged: Option<SimResult> = None;
         let mut intervals: Vec<IntervalStats> = Vec::new();
         let mut end: (u64, u64, crate::bpu::BpuStats) = (0, 0, Default::default());
-        for (shard_result, shard_intervals, cut, cost) in outputs {
+        for output in outputs {
+            // A shard returns nothing only after its predecessor failed,
+            // and that failure has already been re-raised.
+            let (shard_result, shard_intervals, cut, cost) =
+                output.expect("a shard failed without failing the run");
             restore_seconds += cost.restore_seconds;
             snapshot_bytes = snapshot_bytes.max(cost.snapshot_bytes);
             warmed_instructions += cost.warmed_instructions;
@@ -1039,78 +823,74 @@ mod tests {
     }
 
     #[test]
-    fn warm_ladder_rerun_is_exact_and_skips_the_warmup() {
-        let spec = BtbSpec::of(OrgKind::Pdede).at(BudgetPoint::Kb3_6);
-        let warm = WarmLadder::new();
-        let run = || {
-            ParallelSession::new(|| branchy(90_000), spec)
-                .config(SimConfig::without_fdip())
-                .warmup(8_000)
-                .measure(48_000)
-                .shards(3)
-                .warm_ladder(&warm)
-                .run()
-                .unwrap()
-        };
-        let cold = run();
-        assert!(
-            cold.telemetry.warmed_instructions >= 8_000,
-            "the cold run must simulate the warm-up once"
-        );
-        assert!(cold.telemetry.snapshot_bytes > 0);
-        assert_eq!(warm.len(), 3, "warm-up rung plus two hand-off rungs");
-        let rerun = run();
-        assert_eq!(
-            rerun.telemetry.warmed_instructions, 0,
-            "a warm re-run must restore every boundary in O(state)"
-        );
-        assert_eq!(rerun.result.stats, cold.result.stats);
-        for (x, y) in rerun.intervals.iter().zip(&cold.intervals) {
-            assert_eq!(x.instructions, y.instructions);
-            assert_eq!(x.cycles, y.cycles);
-            assert_eq!(x.bpu, y.bpu);
+    fn a_failed_shard_fails_the_run_instead_of_aborting_the_process() {
+        // Shard 0 hits the pre-set abort flag during its warm-up while
+        // shard 1 waits for the hand-off. The run must unwind with shard
+        // 0's own deadline panic every time; a second panic raised while
+        // unwinding would abort the whole process instead.
+        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
+        for iteration in 0..50 {
+            let flag = Arc::new(AtomicBool::new(true));
+            let outcome = std::panic::catch_unwind(|| {
+                ParallelSession::new(|| branchy(120_000), spec)
+                    .config(SimConfig::without_fdip())
+                    .warmup(60_000)
+                    .measure(40_000)
+                    .shards(2)
+                    .threads(2)
+                    .abort(flag)
+                    .run()
+            });
+            let payload = outcome.expect_err("an aborted run must unwind");
+            let msg = crate::runner::panic_message(&*payload);
+            assert!(
+                msg.contains(crate::sim::ABORT_MARKER),
+                "iteration {iteration}: {msg}"
+            );
         }
     }
 
     #[test]
-    fn warm_ladder_reuses_rungs_across_shard_geometries() {
-        // Keys are nominal (`warmup + i·chunk`), so a 2-shard run and a
-        // 4-shard run of the same identity share the rungs where their
-        // boundaries coincide — and both match the serial trajectory.
-        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-        let warm = WarmLadder::new();
-        let run = |shards: usize| {
-            ParallelSession::new(|| branchy(80_000), spec)
-                .config(SimConfig::without_fdip())
-                .warmup(4_000)
-                .measure(40_000)
-                .shards(shards)
-                .warm_ladder(&warm)
-                .run()
-                .unwrap()
+    fn more_than_a_thousand_shards_complete_and_match_serial() {
+        // Every boundary has its own hand-off, so no shard count is too
+        // many. Small caches keep 1,100 snapshot round trips quick.
+        let small = |bytes: usize, ways: usize| crate::config::CacheParams {
+            bytes,
+            ways,
+            ..SimConfig::default().l1i
         };
-        let two = run(2);
-        let four = run(4);
-        assert_eq!(two.result.stats, four.result.stats);
-        assert_eq!(
-            four.telemetry.warmed_instructions, 0,
-            "the 4-shard run must reuse the 2-shard run's warm rung"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "refusing to reuse")]
-    fn warm_ladder_rejects_a_different_identity() {
-        let ladder: WarmLadder<u64> = WarmLadder::new();
-        ladder.bind("line|conv|14848b|warm100|SimConfig { .. }");
-        ladder.bind("line|btbx|14848b|warm100|SimConfig { .. }");
-    }
-
-    #[test]
-    #[should_panic(expected = "poisoned")]
-    fn poisoned_warm_ladder_fails_waiters_fast() {
-        let ladder: WarmLadder<u64> = WarmLadder::new();
-        ladder.poison();
-        ladder.wait(0);
+        let config = SimConfig {
+            l1i: small(4 * 1024, 4),
+            l1d: small(4 * 1024, 4),
+            l2: small(16 * 1024, 8),
+            llc: small(32 * 1024, 16),
+            ..SimConfig::without_fdip()
+        };
+        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb0_9);
+        let serial = SimSession::new(branchy(20_000))
+            .btb_spec(spec)
+            .config(config.clone())
+            .warmup(2_000)
+            .measure(2_200)
+            .run()
+            .unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let out = ParallelSession::new(|| branchy(20_000), spec)
+                .config(config)
+                .warmup(2_000)
+                .measure(2_200)
+                .shards(1_100)
+                .threads(2)
+                .run()
+                .unwrap();
+            let _ = tx.send(out);
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("1,100 shards must finish, not hang");
+        assert_eq!(out.result.stats, serial.stats);
+        let sum: u64 = out.intervals.iter().map(|iv| iv.delta_instructions).sum();
+        assert_eq!(sum, out.result.stats.instructions);
     }
 }
