@@ -30,8 +30,7 @@ use btbx_trace::champsim::ChampSimReader;
 use btbx_trace::container;
 use btbx_trace::suite::{self, WorkloadSpec};
 use btbx_trace::AnySource;
-use btbx_uarch::sim::EVENT_BLOCK_BYTES;
-use btbx_uarch::{ParallelSession, SimConfig, SimSession};
+use btbx_uarch::{run_resumed, SimConfig, SimSession};
 use std::io::BufReader;
 use std::path::Path;
 
@@ -113,14 +112,15 @@ options:
                    requests are shed with 429 + Retry-After instead
                    of queueing unboundedly (0 = unlimited)    [0]
   --deadline-ms D  abort any single simulation still running after D
-                   milliseconds with 503 (the connection survives;
+                   milliseconds with 503 and an X-Btbx-Abort:
+                   deadline header (the connection survives;
                    0 = no deadline)                           [0]
-shared options (--threads, --shards, --out for the cache dir, --store
-for a non-default cache backend: another node's http:// blob endpoint,
-or tiered://DIR,http://HOST:PORT for a local cache in front of it)
-apply; `--shards 1` (the default) serves results byte-identical to the
-serial CLI path. A node with --store fetches trace containers it is
-missing from the store by content hash.";
+shared options (--threads for the requests served at once, --out for
+the cache dir, --store for a non-default cache backend: another node's
+http:// blob endpoint, or tiered://DIR,http://HOST:PORT for a local
+cache in front of it) apply; results are byte-identical to the serial
+CLI path. A node with --store fetches trace containers it is missing
+from the store by content hash.";
 
 fn main() {
     // Chaos testing: BTBX_FAULT_PLAN arms a fault plan for the whole
@@ -450,17 +450,14 @@ fn serve_cmd(args: Vec<String>) {
     let mut config = ServeConfig::from_opts(port, &opts);
     config.max_inflight = max_inflight;
     config.deadline = (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms));
-    let shards = config.shards;
     let server =
         Server::start(config).unwrap_or_else(|e| fail(&format!("starting the service: {e}")));
     let addr = server.addr();
     println!("btbx serve listening on http://{addr}");
     eprintln!(
-        "[serve] cache {}; {} threads, {} shards/simulation; \
-         POST /shutdown to stop",
+        "[serve] cache {}; {} threads; POST /shutdown to stop",
         opts.out_dir.join("cache").display(),
-        opts.threads,
-        shards
+        opts.threads
     );
     if let Some(path) = port_file {
         std::fs::write(&path, format!("{}\n", addr.port()))
@@ -474,11 +471,11 @@ usage: btbx cluster status ADDR[,ADDR...]
 
 Probe every node of a `btbx serve` fleet (GET /healthz + GET /stats)
 and print a per-node table: reachability, service and cache versions,
-shard configuration, and request/cache counters.
+and request/cache counters.
 
 Exits 1 when any node is unreachable, the fleet mixes cache versions
-or shard configurations (a coordinator would refuse it too), or any
-node has shed more requests than --max-shed allows.
+(a coordinator would refuse it too), or any node has shed more
+requests than --max-shed allows.
 
 The table includes the overload counters: `shed` (requests refused
 with 429 under admission control), `dlabort` (simulations aborted at
@@ -534,12 +531,11 @@ fn cluster_cmd(mut args: Vec<String>) {
     let nodes = cluster::parse_node_list(&list).unwrap_or_else(|e| fail(&format!("cluster: {e}")));
 
     println!(
-        "{:<22} {:<12} {:>8} {:>7} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
+        "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
         "node",
         "state",
         "version",
         "cachev",
-        "shards",
         "reqs",
         "computes",
         "disk",
@@ -552,14 +548,12 @@ fn cluster_cmd(mut args: Vec<String>) {
         "rerr"
     );
     let mut cache_versions: Vec<u32> = Vec::new();
-    let mut shard_counts: Vec<usize> = Vec::new();
     let mut unreachable = 0usize;
     let mut overshed: Vec<String> = Vec::new();
     for node in &nodes {
         match cluster::protocol::probe_health(node, timeout) {
             Ok(health) => {
                 cache_versions.push(health.cache_version);
-                shard_counts.push(health.shards);
                 let stats = cluster::protocol::probe_stats(node, timeout);
                 let row: [String; 10] = match &stats {
                     Ok(s) => {
@@ -582,12 +576,11 @@ fn cluster_cmd(mut args: Vec<String>) {
                     Err(_) => std::array::from_fn(|_| "?".to_string()),
                 };
                 println!(
-                    "{:<22} {:<12} {:>8} {:>7} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
+                    "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
                     node,
                     "healthy",
                     health.version,
                     health.cache_version,
-                    health.shards,
                     row[0],
                     row[1],
                     row[2],
@@ -621,10 +614,6 @@ fn cluster_cmd(mut args: Vec<String>) {
     if cache_versions.len() > 1 {
         problems.push("fleet mixes cache versions".to_string());
     }
-    shard_counts.dedup();
-    if shard_counts.len() > 1 {
-        problems.push("fleet mixes shard configurations".to_string());
-    }
     if !problems.is_empty() {
         eprintln!("cluster status: {}", problems.join("; "));
         std::process::exit(1);
@@ -646,11 +635,10 @@ subcommands:
   info FILE
       print a container's header: stream name, arch, events, blocks,
       escapes and content hash
-  check CONTAINER [--shards N]
-      replay a .btbt container serially and as N interval shards (warm
-      snapshots handed shard to shard, default commit width) and fail
-      unless the stats are byte-identical and peak event memory stays at
-      one block per shard slot";
+  check CONTAINER
+      replay a .btbt container twice: uninterrupted, and resumed at the
+      middle of the measured window from a sealed warm snapshot plus a
+      trace checkpoint. Exits 1 unless the stats are byte-identical";
 
 fn trace_cmd(mut args: Vec<String>) {
     if args.first().map(String::as_str) == Some("--help")
@@ -796,16 +784,8 @@ fn trace_info(args: Vec<String>) {
 
 fn trace_check(args: Vec<String>) {
     let mut path: Option<String> = None;
-    let mut shards = 4usize;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--shards expects a number"));
-            }
             "--help" | "-h" => {
                 println!("{TRACE_USAGE}");
                 return;
@@ -815,7 +795,6 @@ fn trace_check(args: Vec<String>) {
         }
     }
     let path = path.unwrap_or_else(|| fail("trace check expects a .btbt container"));
-    let shards = shards.max(2);
 
     let proto = AnySource::open(&path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
     let Some(total) = proto.len_instrs() else {
@@ -829,13 +808,11 @@ fn trace_check(args: Vec<String>) {
     let warmup = total / 5;
     let measure = total - warmup;
 
-    // Shards restore warm microarchitectural snapshots and measure to
-    // absolute committed targets on the serial trajectory —
-    // byte-identical stats for ANY trace at the default commit width
-    // (see EXPERIMENTS.md, "Interval sharding").
+    // A warm snapshot plus a trace checkpoint reproduce the simulator
+    // and the source bit for bit, so the resumed replay must equal the
+    // uninterrupted one (see EXPERIMENTS.md, "Warm snapshots").
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX);
-
     let serial = SimSession::new(proto.clone())
         .btb_spec(spec)
         .config(config.clone())
@@ -843,57 +820,23 @@ fn trace_check(args: Vec<String>) {
         .measure(measure)
         .run()
         .unwrap_or_else(|e| fail(&format!("serial replay: {e}")));
-    let sharded = {
-        let proto = proto.clone();
-        ParallelSession::new(move || proto.clone(), spec)
-            .config(config)
-            .warmup(warmup)
-            .measure(measure)
-            .shards(shards)
-            .run()
-            .unwrap_or_else(|e| fail(&format!("sharded replay: {e}")))
-    };
+    let resumed = run_resumed(|| proto.clone(), spec, &config, warmup, measure, 2)
+        .unwrap_or_else(|e| fail(&format!("resumed replay: {e}")));
 
+    println!("{path}: {total} instructions (warmup {warmup}, measure {measure})");
+    for (what, stats) in [("serial", &serial.stats), ("resumed", &resumed.stats)] {
+        println!(
+            "  {what:<8} {} instrs, {} cycles",
+            stats.instructions, stats.cycles
+        );
+    }
     let serial_json = serde_json::to_string(&serial.stats).expect("stats serialize");
-    let sharded_json = serde_json::to_string(&sharded.result.stats).expect("stats serialize");
-    let telemetry = sharded.telemetry;
-    println!(
-        "{path}: {total} instructions, serial vs {shards} shards \
-         (warmup {warmup}, measure {measure})"
-    );
-    println!(
-        "  serial   {} instrs, {} cycles",
-        serial.stats.instructions, serial.stats.cycles
-    );
-    println!(
-        "  sharded  {} instrs, {} cycles",
-        sharded.result.stats.instructions, sharded.result.stats.cycles
-    );
-    println!(
-        "  telemetry: {} B peak event buffers, {} instrs warmed, \
-         {} B largest snapshot",
-        telemetry.peak_event_buffer_bytes, telemetry.warmed_instructions, telemetry.snapshot_bytes,
-    );
-
-    let mut failures = Vec::new();
-    if serial_json != sharded_json {
-        failures.push("sharded stats differ from serial".to_string());
-    }
-    let buffer_cap = shards as u64 * EVENT_BLOCK_BYTES;
-    if telemetry.peak_event_buffer_bytes > buffer_cap {
-        failures.push(format!(
-            "peak event buffers {} B exceed one block per shard slot ({buffer_cap} B)",
-            telemetry.peak_event_buffer_bytes
-        ));
-    }
-    if failures.is_empty() {
-        println!("  OK: sharded replay is byte-identical and fully streamed");
-    } else {
-        for f in &failures {
-            eprintln!("  FAIL: {f}");
-        }
+    let resumed_json = serde_json::to_string(&resumed.stats).expect("stats serialize");
+    if serial_json != resumed_json {
+        eprintln!("  FAIL: the replay resumed from a warm snapshot differs from the serial one");
         std::process::exit(1);
     }
+    println!("  OK: the resumed replay is byte-identical to the serial one");
 }
 
 fn parse_orgs(list: &str) -> Vec<OrgKind> {

@@ -87,7 +87,7 @@ pub struct LocalCluster {
 }
 
 impl LocalCluster {
-    /// Start `n` servers with `threads`/`shards` each.
+    /// Start `n` servers with `threads` workers each.
     ///
     /// # Errors
     ///
@@ -98,9 +98,8 @@ impl LocalCluster {
         n: usize,
         base: impl Into<PathBuf>,
         threads: usize,
-        shards: usize,
     ) -> Result<LocalCluster, StoreError> {
-        Self::start_with_store(n, base, threads, shards, None)
+        Self::start_with_store(n, base, threads, None)
     }
 
     /// [`start`](LocalCluster::start) with a store URL every node opens
@@ -115,7 +114,6 @@ impl LocalCluster {
         n: usize,
         base: impl Into<PathBuf>,
         threads: usize,
-        shards: usize,
         store: Option<StoreUrl>,
     ) -> Result<LocalCluster, StoreError> {
         let base = base.into();
@@ -129,7 +127,7 @@ impl LocalCluster {
                 port: 0,
                 cache_dir: base.join(format!("node{i}")).join("cache"),
                 threads,
-                shards,
+                shards: 1,
                 max_inflight: 0,
                 deadline: None,
                 store: store.clone(),

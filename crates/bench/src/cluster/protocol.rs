@@ -7,17 +7,15 @@
 //! fleet needs:
 //!
 //! * [`HealthInfo`] — what `GET /healthz` reports since the handshake
-//!   was added: service version, [`CACHE_VERSION`], shard configuration
-//!   and the supported organizations. Coordinators refuse fleets whose
-//!   nodes disagree on `cache_version` (their cache entries would be
-//!   mutually unreadable) or `shards` (results are bit-identical either
-//!   way since cache v3's warm-checkpoint engine, but a uniform fleet
-//!   keeps throughput and telemetry comparable), instead of silently
-//!   mixing them.
+//!   was added: service version, [`CACHE_VERSION`] and the supported
+//!   organizations. Coordinators refuse nodes whose `cache_version`
+//!   differs from their own (their cache entries would be mutually
+//!   unreadable) instead of silently mixing them.
 //! * [`RequestError`] — one HTTP request's failure, split into
 //!   transport errors (retryable on another node), server errors
-//!   (retryable), and client errors (a 4xx is deterministic: retrying
-//!   the same point elsewhere cannot help).
+//!   (retryable), and deterministic failures that retrying the same
+//!   point elsewhere cannot help: a 4xx, or a 503 the server marked
+//!   with [`DEADLINE_ABORT`].
 //! * [`PointError`] — a [`RequestError`] pinned to the node address and
 //!   sweep point that suffered it, so a failed distributed sweep ends
 //!   with a precise list of what failed where — never a bare panic
@@ -44,25 +42,26 @@ pub struct HealthInfo {
     /// The node's [`CACHE_VERSION`]: results are only cache-compatible
     /// between equal versions.
     pub cache_version: u32,
-    /// Interval shards per simulation on this node. Since cache v3's
-    /// warm-checkpoint engine every shard count produces results
-    /// byte-identical to the serial path.
-    pub shards: usize,
     /// Organization ids this node can simulate.
     pub orgs: Vec<String>,
 }
 
 /// Build the [`HealthInfo`] a server should report for its own
 /// configuration (also the coordinator's notion of "local").
-pub fn health_info(shards: usize) -> HealthInfo {
+pub fn health_info() -> HealthInfo {
     HealthInfo {
         ok: true,
         version: env!("CARGO_PKG_VERSION").to_string(),
         cache_version: CACHE_VERSION,
-        shards,
         orgs: OrgKind::ALL.iter().map(|o| o.id().to_string()).collect(),
     }
 }
+
+/// The header (name, value) a server adds to the `503` that answers a
+/// `/sim` request its per-request deadline aborted. The deadline aborts
+/// the same point the same way on any node, so a coordinator fails the
+/// point at once ([`RequestError::Deadline`]) and keeps the node alive.
+pub const DEADLINE_ABORT: (&str, &str) = ("X-Btbx-Abort", "deadline");
 
 /// One HTTP request's failure, typed by what it implies for retries.
 #[derive(Debug)]
@@ -79,6 +78,13 @@ pub enum RequestError {
         /// Response body (usually `{"error": ...}`).
         body: String,
     },
+    /// A `503` marked with [`DEADLINE_ABORT`]: the node is healthy, but
+    /// the point outran the node's per-request deadline. Deterministic,
+    /// so it is not retried.
+    Deadline {
+        /// Response body (usually `{"error": ...}`).
+        body: String,
+    },
     /// A 200 whose body did not parse as the expected type — protocol
     /// damage or a version skew the handshake should have caught.
     BadBody(String),
@@ -91,16 +97,26 @@ impl RequestError {
     /// Whether retrying the same request (on this or another node) is
     /// pointless: 4xx responses are deterministic rejections — except
     /// 429, which reports transient overload (the server *chose* to
-    /// shed; the same request succeeds once load drains).
+    /// shed; the same request succeeds once load drains) — and so is a
+    /// deadline abort.
     pub fn is_permanent(&self) -> bool {
-        matches!(self, RequestError::Status { status, .. }
-            if (400..500).contains(status) && *status != 429)
+        match self {
+            RequestError::Status { status, .. } => (400..500).contains(status) && *status != 429,
+            RequestError::Deadline { .. } => true,
+            _ => false,
+        }
     }
 
     /// Whether the node shed the request (`429`): it is alive but at its
     /// admission limit, and the same request succeeds once load drains.
     pub(crate) fn is_shed(&self) -> bool {
         matches!(self, RequestError::Status { status: 429, .. })
+    }
+
+    /// Whether the failure says nothing against the node: it shed the
+    /// request, or aborted it at its deadline, and is alive either way.
+    pub(crate) fn node_is_alive(&self) -> bool {
+        self.is_shed() || matches!(self, RequestError::Deadline { .. })
     }
 }
 
@@ -112,6 +128,9 @@ impl fmt::Display for RequestError {
                 let body = body.trim();
                 let short = if body.len() > 200 { &body[..200] } else { body };
                 write!(f, "HTTP {status}: {short}")
+            }
+            RequestError::Deadline { body } => {
+                write!(f, "aborted at the node's deadline: {}", body.trim())
             }
             RequestError::BadBody(why) => write!(f, "unparseable response: {why}"),
             RequestError::FleetDown => f.write_str("every node is dead or retired"),
@@ -164,18 +183,6 @@ pub enum ClusterError {
         /// This client's cache version.
         expected: u32,
     },
-    /// Nodes disagree on shards-per-simulation. Results are
-    /// bit-identical at any shard count (warm-checkpoint mode), so this
-    /// is configuration hygiene rather than a correctness boundary: a
-    /// uniform fleet keeps node throughput and telemetry comparable.
-    MixedShards {
-        /// Node address.
-        node: String,
-        /// The node's shard count.
-        found: usize,
-        /// The fleet's (first healthy node's) shard count.
-        expected: usize,
-    },
     /// A node does not support organizations the sweep needs.
     MissingOrgs {
         /// Node address.
@@ -206,17 +213,6 @@ impl fmt::Display for ClusterError {
                 "node {node} runs cache version {found} but this client runs \
                  {expected}; a mixed fleet would produce incompatible cache \
                  entries (upgrade the node or the client)"
-            ),
-            ClusterError::MixedShards {
-                node,
-                found,
-                expected,
-            } => write!(
-                f,
-                "node {node} runs {found} shards/simulation but the fleet runs \
-                 {expected}; keep the fleet uniformly configured (results \
-                 would be identical, but throughput and telemetry would not \
-                 be comparable)"
             ),
             ClusterError::MissingOrgs { node, missing } => write!(
                 f,
@@ -252,9 +248,13 @@ fn request_json<T: Deserialize>(
 ) -> Result<T, RequestError> {
     let response = http_request_bytes(addr, method, path, body.as_bytes(), timeout)
         .map_err(RequestError::Io)?;
+    let deadline = response.header(DEADLINE_ABORT.0) == Some(DEADLINE_ABORT.1);
     let text = String::from_utf8(response.body).map_err(|_| {
         RequestError::Io(io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))
     })?;
+    if response.status == 503 && deadline {
+        return Err(RequestError::Deadline { body: text });
+    }
     if response.status != 200 {
         return Err(RequestError::Status {
             status: response.status,
@@ -343,10 +343,9 @@ mod tests {
 
     #[test]
     fn health_info_round_trips_and_reports_local_versions() {
-        let info = health_info(4);
+        let info = health_info();
         assert!(info.ok);
         assert_eq!(info.cache_version, CACHE_VERSION);
-        assert_eq!(info.shards, 4);
         assert!(info.orgs.iter().any(|o| o == "btbx"));
         let json = serde_json::to_string(&info).unwrap();
         assert_eq!(serde_json::from_str::<HealthInfo>(&json).unwrap(), info);
@@ -362,7 +361,7 @@ mod tests {
 
     #[test]
     fn cache_version_mismatches_are_refused_with_both_versions() {
-        let mut info = health_info(1);
+        let mut info = health_info();
         assert!(verify_cache_version("n1:1", &info).is_ok());
         info.cache_version = CACHE_VERSION + 1;
         let err = verify_cache_version("n1:1", &info).unwrap_err();
@@ -374,7 +373,7 @@ mod tests {
 
     #[test]
     fn missing_orgs_are_refused_by_name() {
-        let mut info = health_info(1);
+        let mut info = health_info();
         info.orgs.retain(|o| o != "btbx");
         assert!(verify_orgs("n", &info, &[OrgKind::Conv]).is_ok());
         let err = verify_orgs("n", &info, &[OrgKind::Conv, OrgKind::BtbX]).unwrap_err();
@@ -382,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn only_4xx_statuses_are_permanent() {
+    fn only_4xx_statuses_and_deadline_aborts_are_permanent() {
         let e = RequestError::Status {
             status: 400,
             body: String::new(),
@@ -395,6 +394,12 @@ mod tests {
         assert!(!e.is_permanent());
         assert!(!RequestError::Io(io::Error::other("x")).is_permanent());
         assert!(!RequestError::FleetDown.is_permanent());
+        // A deadline abort fails the same way on every node.
+        let e = RequestError::Deadline {
+            body: String::new(),
+        };
+        assert!(e.is_permanent());
+        assert!(e.node_is_alive());
         // 429 is transient overload (the server shed the request), not a
         // deterministic rejection — it must stay retryable.
         let e = RequestError::Status {

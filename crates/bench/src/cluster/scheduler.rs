@@ -24,7 +24,10 @@
 //! different [`crate::sweep::CACHE_VERSION`] is not let back in); after
 //! `probe_give_up` consecutive failed probes the node's workers retire.
 //! Deterministic rejections (HTTP 4xx) fail the point immediately —
-//! retrying a malformed point on every node cannot help. A shed request
+//! retrying a malformed point on every node cannot help. So does a
+//! deadline abort (a 503 the node marks `X-Btbx-Abort: deadline`): the
+//! point would outrun the same deadline anywhere, and the node that
+//! aborted it stays in rotation. A shed request
 //! (HTTP 429: the node is alive but at its `--max-inflight` limit) is
 //! neither a node failure nor an attempt: the worker holding the point
 //! re-sends it after `min(100 ms × sheds, 2 s)`, and the point fails
@@ -403,7 +406,7 @@ pub fn run_sweep_observed(
     }
 
     // Startup handshake: every reachable node must match this client's
-    // CACHE_VERSION, support the sweep's orgs, and agree on shards.
+    // CACHE_VERSION and support the sweep's orgs.
     // Unreachable nodes start dead (probation may re-admit them later);
     // at least one node must be usable now.
     let mut fleet: Option<HealthInfo> = None;
@@ -414,17 +417,7 @@ pub fn run_sweep_observed(
             Ok(info) => {
                 protocol::verify_cache_version(node, &info)?;
                 protocol::verify_orgs(node, &info, &sweep.orgs)?;
-                if let Some(fleet) = &fleet {
-                    if info.shards != fleet.shards {
-                        return Err(ClusterError::MixedShards {
-                            node: node.clone(),
-                            found: info.shards,
-                            expected: fleet.shards,
-                        });
-                    }
-                } else {
-                    fleet = Some(info.clone());
-                }
+                fleet.get_or_insert(info);
                 trackers.push(NodeTracker::new(node.clone(), NodeState::Healthy));
             }
             Err(error) => {
@@ -664,9 +657,7 @@ fn node_worker(
                 continue;
             }
             match protocol::probe_health(addr, config.probe_timeout) {
-                Ok(info)
-                    if info.cache_version == fleet.cache_version && info.shards == fleet.shards =>
-                {
+                Ok(info) if info.cache_version == fleet.cache_version => {
                     tracker.record_probe_success();
                     eprintln!("[cluster] {addr} re-admitted on probation");
                     observer(ClusterEvent::NodeReadmitted {
@@ -679,8 +670,8 @@ fn node_worker(
                     // result set. Treated as a failed probe.
                     eprintln!(
                         "[cluster] {addr} is alive but incompatible \
-                         (cache v{} shards {}, fleet v{} shards {}); not re-admitting",
-                        info.cache_version, info.shards, fleet.cache_version, fleet.shards
+                         (cache v{}, fleet v{}); not re-admitting",
+                        info.cache_version, fleet.cache_version
                     );
                     if tracker.record_probe_failure() >= config.probe_give_up {
                         break;
@@ -711,8 +702,9 @@ fn node_worker(
                 });
             }
             Err(error) => {
-                // Even sheds that ran out say the node is alive.
-                if !error.is_shed() {
+                // Even sheds that ran out say the node is alive, and so
+                // does a deadline abort.
+                if !error.node_is_alive() {
                     let state = tracker.record_failure();
                     eprintln!("[cluster] {addr} failed `{}`: {error}", item.label);
                     if state == NodeState::Dead {

@@ -25,10 +25,8 @@ pub struct HarnessOpts {
     /// Worker threads; through `--server`/`--cluster`, the coordinator's
     /// bound on requests in flight.
     pub threads: usize,
-    /// Trace shards per simulation (1 = serial). Sharded runs split each
-    /// simulation into `N` interval shards that hand warm snapshots to
-    /// each other, bit-identical to the serial run (see EXPERIMENTS.md,
-    /// "Interval sharding").
+    /// Read nowhere: every simulation runs serially. Kept only so struct
+    /// literals that set it still compile.
     pub shards: usize,
     /// Replay this `.btbt` trace container instead of the synthetic
     /// suites (`sweep` substitutes it for the selected suite).
@@ -252,7 +250,6 @@ options:
   --quick            preset: 150k warm-up / 300k measured windows
   --threads N        worker threads (with --server or      [all cores]
                      --cluster: requests in flight)
-  --shards N         interval shards per simulation        [1]
   --trace FILE       replay a .btbt trace container instead of the
                      synthetic suites (see `btbx trace --help`)
   --http-timeout-ms N  per-phase HTTP timeout for --server/--cluster
@@ -296,7 +293,6 @@ impl HarnessOpts {
                 "--measure" => opts.measure = take("--measure")?,
                 "--offset-instrs" => opts.offset_instrs = take("--offset-instrs")?,
                 "--threads" => opts.threads = take("--threads")? as usize,
-                "--shards" => opts.shards = (take("--shards")? as usize).max(1),
                 "--http-timeout-ms" => {
                     opts.http_timeout_ms = take("--http-timeout-ms")?.max(1);
                 }
@@ -345,30 +341,8 @@ impl HarnessOpts {
         Ok(opts)
     }
 
-    /// Split the thread budget between concurrently-running points and
-    /// the shard fan-out inside each point, as `(point_threads,
-    /// shard_threads)` with `point_threads × shard_threads ≤ threads`
-    /// and the product maximal.
-    ///
-    /// The historical split (`threads / shards` × `threads.clamp(1,
-    /// shards)`) mishandled every `threads` that is not a multiple of
-    /// `shards`: `threads=6, shards=4` ran 1×4 leaving 2 of 6 threads
-    /// idle, and `threads=10, shards=3` ran 3×3 leaving a core idle —
-    /// while rounding the other way would oversubscribe. This searches
-    /// the (tiny) space of shard-thread counts ≤ `shards` for the split
-    /// with maximal utilization, preferring the wider shard fan-out on
-    /// ties (fewer points in flight → less peak memory, and each point
-    /// finishes sooner).
-    pub fn pool_split(&self) -> (usize, usize) {
-        pool_split(self.threads, self.shards)
-    }
-
-    /// [`pool_split`](Self::pool_split) for a run with a known number of
-    /// dispatchable `jobs`, each parallelizable up to `width` — see
-    /// [`pool_split_for`]. Sweeps pass their group count: one group
-    /// replaces N points, so point-level parallelism must key on groups,
-    /// not raw points, or the pool oversubscribes with workers that have
-    /// nothing to run.
+    /// Split the thread budget for `jobs` dispatchable groups of up to
+    /// `width` members each; see [`pool_split_for`].
     pub fn pool_split_for(&self, width: usize, jobs: usize) -> (usize, usize) {
         pool_split_for(self.threads, width, jobs)
     }
@@ -396,41 +370,19 @@ pub fn sane_timeout(timeout: std::time::Duration) -> std::time::Duration {
     timeout.clamp(std::time::Duration::from_millis(1), MAX_TIMEOUT)
 }
 
-/// See [`HarnessOpts::pool_split`]; free function so callers without an
-/// options struct (and tests) can use the same policy.
-pub fn pool_split(threads: usize, shards: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let shards = shards.max(1);
-    if shards == 1 {
-        return (threads, 1);
-    }
-    // For each candidate shard-thread count s ≤ min(shards, threads),
-    // the best point-thread count is threads / s; pick the s maximizing
-    // utilization (threads/s)·s, breaking ties toward larger s.
-    (1..=shards.min(threads))
-        .map(|s| (threads / s, s))
-        .max_by_key(|&(p, s)| (p * s, s))
-        .expect("candidate range is non-empty")
-}
-
-/// [`pool_split`] generalized to a run with `jobs` dispatchable units
-/// (a sweep's groups), each parallelizable up to `width` threads (shard
-/// count for a group of one, member count for a larger group).
-/// Point-level workers beyond `jobs` never receive work, so the budget
-/// they would have held is released to the per-job fan-out instead;
-/// fan-out beyond `width` is likewise wasted and released to job-level
-/// concurrency. Ties still prefer the wider fan-out (fewer jobs in
-/// flight → fewer live trace sources → less peak memory).
-///
-/// `jobs == 0` degenerates to [`pool_split`] (an all-cache-hit sweep
-/// dispatches nothing; the split is moot but must stay well-formed).
+/// Split `threads` between concurrent groups and the members inside
+/// each group, as `(group_threads, member_threads)` with
+/// `group_threads × member_threads ≤ threads` and the product maximal.
+/// A sweep has `jobs` groups of at most `width` members. Group workers
+/// beyond `jobs` never receive work, so the budget they would have held
+/// goes to the members instead; member threads beyond `width` would idle,
+/// so their budget goes to group concurrency. Ties prefer more member
+/// threads (fewer groups in flight → fewer live trace sources → less
+/// peak memory).
 pub fn pool_split_for(threads: usize, width: usize, jobs: usize) -> (usize, usize) {
     let threads = threads.max(1);
     let width = width.max(1);
-    if jobs == 0 {
-        return pool_split(threads, width);
-    }
-    (1..=jobs.min(threads))
+    (1..=jobs.clamp(1, threads))
         .map(|p| (p, (threads / p).min(width)))
         .max_by_key(|&(p, s)| (p * s, s))
         .expect("candidate range is non-empty")
@@ -523,6 +475,11 @@ mod tests {
             parse(&["--bogus"]),
             Err(OptError::UnknownFlag("--bogus".to_string()))
         );
+        // Every point runs serially; the old sharding flag is gone.
+        assert_eq!(
+            parse(&["--shards", "2"]),
+            Err(OptError::UnknownFlag("--shards".to_string()))
+        );
     }
 
     #[test]
@@ -551,46 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_split_never_oversubscribes_and_maximizes_utilization() {
-        for threads in 1..=16 {
-            for shards in 1..=8 {
-                let (p, s) = pool_split(threads, shards);
-                assert!(p >= 1 && s >= 1, "degenerate split {p}x{s}");
-                assert!(s <= shards, "{s} shard threads for {shards} shards");
-                assert!(
-                    p * s <= threads,
-                    "({threads} threads, {shards} shards) -> {p}x{s} oversubscribes"
-                );
-                // Brute-force the best feasible utilization.
-                let best = (1..=shards.min(threads))
-                    .map(|s| (threads / s) * s)
-                    .max()
-                    .unwrap();
-                assert_eq!(
-                    p * s,
-                    best,
-                    "({threads} threads, {shards} shards) -> {p}x{s} wastes threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_split_fixes_the_reported_cases() {
-        // The old split computed point_threads = threads / shards and
-        // shard_threads = threads.clamp(1, shards) independently.
-        assert_eq!(pool_split(6, 4), (2, 3), "old split ran 1x4 (4 of 6)");
-        assert_eq!(pool_split(8, 3), (4, 2), "old split ran 2x3 (6 of 8)");
-        assert_eq!(pool_split(10, 3), (5, 2), "old split ran 3x3 (9 of 10)");
-        assert_eq!(pool_split(4, 3), (2, 2), "old split ran 1x3 (3 of 4)");
-        // Degenerate and exact cases keep their obvious answers.
-        assert_eq!(pool_split(8, 1), (8, 1));
-        assert_eq!(pool_split(1, 8), (1, 1));
-        assert_eq!(pool_split(8, 4), (2, 4), "exact divisor prefers wide");
-        assert_eq!(pool_split(0, 0), (1, 1), "zeroes clamp to one worker");
-    }
-
-    #[test]
     fn pool_split_for_keys_on_jobs_not_points() {
         // One group replacing 18 points: all threads go to the group's
         // member fan-out instead of 17 idle point workers.
@@ -598,17 +515,21 @@ mod tests {
         // Two groups of 9 members on 8 threads: the tie prefers one live
         // group with full fan-out (fewer live trace sources).
         assert_eq!(pool_split_for(8, 9, 2), (1, 8));
-        // Sharded groups of one behave like pool_split when jobs are
-        // plentiful...
-        assert_eq!(pool_split_for(8, 4, 100), pool_split(8, 4));
-        assert_eq!(pool_split_for(6, 4, 100), pool_split(6, 4));
-        // ...and release the shard budget when they are not.
+        // Many groups of four on 6 threads: 2 x 3 uses all 6, where one
+        // group of four would leave 2 idle.
+        assert_eq!(pool_split_for(6, 4, 100), (2, 3));
+        // One group of four cannot use more than four threads.
         assert_eq!(pool_split_for(8, 4, 1), (1, 4));
-        // Serial points (width 1) never oversubscribe the fan-out side.
+        // Groups of one never oversubscribe the member side.
         assert_eq!(pool_split_for(4, 1, 100), (4, 1));
         assert_eq!(pool_split_for(4, 1, 2), (2, 1));
         // Zero jobs (all cache hits) stays well-formed.
-        assert_eq!(pool_split_for(4, 2, 0), pool_split(4, 2));
+        assert_eq!(pool_split_for(4, 2, 0), (1, 2));
+        assert_eq!(
+            pool_split_for(0, 0, 0),
+            (1, 1),
+            "zeroes clamp to one worker"
+        );
         for threads in 1..=16 {
             for width in 1..=9 {
                 for jobs in 0..=20 {
@@ -664,9 +585,8 @@ mod tests {
 
     #[test]
     fn store_url_rejects_malformed_forms_loudly() {
-        // (input, fragment the error must mention) — a grid like the
-        // pool_split tests, so every rejection path keeps a useful
-        // message.
+        // (input, fragment the error must mention), so every rejection
+        // path keeps a useful message.
         let cases: &[(&str, &str)] = &[
             ("", "empty"),
             ("dir://", "needs a path"),

@@ -1,10 +1,9 @@
 //! `btbx serve` — a long-lived JSON-over-HTTP simulation service.
 //!
-//! The sharded streaming engine (see `btbx_uarch::parallel`) makes a
-//! single simulation fast enough to sit behind a request path; this
-//! module puts it there. The server is hand-rolled over
-//! [`std::net::TcpListener`] — no async runtime, no HTTP dependency —
-//! with connections handled on the long-lived
+//! The streaming simulator makes a single simulation fast enough to sit
+//! behind a request path; this module puts it there. The server is
+//! hand-rolled over [`std::net::TcpListener`] — no async runtime, no
+//! HTTP dependency — with connections handled on the long-lived
 //! [`btbx_uarch::runner::ServicePool`] and every result flowing through
 //! the same durable [`ResultStore`] as `btbx sweep`:
 //!
@@ -15,11 +14,10 @@
 //! * **Durability.** Results are written atomically (temp file + rename)
 //!   so a killed server never leaves an entry that a later reader parses
 //!   as valid; damaged entries are quarantined, not served.
-//! * **Sharding.** With `--shards K` a computed point runs as `K`
-//!   interval shards that hand warm snapshots forward within that one
-//!   run (see `btbx_uarch::parallel`); the result is bit-identical to a
-//!   serial run. No warm state outlives the request, so a repeat is
-//!   answered from the durable store, not re-simulated.
+//! * **Serial points.** A computed point runs serially on the worker
+//!   that admitted it, so `--threads N` serves up to `N` requests at
+//!   once. No warm state outlives the request: a repeat is answered from
+//!   the durable store, not re-simulated.
 //!
 //! # Protocol
 //!
@@ -28,7 +26,7 @@
 //! | `POST /sim`      | [`SimPoint`] JSON → [`SimResult`] JSON            |
 //! | `GET /healthz`   | [`crate::cluster::HealthInfo`] JSON: liveness +   |
 //! |                  | the fleet compat handshake (version, cache        |
-//! |                  | version, shards, orgs)                            |
+//! |                  | version, orgs)                                    |
 //! | `GET /stats`     | [`ServeStats`] JSON (request + cache counters)    |
 //! | `POST /shutdown` | `{"ok":true}`, then graceful drain and exit       |
 //! | `GET /blob/<key>`  | Raw blob bytes from this node's cache (404 on   |
@@ -53,7 +51,10 @@
 //! * `--deadline-ms D` arms a per-request wall-clock deadline: a
 //!   simulation still running when it expires is cooperatively aborted
 //!   (the driving loop polls an abort flag) and the request answered
-//!   with `503 Service Unavailable` — again on the open connection.
+//!   with `503 Service Unavailable` and an `X-Btbx-Abort: deadline`
+//!   header — again on the open connection. The header tells a
+//!   coordinator the abort is deterministic: the node is healthy, and
+//!   the same point would run into the same deadline anywhere.
 //!
 //! Both surface in `GET /stats` as [`ServeStats::shed`] and
 //! [`ServeStats::deadline_aborts`]; [`ServeStats::resumed_points`]
@@ -61,7 +62,7 @@
 //! (work a restarted client did *not* re-run).
 
 use crate::cluster::protocol;
-use crate::opts::{pool_split, sane_timeout, HarnessOpts, StoreUrl};
+use crate::opts::{sane_timeout, HarnessOpts, StoreUrl};
 use crate::store::{
     atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
 };
@@ -99,12 +100,10 @@ pub struct ServeConfig {
     pub port: u16,
     /// Cache directory (the sweep convention is `<out>/cache`).
     pub cache_dir: PathBuf,
-    /// Total thread budget, split between concurrent requests and
-    /// intra-request shard fan-out by [`pool_split`].
+    /// Worker threads: requests handled at once.
     pub threads: usize,
-    /// Interval shards per simulation. Any value serves results
-    /// byte-identical to the CLI serial path (warm-checkpoint mode);
-    /// more shards trade threads for per-request latency.
+    /// Read nowhere: every point runs serially. Kept only so struct
+    /// literals that set it still compile.
     pub shards: usize,
     /// Maximum concurrently admitted `/sim` requests; `0` = unlimited.
     /// At the limit, excess requests are shed with `429` + `Retry-After`
@@ -133,7 +132,7 @@ impl ServeConfig {
             port,
             cache_dir: opts.out_dir.join("cache"),
             threads: opts.threads,
-            shards: opts.shards.max(1),
+            shards: 1,
             max_inflight: 0,
             deadline: None,
             store: opts.store.clone(),
@@ -175,8 +174,6 @@ struct ServerState {
     /// given — also used to fetch trace containers by content hash.
     /// `None` means traces must exist locally (today's behavior).
     blob_backend: Option<Arc<dyn Store>>,
-    shards: usize,
-    shard_threads: usize,
     max_inflight: usize,
     deadline: Option<Duration>,
     /// Live `/sim` deadline registrations, polled by the watch thread.
@@ -323,13 +320,10 @@ impl Server {
             path: PathBuf::from("127.0.0.1"),
             source,
         })?;
-        let (workers, shard_threads) = pool_split(config.threads, config.shards);
         let state = Arc::new(ServerState {
             store,
             cache_dir: config.cache_dir.clone(),
             blob_backend,
-            shards: config.shards.max(1),
-            shard_threads,
             max_inflight: config.max_inflight,
             deadline: config.deadline,
             deadlines: Mutex::new(Vec::new()),
@@ -346,7 +340,7 @@ impl Server {
             std::thread::spawn(move || deadline_watch(&watch));
         }
         let accept = std::thread::spawn(move || {
-            let pool = ServicePool::new("serve", workers);
+            let pool = ServicePool::new("serve", config.threads.max(1));
             for (i, stream) in listener.incoming().enumerate() {
                 let Ok(stream) = stream else { continue };
                 // Submit before checking the flag: a request racing the
@@ -433,8 +427,8 @@ fn route(
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             // Liveness plus the fleet compat handshake: version,
-            // CACHE_VERSION, shard config, supported orgs.
-            let info = protocol::health_info(state.shards);
+            // CACHE_VERSION, supported orgs.
+            let info = protocol::health_info();
             let body = serde_json::to_string(&info).expect("health info serializes");
             let _ = respond_json(stream, 200, &body, None);
             Ok(())
@@ -475,8 +469,23 @@ fn route(
                     format!("{{\"error\":{:?}}}", format!("bad SimPoint: {e}")),
                 )
             })?;
-            let (result, fetch) = simulate(state, &point)
-                .map_err(|(status, msg)| (status, format!("{{\"error\":{msg:?}}}")))?;
+            let (result, fetch) = match simulate(state, &point) {
+                Ok(hit) => hit,
+                // `simulate`'s only 503 is a deadline abort. Answered
+                // here, not by the caller, to carry the header that
+                // marks the abort as deterministic.
+                Err((503, msg)) => {
+                    state.errors.fetch_add(1, Ordering::Relaxed);
+                    let _ = respond_json(
+                        stream,
+                        503,
+                        &format!("{{\"error\":{msg:?}}}"),
+                        Some(protocol::DEADLINE_ABORT),
+                    );
+                    return Ok(());
+                }
+                Err((status, msg)) => return Err((status, format!("{{\"error\":{msg:?}}}"))),
+            };
             if fetch == Fetch::Disk {
                 state.resumed_points.fetch_add(1, Ordering::Relaxed);
             }
@@ -604,8 +613,6 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
             // never need the trace bytes at all.
             let point = resolve_trace(state, point);
             point.run_with(RunOpts {
-                shards: state.shards,
-                threads: state.shard_threads,
                 abort: abort.clone(),
                 source: None,
             })

@@ -47,7 +47,7 @@ use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
 use btbx_trace::AnySource;
 use btbx_uarch::runner::{run_jobs, run_named_jobs};
-use btbx_uarch::{ParallelSession, SessionError, SimConfig, SimResult, SimSession};
+use btbx_uarch::{SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -150,17 +150,11 @@ impl SimPoint {
         self.run_with(RunOpts::default())
     }
 
-    /// Run the simulation for this point split into `shards` interval
-    /// shards that hand warm snapshots to each other
-    /// ([`ParallelSession`]): the result is **bit-identical** to the
-    /// serial [`run`](SimPoint::run) for any workload. `shards <= 1`
-    /// runs serially. See EXPERIMENTS.md, "Interval sharding".
-    pub fn run_sharded(&self, shards: usize, threads: usize) -> SimResult {
-        self.run_with(RunOpts {
-            shards,
-            threads,
-            ..RunOpts::default()
-        })
+    /// Kept for source compatibility: every point runs serially, so
+    /// this is [`run`](SimPoint::run) whatever `shards` and `threads`
+    /// say.
+    pub fn run_sharded(&self, _shards: usize, _threads: usize) -> SimResult {
+        self.run()
     }
 
     /// Run the simulation for this point as `opts` says (no caching).
@@ -171,35 +165,18 @@ impl SimPoint {
             Some(source) => source.clone(),
             None => self.source(),
         };
-        let fail =
-            |e: SessionError| -> SimResult { panic!("sim point {}: {e}", self.cache_file()) };
-        if opts.shards <= 1 {
-            let mut session = SimSession::new(proto)
-                .btb_spec(self.btb_spec())
-                .config(self.config.clone())
-                .label(self.org.id())
-                .warmup(self.warmup)
-                .measure(self.measure);
-            if let Some(flag) = opts.abort {
-                session = session.abort(flag);
-            }
-            return session.run().unwrap_or_else(fail);
-        }
-        // Shards clone the stream (synthetic images are Arc-shared so a
-        // walker clone is O(dynamic state); file-backed sources share the
-        // handle, index and escape table, so a clone is O(1) and each
-        // shard streams its own blocks).
-        let mut session = ParallelSession::new(move || proto.clone(), self.btb_spec())
+        let mut session = SimSession::new(proto)
+            .btb_spec(self.btb_spec())
             .config(self.config.clone())
             .label(self.org.id())
             .warmup(self.warmup)
-            .measure(self.measure)
-            .shards(opts.shards)
-            .threads(opts.threads);
+            .measure(self.measure);
         if let Some(flag) = opts.abort {
             session = session.abort(flag);
         }
-        session.run().map(|out| out.result).unwrap_or_else(fail)
+        session
+            .run()
+            .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
     }
 }
 
@@ -207,10 +184,6 @@ impl SimPoint {
 /// over a freshly built source.
 #[derive(Debug, Default)]
 pub struct RunOpts<'a> {
-    /// Interval shards; `<= 1` runs serially.
-    pub shards: usize,
-    /// Worker threads for the shards.
-    pub threads: usize,
     /// A cooperative abort flag: the simulation polls it and unwinds
     /// (with [`btbx_uarch::sim::ABORT_MARKER`]) once it is set — how the
     /// serve layer enforces per-request deadlines.
@@ -247,10 +220,7 @@ pub struct BatchGroup {
 /// The grouping key is the *stream-determining* part of a point — the
 /// workload, the warm-up/measure windows, and the simulator configuration
 /// with FDIP normalized out. Organization, budget and the FDIP flag are
-/// per-member state and deliberately absent. The shard count is absent
-/// too: checkpoint-mode sharding is bit-identical to serial replay (cache
-/// v3), so a group may run its members unsharded and still publish
-/// byte-identical entries under the shared cache keys.
+/// per-member state and deliberately absent.
 ///
 /// Groups come back in first-member order and members stay ascending, so
 /// the plan — and every journal/label derived from it — is deterministic.
@@ -411,14 +381,8 @@ impl Sweep {
     /// same cache key (`crates/bench/tests/batch_differential.rs` pins
     /// stats *and* cache-entry bytes).
     ///
-    /// With `opts.shards > 1` a group of one replays as that many
-    /// interval shards in warm-checkpoint mode
-    /// ([`SimPoint::run_sharded`]); a larger group runs its members
-    /// unsharded and concurrently instead. Checkpoint-mode results are
-    /// bit-identical to serial ones, so both share the serial cache
-    /// entries. The thread budget splits between concurrent groups and
-    /// per-group fan-out (shards or members) by
-    /// [`HarnessOpts::pool_split_for`].
+    /// The thread budget splits between concurrent groups and the
+    /// members inside each group by [`HarnessOpts::pool_split_for`].
     ///
     /// # Crash resumability
     ///
@@ -444,7 +408,6 @@ impl Sweep {
         }
         .unwrap_or_else(|e| panic!("[{}] opening result cache: {e}", self.name));
         let points = self.points();
-        let shards = opts.shards.max(1);
         let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
         let (journal, recovery) =
             SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume)
@@ -488,17 +451,8 @@ impl Sweep {
             eprintln!("[{}] {hits}/{} cached", self.name, points.len());
         }
         let groups = plan_batches(&points, &misses);
-        // A group of one fans its share of the threads out to shards, a
-        // larger group to its members.
-        let width = groups
-            .iter()
-            .map(|g| match g.members.len() {
-                1 => shards,
-                n => n,
-            })
-            .max()
-            .unwrap_or(shards);
-        let (group_threads, fanout_threads) = opts.pool_split_for(width, groups.len());
+        let width = groups.iter().map(|g| g.members.len()).max().unwrap_or(1);
+        let (group_threads, member_threads) = opts.pool_split_for(width, groups.len());
         let label = |group: &BatchGroup| {
             let first = &points[group.members[0]];
             format!("{}[{}]", first.workload.name, group.members.len())
@@ -508,10 +462,6 @@ impl Sweep {
         // single-flight path and journals the moment it finishes, so a
         // crash mid-group loses only unfinished members.
         let run_group = |group: &BatchGroup| -> Vec<SimResult> {
-            let (shards, member_threads) = match group.members.len() {
-                1 => (shards, 1),
-                _ => (1, fanout_threads),
-            };
             let source = points[group.members[0]].source();
             let jobs: Vec<_> = group
                 .members
@@ -530,8 +480,6 @@ impl Sweep {
                             store
                                 .get_or_compute(name, opts.fresh, || {
                                     point.run_with(RunOpts {
-                                        shards,
-                                        threads: fanout_threads,
                                         source: Some(source),
                                         ..RunOpts::default()
                                     })
@@ -810,8 +758,8 @@ mod tests {
         assert_ne!(sweep_for(&path_c).points()[0].cache_key(), key_a);
 
         // End-to-end: file-backed points run, cache, and replay from
-        // the cache byte-identically, serial and sharded.
-        let mut opts = tiny_opts("btbx-sweep-filerun");
+        // the cache byte-identically.
+        let opts = tiny_opts("btbx-sweep-filerun");
         let _ = fs::remove_dir_all(&opts.out_dir);
         let r1 = sweep_for(&path_a).run(&opts);
         assert!((4_000..4_006).contains(&r1[0].stats.instructions));
@@ -820,47 +768,8 @@ mod tests {
             r1[0].stats.cycles, r2[0].stats.cycles,
             "cache hit across paths"
         );
-        opts.shards = 2;
-        let r3 = sweep_for(&path_a).run(&opts);
-        assert!(r3[0].stats.instructions >= 4_000, "sharded file-backed run");
         let _ = fs::remove_dir_all(&opts.out_dir);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_points_are_bit_identical_to_serial_and_share_the_cache() {
-        let mut opts = tiny_opts("btbx-sweep-exact");
-        let _ = fs::remove_dir_all(&opts.out_dir);
-        let sweep = tiny_sweep(3_000, 9_000);
-        let serial = sweep.run(&opts);
-
-        // The sharded run must hit the serial run's cache entry — only
-        // possible because checkpoint mode is exact — and a fresh
-        // sharded computation must reproduce the serial result
-        // bit-for-bit.
-        opts.shards = 3;
-        let shared = sweep.run(&opts);
-        assert_eq!(shared[0], serial[0], "cache entry shared across modes");
-        let cache_files = fs::read_dir(opts.out_dir.join("cache"))
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .and_then(|x| x.to_str())
-                    == Some("json")
-            })
-            .count();
-        assert_eq!(cache_files, 1, "no shard-tagged duplicate entries");
-
-        opts.fresh = true;
-        let recomputed = sweep.run(&opts);
-        assert_eq!(
-            recomputed[0], serial[0],
-            "checkpoint-sharded computation must be bit-identical to serial"
-        );
-        let _ = fs::remove_dir_all(&opts.out_dir);
     }
 
     #[test]

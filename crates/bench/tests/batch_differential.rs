@@ -3,8 +3,9 @@
 //! performance optimization — bit-identical statistics AND
 //! byte-identical cache entries versus each point run alone with
 //! `SimPoint::run` and published through its own `ResultStore`, for
-//! every organization, across sharding and crash-resume. Any divergence here means a group is simulating a
-//! *different* machine, not the same machine faster.
+//! every organization and across crash-resume. Any divergence here means
+//! a group is simulating a *different* machine, not the same machine
+//! faster.
 
 use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::store::ResultStore;
@@ -96,30 +97,6 @@ fn batched_matches_per_point_for_every_org_and_budget() {
     }
     assert_cache_bytes_equal(&sweep, &batched_dir, &serial_dir);
     let _ = fs::remove_dir_all(&batched_dir);
-    let _ = fs::remove_dir_all(&serial_dir);
-}
-
-/// Sharding composed with grouping: a group of four runs its members
-/// unsharded, which per the cache-v3 contract (sharded == serial,
-/// bit-for-bit) must still publish the bytes a per-point run would.
-#[test]
-fn sharded_sweep_matches_per_point_bytes() {
-    let sweep = Sweep::named("diff-sharded")
-        .workloads(suite::ipc1_client().into_iter().take(1))
-        .orgs([OrgKind::Conv, OrgKind::BtbX])
-        .budgets([BudgetPoint::Kb3_6])
-        .fdip_both()
-        .windows(2_000, 4_000);
-    let sharded_dir = scratch("sharded-batched");
-    let serial_dir = scratch("sharded-serial");
-    let mut sharded_opts = opts(&sharded_dir);
-    sharded_opts.shards = 3;
-
-    let sharded_batched = sweep.run(&sharded_opts);
-    let serial = per_point(&sweep, &serial_dir);
-    assert_eq!(sharded_batched, serial);
-    assert_cache_bytes_equal(&sweep, &sharded_dir, &serial_dir);
-    let _ = fs::remove_dir_all(&sharded_dir);
     let _ = fs::remove_dir_all(&serial_dir);
 }
 

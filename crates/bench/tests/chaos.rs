@@ -351,26 +351,14 @@ fn one_node_coordinator_rides_out_shedding() {
 /// remains healthy for normal-sized work afterwards.
 #[test]
 fn deadline_aborts_runaway_simulations_and_the_server_survives() {
-    assert_deadline_abort_is_survived("deadline", 1, 150);
-}
-
-/// The same with sharded simulations: the deadline fires while shard 1
-/// waits for shard 0's hand-off. The run must fail as one request, not
-/// take the server process down.
-#[test]
-fn a_sharded_server_survives_a_deadline_abort() {
-    assert_deadline_abort_is_survived("deadline-sharded", 2, 300);
-}
-
-fn assert_deadline_abort_is_survived(tag: &str, shards: usize, deadline_ms: u64) {
-    let out = scratch(tag);
+    let out = scratch("deadline");
     let server = Server::start(ServeConfig {
         port: 0,
         cache_dir: out.join("cache"),
         threads: 2,
-        shards,
+        shards: 1,
         max_inflight: 0,
-        deadline: Some(Duration::from_millis(deadline_ms)),
+        deadline: Some(Duration::from_millis(150)),
         store: None,
         http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
     })
@@ -388,6 +376,7 @@ fn assert_deadline_abort_is_survived(tag: &str, shards: usize, deadline_ms: u64)
     let r = http_request(&addr, "POST", "/sim", &body).expect("aborts answer, never reset");
     assert_eq!(r.status, 503, "{}", r.body);
     assert!(r.body.contains("deadline"), "{}", r.body);
+    assert_eq!(r.header("X-Btbx-Abort"), Some("deadline"));
 
     let stats = http_request(&addr, "GET", "/stats", "").unwrap();
     assert!(

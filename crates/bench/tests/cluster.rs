@@ -7,6 +7,8 @@
 use btbx_bench::cluster::{
     self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState, RequestError,
 };
+use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
+use btbx_bench::serve::{ServeConfig, Server};
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
@@ -79,7 +81,7 @@ fn three_node_sweep_is_byte_identical_to_serial_cli_and_computes_once() {
     let serial = sweep.run(&opts(&serial_out));
 
     let base = scratch("fleet");
-    let cluster = LocalCluster::start(3, &base, 2, 1).expect("cluster starts");
+    let cluster = LocalCluster::start(3, &base, 2).expect("cluster starts");
     let coord_out = base.join("coordinator");
     let coord_opts = opts(&coord_out);
     let report = cluster::run_sweep(&sweep, &coord_opts, &config(cluster.addrs()))
@@ -151,7 +153,7 @@ fn kill_a_node_mid_sweep(tag: &str, threads: usize) {
     let serial = sweep.run(&opts(&serial_out));
 
     let base = scratch(&format!("{tag}-fleet"));
-    let cluster = LocalCluster::start(3, &base, 2, 1).expect("cluster starts");
+    let cluster = LocalCluster::start(3, &base, 2).expect("cluster starts");
     let addrs = cluster.addrs();
     let coord_out = base.join("coordinator");
     let coord_opts = HarnessOpts {
@@ -221,7 +223,7 @@ fn a_dead_one_node_fleet_fails_its_points_instead_of_hanging() {
     let serial = sweep.run(&opts(&serial_out));
 
     let base = scratch("dead-fleet");
-    let cluster = LocalCluster::start(1, &base, 2, 1).expect("node starts");
+    let cluster = LocalCluster::start(1, &base, 2).expect("node starts");
     let addrs = cluster.addrs();
     let cluster = Arc::new(Mutex::new(cluster));
     let coord_opts = HarnessOpts {
@@ -269,21 +271,64 @@ fn a_dead_one_node_fleet_fails_its_points_instead_of_hanging() {
     let _ = fs::remove_dir_all(&serial_out);
 }
 
+/// A point that outruns a node's per-request deadline fails after one
+/// attempt: the abort is deterministic, so retrying cannot help, and the
+/// node that aborted it is healthy and stays in rotation.
 #[test]
-fn mixed_shard_fleets_are_refused_up_front() {
-    let base = scratch("mixed");
-    let serial = LocalCluster::start(1, base.join("a"), 2, 1).expect("serial node");
-    let sharded = LocalCluster::start(1, base.join("b"), 2, 2).expect("sharded node");
-    let mut nodes = serial.addrs();
-    nodes.extend(sharded.addrs());
+fn a_deadline_abort_fails_the_point_once_and_keeps_the_node() {
+    let base = scratch("deadline");
+    let server = Server::start(ServeConfig {
+        port: 0,
+        cache_dir: base.join("node").join("cache"),
+        threads: 2,
+        shards: 1,
+        max_inflight: 0,
+        deadline: Some(Duration::from_millis(300)),
+        store: None,
+        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+    })
+    .expect("node starts");
+    let addr = server.addr().to_string();
+    // One point far too large to finish inside the deadline.
+    let runaway = Sweep::named("cluster-deadline")
+        .workloads(suite::ipc1_client().into_iter().take(1))
+        .orgs([OrgKind::BtbX])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(3_000_000, 3_000_000);
+    let died = AtomicBool::new(false);
+    let report = cluster::run_sweep_observed(
+        &runaway,
+        &opts(&base.join("coordinator")),
+        &config(vec![addr.clone()]),
+        &|event| {
+            if matches!(event, ClusterEvent::NodeDied { .. }) {
+                died.store(true, Ordering::SeqCst);
+            }
+        },
+    )
+    .expect("the node passes the handshake");
 
-    let coord_out = base.join("coordinator");
-    let err = cluster::run_sweep(&four_point_sweep(), &opts(&coord_out), &config(nodes))
-        .expect_err("mixed shards must be refused");
-    assert!(matches!(err, ClusterError::MixedShards { .. }), "{err}");
+    assert_eq!(report.failures.len(), 1, "{:?}", report.stats);
+    let failure = &report.failures[0];
+    assert!(
+        matches!(failure.error, RequestError::Deadline { .. }),
+        "{failure}"
+    );
+    assert_eq!(report.stats.dispatched, 1, "{:?}", report.stats);
+    assert_eq!(report.stats.requeued, 0, "{:?}", report.stats);
+    assert!(!died.load(Ordering::SeqCst), "a NodeDied event fired");
+    let summary = &report.nodes[0];
+    assert_eq!(
+        (summary.state, summary.failures),
+        (NodeState::Healthy, 0),
+        "{summary:?}"
+    );
+    let stats = cluster::protocol::probe_stats(&addr, Duration::from_secs(2)).unwrap();
+    assert_eq!(stats.deadline_aborts, 1, "{stats:?}");
 
-    serial.shutdown();
-    sharded.shutdown();
+    server.shutdown().unwrap();
+    server.join();
     let _ = fs::remove_dir_all(&base);
 }
 

@@ -21,13 +21,13 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn start(tag: &str, shards: usize) -> (Server, PathBuf) {
+fn start(tag: &str) -> (Server, PathBuf) {
     let out = scratch(tag);
     let server = Server::start(ServeConfig {
         port: 0,
         cache_dir: out.join("cache"),
         threads: 4,
-        shards,
+        shards: 1,
         max_inflight: 0,
         deadline: None,
         store: None,
@@ -48,7 +48,7 @@ fn two_point_sweep() -> Sweep {
 
 #[test]
 fn protocol_basics() {
-    let (server, out) = start("protocol", 1);
+    let (server, out) = start("protocol");
     let addr = server.addr().to_string();
 
     // /healthz carries the fleet compat handshake, not a bare ok.
@@ -57,7 +57,6 @@ fn protocol_basics() {
     let info: btbx_bench::cluster::HealthInfo = serde_json::from_str(&health.body).unwrap();
     assert!(info.ok);
     assert_eq!(info.cache_version, btbx_bench::sweep::CACHE_VERSION);
-    assert_eq!(info.shards, 1);
     assert_eq!(info.version, env!("CARGO_PKG_VERSION"));
     assert!(info.orgs.iter().any(|o| o == "btbx"), "{:?}", info.orgs);
 
@@ -104,7 +103,7 @@ fn protocol_basics() {
 
 #[test]
 fn eight_concurrent_clients_compute_each_unique_point_once() {
-    let (server, out) = start("dedup", 1);
+    let (server, out) = start("dedup");
     let addr = server.addr().to_string();
     let points = two_point_sweep().points();
     assert_eq!(points.len(), 2);
@@ -189,7 +188,7 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
     });
 
     // Same points through a fresh server (separate cache).
-    let (server, out) = start("vs-cli", 1);
+    let (server, out) = start("vs-cli");
     let addr = server.addr().to_string();
     for (point, cli) in sweep.points().iter().zip(&cli_results) {
         let body = serde_json::to_string(point).unwrap();
@@ -217,7 +216,7 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
 /// sweep and publishes the same cache entries into its own `<out>/cache`.
 #[test]
 fn one_node_coordinator_matches_local_sweep_order_and_results() {
-    let (server, out) = start("sweep-client", 1);
+    let (server, out) = start("sweep-client");
     let addr = server.addr().to_string();
     let sweep = two_point_sweep();
     let local_out = scratch("sweep-client-local");
@@ -268,10 +267,10 @@ fn one_node_coordinator_matches_local_sweep_order_and_results() {
 }
 
 #[test]
-fn sharded_server_serves_a_repeat_from_disk_byte_identically() {
-    // A sharded server computes a point once; asking again is answered
-    // from the durable store with the same bytes, not re-simulated.
-    let (server, out) = start("sharded-repeat", 2);
+fn a_repeat_is_served_from_disk_byte_identically() {
+    // The server computes a point once; asking again is answered from
+    // the durable store with the same bytes, not re-simulated.
+    let (server, out) = start("repeat");
     let addr = server.addr().to_string();
     let point = &two_point_sweep().points()[0];
     let body = serde_json::to_string(point).unwrap();

@@ -107,7 +107,7 @@ fn fleet_shares_one_store_and_traceless_nodes_fetch_containers_by_hash() {
     let store_url = StoreUrl::Http(blob_host.addr().to_string());
 
     // A 3-node fleet, every node wired to the shared store.
-    let cluster = LocalCluster::start_with_store(3, &base, 2, 1, Some(store_url.clone()))
+    let cluster = LocalCluster::start_with_store(3, &base, 2, Some(store_url.clone()))
         .expect("cluster starts");
     let coord_opts = opts(&base.join("coordinator"), Some(store_url));
 

@@ -1,5 +1,6 @@
-//! `btbx trace` refusals at the command line: a raw ChampSim file does
-//! not replay, and `convert` rejects an instruction size it cannot use
+//! `btbx trace` at the command line: `check` gates a converted trace on
+//! a replay resumed from a warm snapshot, a raw ChampSim file does not
+//! replay, and `convert` rejects an instruction size it cannot use
 //! before it creates its output file.
 
 use std::path::{Path, PathBuf};
@@ -14,6 +15,28 @@ fn btbx(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("btbx runs")
+}
+
+#[test]
+fn check_passes_a_converted_trace_and_takes_no_shard_count() {
+    let dest = std::env::temp_dir().join(format!("btbx-cli-check-{}.btbt", std::process::id()));
+    let dest_str = dest.to_str().unwrap();
+    let out = btbx(&[
+        "trace",
+        "convert",
+        fixture().to_str().unwrap(),
+        "-o",
+        dest_str,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = btbx(&["trace", "check", dest_str]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout.contains("resumed"), "{stdout}");
+    assert!(stdout.contains("OK"), "{stdout}");
+    let out = btbx(&["trace", "check", dest_str, "--shards", "4"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let _ = std::fs::remove_file(&dest);
 }
 
 #[test]

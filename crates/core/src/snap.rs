@@ -1,7 +1,7 @@
 //! Deterministic binary snapshot codec for microarchitectural state.
 //!
-//! Sharded simulation (see `btbx-uarch`) closes its accuracy gap by
-//! restoring *warmed* microarchitectural state instead of replaying a
+//! A simulation resumed mid-window (see `btbx_uarch::run_resumed`)
+//! restores *warmed* microarchitectural state instead of replaying a
 //! warm-up prefix. That requires every stateful model — each
 //! [`crate::OrgKind`]'s BTB, the direction predictor, the return-address
 //! stack, the cache hierarchy — to serialize into bytes that are

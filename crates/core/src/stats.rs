@@ -222,7 +222,7 @@ mod tests {
         bc.merge(&c);
         let mut a_bc = a;
         a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "shard merge order must not matter");
+        assert_eq!(ab_c, a_bc, "merge order must not matter");
         // b ⊕ a
         let mut ba = b;
         ba.merge(&a);

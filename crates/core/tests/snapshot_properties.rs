@@ -4,7 +4,8 @@
 //! into a freshly built engine, and continuing must be bit-identical to
 //! never having stopped — predictions, counters, and the bytes of a
 //! subsequent snapshot all included. This is the per-component guarantee
-//! the checkpoint-sharded simulator builds its exactness claim on.
+//! a simulator resumed from a warm snapshot builds its exactness claim
+//! on.
 
 use btbx_core::snap::{restore_sealed, save_sealed, SnapError};
 use btbx_core::storage::BudgetPoint;
@@ -97,8 +98,8 @@ proptest! {
     }
 
     /// A sealed snapshot is rejected under any other identity key — the
-    /// guard that stops a shard from restoring a hand-off sealed for
-    /// another workload, organization, or budget.
+    /// guard that stops a run from resuming a snapshot sealed for another
+    /// workload, organization, or budget.
     #[test]
     fn sealed_snapshot_refuses_a_foreign_identity(
         events in arb_events(200),

@@ -1,10 +1,10 @@
-//! [`AnySource`]: the one trace entry point every consumer shards
+//! [`AnySource`]: the one trace entry point every consumer replays
 //! through.
 //!
 //! `AnySource` unifies the two replayable stream kinds — the synthetic
 //! walker and `.btbt` packed containers — behind one concrete type that
-//! is `Clone + Send` and fully seekable, so a shard factory
-//! (`Fn() -> AnySource`) such as `btbx_uarch::ParallelSession`'s works
+//! is `Clone + Send` and fully seekable, so a source factory
+//! (`Fn() -> AnySource`) such as `btbx_uarch::run_resumed`'s works
 //! identically for every workload kind and one checkpoint type
 //! ([`AnyCheckpoint`]) serves them all.
 //!

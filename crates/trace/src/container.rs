@@ -1,6 +1,6 @@
 //! The `.btbt` indexed packed trace container: the on-disk form of
 //! [`crate::packed`]'s 16-byte-per-event SoA blocks, built so file-backed
-//! workloads replay through the sharded streaming engine exactly like
+//! workloads replay through the streaming simulator exactly like
 //! synthetic ones.
 //!
 //! A container holds one instruction stream as fixed-size packed blocks
@@ -50,9 +50,8 @@
 //! derived from the index), so `checkpoint`/`restore`/`seek` are all
 //! O(1) plus one lazy block read — cheaper than the synthetic walker's
 //! O(state) snapshots. Clones share the file handle and the loaded index
-//! behind `Arc`s, so handing every shard of a
-//! `btbx_uarch::ParallelSession` its own source is allocation-cheap and
-//! never re-reads the header.
+//! behind `Arc`s, so handing every member of a sweep group its own
+//! source is allocation-cheap and never re-reads the header.
 
 use crate::packed::{PackedInstr, KIND_ESCAPE, KIND_SHIFT};
 use crate::record::{MemAccess, Op, TraceInstr};
@@ -474,8 +473,8 @@ fn read_header<R: Read>(input: &mut R) -> Result<(ContainerInfo, u64, u64), Cont
 /// straight off disk, one 64 KiB block at a time.
 ///
 /// The index and escape table live in memory behind `Arc`s; the file
-/// handle is shared (`Arc<Mutex<File>>`) so clones — one per shard of a
-/// sharded run — cost an allocation, not an `open(2)`, and position
+/// handle is shared (`Arc<Mutex<File>>`) so clones — one per member of
+/// a sweep group — cost an allocation, not an `open(2)`, and position
 /// independently. Peak event memory is one decoded block per live
 /// instance, whatever the trace length.
 #[derive(Debug)]
@@ -579,8 +578,8 @@ impl PackedFileSource {
     /// the device errored): the index promised these bytes, replay
     /// cannot continue soundly without them, and `TraceSource` has no
     /// error channel — so external interference is loud by design.
-    /// Inside a sharded run the runner converts the panic into a failed
-    /// run labelled with the shard.
+    /// Inside a sweep the runner converts the panic into a failed point
+    /// labelled with the job.
     fn load_block_for(&mut self, pos: u64) {
         let block = self.index.partition_point(|e| e.start_instr <= pos) - 1;
         if block == self.block {

@@ -19,7 +19,7 @@
 //! * [`container`] — the on-disk `.btbt` form of the packed format and
 //!   the only trace file format that replays: an indexed block container
 //!   whose [`PackedFileSource`] seeks in O(1), bringing file-backed
-//!   traces onto the sharded streaming engine;
+//!   traces onto the streaming simulator;
 //! * [`any`] — [`AnySource`], the unified synthetic / packed-file entry
 //!   point every consumer (sessions, sweeps, benches) builds its streams
 //!   through;

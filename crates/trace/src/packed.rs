@@ -23,7 +23,7 @@
 //! ```
 //!
 //! Used by the simulator's streaming block buffer (the only place trace
-//! events are still buffered now that sharded runs stream their windows)
+//! events are still buffered now that runs stream their windows)
 //! and by the on-disk `.btbt` container ([`crate::container`]), which
 //! stores the same word layout block by block. In-memory replays use
 //! [`crate::source::VecSource`].

@@ -11,11 +11,11 @@
 //! * [`TraceSource::advance`] skips records without yielding them, letting
 //!   sources with cheap repositioning (an index bump for [`VecSource`], a
 //!   materialization-free skip loop for the synthetic walker) fast-forward
-//!   past a shard's prefix;
+//!   past a prefix;
 //! * [`SeekableSource`] adds snapshot/restore of the full generator state,
 //!   so a position reached once — by anyone — never has to be re-derived
-//!   by stepping again. `btbx_uarch::parallel` hands these checkpoints
-//!   from shard to shard.
+//!   by stepping again. `btbx_uarch::run_resumed` pairs these
+//!   checkpoints with warm simulator snapshots.
 
 use crate::packed::PackedBuf;
 use crate::record::TraceInstr;

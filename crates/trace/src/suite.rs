@@ -159,8 +159,8 @@ impl WorkloadSpec {
     }
 
     /// Build the trace stream for this workload — the entry point that
-    /// covers synthetic and file-backed workloads alike, and the one
-    /// sharded sessions clone per shard.
+    /// covers synthetic and file-backed workloads alike, and the one a
+    /// sweep group clones per member.
     ///
     /// # Errors
     ///

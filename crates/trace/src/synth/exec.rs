@@ -29,7 +29,7 @@ const GLOBAL_WINDOW: u64 = 16 << 20;
 /// An infinite instruction stream over a program image.
 ///
 /// The image is behind an [`Arc`][std::sync::Arc], so cloning a walker —
-/// the way parallel shard replays hand every worker its own stream — is
+/// the way a sweep group hands every member its own stream — is
 /// O(dynamic state), not O(image).
 #[derive(Debug, Clone)]
 pub struct SyntheticTrace {
@@ -83,7 +83,7 @@ impl SyntheticTrace {
     }
 
     /// [`new`](Self::new) over an already-shared image: walkers for the
-    /// same workload (parallel shards, repeated runs) share one copy.
+    /// same workload (group members, repeated runs) share one copy.
     pub fn over(image: std::sync::Arc<ProgramImage>, name: impl Into<String>, seed: u64) -> Self {
         let entry = image.funcs[image.dispatcher as usize].entry;
         let slots = image.loop_slots as usize;

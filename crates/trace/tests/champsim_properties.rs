@@ -283,8 +283,8 @@ proptest! {
     }
 
     /// The container's seek contract: from any position `k`,
-    /// `seek(k)` ≡ `step()×k` — the property the sharded engine's
-    /// checkpoint hand-off stands on, mirrored from `synth_seek.rs`.
+    /// `seek(k)` ≡ `step()×k` — the property a run resumed from a
+    /// checkpoint stands on, mirrored from `synth_seek.rs`.
     #[test]
     fn container_seek_matches_stepping(
         instrs in proptest::collection::vec(arb_weird_instr(), 2..200),

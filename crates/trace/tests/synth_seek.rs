@@ -1,8 +1,8 @@
 //! Property suite pinning the seekable-generator contract:
 //! `seek(k) == step()×k`. A generator repositioned to any index — by
 //! rewind-and-skip, by checkpoint restore into the same instance, or by
-//! checkpoint restore into a *fresh* instance (the shard hand-off path of
-//! `btbx_uarch::parallel`) — must reproduce the stepped generator's event
+//! checkpoint restore into a *fresh* instance (how
+//! `btbx_uarch::run_resumed` carries a run across a cut) — must reproduce the stepped generator's event
 //! stream exactly, for every workload profile family the suites use.
 
 use btbx_core::types::Arch;
@@ -65,8 +65,8 @@ proptest! {
     }
 
     /// A checkpoint captured at an interval boundary resumes the exact
-    /// stream when restored into a fresh generator instance — the shard
-    /// hand-off path — and seeking *backwards* rewinds correctly.
+    /// stream when restored into a fresh generator instance — the resume
+    /// path — and seeking *backwards* rewinds correctly.
     #[test]
     fn checkpoint_resume_is_exact(
         profile_index in 0usize..4,

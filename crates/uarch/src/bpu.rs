@@ -149,7 +149,7 @@ impl BpuStats {
         self.decode_resteers + self.execute_resteers
     }
 
-    /// Merge counters from another window (shard/interval aggregation).
+    /// Merge counters from another window (interval aggregation).
     pub fn merge(&mut self, o: &BpuStats) {
         self.lookups += o.lookups;
         self.branches += o.branches;

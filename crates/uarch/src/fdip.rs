@@ -22,7 +22,7 @@ pub struct FdipStats {
 }
 
 impl FdipStats {
-    /// Merge counters from another window (shard aggregation).
+    /// Merge counters from another window.
     pub fn merge(&mut self, o: &FdipStats) {
         self.issued += o.issued;
         self.scanned += o.scanned;

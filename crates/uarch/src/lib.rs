@@ -27,8 +27,8 @@
 //! * [`sim`] — the cycle loop tying everything together;
 //! * [`stats`] — IPC, MPKI, flush and energy-relevant access statistics;
 //! * [`runner`] — the panic-safe work-queue thread pool;
-//! * [`parallel`] — interval-sharded runs of one point across the pool,
-//!   handing warm snapshots from shard to shard;
+//! * [`parallel`] — the [`ParallelSession`] builder, kept for older
+//!   callers: one serial run with an interval grid and telemetry;
 //! * [`batch`] — batched multi-lane execution: many org×budget lanes,
 //!   each a solo session over a clone of one shared trace source.
 //!
@@ -47,8 +47,6 @@ pub mod batch;
 pub mod bpu;
 pub mod cache;
 pub mod config;
-#[cfg(test)]
-mod counting;
 pub mod fdip;
 pub mod ftq;
 pub mod hierarchy;
@@ -63,6 +61,6 @@ pub mod stats;
 pub use batch::{BatchLane, BatchSession};
 pub use config::SimConfig;
 pub use parallel::{ParallelOutcome, ParallelSession, ParallelTelemetry};
-pub use session::{IntervalStats, SessionError, SimSession};
+pub use session::{run_resumed, IntervalStats, SessionError, SimSession};
 pub use sim::{simulate, Simulator};
 pub use stats::{SimResult, SimStats};

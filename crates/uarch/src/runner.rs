@@ -3,8 +3,8 @@
 //! Jobs are independent closures producing results; the pool preserves
 //! input order in the output. Progress is reported to stderr since sweeps
 //! can take minutes. Lives in `btbx-uarch` (rather than the experiment
-//! harness) so [`crate::parallel::ParallelSession`] can replay trace
-//! shards on it; `btbx-bench` re-exports it unchanged.
+//! harness) so [`crate::batch::BatchSession`] can run its lanes on it;
+//! `btbx-bench` uses it for sweeps and the service.
 //!
 //! # Panics
 //!

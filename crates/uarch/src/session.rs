@@ -29,8 +29,10 @@ use crate::bpu::{Bpu, BpuStats};
 use crate::config::SimConfig;
 use crate::sim::Simulator;
 use crate::stats::SimResult;
+use btbx_core::snap::{restore_sealed, save_sealed};
 use btbx_core::spec::{BtbSpec, SpecError};
 use btbx_core::{Btb, BtbEngine};
+use btbx_trace::source::SeekableSource;
 use btbx_trace::TraceSource;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -80,16 +82,14 @@ impl IntervalStats {
     }
 }
 
-/// Why a [`SimSession`] (or [`crate::parallel::ParallelSession`]) cannot
-/// run.
+/// Why a [`SimSession`] (or [`crate::parallel::ParallelSession`] or
+/// [`run_resumed`]) cannot run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// Neither [`SimSession::btb`] nor [`SimSession::btb_spec`] was called.
     NoBtb,
     /// The configured [`BtbSpec`] does not validate.
     Spec(SpecError),
-    /// A sharded session needs a finite measurement window to split.
-    UnboundedMeasure,
 }
 
 impl std::fmt::Display for SessionError {
@@ -99,12 +99,6 @@ impl std::fmt::Display for SessionError {
                 write!(f, "session has no BTB: call .btb(...) or .btb_spec(...)")
             }
             SessionError::Spec(e) => write!(f, "invalid BTB spec: {e}"),
-            SessionError::UnboundedMeasure => {
-                write!(
-                    f,
-                    "sharded sessions need a finite .measure(...) window to split"
-                )
-            }
         }
     }
 }
@@ -314,6 +308,75 @@ fn run_with<S: TraceSource, B: Btb>(
     });
     result.btb_budget_bits = budget_bits;
     result
+}
+
+/// A simulator over `source` with the BTB `spec` describes, recording
+/// `org` and the spec's budget in its result.
+pub(crate) fn spec_simulator<S: TraceSource>(
+    spec: &BtbSpec,
+    config: &SimConfig,
+    source: S,
+    org: String,
+) -> Result<Simulator<S, BtbEngine>, SpecError> {
+    let engine = spec.build_engine()?;
+    let bpu = Bpu::new(engine, config.ras_entries, config.decode_resteer);
+    Ok(Simulator::new(
+        config.clone(),
+        source,
+        bpu,
+        org,
+        spec.bits(),
+    ))
+}
+
+/// Run one point as [`SimSession`] would, but cut its measurement window
+/// into `segments` equal stretches and carry the run across each cut
+/// through a warm snapshot: the running simulator is sealed
+/// ([`save_sealed`]) alongside a trace checkpoint and dropped, and a fresh
+/// simulator over a fresh `factory()` source restores both and goes on.
+///
+/// A restore reproduces the simulator and the source bit for bit, so the
+/// result equals the uninterrupted run's whatever `segments` is (0 is
+/// treated as 1). `btbx trace check` and the determinism suites hold the
+/// warm-snapshot code to that.
+///
+/// # Errors
+///
+/// [`SessionError::Spec`] when `spec` does not validate.
+///
+/// # Panics
+///
+/// Panics when a snapshot fails to restore into the simulator it was
+/// sealed from, which would be a bug in a [`btbx_core::snap::Snapshot`]
+/// implementation.
+pub fn run_resumed<S: SeekableSource>(
+    factory: impl Fn() -> S,
+    spec: BtbSpec,
+    config: &SimConfig,
+    warmup: u64,
+    measure: u64,
+    segments: u64,
+) -> Result<SimResult, SessionError> {
+    let org = spec.org.id();
+    let identity = format!("resume|{org}|{}b|{config:?}", spec.bits());
+    let mut sim = spec_simulator(&spec, config, factory(), org.to_string())?;
+    sim.run_until_committed(warmup);
+    sim.begin_measurement();
+    let start = sim.committed();
+    let segments = segments.max(1);
+    let chunk = measure.div_ceil(segments);
+    for cut in 1..segments {
+        sim.run_until_committed(start.saturating_add(chunk.saturating_mul(cut)));
+        let sealed = save_sealed(&identity, &sim);
+        let mut source = factory();
+        source.restore(&sim.trace().checkpoint());
+        sim = spec_simulator(&spec, config, source, org.to_string())
+            .expect("the spec built the first simulator");
+        restore_sealed(&mut sim, &identity, &sealed)
+            .unwrap_or_else(|e| panic!("restoring the snapshot sealed at cut {cut}: {e}"));
+    }
+    sim.run_until_committed(start.saturating_add(measure));
+    Ok(sim.into_result())
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub const EVENT_BLOCK_EVENTS: usize = 256;
 /// Bytes of event buffering one live simulator holds
 /// ([`EVENT_BLOCK_EVENTS`] packed 16-byte events) — O(1) in the window
 /// length, reported in [`crate::ParallelTelemetry`] as the peak
-/// per-shard buffer cost.
+/// event-buffer cost.
 pub const EVENT_BLOCK_BYTES: u64 = EVENT_BLOCK_EVENTS as u64 * 16;
 
 /// Panic message used when a run is cancelled through an abort flag
@@ -215,8 +215,8 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     }
 
     /// Tick until the *absolute* committed-instruction count reaches
-    /// `target` (or the trace drains). The warm-up building block of both
-    /// the serial path and sharded runs.
+    /// `target` (or the trace drains): the warm-up phase, or a stretch of
+    /// the measurement window that streams no intervals.
     pub fn run_until_committed(&mut self, target: u64) {
         while self.committed < target && !self.finished() {
             if !self.skip_inert() {
@@ -236,37 +236,8 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         interval: Option<u64>,
         observer: &mut dyn FnMut(&IntervalStats),
     ) {
-        self.run_measured_aligned(target, interval, 0, observer);
-    }
-
-    /// [`run_measured`](Self::run_measured) with the interval grid
-    /// anchored `grid_offset` instructions *before* this simulator's
-    /// measurement start. Shards restore mid-window — the
-    /// predecessor's cut overshoots the nominal boundary by up to
-    /// `commit_width - 1` instructions — and pass that overshoot here so
-    /// boundaries still fire at the exact committed counts the serial
-    /// interval stream crosses (the records themselves stay shard-local;
-    /// the merge re-accumulates them).
-    ///
-    /// Returns `true` when the final record was an off-grid trailing
-    /// partial (the run ended between grid points). A serial run keeps
-    /// that record; a non-final shard's caller pops it and carries it as
-    /// pure accumulation state, because the serial stream has no boundary
-    /// at an interior shard cut.
-    pub fn run_measured_aligned(
-        &mut self,
-        target: u64,
-        interval: Option<u64>,
-        grid_offset: u64,
-        observer: &mut dyn FnMut(&IntervalStats),
-    ) -> bool {
         let step = interval.unwrap_or(u64::MAX);
-        // First grid point strictly past the restore position: boundaries
-        // at or before `grid_offset` were already emitted upstream.
-        let mut next_boundary = (grid_offset / step)
-            .saturating_add(1)
-            .saturating_mul(step)
-            .saturating_sub(grid_offset);
+        let mut next_boundary = step;
         let mut index = 0u64;
         let (mut emitted_instr, mut emitted_cycles) = (0u64, 0u64);
         let mut emit = |sim: &Self, index: u64, emitted_instr: u64, emitted_cycles: u64| {
@@ -300,9 +271,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         // Trailing partial interval.
         if interval.is_some() && self.committed - self.measure_start_committed > emitted_instr {
             emit(self, index, emitted_instr, emitted_cycles);
-            return true;
         }
-        false
     }
 
     /// `true` when the trace has drained and the pipeline is empty.
@@ -316,7 +285,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         self.committed
     }
 
-    /// Borrow the trace source (shards record the source
+    /// Borrow the trace source (a resumed run records the source
     /// position alongside a microarchitectural snapshot).
     pub fn trace(&self) -> &S {
         &self.trace
@@ -1122,12 +1091,53 @@ mod tests {
         (sim.into_result().stats, intervals)
     }
 
+    /// Warm a simulator over `fresh()` for `warmup` instructions, seal it
+    /// with a trace checkpoint, and measure `measure` instructions from a
+    /// restored copy over another `fresh()` source. A restore resets the
+    /// derived `issued_prefix` while the FTQ is occupied; the fast and
+    /// the plain loop must still agree after it.
+    fn resumed<S: SeekableSource>(
+        fresh: impl Fn() -> S,
+        kind: OrgKind,
+        fdip: bool,
+        warmup: u64,
+        measure: u64,
+    ) -> (SimStats, Vec<IntervalStats>) {
+        let mut warm = oracle_sim(fresh(), kind, fdip, false);
+        warm.run_until_committed(warmup);
+        let sealed = save_sealed("oracle", &warm);
+        let checkpoint = warm.trace().checkpoint();
+        let restored = |plain: bool| {
+            let mut source = fresh();
+            source.restore(&checkpoint);
+            let mut sim = oracle_sim(source, kind, fdip, plain);
+            restore_sealed(&mut sim, "oracle", &sealed).unwrap();
+            measure_intervals(sim, measure)
+        };
+        let fast = restored(false);
+        assert_eq!(fast, restored(true), "{} fdip={fdip} restored", kind.id());
+        fast
+    }
+
     #[test]
     fn fast_forward_matches_the_plain_tick_loop() {
         const WARMUP: u64 = 20_000;
         const MEASURE: u64 = 30_000;
         let image = ProgramImage::generate(&SynthParams::server(300), 21);
         let trace = || SyntheticTrace::new(image.clone(), "server_oracle", 21);
+        // The same stream in a `.btbt` container, with room for the
+        // instructions in flight at the end of the window.
+        let path = std::env::temp_dir().join(format!("btbx-oracle-{}.btbt", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        btbx_trace::container::write_container(
+            file,
+            "server_oracle",
+            Arch::Arm64,
+            &mut trace(),
+            WARMUP + MEASURE + 10_000,
+        )
+        .unwrap();
+        let container = btbx_trace::PackedFileSource::open(&path).unwrap();
         for kind in OrgKind::ALL {
             for fdip in [false, true] {
                 let what = format!("{} fdip={fdip}", kind.id());
@@ -1140,24 +1150,14 @@ mod tests {
                 assert_eq!(fast, straight(true), "{what}");
                 assert!(fast.1.len() > 1, "{what}: intervals must stream");
 
-                // A restore resets the derived `issued_prefix` while the
-                // FTQ is occupied; both loops must still agree, and with
-                // the uninterrupted run.
-                let mut warm = oracle_sim(trace(), kind, fdip, false);
-                warm.run_until_committed(WARMUP);
-                let sealed = save_sealed("oracle", &warm);
-                let checkpoint = warm.trace().checkpoint();
-                let restored = |plain: bool| {
-                    let mut source = trace();
-                    source.restore(&checkpoint);
-                    let mut sim = oracle_sim(source, kind, fdip, plain);
-                    restore_sealed(&mut sim, "oracle", &sealed).unwrap();
-                    measure_intervals(sim, MEASURE)
-                };
-                let resumed = restored(false);
-                assert_eq!(resumed, restored(true), "{what} restored");
-                assert_eq!(resumed, fast, "{what} restored vs uninterrupted");
+                // Both loops must agree with the uninterrupted run after
+                // a restore, from the generator and from the container.
+                let synthetic = resumed(trace, kind, fdip, WARMUP, MEASURE);
+                assert_eq!(synthetic, fast, "{what} restored vs uninterrupted");
+                let packed = resumed(|| container.clone(), kind, fdip, WARMUP, MEASURE);
+                assert_eq!(packed, fast, "{what} restored from .btbt vs uninterrupted");
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 }

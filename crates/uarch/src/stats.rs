@@ -83,10 +83,9 @@ impl SimStats {
         self.btb_counts.reads + self.wrong_path_btb_reads
     }
 
-    /// Merge every counter from another measurement window — the
-    /// deterministic reduction [`crate::parallel::ParallelSession`] uses
-    /// to combine shard results (derived metrics like IPC are recomputed
-    /// from the merged counters, never averaged).
+    /// Merge every counter from another measurement window (derived
+    /// metrics like IPC are recomputed from the merged counters, never
+    /// averaged).
     pub fn merge(&mut self, o: &SimStats) {
         self.instructions += o.instructions;
         self.cycles += o.cycles;

@@ -1,12 +1,12 @@
 //! File-backed determinism suite: a ChampSim trace converted to a
-//! `.btbt` container must replay through `ParallelSession` byte-identical
-//! to the serial `SimSession`, with no full-trace materialization —
-//! the file-backed mirror of `tests/parallel_determinism.rs`.
+//! `.btbt` container must replay losslessly, and a run over it resumed
+//! from warm snapshots at `K` cuts ("shards") must be byte-identical to
+//! the uninterrupted `SimSession` — the file-backed mirror of
+//! `tests/parallel_determinism.rs`.
 //!
-//! Shards hand warm microarchitectural snapshots to each other, so
-//! sharded equals serial for ANY trace at the default configuration —
-//! which is precisely what lets real, aperiodic server traces ride the
-//! sharded engine without an equivalence caveat.
+//! A snapshot plus a container checkpoint reproduce the simulator and
+//! the source bit for bit, so resumed equals serial for ANY trace at the
+//! default configuration, real aperiodic server traces included.
 //!
 //! The fixture is a ~50k-instruction ChampSim `input_instr` file under
 //! `tests/fixtures/`, generated deterministically from the synthetic
@@ -20,8 +20,7 @@ use btbx::trace::container::{write_container, ContainerError, PackedFileSource};
 use btbx::trace::source::TraceSource;
 use btbx::trace::suite::WorkloadSpec;
 use btbx::trace::{AnySource, TraceInstr, TraceOpenError};
-use btbx::uarch::sim::EVENT_BLOCK_BYTES;
-use btbx::uarch::{IntervalStats, ParallelOutcome, ParallelSession, SimConfig, SimSession};
+use btbx::uarch::{run_resumed, SimConfig, SimResult, SimSession};
 use std::path::{Path, PathBuf};
 
 const FIXTURE: &str = "tests/fixtures/ipc1_like_50k.champsim";
@@ -65,55 +64,30 @@ fn convert_fixture(path: &Path) {
 
 const WARMUP: u64 = 10_000;
 const MEASURE: u64 = 32_000;
-/// Divides the chunk size at every shard count used here (1, 2, 4, 8
-/// over 32k), so shard-local intervals line up with serial ones.
-const INTERVAL: u64 = 4_000;
 
-fn serial_reference(
-    source: AnySource,
-    spec: BtbSpec,
-) -> (btbx::uarch::SimResult, Vec<IntervalStats>) {
-    let mut intervals = Vec::new();
-    let result = SimSession::new(source)
+fn serial_reference(source: AnySource, spec: BtbSpec) -> SimResult {
+    SimSession::new(source)
         .btb_spec(spec)
         .config(SimConfig::with_fdip())
         .warmup(WARMUP)
         .measure(MEASURE)
-        .every(INTERVAL, |iv| intervals.push(*iv))
         .run()
-        .expect("valid serial session");
-    (result, intervals)
+        .expect("valid serial session")
 }
 
-fn sharded(proto: &AnySource, spec: BtbSpec, shards: usize) -> ParallelOutcome {
-    let proto = proto.clone();
-    ParallelSession::new(move || proto.clone(), spec)
-        .config(SimConfig::with_fdip())
-        .warmup(WARMUP)
-        .measure(MEASURE)
-        .every(INTERVAL)
-        .shards(shards)
-        .run()
-        .expect("valid sharded session")
+/// The window cut into `segments` stretches, each resumed from a warm
+/// snapshot and container checkpoint of the one before.
+fn resumed(proto: &AnySource, spec: BtbSpec, segments: u64) -> SimResult {
+    let config = SimConfig::with_fdip();
+    run_resumed(|| proto.clone(), spec, &config, WARMUP, MEASURE, segments)
+        .expect("valid resumed run")
 }
 
-fn assert_identical(ctx: &str, serial: &btbx::uarch::SimResult, out: &ParallelOutcome) {
+fn assert_identical(ctx: &str, serial: &SimResult, out: &SimResult) {
     // Byte-identical across the whole stats record, not a field sample.
     let a = serde_json::to_string(&serial.stats).unwrap();
-    let b = serde_json::to_string(&out.result.stats).unwrap();
+    let b = serde_json::to_string(&out.stats).unwrap();
     assert_eq!(a, b, "{ctx}: stats diverged");
-}
-
-fn assert_intervals_identical(ctx: &str, a: &[IntervalStats], b: &[IntervalStats]) {
-    assert_eq!(a.len(), b.len(), "{ctx}: interval count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.index, y.index, "{ctx}: interval index");
-        assert_eq!(x.instructions, y.instructions, "{ctx}: boundary instrs");
-        assert_eq!(x.cycles, y.cycles, "{ctx}: boundary cycles");
-        assert_eq!(x.delta_instructions, y.delta_instructions, "{ctx}: delta");
-        assert_eq!(x.delta_cycles, y.delta_cycles, "{ctx}: delta cycles");
-        assert_eq!(x.bpu, y.bpu, "{ctx}: interval bpu");
-    }
 }
 
 #[test]
@@ -137,10 +111,9 @@ fn container_replay_matches_the_champsim_stream() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The headline acceptance test: the converted fixture runs through
-/// `ParallelSession` with 4 shards producing stats byte-identical to the
-/// serial run, while peak event memory stays at one staging block per
-/// shard slot (no full-trace materialization).
+/// The headline acceptance test: the converted fixture, resumed from
+/// warm snapshots at three cuts, produces stats byte-identical to the
+/// uninterrupted run.
 #[test]
 fn four_shard_file_backed_run_is_byte_identical_to_serial() {
     let path = temp_container("accept");
@@ -149,19 +122,8 @@ fn four_shard_file_backed_run_is_byte_identical_to_serial() {
     let proto = spec.build_source().unwrap();
     let btb = BtbSpec::of(OrgKind::BtbX);
 
-    let (serial, serial_intervals) = serial_reference(proto.clone(), btb);
-    let out = sharded(&proto, btb, 4);
-    assert_identical("4 shards", &serial, &out);
-    assert_intervals_identical("4 shards", &serial_intervals, &out.intervals);
-
-    // O(blocks-per-live-shard), not O(window): 4 shard slots of one
-    // packed staging block each — vs ~800 KB were the 50k-event window
-    // materialized at 16 B/event.
-    assert!(
-        out.telemetry.peak_event_buffer_bytes <= 4 * EVENT_BLOCK_BYTES,
-        "event buffers ballooned: {} B",
-        out.telemetry.peak_event_buffer_bytes
-    );
+    let serial = serial_reference(proto.clone(), btb);
+    assert_identical("4 segments", &serial, &resumed(&proto, btb, 4));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -175,12 +137,10 @@ fn file_backed_runs_are_shard_invariant_across_counts() {
         .unwrap();
     for org in [OrgKind::Conv, OrgKind::BtbX] {
         let spec = BtbSpec::of(org);
-        let (serial, serial_intervals) = serial_reference(proto.clone(), spec);
-        for shards in [1usize, 2, 8] {
-            let out = sharded(&proto, spec, shards);
-            let ctx = format!("{org}, {shards} shard(s)");
-            assert_identical(&ctx, &serial, &out);
-            assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+        let serial = serial_reference(proto.clone(), spec);
+        for segments in [1u64, 2, 8] {
+            let ctx = format!("{org}, {segments} segment(s)");
+            assert_identical(&ctx, &serial, &resumed(&proto, spec, segments));
         }
     }
     let _ = std::fs::remove_file(&path);

@@ -1,14 +1,16 @@
-//! Determinism suite: `ParallelSession` must reproduce the serial
-//! `SimSession` exactly — same totals, same interval boundaries — at the
-//! default commit width, for every shard count and thread count (see the
-//! module docs of `btbx_uarch::parallel` and EXPERIMENTS.md, "Interval
-//! sharding").
+//! Determinism suite for warm snapshots: a run whose measurement window
+//! is cut into `K` segments ("shards"), each resumed in a fresh simulator
+//! from the previous one's sealed snapshot and trace checkpoint
+//! (`btbx::uarch::run_resumed`), must reproduce the uninterrupted
+//! `SimSession` exactly at the default commit width, for every segment
+//! count. `ParallelSession`, kept for older callers, must equal it too,
+//! interval stream included (see EXPERIMENTS.md, "Warm snapshots").
 //!
 //! The workloads are small steady-state loops exercising every front-end
 //! structure (BTB, RAS, direction predictor, caches, FTQ), plus a
 //! small-window synthetic server trace for the paper's organizations;
-//! more aperiodic cases live in `tests/file_backed_determinism.rs` and the
-//! unit tests of `btbx_uarch::parallel`.
+//! an aperiodic file-backed case lives in
+//! `tests/file_backed_determinism.rs`.
 
 use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
@@ -16,7 +18,9 @@ use btbx::core::{BranchEvent, BtbSpec, OrgKind};
 use btbx::trace::record::{MemAccess, TraceInstr};
 use btbx::trace::source::{SeekableSource, TraceSource, VecSource};
 use btbx::trace::suite;
-use btbx::uarch::{IntervalStats, ParallelSession, SimConfig, SimSession, SimStats};
+use btbx::uarch::{
+    run_resumed, IntervalStats, ParallelSession, SimConfig, SimResult, SimSession, SimStats,
+};
 
 const WARMUP: u64 = 8_000;
 const MEASURE: u64 = 64_000;
@@ -156,7 +160,7 @@ fn serial_reference(
     trace: impl TraceSource,
     spec: BtbSpec,
     config: &SimConfig,
-) -> (btbx::uarch::SimResult, Vec<IntervalStats>) {
+) -> (SimResult, Vec<IntervalStats>) {
     let mut intervals = Vec::new();
     let result = SimSession::new(trace)
         .btb_spec(spec)
@@ -169,35 +173,29 @@ fn serial_reference(
     (result, intervals)
 }
 
-fn sharded<S: SeekableSource + Send>(
-    factory: impl Fn() -> S + Sync,
+/// The window cut into `segments` stretches, each resumed from a warm
+/// snapshot of the one before.
+fn resumed<S: SeekableSource>(
+    factory: impl Fn() -> S,
     spec: BtbSpec,
     config: &SimConfig,
-    shards: usize,
-) -> btbx::uarch::ParallelOutcome {
-    ParallelSession::new(factory, spec)
-        .config(config.clone())
-        .warmup(WARMUP)
-        .measure(MEASURE)
-        .every(INTERVAL)
-        .shards(shards)
-        .run()
-        .expect("valid sharded session")
+    segments: u64,
+) -> SimResult {
+    run_resumed(factory, spec, config, WARMUP, MEASURE, segments).expect("valid resumed run")
 }
 
 #[test]
 fn call_loop_is_shard_invariant() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
-    for shards in [1usize, 2, 8] {
-        let out = sharded(call_loop, spec, &config, shards);
-        let ctx = format!("call loop, {shards} shard(s)");
-        assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
-        assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
-        assert_eq!(serial.org, out.result.org, "{ctx}");
+    let (serial, _) = serial_reference(call_loop(), spec, &config);
+    for segments in [1u64, 2, 8] {
+        let out = resumed(call_loop, spec, &config, segments);
+        let ctx = format!("call loop, {segments} segment(s)");
+        assert_stats_identical(&ctx, &serial.stats, &out.stats);
+        assert_eq!(serial.org, out.org, "{ctx}");
         assert_eq!(
-            serial.btb_budget_bits, out.result.btb_budget_bits,
+            serial.btb_budget_bits, out.btb_budget_bits,
             "{ctx}: recorded budget"
         );
     }
@@ -207,18 +205,17 @@ fn call_loop_is_shard_invariant() {
 fn branchy_loop_is_shard_invariant() {
     let config = SimConfig::without_fdip();
     let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-    let (serial, serial_intervals) = serial_reference(branchy_loop(), spec, &config);
-    for shards in [1usize, 2, 8] {
-        let out = sharded(branchy_loop, spec, &config, shards);
-        let ctx = format!("branchy loop, {shards} shard(s)");
-        assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
-        assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+    let (serial, _) = serial_reference(branchy_loop(), spec, &config);
+    for segments in [1u64, 2, 8] {
+        let out = resumed(branchy_loop, spec, &config, segments);
+        let ctx = format!("branchy loop, {segments} segment(s)");
+        assert_stats_identical(&ctx, &serial.stats, &out.stats);
     }
 }
 
-/// Every paper-evaluation organization stays shard-invariant, not just
-/// the default one (the replacement and indirection machinery differs per
-/// organization, and all of it rides through shard merge) — on the call
+/// Every paper-evaluation organization resumes exactly, not just the
+/// default one (the replacement and indirection machinery differs per
+/// organization, and all of it rides through the snapshot) — on the call
 /// loop and on a small-window synthetic server trace.
 #[test]
 fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
@@ -226,75 +223,72 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
     let server = suite::ipc1_server()[0].build_trace();
     for org in OrgKind::PAPER_EVAL {
         let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
-        let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
-        let (server_serial, server_intervals) = serial_reference(server.clone(), spec, &config);
-        for shards in [2usize, 4, 8] {
-            let out = sharded(call_loop, spec, &config, shards);
-            let ctx = format!("{org}, call loop, {shards} shards");
-            assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
-            assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+        let (serial, _) = serial_reference(call_loop(), spec, &config);
+        let (server_serial, _) = serial_reference(server.clone(), spec, &config);
+        for segments in [2u64, 4, 8] {
+            let out = resumed(call_loop, spec, &config, segments);
+            let ctx = format!("{org}, call loop, {segments} segments");
+            assert_stats_identical(&ctx, &serial.stats, &out.stats);
 
-            let out = sharded(|| server.clone(), spec, &config, shards);
-            let ctx = format!("{org}, {}, {shards} shards", server.source_name());
-            assert_stats_identical(&ctx, &server_serial.stats, &out.result.stats);
-            assert_intervals_identical(&ctx, &server_intervals, &out.intervals);
+            let out = resumed(|| server.clone(), spec, &config, segments);
+            let ctx = format!("{org}, {}, {segments} segments", server.source_name());
+            assert_stats_identical(&ctx, &server_serial.stats, &out.stats);
         }
     }
 }
 
-/// Shards restore the serial machine snapshot at exact
-/// committed-instruction boundaries, so the merged run equals the serial
-/// run bit-for-bit at the *default* commit width even though a cut can
-/// overshoot its nominal boundary by up to `commit_width - 1`
-/// instructions: boundaries are committed targets, not tick counts.
+/// A snapshot is sealed at the first tick boundary at or past its cut,
+/// which can overshoot the nominal cut by up to `commit_width - 1`
+/// instructions; the resumed run still equals the serial run at the
+/// default commit width, because each cut is a committed target, not a
+/// tick count. `ParallelSession`, whose `shards` only set the interval
+/// grid, equals the serial run interval for interval and reports the
+/// warmed count `W′`.
 #[test]
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
     let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
-    for shards in [2usize, 5, 8] {
+    for segments in [2u64, 5, 8] {
+        let out = resumed(call_loop, spec, &config, segments);
+        let ctx = format!("resumed call loop, {segments} segment(s)");
+        assert_stats_identical(&ctx, &serial.stats, &out.stats);
+
         let out = ParallelSession::new(call_loop, spec)
             .config(config.clone())
             .warmup(WARMUP)
             .measure(MEASURE)
             .every(INTERVAL)
-            .shards(shards)
+            .shards(segments as usize)
             .run()
-            .expect("valid checkpointed session");
-        let ctx = format!("checkpointed call loop, {shards} shard(s)");
+            .expect("valid session");
+        let ctx = format!("ParallelSession, {segments} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
         assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
+        let warmed = out.telemetry.warmed_instructions;
         assert!(
-            out.telemetry.warmed_instructions >= WARMUP,
-            "{ctx}: shard 0 warms cold exactly once"
+            (WARMUP..WARMUP + config.commit_width as u64).contains(&warmed),
+            "{ctx}: W′ = {warmed}"
         );
     }
 }
 
 /// With the default 6-wide commit, the window may overshoot by up to
 /// `commit_width - 1` instructions, exactly as the serial run does. Pin
-/// the contract: coverage is complete (never short), the overshoot stays
-/// that of one serial window, and the run remains deterministic across
-/// thread counts.
+/// the contract for a resumed run: coverage is complete (never short),
+/// the overshoot stays that of one serial window, and repeating the run
+/// gives the same bytes.
 #[test]
 fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let run = |threads: usize| {
-        ParallelSession::new(call_loop, spec)
-            .config(config.clone())
-            .warmup(WARMUP)
-            .measure(MEASURE)
-            .every(INTERVAL)
-            .shards(8)
-            .threads(threads)
-            .run()
-            .expect("valid sharded session")
-    };
-    let a = run(1);
-    let b = run(8);
-    assert!(a.result.stats.instructions >= MEASURE);
-    assert!(a.result.stats.instructions < MEASURE + config.commit_width as u64);
-    assert_stats_identical("thread-count invariance", &a.result.stats, &b.result.stats);
-    assert_intervals_identical("thread-count invariance", &a.intervals, &b.intervals);
+    let a = resumed(call_loop, spec, &config, 8);
+    let b = resumed(call_loop, spec, &config, 8);
+    assert!(a.stats.instructions >= MEASURE);
+    assert!(a.stats.instructions < MEASURE + config.commit_width as u64);
+    assert_eq!(
+        serde_json::to_string(&a).unwrap(),
+        serde_json::to_string(&b).unwrap(),
+        "repeated resumed runs"
+    );
 }
