@@ -371,13 +371,14 @@ fn sweep_cmd(args: Vec<String>) {
     };
     let results = if let Some(nodes) = fleet {
         let config = ClusterConfig::from_opts(nodes, &opts);
-        cluster::sweep_via_cluster(&sweep, &opts, &config).unwrap_or_else(|e| {
-            eprintln!("error: sweep failed: {e}");
-            std::process::exit(1);
-        })
+        cluster::sweep_via_cluster(&sweep, &opts, &config).map_err(|e| e.to_string())
     } else {
-        sweep.run(&opts)
+        sweep.try_run(&opts).map_err(|e| e.to_string())
     };
+    let results = results.unwrap_or_else(|e| {
+        eprintln!("error: sweep failed: {e}");
+        std::process::exit(1);
+    });
     let mut csv = String::from("workload,org,budget_bits,fdip,ipc,btb_mpki,l1i_mpki,flush_pki\n");
     println!(
         "{:<14} {:<14} {:>12} {:>6} {:>8} {:>9} {:>9}",
@@ -478,9 +479,8 @@ Exits 1 when any node is unreachable, the fleet mixes cache versions
 requests than --max-shed allows.
 
 The table includes the overload counters: `shed` (requests refused
-with 429 under admission control), `dlabort` (simulations aborted at
-the per-request deadline) and `resumed` (points served from disk to a
-resuming sweep).
+with 429 under admission control) and `dlabort` (simulations aborted
+at the per-request deadline).
 
 options:
   --http-timeout-ms N  per-phase probe timeout            [2000]
@@ -531,7 +531,7 @@ fn cluster_cmd(mut args: Vec<String>) {
     let nodes = cluster::parse_node_list(&list).unwrap_or_else(|e| fail(&format!("cluster: {e}")));
 
     println!(
-        "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
+        "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>6} {:>6} {:>5}",
         "node",
         "state",
         "version",
@@ -542,7 +542,6 @@ fn cluster_cmd(mut args: Vec<String>) {
         "joins",
         "shed",
         "dlabort",
-        "resumed",
         "rhit",
         "rmiss",
         "rerr"
@@ -555,7 +554,7 @@ fn cluster_cmd(mut args: Vec<String>) {
             Ok(health) => {
                 cache_versions.push(health.cache_version);
                 let stats = cluster::protocol::probe_stats(node, timeout);
-                let row: [String; 10] = match &stats {
+                let row: [String; 9] = match &stats {
                     Ok(s) => {
                         if max_shed.is_some_and(|limit| s.shed > limit) {
                             overshed.push(format!("{node} shed {} request(s)", s.shed));
@@ -567,7 +566,6 @@ fn cluster_cmd(mut args: Vec<String>) {
                             s.store.joins.to_string(),
                             s.shed.to_string(),
                             s.deadline_aborts.to_string(),
-                            s.resumed_points.to_string(),
                             s.store.remote_hits.to_string(),
                             s.store.remote_misses.to_string(),
                             s.store.remote_errors.to_string(),
@@ -576,7 +574,7 @@ fn cluster_cmd(mut args: Vec<String>) {
                     Err(_) => std::array::from_fn(|_| "?".to_string()),
                 };
                 println!(
-                    "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>8} {:>6} {:>6} {:>5}",
+                    "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>6} {:>6} {:>5}",
                     node,
                     "healthy",
                     health.version,
@@ -589,8 +587,7 @@ fn cluster_cmd(mut args: Vec<String>) {
                     row[5],
                     row[6],
                     row[7],
-                    row[8],
-                    row[9]
+                    row[8]
                 );
             }
             Err(e) => {

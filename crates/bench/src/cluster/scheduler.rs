@@ -49,7 +49,7 @@ use crate::store::{ResultStore, StoreError};
 use crate::sweep::{SimPoint, Sweep};
 use btbx_uarch::SimResult;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Sheds (HTTP 429) in a row one request absorbs before its point is
@@ -448,7 +448,7 @@ pub fn run_sweep_observed(
                 ClusterError::Store(StoreError::Io {
                     action: "opening sweep journal",
                     path: journal::journal_dir(&opts.out_dir),
-                    source,
+                    source: Arc::new(source),
                 })
             },
         )?;

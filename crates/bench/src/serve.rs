@@ -57,25 +57,23 @@
 //!   the same point would run into the same deadline anywhere.
 //!
 //! Both surface in `GET /stats` as [`ServeStats::shed`] and
-//! [`ServeStats::deadline_aborts`]; [`ServeStats::resumed_points`]
-//! counts `/sim` responses served from a pre-existing on-disk entry
-//! (work a restarted client did *not* re-run).
+//! [`ServeStats::deadline_aborts`]. Every other failed `/sim` (a trace
+//! that does not open or resolve, a cache failure) is a `500` carrying
+//! the [`RunError`] text.
 
 use crate::cluster::protocol;
 use crate::opts::{sane_timeout, HarnessOpts, StoreUrl};
 use crate::store::{
     atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
 };
-use crate::sweep::{RunOpts, SimPoint};
+use crate::sweep::{RunError, RunOpts, SimPoint};
 use btbx_core::faults;
 use btbx_trace::container;
 use btbx_uarch::runner::ServicePool;
-use btbx_uarch::sim::ABORT_MARKER;
-use btbx_uarch::SimResult;
+use btbx_uarch::{SessionError, SimResult};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -157,10 +155,6 @@ pub struct ServeStats {
     /// `errors` includes these too).
     #[serde(default)]
     pub deadline_aborts: u64,
-    /// `/sim` responses served from a pre-existing on-disk cache entry —
-    /// work a crashed-and-restarted client did not have to re-run.
-    #[serde(default)]
-    pub resumed_points: u64,
     /// Simulations served: disk hits + single-flight joins + computes.
     pub store: StoreCounters,
 }
@@ -185,7 +179,6 @@ struct ServerState {
     inflight: AtomicU64,
     shed: AtomicU64,
     deadline_aborts: AtomicU64,
-    resumed_points: AtomicU64,
 }
 
 /// RAII admission token: holds one in-flight slot for the duration of a
@@ -207,7 +200,6 @@ impl ServerState {
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
-            resumed_points: self.resumed_points.load(Ordering::Relaxed),
             store: self.store.counters(),
         }
     }
@@ -235,8 +227,9 @@ impl ServerState {
 
     /// Arm a deadline for one request: the watch thread flips the
     /// returned flag once [`ServerState::deadline`] elapses; the
-    /// simulation's driving loop polls it and unwinds with
-    /// [`ABORT_MARKER`]. `None` when no deadline is configured.
+    /// simulation's driving loop polls it and stops, and the run fails
+    /// with [`SessionError::Aborted`]. `None` when no deadline is
+    /// configured.
     fn arm_deadline(&self) -> Option<Arc<AtomicBool>> {
         let deadline = self.deadline?;
         let flag = Arc::new(AtomicBool::new(false));
@@ -313,12 +306,12 @@ impl Server {
             TcpListener::bind(("127.0.0.1", config.port)).map_err(|source| StoreError::Io {
                 action: "binding service socket",
                 path: PathBuf::from(format!("127.0.0.1:{}", config.port)),
-                source,
+                source: Arc::new(source),
             })?;
         let addr = listener.local_addr().map_err(|source| StoreError::Io {
             action: "resolving bound address",
             path: PathBuf::from("127.0.0.1"),
-            source,
+            source: Arc::new(source),
         })?;
         let state = Arc::new(ServerState {
             store,
@@ -333,7 +326,6 @@ impl Server {
             inflight: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_aborts: AtomicU64::new(0),
-            resumed_points: AtomicU64::new(0),
         });
         if state.deadline.is_some() {
             let watch = Arc::clone(&state);
@@ -398,32 +390,35 @@ fn handle_connection(state: &ServerState, stream: TcpStream, self_addr: SocketAd
             state.requests.fetch_add(1, Ordering::Relaxed);
             state.errors.fetch_add(1, Ordering::Relaxed);
             let mut stream = reader.into_inner();
-            let _ = respond_json(
-                &mut stream,
-                400,
-                &format!("{{\"error\":{:?}}}", e.to_string()),
-                None,
-            );
+            let _ = respond_json(&mut stream, 400, &error_body(&e.to_string()), None);
             return;
         }
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
     let mut stream = reader.into_inner();
-    let outcome = route(state, &request, &mut stream, self_addr);
-    if let Err(status) = outcome {
+    if let Err((status, message, header)) = route(state, &request, &mut stream, self_addr) {
         state.errors.fetch_add(1, Ordering::Relaxed);
-        let _ = respond_json(&mut stream, status.0, &status.1, None);
+        let _ = respond_json(&mut stream, status, &error_body(&message), header);
     }
 }
 
-/// Route one parsed request; `Err((status, body))` is answered by the
-/// caller (which also counts it).
+/// A refused request: status, error message and an optional extra
+/// header, answered on the open connection as `{"error": message}`.
+type Refusal = (u16, String, Option<(&'static str, &'static str)>);
+
+/// The JSON body of an error response.
+fn error_body(message: &str) -> String {
+    format!("{{\"error\":{message:?}}}")
+}
+
+/// Route one parsed request; a [`Refusal`] is answered (and counted in
+/// `errors`) by the caller.
 fn route(
     state: &ServerState,
     request: &HttpRequest,
     stream: &mut TcpStream,
     self_addr: SocketAddr,
-) -> Result<(), (u16, String)> {
+) -> Result<(), Refusal> {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             // Liveness plus the fleet compat handshake: version,
@@ -454,41 +449,25 @@ fn route(
                 // before parsing the body; an overloaded server should
                 // spend nothing on work it will not run.
                 state.shed.fetch_add(1, Ordering::Relaxed);
-                state.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = respond_json(
-                    stream,
-                    429,
-                    "{\"error\":\"overloaded: in-flight simulation limit reached\"}",
-                    Some(("Retry-After", "1")),
-                );
-                return Ok(());
+                let message = "overloaded: in-flight simulation limit reached".to_string();
+                return Err((429, message, Some(("Retry-After", "1"))));
             };
-            let point: SimPoint = serde_json::from_slice(&request.body).map_err(|e| {
-                (
-                    400,
-                    format!("{{\"error\":{:?}}}", format!("bad SimPoint: {e}")),
-                )
-            })?;
-            let (result, fetch) = match simulate(state, &point) {
-                Ok(hit) => hit,
-                // `simulate`'s only 503 is a deadline abort. Answered
-                // here, not by the caller, to carry the header that
-                // marks the abort as deterministic.
-                Err((503, msg)) => {
-                    state.errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = respond_json(
-                        stream,
-                        503,
-                        &format!("{{\"error\":{msg:?}}}"),
-                        Some(protocol::DEADLINE_ABORT),
-                    );
-                    return Ok(());
+            let point: SimPoint = serde_json::from_slice(&request.body)
+                .map_err(|e| (400, format!("bad SimPoint: {e}"), None))?;
+            let (result, fetch) = simulate(state, &point).map_err(|e| match e {
+                // A deadline abort (joiners of the aborted flight land
+                // here too): the request exceeded its budget and the
+                // server is healthy. The header marks it deterministic.
+                RunError::Session {
+                    error: SessionError::Aborted,
+                    ..
+                } => {
+                    state.deadline_aborts.fetch_add(1, Ordering::Relaxed);
+                    let message = format!("deadline exceeded: {e}");
+                    (503, message, Some(protocol::DEADLINE_ABORT))
                 }
-                Err((status, msg)) => return Err((status, format!("{{\"error\":{msg:?}}}"))),
-            };
-            if fetch == Fetch::Disk {
-                state.resumed_points.fetch_add(1, Ordering::Relaxed);
-            }
+                e => (500, e.to_string(), None),
+            })?;
             let body = serde_json::to_string(&result).expect("results serialize");
             let cache_header = match fetch {
                 Fetch::Disk => "disk",
@@ -501,20 +480,14 @@ fn route(
         (method @ ("GET" | "HEAD" | "PUT"), path) if path.starts_with("/blob/") => {
             let key = &path["/blob/".len()..];
             if !valid_blob_key(key) {
-                return Err((
-                    400,
-                    format!("{{\"error\":{:?}}}", format!("invalid blob key `{key}`")),
-                ));
+                return Err((400, format!("invalid blob key `{key}`"), None));
             }
             match method {
                 "PUT" => blob_put(state, key, &request.body, stream),
                 head_or_get => blob_get(state, key, stream, head_or_get == "HEAD"),
             }
         }
-        (_, path) => Err((
-            404,
-            format!("{{\"error\":{:?}}}", format!("no route {path}")),
-        )),
+        (_, path) => Err((404, format!("no route {path}"), None)),
     }
 }
 
@@ -553,7 +526,7 @@ fn blob_get(
     key: &str,
     stream: &mut TcpStream,
     head_only: bool,
-) -> Result<(), (u16, String)> {
+) -> Result<(), Refusal> {
     let path = blob_dir(&state.cache_dir, key).join(key);
     match faults::read(&path) {
         Ok(bytes) => {
@@ -564,10 +537,7 @@ fn blob_get(
             let _ = respond_bytes(stream, 404, b"", head_only);
             Ok(())
         }
-        Err(e) => Err((
-            500,
-            format!("{{\"error\":{:?}}}", format!("reading blob {key}: {e}")),
-        )),
+        Err(e) => Err((500, format!("reading blob {key}: {e}"), None)),
     }
 }
 
@@ -579,13 +549,13 @@ fn blob_put(
     key: &str,
     body: &[u8],
     stream: &mut TcpStream,
-) -> Result<(), (u16, String)> {
+) -> Result<(), Refusal> {
     let dir = blob_dir(&state.cache_dir, key);
     let publish = faults::create_dir_all(&dir)
         .map_err(|e| StoreError::Io {
             action: "creating blob dir",
             path: dir.clone(),
-            source: e,
+            source: Arc::new(e),
         })
         .and_then(|()| atomic_publish(&dir, key, body));
     match publish {
@@ -593,47 +563,24 @@ fn blob_put(
             let _ = respond_json(stream, 201, "{\"ok\":true}", None);
             Ok(())
         }
-        Err(e) => Err((
-            500,
-            format!("{{\"error\":{:?}}}", format!("publishing blob {key}: {e}")),
-        )),
+        Err(e) => Err((500, format!("publishing blob {key}: {e}"), None)),
     }
 }
 
 /// Run (or fetch) one point through the store's single-flight path,
-/// converting failures into `(status, message)`: a deadline abort is a
-/// 503 (this request exceeded its budget; the server is healthy), any
-/// other panic or cache failure a 500.
-fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), (u16, String)> {
-    let name = point.cache_file();
+/// under this request's deadline.
+fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch), RunError> {
     let abort = state.arm_deadline();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        state.store.get_or_compute(&name, false, || {
+    state
+        .store
+        .try_get_or_compute(&point.cache_file(), false, || {
             // Resolve inside the compute closure: cache hits and joins
             // never need the trace bytes at all.
-            let point = resolve_trace(state, point);
-            point.run_with(RunOpts {
+            resolve_trace(state, point)?.run_with(RunOpts {
                 abort: abort.clone(),
                 source: None,
             })
         })
-    }));
-    match outcome {
-        Ok(Ok(hit)) => Ok(hit),
-        Ok(Err(e)) => Err((500, format!("cache: {e}"))),
-        Err(payload) => {
-            let msg = btbx_uarch::runner::panic_message(&*payload);
-            if msg.contains(ABORT_MARKER) {
-                // Deadline abort (joiners of the same flight see the
-                // marker through the poisoned-flight payload and land
-                // here too). The connection is answered, never reset.
-                state.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-                Err((503, format!("deadline exceeded: aborted {name}")))
-            } else {
-                Err((500, msg))
-            }
-        }
-    }
 }
 
 /// Make a point's trace container (if any) openable locally, fetching
@@ -649,18 +596,22 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
 ///    is verified against the reference before use.
 ///
 /// Runs inside the single-flight compute closure, so cache hits and
-/// joins never touch the trace. Failures panic with a clear message:
-/// the request answers 500 and a cluster scheduler retries the point on
-/// a node that *can* resolve the trace — exactly the pre-backend
-/// semantics for a missing local file.
-fn resolve_trace(state: &ServerState, point: &SimPoint) -> SimPoint {
+/// joins never touch the trace. A failure answers 500, and a cluster
+/// scheduler retries the point on a node that *can* resolve the trace —
+/// exactly the pre-backend semantics for a missing local file.
+///
+/// # Errors
+///
+/// [`RunError::TraceUnavailable`] when no store can supply the blob and
+/// [`RunError::Store`] when fetching, spooling or verifying it fails.
+fn resolve_trace(state: &ServerState, point: &SimPoint) -> Result<SimPoint, RunError> {
     let Some(tref) = &point.workload.trace else {
-        return point.clone();
+        return Ok(point.clone());
     };
     if !tref.is_store_only() {
         if let Ok(info) = container::read_info(&tref.path) {
             if info.content_hash == tref.content_hash {
-                return point.clone();
+                return Ok(point.clone());
             }
         }
     }
@@ -676,66 +627,45 @@ fn resolve_trace(state: &ServerState, point: &SimPoint) -> SimPoint {
     };
     if let Ok(info) = container::read_info(&spool) {
         if info.content_hash == tref.content_hash {
-            return rewired(spool);
+            return Ok(rewired(spool));
         }
     }
+    let unavailable = |store: Option<String>| RunError::TraceUnavailable {
+        workload: point.workload.name.clone(),
+        key: key.clone(),
+        store,
+    };
     let Some(backend) = &state.blob_backend else {
-        panic!(
-            "trace container for `{}` is not readable at {} and no --store is \
-             configured to fetch blob {key}",
-            point.workload.name,
-            tref.path.display()
-        );
+        return Err(unavailable(None));
     };
-    let bytes = match backend.get(&key) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => panic!(
-            "trace container for `{}` is not readable locally and {} does not \
-             have blob {key}",
-            point.workload.name,
-            backend.id()
-        ),
-        Err(e) => panic!("fetching trace blob {key} from {}: {e}", backend.id()),
+    let Some(bytes) = backend.get(&key)? else {
+        return Err(unavailable(Some(backend.id())));
     };
-    if let Err(e) = faults::create_dir_all(&spool_dir) {
-        panic!("creating trace spool dir {}: {e}", spool_dir.display());
-    }
-    if let Err(e) = atomic_publish(&spool_dir, &key, &bytes) {
-        panic!("spooling trace blob {key}: {e}");
-    }
+    faults::create_dir_all(&spool_dir).map_err(|source| StoreError::Io {
+        action: "creating trace spool dir",
+        path: spool_dir.clone(),
+        source: Arc::new(source),
+    })?;
+    atomic_publish(&spool_dir, &key, &bytes)?;
     // Verify the *spooled file* (not just the bytes): the header hash
     // must match the requested identity, or the fetched blob is damaged
     // (or mislabeled) and must not silently simulate a different trace.
-    match container::read_info(&spool) {
-        Ok(info) if info.content_hash == tref.content_hash => rewired(spool),
-        Ok(info) => {
-            let mut corrupt = spool.clone().into_os_string();
-            corrupt.push(".corrupt");
-            let _ = std::fs::rename(&spool, &corrupt);
-            panic!(
-                "{}",
-                StoreError::Damaged {
-                    url: backend.label(&key),
-                    detail: format!(
-                        "content hash {:016x} != expected {:016x}",
-                        info.content_hash, tref.content_hash
-                    ),
-                }
-            );
-        }
-        Err(e) => {
-            let mut corrupt = spool.clone().into_os_string();
-            corrupt.push(".corrupt");
-            let _ = std::fs::rename(&spool, &corrupt);
-            panic!(
-                "{}",
-                StoreError::Damaged {
-                    url: backend.label(&key),
-                    detail: e.to_string(),
-                }
-            );
-        }
+    let detail = match container::read_info(&spool) {
+        Ok(info) if info.content_hash == tref.content_hash => return Ok(rewired(spool)),
+        Ok(info) => format!(
+            "content hash {:016x} != expected {:016x}",
+            info.content_hash, tref.content_hash
+        ),
+        Err(e) => e.to_string(),
+    };
+    let mut corrupt = spool.clone().into_os_string();
+    corrupt.push(".corrupt");
+    let _ = std::fs::rename(&spool, &corrupt);
+    Err(StoreError::Damaged {
+        url: backend.label(&key),
+        detail,
     }
+    .into())
 }
 
 /// One parsed HTTP request.

@@ -152,7 +152,7 @@ pub fn atomic_publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreE
         StoreError::Io {
             action: "writing store temp file",
             path: tmp.clone(),
-            source,
+            source: Arc::new(source),
         }
     })?;
     faults::rename(&tmp, &path).map_err(|source| {
@@ -160,7 +160,7 @@ pub fn atomic_publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreE
         StoreError::Io {
             action: "publishing store entry",
             path,
-            source,
+            source: Arc::new(source),
         }
     })
 }
@@ -185,12 +185,12 @@ impl DirStore {
         faults::create_dir_all(dir).map_err(|source| StoreError::Io {
             action: "creating store dir",
             path: dir.to_path_buf(),
-            source,
+            source: Arc::new(source),
         })?;
         let dir = dir.canonicalize().map_err(|source| StoreError::Io {
             action: "resolving store dir",
             path: dir.to_path_buf(),
-            source,
+            source: Arc::new(source),
         })?;
         Ok(DirStore { dir })
     }
@@ -218,7 +218,7 @@ impl Store for DirStore {
             Err(source) => Err(StoreError::Io {
                 action: "reading store entry",
                 path,
-                source,
+                source: Arc::new(source),
             }),
         }
     }
@@ -235,7 +235,7 @@ impl Store for DirStore {
             Err(source) => Err(StoreError::Io {
                 action: "probing store entry",
                 path,
-                source,
+                source: Arc::new(source),
             }),
         }
     }

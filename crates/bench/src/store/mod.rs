@@ -50,18 +50,19 @@ pub use backend::{
     RemoteCounters, Store, TieredStore,
 };
 
+use crate::sweep::RunError;
 use btbx_uarch::SimResult;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
-/// A cache-store failure, always carrying where it happened.
-#[derive(Debug)]
+/// A cache-store failure, always carrying where it happened. `Clone`
+/// so a failed single flight reaches every joined caller.
+#[derive(Debug, Clone)]
 pub enum StoreError {
     /// Reading, writing, renaming or creating under a local store
     /// directory failed for a reason other than the entry being absent.
@@ -71,7 +72,7 @@ pub enum StoreError {
         /// The path the action failed on.
         path: PathBuf,
         /// The underlying error.
-        source: io::Error,
+        source: Arc<io::Error>,
     },
     /// A remote (HTTP) store operation failed: transport error or an
     /// unexpected status. Absent blobs (404) are *not* errors.
@@ -170,14 +171,38 @@ enum FlightState {
     Running,
     /// Boxed: a [`SimResult`] is ~0.5 KB and would dominate the enum.
     Done(Box<SimResult>),
-    /// The computing caller panicked; the payload message propagates to
-    /// every waiter so a failure is never silently absorbed.
-    Poisoned(String),
+    /// The computation failed; every waiter receives the same error.
+    Failed(RunError),
+    /// The computing caller panicked (a bug); every waiter panics too,
+    /// so a failure is never silently absorbed.
+    Panicked,
 }
 
 struct Flight {
     state: Mutex<FlightState>,
     cv: Condvar,
+}
+
+/// A leader's hold on its flight: dropping it publishes `outcome` to
+/// the waiters and retires the entry. The outcome starts as
+/// [`FlightState::Panicked`], so a leader that unwinds out of its
+/// computation still settles the flight and never wedges the key.
+struct FlightGuard<'a> {
+    flight: &'a Flight,
+    flights: &'a Mutex<HashMap<String, Arc<Flight>>>,
+    name: &'a str,
+    outcome: FlightState,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        let outcome = std::mem::replace(&mut self.outcome, FlightState::Running);
+        // Runs during an unwind too, so it must not panic again.
+        *self.flight.state.lock().unwrap_or_else(|p| p.into_inner()) = outcome;
+        self.flight.cv.notify_all();
+        let mut flights = self.flights.lock().unwrap_or_else(|p| p.into_inner());
+        flights.remove(self.name);
+    }
 }
 
 /// State shared by every [`ResultStore`] opened on one canonical
@@ -412,27 +437,16 @@ impl ResultStore {
         self.backend.put(name, &json)
     }
 
-    /// Return the result for `name`, computing (and caching) it at most
-    /// once per process across every concurrent caller.
-    ///
-    /// With `fresh` the on-disk entry is ignored (but still refreshed);
-    /// deduplication against in-flight computations still applies.
+    /// [`try_get_or_compute`](ResultStore::try_get_or_compute) for a
+    /// computation that cannot fail.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on cache *read* failures (a damaged directory must
-    /// not masquerade as a miss). A *write-back* failure after a
-    /// successful computation is not an error: the leader and any
-    /// joiners all receive the computed result (joiners already observe
-    /// `Done` and cannot be retroactively failed), the incident is
-    /// logged, and [`StoreCounters::store_failures`] increments.
+    /// [`StoreError`] on cache *read* failures.
     ///
     /// # Panics
     ///
-    /// If the computation itself panics, the panic propagates to the
-    /// computing caller *and* every joined waiter (as a `String` payload
-    /// naming the key) — a failed simulation is never mistaken for a
-    /// cached one.
+    /// Panics when this caller joined a flight that failed otherwise.
     pub fn get_or_compute<F>(
         &self,
         name: &str,
@@ -441,6 +455,45 @@ impl ResultStore {
     ) -> Result<(SimResult, Fetch), StoreError>
     where
         F: FnOnce() -> SimResult,
+    {
+        match self.try_get_or_compute(name, fresh, || Ok(compute())) {
+            Ok(hit) => Ok(hit),
+            Err(RunError::Store(e)) => Err(e),
+            Err(e) => panic!("joined computation failed: {e}"),
+        }
+    }
+
+    /// Return the result for `name`, computing (and caching) it at most
+    /// once per process across every concurrent caller.
+    ///
+    /// With `fresh` the on-disk entry is ignored (but still refreshed);
+    /// deduplication against in-flight computations still applies.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Store`] on cache *read* failures (a damaged directory
+    /// must not masquerade as a miss), and the computation's own error
+    /// when it fails. Either way the computing caller *and* every joined
+    /// waiter receive the same error — a failed simulation is never
+    /// mistaken for a cached one. A *write-back* failure after a
+    /// successful computation is not an error: the leader and any
+    /// joiners all receive the computed result (joiners already observe
+    /// `Done` and cannot be retroactively failed), the incident is
+    /// logged, and [`StoreCounters::store_failures`] increments.
+    ///
+    /// # Panics
+    ///
+    /// A panicking computation is a bug: the panic propagates to the
+    /// computing caller, every joined waiter panics too, and the key is
+    /// not wedged for later callers.
+    pub fn try_get_or_compute<F>(
+        &self,
+        name: &str,
+        fresh: bool,
+        compute: F,
+    ) -> Result<(SimResult, Fetch), RunError>
+    where
+        F: FnOnce() -> Result<SimResult, RunError>,
     {
         if !fresh {
             if let Some(result) = self.load(name)? {
@@ -469,65 +522,59 @@ impl ResultStore {
             }
             return match &*state {
                 FlightState::Done(result) => Ok(((**result).clone(), Fetch::Joined)),
-                FlightState::Poisoned(msg) => panic!("joined computation failed: {msg}"),
+                FlightState::Failed(e) => Err(e.clone()),
+                FlightState::Panicked => panic!("joined computation of {name} panicked"),
                 FlightState::Running => unreachable!(),
             };
         }
 
-        // Leader. The flight entry is settled (waiters notified, entry
-        // removed) on every exit path — including panics — so a failure
-        // never wedges later requests for the same key.
-        let settle = |state: FlightState| {
-            *flight.state.lock().unwrap() = state;
-            flight.cv.notify_all();
-            self.shared.flights.lock().unwrap().remove(name);
+        // Leader. The guard settles the flight entry (waiters notified,
+        // entry removed) on every exit path — including panics — so a
+        // failure never wedges later requests for the same key.
+        let mut guard = FlightGuard {
+            flight: &flight,
+            flights: &self.shared.flights,
+            name,
+            outcome: FlightState::Panicked,
         };
+        let outcome = self.lead(name, fresh, compute);
+        guard.outcome = match &outcome {
+            Ok((result, _)) => FlightState::Done(Box::new(result.clone())),
+            Err(e) => FlightState::Failed(e.clone()),
+        };
+        outcome
+    }
 
+    /// The leader's half of [`try_get_or_compute`](Self::try_get_or_compute).
+    fn lead<F>(&self, name: &str, fresh: bool, compute: F) -> Result<(SimResult, Fetch), RunError>
+    where
+        F: FnOnce() -> Result<SimResult, RunError>,
+    {
         // Close the probe→flight window: another leader may have
         // computed and published (then retired its flight) between our
         // disk probe above and winning this flight. Re-checking under
         // leadership keeps "each unique point computes once" exact.
         if !fresh {
-            match self.load(name) {
-                Ok(Some(result)) => {
-                    settle(FlightState::Done(Box::new(result.clone())));
-                    return Ok((result, Fetch::Disk));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    settle(FlightState::Poisoned(e.to_string()));
-                    return Err(e);
-                }
+            if let Some(result) = self.load(name)? {
+                return Ok((result, Fetch::Disk));
             }
         }
-
         self.shared.computes.fetch_add(1, Ordering::Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(compute));
-        match outcome {
-            Ok(result) => {
-                // The computation succeeded, so the leader and every
-                // joiner must agree on the outcome: joiners see
-                // `Ok(Done)`, so a write-back failure cannot turn the
-                // leader's answer into `Err` — the result is valid, only
-                // its persistence failed. Log it, count it, and serve
-                // the in-memory result; the next cold run recomputes.
-                if let Err(e) = self.store(name, &result) {
-                    self.shared.store_failures.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[store] computed {name} but could not persist it ({e}); \
-                         serving the in-memory result"
-                    );
-                }
-                settle(FlightState::Done(Box::new(result.clone())));
-                Ok((result, Fetch::Computed))
-            }
-            Err(payload) => {
-                settle(FlightState::Poisoned(btbx_uarch::runner::panic_message(
-                    &*payload,
-                )));
-                resume_unwind(payload);
-            }
+        let result = compute()?;
+        // The computation succeeded, so the leader and every joiner must
+        // agree on the outcome: joiners see `Ok(Done)`, so a write-back
+        // failure cannot turn the leader's answer into `Err` — the
+        // result is valid, only its persistence failed. Log it, count
+        // it, and serve the in-memory result; the next cold run
+        // recomputes.
+        if let Err(e) = self.store(name, &result) {
+            self.shared.store_failures.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "[store] computed {name} but could not persist it ({e}); \
+                 serving the in-memory result"
+            );
         }
+        Ok((result, Fetch::Computed))
     }
 }
 
@@ -771,13 +818,27 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // asserts that a panic propagates
     fn poisoned_flight_propagates_and_unwedges() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let dir = fresh_dir("poison");
         let store = ResultStore::open(&dir).unwrap();
         let boom = catch_unwind(AssertUnwindSafe(|| {
             store.get_or_compute("k.json", false, || panic!("sim died"))
         }));
         assert!(boom.is_err());
+        // A failed computation is an error, not a panic, and does not
+        // wedge the key either.
+        let failed = store.try_get_or_compute("k.json", false, || {
+            Err(RunError::Store(StoreError::Damaged {
+                url: "k.json".into(),
+                detail: "sim failed".into(),
+            }))
+        });
+        assert!(
+            matches!(&failed, Err(RunError::Store(StoreError::Damaged { detail, .. })) if detail == "sim failed"),
+            "{failed:?}"
+        );
         // The key is not wedged: the next caller computes normally.
         let (r, fetch) = store
             .get_or_compute("k.json", false, || result("w", 5))

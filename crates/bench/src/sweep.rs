@@ -41,16 +41,16 @@
 
 use crate::journal::{self, SweepJournal};
 use crate::opts::HarnessOpts;
-use crate::store::ResultStore;
+use crate::store::{ResultStore, StoreError};
 use btbx_core::spec::{BtbSpec, Budget};
 use btbx_core::OrgKind;
 use btbx_trace::suite::WorkloadSpec;
-use btbx_trace::AnySource;
-use btbx_uarch::runner::{run_jobs, run_named_jobs};
-use btbx_uarch::{SimConfig, SimResult, SimSession};
+use btbx_trace::{AnySource, TraceOpenError};
+use btbx_uarch::runner::try_run_named_jobs;
+use btbx_uarch::{SessionError, SimConfig, SimResult, SimSession};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -69,6 +69,77 @@ use std::sync::Arc;
 /// (the `-s{shards}` segregation is gone). Old caches mixed exact
 /// serial entries with approximate sharded ones; the bump orphans both.
 pub const CACHE_VERSION: u32 = 3;
+
+/// Why running a point failed. Every way of running one — a sweep, the
+/// server, a cluster node — fails through this one type; callers match
+/// on its variants (the server answers `Session` +
+/// [`SessionError::Aborted`] with a deadline 503), never on its text.
+/// `Clone` so a single-flight failure reaches every joined caller.
+#[derive(Debug, Clone)]
+pub enum RunError {
+    /// The simulation failed: its abort flag fired, its trace failed
+    /// mid-stream, or its BTB spec is invalid.
+    Session {
+        /// The point's [`SimPoint::cache_file`].
+        point: String,
+        /// What the session reported.
+        error: SessionError,
+    },
+    /// The point's trace container could not be opened: it is missing,
+    /// invalid, or changed since the workload spec was made.
+    Trace {
+        /// The point's [`SimPoint::cache_file`].
+        point: String,
+        /// What opening it reported.
+        error: Arc<TraceOpenError>,
+    },
+    /// The point's trace container is not readable on this node, and no
+    /// store could supply its blob.
+    TraceUnavailable {
+        /// The point's workload name.
+        workload: String,
+        /// The container's blob key (`trace-<hash>.btbt`).
+        key: String,
+        /// The store that was asked and lacks the blob; `None` when no
+        /// store is configured.
+        store: Option<String>,
+    },
+    /// The result store failed: reading the cache, opening the sweep
+    /// journal, or fetching and spooling a trace blob.
+    Store(StoreError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Session { point, error } => write!(f, "sim point {point}: {error}"),
+            RunError::Trace { point, error } => write!(f, "sim point {point}: {error}"),
+            RunError::TraceUnavailable {
+                workload,
+                key,
+                store,
+            } => {
+                let lack = match store {
+                    None => "no --store is configured to fetch".to_string(),
+                    Some(store) => format!("{store} does not have"),
+                };
+                write!(
+                    f,
+                    "trace container for `{workload}` is not readable locally and {lack} blob {key}"
+                )
+            }
+            RunError::Store(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<StoreError> for RunError {
+    fn from(e: StoreError) -> Self {
+        RunError::Store(e)
+    }
+}
 
 /// One cell of a sweep: everything that determines one simulation result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,12 +200,12 @@ impl SimPoint {
     /// Build this point's trace stream through the unified
     /// [`btbx_trace::AnySource`] entry point (synthetic or file-backed).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a referenced trace container is missing or its
-    /// content hash no longer matches (the sweep's results would
+    /// [`RunError::Trace`] when a referenced trace container is missing
+    /// or its content hash no longer matches (the sweep's results would
     /// silently describe a different trace otherwise).
-    fn source(&self) -> AnySource {
+    fn source(&self) -> Result<AnySource, RunError> {
         #[cfg(test)]
         tests::SOURCES_BUILT
             .lock()
@@ -142,12 +213,21 @@ impl SimPoint {
             .push(self.workload.name.clone());
         self.workload
             .build_source()
-            .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
+            .map_err(|error| RunError::Trace {
+                point: self.cache_file(),
+                error: Arc::new(error),
+            })
     }
 
     /// Run the simulation for this point (no caching).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run fails; [`run_with`](SimPoint::run_with)
+    /// returns the [`RunError`] instead.
     pub fn run(&self) -> SimResult {
         self.run_with(RunOpts::default())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Kept for source compatibility: every point runs serially, so
@@ -160,10 +240,16 @@ impl SimPoint {
     /// Run the simulation for this point as `opts` says (no caching).
     /// Every way of running a point goes through here; the result is
     /// bit-identical whatever the options.
-    pub fn run_with(&self, opts: RunOpts<'_>) -> SimResult {
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Trace`] when the point's trace does not open and
+    /// [`RunError::Session`] when the simulation fails (its abort flag
+    /// fired, or its trace failed mid-stream).
+    pub fn run_with(&self, opts: RunOpts<'_>) -> Result<SimResult, RunError> {
         let proto = match opts.source {
             Some(source) => source.clone(),
-            None => self.source(),
+            None => self.source()?,
         };
         let mut session = SimSession::new(proto)
             .btb_spec(self.btb_spec())
@@ -174,9 +260,10 @@ impl SimPoint {
         if let Some(flag) = opts.abort {
             session = session.abort(flag);
         }
-        session
-            .run()
-            .unwrap_or_else(|e| panic!("sim point {}: {e}", self.cache_file()))
+        session.run().map_err(|error| RunError::Session {
+            point: self.cache_file(),
+            error,
+        })
     }
 }
 
@@ -184,9 +271,9 @@ impl SimPoint {
 /// over a freshly built source.
 #[derive(Debug, Default)]
 pub struct RunOpts<'a> {
-    /// A cooperative abort flag: the simulation polls it and unwinds
-    /// (with [`btbx_uarch::sim::ABORT_MARKER`]) once it is set — how the
-    /// serve layer enforces per-request deadlines.
+    /// A cooperative abort flag: the simulation polls it and stops with
+    /// [`SessionError::Aborted`] once it is set — how the serve layer
+    /// enforces per-request deadlines.
     pub abort: Option<Arc<AtomicBool>>,
     /// Clone this already-built source instead of building the point's
     /// own; it must be the point's workload stream (how a sweep group
@@ -373,6 +460,17 @@ impl Sweep {
     /// any concurrent sweep or `btbx serve` on the same directory).
     /// Results come back in [`Sweep::points`] order.
     ///
+    /// # Panics
+    ///
+    /// Panics when the sweep fails; [`try_run`](Sweep::try_run) returns
+    /// the [`RunError`] instead.
+    pub fn run(&self, opts: &HarnessOpts) -> Vec<SimResult> {
+        self.try_run(opts)
+            .unwrap_or_else(|e| panic!("[{}] {e}", self.name))
+    }
+
+    /// [`run`](Sweep::run), returning a failure instead of panicking.
+    ///
     /// Cache-missing points run in [`plan_batches`] groups: each group
     /// builds its trace source once — for a synthetic workload, its
     /// program image — and every member runs over a clone of it through
@@ -393,11 +491,13 @@ impl Sweep {
     /// rest and reports the skipped count as `resumed_points=N`. The
     /// journal is removed once the sweep completes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the cache directory is unusable or a cache write
-    /// fails.
-    pub fn run(&self, opts: &HarnessOpts) -> Vec<SimResult> {
+    /// [`RunError::Store`] when the cache directory or the journal is
+    /// unusable, or the first point's failure otherwise: the journal
+    /// records it as `failed`, queued points do not start, and the
+    /// journal survives for `--resume`.
+    pub fn try_run(&self, opts: &HarnessOpts) -> Result<Vec<SimResult>, RunError> {
         // `--store` swaps the cache backend (mem/http/tiered) without
         // touching any of the guarantees above; the default stays the
         // local `<out>/cache` directory, byte-compatible with every
@@ -405,13 +505,17 @@ impl Sweep {
         let store = match &opts.store {
             None => ResultStore::open(opts.out_dir.join("cache")),
             Some(url) => ResultStore::open_url(url, opts.http_timeout()),
-        }
-        .unwrap_or_else(|e| panic!("[{}] opening result cache: {e}", self.name));
+        }?;
         let points = self.points();
         let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
         let (journal, recovery) =
-            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume)
-                .unwrap_or_else(|e| panic!("[{}] opening sweep journal: {e}", self.name));
+            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
+                |source| StoreError::Io {
+                    action: "opening sweep journal",
+                    path: journal::journal_dir(&opts.out_dir),
+                    source: Arc::new(source),
+                },
+            )?;
         let mut results: Vec<Option<SimResult>> = Vec::with_capacity(points.len());
         let mut misses: Vec<usize> = Vec::new();
         let mut resumed = 0usize;
@@ -419,9 +523,7 @@ impl Sweep {
             let cached = if opts.fresh {
                 None
             } else {
-                store
-                    .load(&names[i])
-                    .unwrap_or_else(|e| panic!("[{}] {e}", self.name))
+                store.load(&names[i])?
             };
             match cached {
                 Some(r) => {
@@ -461,79 +563,75 @@ impl Sweep {
         // clone of it. Each member publishes through the store's
         // single-flight path and journals the moment it finishes, so a
         // crash mid-group loses only unfinished members.
-        let run_group = |group: &BatchGroup| -> Vec<SimResult> {
-            let source = points[group.members[0]].source();
+        let run_group = |group: &BatchGroup| -> Result<Vec<SimResult>, RunError> {
+            let source = points[group.members[0]].source()?;
             let jobs: Vec<_> = group
                 .members
                 .iter()
                 .map(|&i| {
                     let (point, name, source) = (&points[i], &names[i], &source);
                     let (store, journal) = (&store, &journal);
-                    move || {
-                        let point_label = format!(
-                            "{}:{}@{}",
-                            point.workload.name,
-                            point.org.id(),
-                            point.budget.label()
-                        );
-                        journaled(journal, name, &point_label, || {
+                    let point_label = format!(
+                        "{}:{}@{}",
+                        point.workload.name,
+                        point.org.id(),
+                        point.budget.label()
+                    );
+                    let job_label = point_label.clone();
+                    let job = move || {
+                        journaled(journal, name, &job_label, || {
+                            let run = RunOpts {
+                                source: Some(source),
+                                ..RunOpts::default()
+                            };
                             store
-                                .get_or_compute(name, opts.fresh, || {
-                                    point.run_with(RunOpts {
-                                        source: Some(source),
-                                        ..RunOpts::default()
-                                    })
-                                })
-                                .unwrap_or_else(|e| panic!("caching {name}: {e}"))
-                                .0
+                                .try_get_or_compute(name, opts.fresh, || point.run_with(run))
+                                .map(|(result, _)| result)
                         })
-                    }
+                    };
+                    (point_label, job)
                 })
                 .collect();
-            run_jobs(&label(group), member_threads, jobs)
+            try_run_named_jobs(&label(group), member_threads, jobs)
         };
         let jobs: Vec<_> = groups
             .iter()
             .map(|group| (label(group), move || run_group(group)))
             .collect();
-        let computed = run_named_jobs(&self.name, group_threads, jobs);
+        // On a failed point the journal survives for --resume.
+        let computed = try_run_named_jobs(&self.name, group_threads, jobs)?;
         for (group, group_results) in groups.iter().zip(computed) {
             for (&i, result) in group.members.iter().zip(group_results) {
                 results[i] = Some(result);
             }
         }
-        // Every point resolved: the journal has served its purpose. (On
-        // a failed point run_named_jobs unwinds above and the journal
-        // survives for --resume.)
+        // Every point resolved: the journal has served its purpose.
         journal.finish();
-        results
+        Ok(results
             .into_iter()
             .map(|r| r.expect("all points resolved"))
-            .collect()
+            .collect())
     }
 }
 
 /// Journal bracket around one point's computation: `attempt` before the
-/// work, `done` strictly after `compute` returned — i.e. after
-/// [`ResultStore::get_or_compute`] durably published the entry — and
-/// `failed` + re-unwind on panic so `--resume` re-dispatches the point.
+/// work, then `done` once `compute` returned a result — i.e. after
+/// [`ResultStore::try_get_or_compute`] durably published the entry — or
+/// `failed` with the error's text, so `--resume` re-dispatches the
+/// point.
 fn journaled(
     journal: &SweepJournal,
     name: &str,
     label: &str,
-    compute: impl FnOnce() -> SimResult,
-) -> SimResult {
+    compute: impl FnOnce() -> Result<SimResult, RunError>,
+) -> Result<SimResult, RunError> {
     journal.attempt(name, label);
-    match catch_unwind(AssertUnwindSafe(compute)) {
-        Ok(result) => {
-            journal.done(name);
-            result
-        }
-        Err(payload) => {
-            journal.failed(name, &btbx_uarch::runner::panic_message(&*payload));
-            resume_unwind(payload);
-        }
+    let outcome = compute();
+    match &outcome {
+        Ok(_) => journal.done(name),
+        Err(e) => journal.failed(name, &e.to_string()),
     }
+    outcome
 }
 
 #[cfg(test)]

@@ -16,6 +16,9 @@
 //! 3. **Kill-and-resume**: a `btbx sweep` killed with SIGKILL mid-run
 //!    resumes with `--resume` and publishes a cache byte-identical to an
 //!    undisturbed run's.
+//! 4. **Lost trace bytes**: a container block read that fails after open
+//!    fails the run with a typed error — in a session, a served request
+//!    and a CLI sweep — and never the process.
 
 use btbx_bench::cluster::{self, ClusterConfig, ClusterEvent, NodeState};
 use btbx_bench::faults::{self, ErrKind, FaultOp, FaultPlan, FaultRule};
@@ -507,4 +510,118 @@ fn sigkilled_sweep_resumes_to_byte_identical_results() {
     assert_eq!(a, b, "resumed cache must be byte-identical");
     let _ = fs::remove_dir_all(&disturbed);
     let _ = fs::remove_dir_all(&undisturbed);
+}
+
+/// An EIO on the first block read of a container, after it opened
+/// cleanly: the session, the server and the CLI sweep each fail the run
+/// with the typed error, and the process survives.
+#[test]
+fn a_failed_container_block_read_fails_the_run_not_the_process() {
+    use btbx_core::spec::BtbSpec;
+    use btbx_core::types::Arch;
+    use btbx_trace::container::write_container;
+    use btbx_trace::{AnySource, WorkloadSpec};
+    use btbx_uarch::{SessionError, SimSession};
+
+    let _serial = fault_lock();
+    let out = scratch("eio");
+    fs::create_dir_all(&out).unwrap();
+    let trace = out.join("container.btbt");
+    let mut stream = suite::ipc1_client()[0].build_trace();
+    let file = fs::File::create(&trace).unwrap();
+    write_container(file, "eio-probe", Arch::Arm64, &mut stream, 20_000).unwrap();
+    // The fault matches block reads by stream name; a workload name of
+    // its own keeps the rule off the point's cache-entry reads.
+    let mut workload = WorkloadSpec::from_container(&trace).unwrap();
+    workload.name = "eio-workload".into();
+    let plan = FaultPlan {
+        seed: 0,
+        rules: vec![FaultRule {
+            op: FaultOp::Read,
+            kind: ErrKind::Eio,
+            path: "eio-probe".into(),
+            nth: 1,
+            count: 1,
+            delay_ms: 0,
+        }],
+    };
+    let sweep = Sweep::named("eio")
+        .workloads([workload])
+        .orgs([OrgKind::Conv])
+        .fdip_options([false])
+        .windows(1_000, 2_000);
+
+    // The session reports the lost bytes instead of a short result.
+    {
+        let _armed = faults::arm(plan.clone());
+        let err = SimSession::new(AnySource::open(&trace).unwrap())
+            .btb_spec(BtbSpec::of(OrgKind::Conv))
+            .warmup(1_000)
+            .measure(2_000)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, SessionError::Trace { source, .. } if source == "eio-probe"),
+            "{err}"
+        );
+    }
+
+    // A served point answers 500 naming the container, on the open
+    // connection, and the server stays healthy.
+    let server = Server::start(ServeConfig {
+        port: 0,
+        cache_dir: out.join("serve"),
+        threads: 2,
+        shards: 1,
+        max_inflight: 0,
+        deadline: None,
+        store: None,
+        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+    })
+    .expect("server starts");
+    let addr = server.addr().to_string();
+    let body = serde_json::to_string(&sweep.points()[0]).unwrap();
+    {
+        let _armed = faults::arm(plan.clone());
+        let r = http_request(&addr, "POST", "/sim", &body).expect("answered, never reset");
+        assert_eq!(r.status, 500, "{}", r.body);
+        assert!(r.body.contains("eio-probe"), "{}", r.body);
+        assert!(r.body.contains("injected EIO"), "{}", r.body);
+    }
+    assert_eq!(
+        http_request(&addr, "GET", "/healthz", "").unwrap().status,
+        200
+    );
+    let r = http_request(&addr, "POST", "/sim", &body).unwrap();
+    assert_eq!(r.status, 200, "the failure was not cached: {}", r.body);
+    server.shutdown().unwrap();
+    server.join();
+
+    // `btbx sweep` exits 1 and journals the typed error as `failed`.
+    let spec = out.join("spec.json");
+    fs::write(&spec, sweep.to_json().unwrap()).unwrap();
+    let plan_file = out.join("plan.json");
+    fs::write(&plan_file, serde_json::to_string(&plan).unwrap()).unwrap();
+    let cli_out = out.join("cli");
+    let run = Command::new(env!("CARGO_BIN_EXE_btbx"))
+        .args(["sweep", "--spec", spec.to_str().unwrap(), "--fresh"])
+        .args(["--fault-plan", plan_file.to_str().unwrap()])
+        .args(["--out", cli_out.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: sweep failed:"), "{stderr}");
+    let journals: Vec<String> = fs::read_dir(btbx_bench::journal::journal_dir(&cli_out))
+        .unwrap()
+        .map(|e| fs::read_to_string(e.unwrap().path()).unwrap())
+        .collect();
+    assert_eq!(journals.len(), 1, "the journal survives the failure");
+    let failed = journals[0]
+        .lines()
+        .find(|line| line.contains("\"failed\""))
+        .unwrap_or_else(|| panic!("no failed record: {}", journals[0]));
+    assert!(failed.contains("eio-probe"), "{failed}");
+    assert!(failed.contains("injected EIO"), "{failed}");
+    let _ = fs::remove_dir_all(&out);
 }

@@ -287,3 +287,47 @@ fn a_repeat_is_served_from_disk_byte_identically() {
     server.join();
     let _ = fs::remove_dir_all(&out);
 }
+
+#[test]
+fn an_unresolvable_trace_answers_500_and_the_server_stays_healthy() {
+    use btbx_bench::serve::ServeStats;
+    use btbx_trace::TraceRef;
+    let (server, out) = start("unresolvable");
+    let addr = server.addr().to_string();
+    let stats = || -> ServeStats {
+        let r = http_request(&addr, "GET", "/stats", "").unwrap();
+        serde_json::from_str(&r.body).unwrap()
+    };
+
+    // A file-backed point whose container this node does not hold, and
+    // no --store to fetch it from.
+    let mut point = two_point_sweep().points().remove(0);
+    let tref = TraceRef::store_only(0x00de_adbe_ef00_0001);
+    let key = tref.blob_key();
+    point.workload.trace = Some(tref);
+    let before = stats();
+    let body = serde_json::to_string(&point).unwrap();
+    let r = http_request(&addr, "POST", "/sim", &body).expect("answered, never reset");
+    assert_eq!(r.status, 500, "{}", r.body);
+    assert!(
+        r.body.contains(&key),
+        "the body must name the blob: {}",
+        r.body
+    );
+    assert_eq!(r.header("X-Btbx-Abort"), None);
+
+    let after = stats();
+    assert_eq!(after.errors, before.errors + 1);
+    assert_eq!(after.deadline_aborts, 0);
+    assert_eq!(
+        http_request(&addr, "GET", "/healthz", "").unwrap().status,
+        200
+    );
+    let valid = serde_json::to_string(&two_point_sweep().points()[0]).unwrap();
+    let r = http_request(&addr, "POST", "/sim", &valid).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&out);
+}

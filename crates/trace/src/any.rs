@@ -142,6 +142,13 @@ impl TraceSource for AnySource {
         }
     }
 
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            AnySource::Synth(s) => s.error(),
+            AnySource::Packed(s) => s.error(),
+        }
+    }
+
     fn advance(&mut self, n: u64) -> u64 {
         match self {
             AnySource::Synth(s) => s.advance(n),

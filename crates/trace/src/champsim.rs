@@ -339,6 +339,10 @@ impl<R: Read> TraceSource for ChampSimReader<R> {
     fn source_name(&self) -> &str {
         &self.name
     }
+
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.error.as_ref().map(|e| e as _)
+    }
 }
 
 /// Serialize a stream of [`TraceInstr`]s as ChampSim records.
@@ -501,6 +505,8 @@ mod tests {
             }
             other => panic!("expected TruncatedRecord, got {other:?}"),
         }
+        // A session over the stream sees the damage too.
+        assert!(TraceSource::error(&reader).is_some());
         let err = reader.into_result().unwrap_err();
         assert!(err.to_string().contains("byte 64"), "{err}");
     }

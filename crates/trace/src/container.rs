@@ -489,6 +489,8 @@ pub struct PackedFileSource {
     block_start: u64,
     lo: Vec<u64>,
     hi: Vec<u64>,
+    /// The block read that ended the stream early, if one failed.
+    error: Option<Arc<ContainerError>>,
 }
 
 /// Snapshot of a [`PackedFileSource`]: the absolute instruction position
@@ -553,6 +555,7 @@ impl PackedFileSource {
             block_start: 0,
             lo: Vec::new(),
             hi: Vec::new(),
+            error: None,
         })
     }
 
@@ -572,29 +575,28 @@ impl PackedFileSource {
     /// Load the block containing absolute position `pos` (which must be
     /// in range). One seek + one contiguous read under the shared lock.
     ///
-    /// # Panics
-    ///
-    /// Panics when a block read fails *after* open (the file shrank or
-    /// the device errored): the index promised these bytes, replay
-    /// cannot continue soundly without them, and `TraceSource` has no
-    /// error channel — so external interference is loud by design.
-    /// Inside a sweep the runner converts the panic into a failed point
-    /// labelled with the job.
-    fn load_block_for(&mut self, pos: u64) {
+    /// A read that fails *after* open (the file shrank or the device
+    /// errored) ends the stream: the index promised these bytes and
+    /// replay cannot continue soundly without them. The failure is kept
+    /// for [`TraceSource::error`], the cursor jumps to the end, and this
+    /// returns `false`.
+    fn load_block_for(&mut self, pos: u64) -> bool {
         let block = self.index.partition_point(|e| e.start_instr <= pos) - 1;
         if block == self.block {
-            return;
+            return true;
         }
         let entry = self.index[block];
         let n = entry.events as usize;
         let mut payload = vec![0u8; n * 16];
-        faults::check_read(&self.info.name).expect("reading a mapped container block");
-        {
+        let read = faults::check_read(&self.info.name).and_then(|()| {
             let mut file = self.file.lock().unwrap();
-            file.seek(SeekFrom::Start(entry.byte_offset))
-                .expect("seeking a mapped container block");
+            file.seek(SeekFrom::Start(entry.byte_offset))?;
             file.read_exact(&mut payload)
-                .expect("reading a mapped container block");
+        });
+        if let Err(e) = read {
+            self.error = Some(Arc::new(ContainerError::Io(e)));
+            self.pos = self.info.total_events;
+            return false;
         }
         let word = |i: usize| u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap());
         self.lo.clear();
@@ -603,6 +605,7 @@ impl PackedFileSource {
         self.hi.extend((n..2 * n).map(word));
         self.block = block;
         self.block_start = entry.start_instr;
+        true
     }
 
     /// Decode the event at the cursor; the containing block must be
@@ -621,8 +624,8 @@ impl PackedFileSource {
 
 impl Clone for PackedFileSource {
     /// Clones share the file handle, index and escape table; the cursor
-    /// is copied but the block cache starts empty (the clone reloads its
-    /// own block on first read).
+    /// and any recorded read failure are copied but the block cache
+    /// starts empty (the clone reloads its own block on first read).
     fn clone(&self) -> Self {
         PackedFileSource {
             file: Arc::clone(&self.file),
@@ -634,6 +637,7 @@ impl Clone for PackedFileSource {
             block_start: 0,
             lo: Vec::new(),
             hi: Vec::new(),
+            error: self.error.clone(),
         }
     }
 }
@@ -643,8 +647,8 @@ impl TraceSource for PackedFileSource {
         if self.pos >= self.info.total_events {
             return None;
         }
-        if !self.block_loaded_for(self.pos) {
-            self.load_block_for(self.pos);
+        if !self.block_loaded_for(self.pos) && !self.load_block_for(self.pos) {
+            return None;
         }
         let i = self.decode_at(self.pos);
         self.pos += 1;
@@ -653,6 +657,10 @@ impl TraceSource for PackedFileSource {
 
     fn source_name(&self) -> &str {
         &self.info.name
+    }
+
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.error.as_deref().map(|e| e as _)
     }
 
     fn advance(&mut self, n: u64) -> u64 {
@@ -665,8 +673,8 @@ impl TraceSource for PackedFileSource {
     fn fill_block(&mut self, block: &mut crate::packed::PackedBuf, max: usize) -> usize {
         let mut filled = 0;
         while filled < max && self.pos < self.info.total_events {
-            if !self.block_loaded_for(self.pos) {
-                self.load_block_for(self.pos);
+            if !self.block_loaded_for(self.pos) && !self.load_block_for(self.pos) {
+                break;
             }
             let block_end = self.block_start + self.lo.len() as u64;
             let run = (max - filled).min((block_end - self.pos) as usize);
@@ -917,6 +925,31 @@ mod tests {
             assert_eq!(buf.get(i), *want, "event {i}");
         }
         assert_eq!(s.fill_block(&mut buf, 1 << 20), 34, "trace end");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_block_read_is_recorded_and_ends_the_stream() {
+        let instrs = mixed_stream(BLOCK_EVENTS as u64 * 2);
+        let path = temp_path("shrunk");
+        write_to(&path, &instrs, "shrunk");
+        let mut source = PackedFileSource::open(&path).unwrap();
+        assert_eq!(source.next_instr(), Some(instrs[0]));
+        assert!(source.error().is_none());
+        // The file shrinks under an open source: the next block is gone.
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(64)
+            .unwrap();
+        source.seek(BLOCK_EVENTS as u64);
+        let mut block = crate::packed::PackedBuf::with_capacity(16);
+        assert_eq!(source.fill_block(&mut block, 16), 0, "the stream ends");
+        assert_eq!(source.next_instr(), None);
+        let error = source.error().expect("the failure is recorded").to_string();
+        assert!(error.contains("I/O"), "{error}");
+        assert!(source.clone().error().is_some(), "clones keep the failure");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -29,6 +29,15 @@ pub trait TraceSource {
     /// Descriptive name (workload name or file stem).
     fn source_name(&self) -> &str;
 
+    /// The failure that ended this stream early, if one did. A source
+    /// that loses bytes mid-stream (a failed container block read)
+    /// records the error here and then reports end of trace, so a
+    /// consumer can tell a truncated stream from a complete one. The
+    /// default is `None`: in-memory and synthetic streams cannot fail.
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        None
+    }
+
     /// Skip up to `n` instructions without yielding them; returns the
     /// number actually skipped (less than `n` only at end of trace).
     ///
@@ -205,6 +214,10 @@ impl<S: TraceSource> TraceSource for Take<S> {
         self.inner.source_name()
     }
 
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.inner.error()
+    }
+
     fn advance(&mut self, n: u64) -> u64 {
         let skipped = self.inner.advance(n.min(self.remaining));
         self.remaining -= skipped;
@@ -230,6 +243,10 @@ impl<S: TraceSource> TraceSource for Skip<S> {
 
     fn source_name(&self) -> &str {
         self.inner.source_name()
+    }
+
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.inner.error()
     }
 
     fn advance(&mut self, n: u64) -> u64 {
@@ -261,6 +278,10 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
 
     fn source_name(&self) -> &str {
         (**self).source_name()
+    }
+
+    fn error(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        (**self).error()
     }
 
     fn advance(&mut self, n: u64) -> u64 {

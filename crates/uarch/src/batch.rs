@@ -130,7 +130,9 @@ impl<S: TraceSource + Clone + Send + Sync> BatchSession<S> {
     /// # Errors
     ///
     /// [`SessionError::Spec`] when any lane spec is invalid (checked for
-    /// the whole group before anything runs).
+    /// the whole group before anything runs), or the error of the first
+    /// lane whose run failed (its trace source failed mid-stream); that
+    /// failure stops lanes that have not started.
     pub fn run(self) -> Result<Vec<SimResult>, SessionError> {
         self.run_each(|_, _| {})
     }
@@ -159,21 +161,21 @@ impl<S: TraceSource + Clone + Send + Sync> BatchSession<S> {
             .map(|(i, lane)| {
                 let trace = &self.trace;
                 let sink = &sink;
-                move || {
+                let job = move || {
                     let result = SimSession::new(trace.clone())
                         .btb_spec(lane.spec)
                         .config(lane.config.clone())
                         .label(lane.label.clone())
                         .warmup(self.warmup)
                         .measure(self.measure)
-                        .run()
-                        .expect("lane specs validated above");
+                        .run()?;
                     (sink.lock().expect("sink poisoned"))(i, &result);
-                    result
-                }
+                    Ok(result)
+                };
+                (format!("#{i} {}", lane.label), job)
             })
             .collect();
-        Ok(crate::runner::run_jobs("batch", self.threads, jobs))
+        crate::runner::try_run_named_jobs("batch", self.threads, jobs)
     }
 }
 
@@ -313,5 +315,41 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(batched[0].stats, solo.stats);
+    }
+
+    #[test]
+    fn a_lane_over_a_failing_container_fails_the_group() {
+        use btbx_core::types::Arch;
+        use btbx_trace::container::{write_container, PackedFileSource};
+        use btbx_trace::source::VecSource;
+        use btbx_trace::TraceInstr;
+        let path = std::env::temp_dir().join(format!("btbx-batch-eio-{}", std::process::id()));
+        let instrs: Vec<TraceInstr> = (0..20_000u64)
+            .map(|i| TraceInstr::other(0x1000 + (i % 64) * 4, 4))
+            .collect();
+        let file = std::fs::File::create(&path).unwrap();
+        let mut stream = VecSource::new("shrinking", instrs);
+        write_container(file, "shrinking", Arch::Arm64, &mut stream, u64::MAX).unwrap();
+        let source = PackedFileSource::open(&path).unwrap();
+        // The file shrinks after open: every block read now fails.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(64)
+            .unwrap();
+        let mut finished = 0;
+        let err = BatchSession::new(source)
+            .lanes(lanes())
+            .warmup(1_000)
+            .measure(2_000)
+            .run_each(|_, _| finished += 1)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SessionError::Trace { source, .. } if source == "shrinking"),
+            "{err}"
+        );
+        assert_eq!(finished, 0, "no lane may report a result");
+        let _ = std::fs::remove_file(&path);
     }
 }

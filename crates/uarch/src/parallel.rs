@@ -151,8 +151,9 @@ where
     }
 
     /// Attach a cooperative cancellation flag: once it turns true, the
-    /// run panics with [`crate::sim::ABORT_MARKER`] at its next poll
-    /// boundary. Services use this for per-request deadlines.
+    /// run stops at its next poll boundary and returns
+    /// [`SessionError::Aborted`]. Services use this for per-request
+    /// deadlines.
     pub fn abort(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
@@ -162,7 +163,9 @@ where
     ///
     /// # Errors
     ///
-    /// [`SessionError::Spec`] when the BTB spec does not validate.
+    /// [`SessionError::Spec`] when the BTB spec does not validate,
+    /// [`SessionError::Aborted`] when the abort flag fired and
+    /// [`SessionError::Trace`] when the trace source failed mid-stream.
     pub fn run(self) -> Result<ParallelOutcome, SessionError> {
         let setup_started = Instant::now();
         let org = self.label.unwrap_or_else(|| self.spec.org.id().to_string());
@@ -186,7 +189,7 @@ where
             &mut |iv| intervals.push(*iv),
         );
         Ok(ParallelOutcome {
-            result: sim.into_result(),
+            result: sim.into_result()?,
             intervals,
             telemetry: ParallelTelemetry {
                 serial_setup_seconds,
@@ -313,5 +316,28 @@ mod tests {
             assert!(out.result.stats.instructions > 0);
             assert!(out.result.stats.instructions <= 5_000);
         }
+    }
+
+    #[test]
+    fn a_fired_abort_flag_fails_the_run() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
+        let fired = Arc::new(AtomicBool::new(true));
+        let err = SimSession::new(straight_line(200_000))
+            .btb_spec(spec)
+            .warmup(10_000)
+            .measure(100_000)
+            .abort(Arc::clone(&fired))
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SessionError::Aborted);
+        let err = ParallelSession::new(|| straight_line(200_000), spec)
+            .warmup(10_000)
+            .measure(100_000)
+            .abort(fired)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SessionError::Aborted);
     }
 }

@@ -6,20 +6,26 @@
 //! harness) so [`crate::batch::BatchSession`] can run its lanes on it;
 //! `btbx-bench` uses it for sweeps and the service.
 //!
-//! # Panics
+//! # Failures
 //!
-//! A panicking job does not poison or hang the pool: the panic is caught
-//! on the worker, remaining queued jobs are cancelled, every in-flight job
-//! finishes, and the pool then fails the whole run by resuming the panic
-//! with the offending job's label attached.
+//! [`try_run_named_jobs`] runs fallible jobs: the first job to return
+//! `Err` cancels every queued job, every in-flight job finishes, and the
+//! error becomes the run's. A panicking job is a bug, not a failure: it
+//! does not poison or hang the pool either (the panic is caught on the
+//! worker and the queue cancelled the same way), but the pool then
+//! resumes the panic with the offending job's label attached.
 
+// The pool boundary is the one place a panic is caught: a panicking job
+// is a bug, and the pool turns it into a labelled panic of the run.
+#![allow(clippy::disallowed_methods)]
+
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Run `jobs` on up to `threads` workers, preserving order; `label` is
-/// used for progress reporting. Jobs are labelled by queue index; use
-/// [`run_named_jobs`] to attach meaningful labels.
+/// used for progress reporting. Jobs are labelled by queue index.
 pub fn run_jobs<T, F>(label: &str, threads: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -28,21 +34,35 @@ where
     let named = jobs
         .into_iter()
         .enumerate()
-        .map(|(i, j)| (format!("#{i}"), j))
+        .map(|(i, job)| (format!("#{i}"), move || Ok::<T, Infallible>(job())))
         .collect();
-    run_named_jobs(label, threads, named)
+    match try_run_named_jobs(label, threads, named) {
+        Ok(results) => results,
+        Err(never) => match never {},
+    }
 }
 
-/// [`run_jobs`] with a label per job; a panicking job fails the whole run
-/// with that label in the panic message.
-pub fn run_named_jobs<T, F>(pool_label: &str, threads: usize, jobs: Vec<(String, F)>) -> Vec<T>
+/// Run fallible labelled jobs on up to `threads` workers, preserving
+/// order. The first `Err` cancels the queue and is returned once the
+/// in-flight jobs finish; a panicking job fails the run with its label
+/// in the panic message.
+///
+/// # Errors
+///
+/// The error of the first job that failed.
+pub fn try_run_named_jobs<T, E, F>(
+    pool_label: &str,
+    threads: usize,
+    jobs: Vec<(String, F)>,
+) -> Result<Vec<T>, E>
 where
     T: Send,
-    F: FnOnce() -> T + Send,
+    E: Send,
+    F: FnOnce() -> Result<T, E> + Send,
 {
     let total = jobs.len();
     if total == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let threads = threads.clamp(1, total);
     let next = AtomicUsize::new(0);
@@ -54,7 +74,8 @@ where
         .map(|(name, j)| (name, Mutex::new(Some(j))))
         .collect();
     let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let failure: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+    let error: Mutex<Option<E>> = Mutex::new(None);
+    let panicked: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -69,13 +90,18 @@ where
                 let (name, slot) = &slots[i];
                 let job = slot.lock().unwrap().take().expect("job taken twice");
                 match catch_unwind(AssertUnwindSafe(job)) {
-                    Ok(result) => *results[i].lock().unwrap() = Some(result),
+                    Ok(Ok(result)) => *results[i].lock().unwrap() = Some(result),
+                    Ok(Err(e)) => {
+                        cancelled.store(true, Ordering::Relaxed);
+                        error.lock().unwrap().get_or_insert(e);
+                        break;
+                    }
                     Err(payload) => {
                         cancelled.store(true, Ordering::Relaxed);
-                        let mut first = failure.lock().unwrap();
-                        if first.is_none() {
-                            *first = Some((name.clone(), payload));
-                        }
+                        panicked
+                            .lock()
+                            .unwrap()
+                            .get_or_insert((name.clone(), payload));
                         break;
                     }
                 }
@@ -87,23 +113,25 @@ where
         }
     });
 
-    if let Some((name, payload)) = failure.into_inner().unwrap() {
+    if let Some((name, payload)) = panicked.into_inner().unwrap() {
         eprintln!("[{pool_label}] job `{name}` panicked; failing the run");
         resume_unwind(Box::new(format!(
             "[{pool_label}] job `{name}` panicked: {}",
             panic_message(&*payload)
         )));
     }
-
-    results
+    if let Some(e) = error.into_inner().unwrap() {
+        return Err(e);
+    }
+    Ok(results
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("missing result"))
-        .collect()
+        .collect())
 }
 
 /// A long-lived worker pool for service-style workloads (e.g. `btbx
 /// serve` request handling), complementing the batch-oriented
-/// [`run_named_jobs`].
+/// [`try_run_named_jobs`].
 ///
 /// Differences from the batch pool:
 ///
@@ -181,9 +209,8 @@ impl Drop for ServicePool {
     }
 }
 
-/// Best-effort extraction of a panic payload's message (public so the
-/// result store and the service can format caught panics the same way).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -227,16 +254,16 @@ mod tests {
         // Regression test: before the catch_unwind handling, a panicking
         // job blew up its worker and the failure surfaced (if at all) as a
         // generic scope panic with no indication of which job died.
-        type Job = Box<dyn FnOnce() -> u32 + Send>;
+        type Job = Box<dyn FnOnce() -> Result<u32, ()> + Send>;
         let jobs: Vec<(String, Job)> = vec![
-            ("fine".to_string(), Box::new(|| 1u32) as Job),
+            ("fine".to_string(), Box::new(|| Ok(1u32)) as Job),
             (
                 "doomed".to_string(),
-                Box::new(|| -> u32 { panic!("simulated workload failure") }) as Job,
+                Box::new(|| -> Result<u32, ()> { panic!("simulated workload failure") }) as Job,
             ),
-            ("also-fine".to_string(), Box::new(|| 3u32) as Job),
+            ("also-fine".to_string(), Box::new(|| Ok(3u32)) as Job),
         ];
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_named_jobs("pool", 2, jobs)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| try_run_named_jobs("pool", 2, jobs)));
         let payload = outcome.expect_err("the run must fail");
         let msg = payload
             .downcast_ref::<String>()
@@ -287,10 +314,10 @@ mod tests {
         // One worker: the panicking first job must stop the queue instead
         // of hanging or running the remaining 100 jobs.
         let ran = AtomicUsize::new(0);
-        type Job<'a> = Box<dyn FnOnce() -> u32 + Send + 'a>;
+        type Job<'a> = Box<dyn FnOnce() -> Result<u32, ()> + Send + 'a>;
         let mut jobs: Vec<(String, Job)> = vec![(
             "boom".to_string(),
-            Box::new(|| -> u32 { panic!("die") }) as Job,
+            Box::new(|| -> Result<u32, ()> { panic!("die") }) as Job,
         )];
         for i in 0..100 {
             let ran = &ran;
@@ -298,12 +325,38 @@ mod tests {
                 format!("later-{i}"),
                 Box::new(move || {
                     ran.fetch_add(1, Ordering::Relaxed);
-                    0u32
+                    Ok(0u32)
                 }) as Job,
             ));
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_named_jobs("pool", 1, jobs)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| try_run_named_jobs("pool", 1, jobs)));
         assert!(outcome.is_err());
         assert_eq!(ran.load(Ordering::Relaxed), 0, "queued jobs must not run");
+    }
+
+    #[test]
+    fn first_error_cancels_queued_jobs_and_fails_the_run() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = AtomicUsize::new(0);
+        let mut jobs = vec![("bad".to_string(), Err("no trace"))];
+        jobs.extend((0..100).map(|i| (format!("later-{i}"), Ok(i))));
+        let jobs: Vec<_> = jobs
+            .into_iter()
+            .map(|(name, outcome)| {
+                let ran = &ran;
+                (name, move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    outcome
+                })
+            })
+            .collect();
+        assert_eq!(try_run_named_jobs("pool", 1, jobs), Err("no trace"));
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "queued jobs must not run");
+
+        let jobs: Vec<_> = (0..20)
+            .map(|i| (format!("ok-{i}"), move || Ok::<_, ()>(i * 3)))
+            .collect();
+        let expected: Vec<_> = (0..20).map(|i| i * 3).collect();
+        assert_eq!(try_run_named_jobs("pool", 4, jobs), Ok(expected));
     }
 }

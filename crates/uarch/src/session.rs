@@ -90,6 +90,17 @@ pub enum SessionError {
     NoBtb,
     /// The configured [`BtbSpec`] does not validate.
     Spec(SpecError),
+    /// The run's abort flag fired before the window was measured.
+    Aborted,
+    /// The trace source failed mid-stream
+    /// ([`btbx_trace::TraceSource::error`]), so the window is
+    /// incomplete.
+    Trace {
+        /// The stream's [`btbx_trace::TraceSource::source_name`].
+        source: String,
+        /// What failed.
+        error: String,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -99,6 +110,10 @@ impl std::fmt::Display for SessionError {
                 write!(f, "session has no BTB: call .btb(...) or .btb_spec(...)")
             }
             SessionError::Spec(e) => write!(f, "invalid BTB spec: {e}"),
+            SessionError::Aborted => write!(f, "simulation aborted by its abort flag"),
+            SessionError::Trace { source, error } => {
+                write!(f, "trace `{source}` failed mid-stream: {error}")
+            }
         }
     }
 }
@@ -232,8 +247,8 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
     }
 
     /// Attach a cooperative cancellation flag: once it turns true, the
-    /// run panics with [`crate::sim::ABORT_MARKER`] instead of ticking to
-    /// completion. Services use this to bound runaway requests.
+    /// run stops and returns [`SessionError::Aborted`] instead of ticking
+    /// to completion. Services use this to bound runaway requests.
     pub fn abort(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
@@ -243,8 +258,10 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::NoBtb`] when no BTB was configured and
-    /// [`SessionError::Spec`] when the configured spec does not validate.
+    /// [`SessionError::NoBtb`] when no BTB was configured,
+    /// [`SessionError::Spec`] when the configured spec does not validate,
+    /// [`SessionError::Aborted`] when the abort flag fired and
+    /// [`SessionError::Trace`] when the trace source failed mid-stream.
     pub fn run(self) -> Result<SimResult, SessionError> {
         match self.btb {
             BtbSource::None => Err(SessionError::NoBtb),
@@ -252,7 +269,7 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                 btb,
                 label,
                 budget_bits,
-            } => Ok(run_with(
+            } => run_with(
                 btb,
                 self.label.unwrap_or(label),
                 budget_bits,
@@ -262,11 +279,11 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                 self.measure,
                 self.observer,
                 self.abort,
-            )),
+            ),
             BtbSource::Spec(spec) => {
                 // Static dispatch: the engine monomorphizes the hot path.
                 let engine = spec.build_engine()?;
-                Ok(run_with(
+                run_with(
                     engine,
                     self.label.unwrap_or_else(|| spec.org.id().to_string()),
                     spec.bits(),
@@ -276,7 +293,7 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                     self.measure,
                     self.observer,
                     self.abort,
-                ))
+                )
             }
         }
     }
@@ -294,7 +311,7 @@ fn run_with<S: TraceSource, B: Btb>(
     measure: u64,
     mut observer: Option<Observer<'_>>,
     abort: Option<Arc<AtomicBool>>,
-) -> SimResult {
+) -> Result<SimResult, SessionError> {
     let bpu = Bpu::new(btb, config.ras_entries, config.decode_resteer);
     let mut sim = Simulator::new(config, trace, bpu, label, budget_bits);
     if let Some(flag) = abort {
@@ -305,9 +322,9 @@ fn run_with<S: TraceSource, B: Btb>(
         if let Some((_, cb)) = observer.as_mut() {
             cb(iv);
         }
-    });
+    })?;
     result.btb_budget_bits = budget_bits;
-    result
+    Ok(result)
 }
 
 /// A simulator over `source` with the BTB `spec` describes, recording
@@ -342,7 +359,8 @@ pub(crate) fn spec_simulator<S: TraceSource>(
 ///
 /// # Errors
 ///
-/// [`SessionError::Spec`] when `spec` does not validate.
+/// [`SessionError::Spec`] when `spec` does not validate and
+/// [`SessionError::Trace`] when a source fails mid-stream.
 ///
 /// # Panics
 ///
@@ -367,6 +385,9 @@ pub fn run_resumed<S: SeekableSource>(
     let chunk = measure.div_ceil(segments);
     for cut in 1..segments {
         sim.run_until_committed(start.saturating_add(chunk.saturating_mul(cut)));
+        if let Some(e) = sim.failure() {
+            return Err(e);
+        }
         let sealed = save_sealed(&identity, &sim);
         let mut source = factory();
         source.restore(&sim.trace().checkpoint());
@@ -376,7 +397,7 @@ pub fn run_resumed<S: SeekableSource>(
             .unwrap_or_else(|e| panic!("restoring the snapshot sealed at cut {cut}: {e}"));
     }
     sim.run_until_committed(start.saturating_add(measure));
-    Ok(sim.into_result())
+    sim.into_result()
 }
 
 #[cfg(test)]

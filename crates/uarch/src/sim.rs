@@ -23,7 +23,7 @@ use crate::config::SimConfig;
 use crate::fdip::Fdip;
 use crate::ftq::Ftq;
 use crate::hierarchy::{Hierarchy, Port};
-use crate::session::IntervalStats;
+use crate::session::{IntervalStats, SessionError};
 use crate::stats::{SimResult, SimStats};
 use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use btbx_core::types::BranchEvent;
@@ -45,12 +45,6 @@ pub const EVENT_BLOCK_EVENTS: usize = 256;
 /// length, reported in [`crate::ParallelTelemetry`] as the peak
 /// event-buffer cost.
 pub const EVENT_BLOCK_BYTES: u64 = EVENT_BLOCK_EVENTS as u64 * 16;
-
-/// Panic message used when a run is cancelled through an abort flag
-/// ([`Simulator::set_abort`]). Callers that catch simulation panics
-/// (the result store, `btbx serve`) match on this marker to distinguish
-/// a deliberate deadline abort from a genuine simulator failure.
-pub const ABORT_MARKER: &str = "btbx: simulation aborted";
 
 /// Ticks between abort-flag polls: rare enough that the atomic load is
 /// invisible in the hot loop, frequent enough that an abort lands within
@@ -107,9 +101,10 @@ pub struct Simulator<S, B: btbx_core::Btb> {
     org_id: String,
     budget_bits: u64,
     /// Cooperative cancellation: when set and flipped true, the driving
-    /// loops panic with [`ABORT_MARKER`] at the next poll boundary.
+    /// loops stop at the next poll boundary and `aborted` turns true.
     abort: Option<Arc<AtomicBool>>,
     abort_poll: u32,
+    aborted: bool,
     /// Test-only oracle switch: tick every cycle instead of jumping inert
     /// spans, reproducing the plain tick loop the fast-forward must match.
     #[cfg(test)]
@@ -164,6 +159,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             budget_bits,
             abort: None,
             abort_poll: 0,
+            aborted: false,
             #[cfg(test)]
             plain: false,
             issued_prefix: 0,
@@ -171,71 +167,92 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     }
 
     /// Attach a cancellation flag: once `flag` turns true, the driving
-    /// loops panic with [`ABORT_MARKER`] within [`ABORT_POLL_MASK`] + 1
-    /// ticks. Used by `btbx serve` to enforce per-request deadlines.
+    /// loops stop within [`ABORT_POLL_MASK`] + 1 ticks, as they do at
+    /// trace end, and [`into_result`](Self::into_result) reports
+    /// [`SessionError::Aborted`]. Used by `btbx serve` to enforce
+    /// per-request deadlines.
     pub fn set_abort(&mut self, flag: Arc<AtomicBool>) {
         self.abort = Some(flag);
     }
 
-    /// Check the abort flag on a sparse tick schedule.
+    /// Check the abort flag on a sparse tick schedule; `true` once it
+    /// fired, and the driving loop must stop.
     #[inline]
-    fn poll_abort(&mut self) {
-        let Some(flag) = &self.abort else { return };
+    fn poll_abort(&mut self) -> bool {
+        let Some(flag) = &self.abort else {
+            return false;
+        };
         self.abort_poll = self.abort_poll.wrapping_add(1);
         if self.abort_poll & ABORT_POLL_MASK == 0 && flag.load(Ordering::Relaxed) {
-            panic!("{ABORT_MARKER}");
+            return self.mark_aborted();
         }
+        false
+    }
+
+    #[cold]
+    fn mark_aborted(&mut self) -> bool {
+        self.aborted = true;
+        true
     }
 
     /// Warm structures over `warmup` committed instructions, then measure
-    /// the next `measure` instructions and return the results
-    /// (Section VI-A methodology).
-    pub fn run(self, warmup: u64, measure: u64) -> SimResult {
-        self.run_observed(warmup, measure, None, &mut |_| {})
-    }
-
-    /// [`run`](Self::run), streaming an [`IntervalStats`] snapshot to
-    /// `observer` after every `interval` committed instructions of the
-    /// measurement window (plus a trailing partial interval when the run
-    /// ends between boundaries). Used by [`crate::session::SimSession`];
-    /// pass `interval: None` to disable streaming.
+    /// the next `measure` instructions, streaming an [`IntervalStats`]
+    /// snapshot to `observer` after every `interval` committed
+    /// instructions of the measurement window (plus a trailing partial
+    /// interval when the run ends between boundaries; `interval: None`
+    /// streams nothing). Section VI-A methodology; used by
+    /// [`crate::session::SimSession`].
+    ///
+    /// # Errors
+    ///
+    /// See [`into_result`](Self::into_result).
     pub fn run_observed(
         mut self,
         warmup: u64,
         measure: u64,
         interval: Option<u64>,
         observer: &mut dyn FnMut(&IntervalStats),
-    ) -> SimResult {
+    ) -> Result<SimResult, SessionError> {
         // Warm-up phase.
         self.run_until_committed(warmup);
         self.begin_measurement();
         let target = self.committed.saturating_add(measure);
         self.run_measured(target, interval, observer);
-        self.finish()
+        self.into_result()
     }
 
     /// Tick until the *absolute* committed-instruction count reaches
     /// `target` (or the trace drains): the warm-up phase, or a stretch of
-    /// the measurement window that streams no intervals.
+    /// the measurement window that streams no intervals. An aborted
+    /// simulator does nothing.
     pub fn run_until_committed(&mut self, target: u64) {
+        if self.aborted {
+            return;
+        }
         while self.committed < target && !self.finished() {
             if !self.skip_inert() {
                 self.tick();
             }
-            self.poll_abort();
+            if self.poll_abort() {
+                return;
+            }
         }
     }
 
     /// Tick the measurement window until the *absolute* committed count
     /// reaches `target`, streaming interval snapshots (boundaries are
     /// relative to the [`Self::begin_measurement`] point). Callers must
-    /// have started measurement first.
+    /// have started measurement first. An aborted simulator does nothing,
+    /// and an abort streams no further interval.
     pub fn run_measured(
         &mut self,
         target: u64,
         interval: Option<u64>,
         observer: &mut dyn FnMut(&IntervalStats),
     ) {
+        if self.aborted {
+            return;
+        }
         let step = interval.unwrap_or(u64::MAX);
         let mut next_boundary = step;
         let mut index = 0u64;
@@ -257,11 +274,15 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         while self.committed < target && !self.finished() {
             if self.skip_inert() {
                 // A jump commits nothing, so no boundary can fire.
-                self.poll_abort();
+                if self.poll_abort() {
+                    return;
+                }
                 continue;
             }
             self.tick();
-            self.poll_abort();
+            if self.poll_abort() {
+                return;
+            }
             if self.committed - self.measure_start_committed >= next_boundary {
                 (emitted_instr, emitted_cycles) = emit(self, index, emitted_instr, emitted_cycles);
                 index += 1;
@@ -324,12 +345,29 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         }
     }
 
-    /// Consume the simulator and report the measurement window.
-    pub fn into_result(self) -> SimResult {
-        self.finish()
+    /// Why the driving loops stopped short of their target, if they
+    /// did: the abort flag fired, or the trace source failed mid-stream.
+    pub fn failure(&self) -> Option<SessionError> {
+        if self.aborted {
+            return Some(SessionError::Aborted);
+        }
+        self.trace.error().map(|e| SessionError::Trace {
+            source: self.trace.source_name().to_string(),
+            error: e.to_string(),
+        })
     }
 
-    fn finish(mut self) -> SimResult {
+    /// Consume the simulator and report the measurement window.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Aborted`] when the abort flag stopped the run and
+    /// [`SessionError::Trace`] when the trace source failed mid-stream:
+    /// either way the window is incomplete, so no result is reported.
+    pub fn into_result(mut self) -> Result<SimResult, SessionError> {
+        if let Some(e) = self.failure() {
+            return Err(e);
+        }
         let (l1i, l1d, l2, llc) = self.hierarchy.stats();
         let bubble = self.bubble_cycles;
         let stats = SimStats {
@@ -347,13 +385,13 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             rob_full_cycles: self.rob_full_cycles,
             wrong_path_btb_reads: bubble * (self.config.fetch_width as u64 / 2),
         };
-        SimResult {
+        Ok(SimResult {
             workload: self.trace.source_name().to_string(),
             org: std::mem::take(&mut self.org_id),
             fdip_enabled: self.config.fdip,
             btb_budget_bits: self.budget_bits,
             stats,
-        }
+        })
     }
 
     /// [`fast_forward_span`](Self::fast_forward_span), except in the
@@ -802,8 +840,13 @@ impl<S: TraceSource, B: btbx_core::Btb> std::fmt::Debug for Simulator<S, B> {
 
 /// Positional convenience over [`crate::session::SimSession`]: run
 /// `trace` against an already-built BTB (e.g. a [`btbx_core::BtbEngine`]).
-/// Prefer the session builder for new code — it validates specs and
-/// exposes interval streaming.
+/// Prefer the session builder for new code — it validates specs,
+/// exposes interval streaming and returns trace failures as errors.
+///
+/// # Panics
+///
+/// Panics when the trace source fails mid-stream
+/// ([`SessionError::Trace`]).
 pub fn simulate<S: TraceSource, B: btbx_core::Btb>(
     config: SimConfig,
     trace: S,
@@ -819,7 +862,7 @@ pub fn simulate<S: TraceSource, B: btbx_core::Btb>(
         .warmup(warmup)
         .measure(measure)
         .run()
-        .expect("an instance-backed session always runs")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -1088,7 +1131,7 @@ mod tests {
         let target = sim.committed() + measure;
         let mut intervals = Vec::new();
         sim.run_measured(target, Some(7_000), &mut |iv| intervals.push(*iv));
-        (sim.into_result().stats, intervals)
+        (sim.into_result().unwrap().stats, intervals)
     }
 
     /// Warm a simulator over `fresh()` for `warmup` instructions, seal it
