@@ -27,24 +27,19 @@ pub fn run(_opts: &crate::HarnessOpts) {
         let img = spec.build_image();
         let mut per_way = [0u64; 9];
         let mut total = 0u64;
-        for i in &img.instrs {
+        for i in img.instrs.iter() {
             match i.kind {
                 SKind::Cond { target_idx, .. } | SKind::Jump { target_idx } => {
-                    let t = img.instrs[target_idx as usize].pc;
+                    let t = img.instrs.pc(target_idx as usize);
                     bucket(&mut per_way, &mut total, i.pc, t);
                 }
                 SKind::Call { callee } => {
-                    let t = img.instrs[img.funcs[callee as usize].entry as usize].pc;
+                    let t = img.instrs.pc(img.funcs[callee as usize].entry as usize);
                     bucket(&mut per_way, &mut total, i.pc, t);
                 }
                 SKind::IndirectCall { table } | SKind::IndirectJump { table } => {
-                    for f in img.tables[table as usize]
-                        .iter()
-                        .take(1)
-                        .copied()
-                        .collect::<Vec<_>>()
-                    {
-                        let t = img.instrs[img.funcs[f as usize].entry as usize].pc;
+                    if let Some(&f) = img.tables[table as usize].first() {
+                        let t = img.instrs.pc(img.funcs[f as usize].entry as usize);
                         bucket(&mut per_way, &mut total, i.pc, t);
                     }
                 }

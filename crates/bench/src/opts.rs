@@ -341,12 +341,6 @@ impl HarnessOpts {
         Ok(opts)
     }
 
-    /// Split the thread budget for `jobs` dispatchable groups of up to
-    /// `width` members each; see [`pool_split_for`].
-    pub fn pool_split_for(&self, width: usize, jobs: usize) -> (usize, usize) {
-        pool_split_for(self.threads, width, jobs)
-    }
-
     /// The HTTP client timeout as a [`std::time::Duration`], clamped to
     /// the sane range (see [`sane_timeout`]).
     pub fn http_timeout(&self) -> std::time::Duration {
@@ -368,24 +362,6 @@ pub const MAX_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(24 *
 /// here instead of at each call site.
 pub fn sane_timeout(timeout: std::time::Duration) -> std::time::Duration {
     timeout.clamp(std::time::Duration::from_millis(1), MAX_TIMEOUT)
-}
-
-/// Split `threads` between concurrent groups and the members inside
-/// each group, as `(group_threads, member_threads)` with
-/// `group_threads × member_threads ≤ threads` and the product maximal.
-/// A sweep has `jobs` groups of at most `width` members. Group workers
-/// beyond `jobs` never receive work, so the budget they would have held
-/// goes to the members instead; member threads beyond `width` would idle,
-/// so their budget goes to group concurrency. Ties prefer more member
-/// threads (fewer groups in flight → fewer live trace sources → less
-/// peak memory).
-pub fn pool_split_for(threads: usize, width: usize, jobs: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let width = width.max(1);
-    (1..=jobs.clamp(1, threads))
-        .map(|p| (p, (threads / p).min(width)))
-        .max_by_key(|&(p, s)| (p * s, s))
-        .expect("candidate range is non-empty")
 }
 
 #[cfg(test)]
@@ -505,44 +481,6 @@ mod tests {
     fn help_is_reported_not_exited() {
         assert_eq!(parse(&["--help"]), Err(OptError::HelpRequested));
         assert_eq!(parse(&["-h"]), Err(OptError::HelpRequested));
-    }
-
-    #[test]
-    fn pool_split_for_keys_on_jobs_not_points() {
-        // One group replacing 18 points: all threads go to the group's
-        // member fan-out instead of 17 idle point workers.
-        assert_eq!(pool_split_for(8, 18, 1), (1, 8));
-        // Two groups of 9 members on 8 threads: the tie prefers one live
-        // group with full fan-out (fewer live trace sources).
-        assert_eq!(pool_split_for(8, 9, 2), (1, 8));
-        // Many groups of four on 6 threads: 2 x 3 uses all 6, where one
-        // group of four would leave 2 idle.
-        assert_eq!(pool_split_for(6, 4, 100), (2, 3));
-        // One group of four cannot use more than four threads.
-        assert_eq!(pool_split_for(8, 4, 1), (1, 4));
-        // Groups of one never oversubscribe the member side.
-        assert_eq!(pool_split_for(4, 1, 100), (4, 1));
-        assert_eq!(pool_split_for(4, 1, 2), (2, 1));
-        // Zero jobs (all cache hits) stays well-formed.
-        assert_eq!(pool_split_for(4, 2, 0), (1, 2));
-        assert_eq!(
-            pool_split_for(0, 0, 0),
-            (1, 1),
-            "zeroes clamp to one worker"
-        );
-        for threads in 1..=16 {
-            for width in 1..=9 {
-                for jobs in 0..=20 {
-                    let (p, s) = pool_split_for(threads, width, jobs);
-                    assert!(p >= 1 && s >= 1);
-                    assert!(p * s <= threads.max(1), "{threads}/{width}/{jobs}");
-                    if jobs > 0 {
-                        assert!(p <= jobs, "{p} workers for {jobs} jobs");
-                        assert!(s <= width.max(1), "{s} fan-out for width {width}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

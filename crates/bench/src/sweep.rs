@@ -53,7 +53,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Bump to invalidate every cached simulation (simulator semantics
 /// changed, stats gained fields, …).
@@ -471,16 +471,22 @@ impl Sweep {
 
     /// [`run`](Sweep::run), returning a failure instead of panicking.
     ///
-    /// Cache-missing points run in [`plan_batches`] groups: each group
-    /// builds its trace source once — for a synthetic workload, its
-    /// program image — and every member runs over a clone of it through
-    /// [`SimPoint::run_with`], the one run path. A member's result is
-    /// therefore exactly its own [`SimPoint::run`], published under the
-    /// same cache key (`crates/bench/tests/batch_differential.rs` pins
-    /// stats *and* cache-entry bytes).
+    /// Cache-missing points run as one queue on `opts.threads` workers,
+    /// in [`plan_batches`] order: group by group, members ascending. Each
+    /// group builds its trace source once — for a synthetic workload, its
+    /// program image — when its first member starts, and every member
+    /// runs over a clone of it through [`SimPoint::run_with`], the one run
+    /// path. A member's result is therefore exactly its own
+    /// [`SimPoint::run`], published under the same cache key
+    /// (`crates/bench/tests/batch_differential.rs` pins stats *and*
+    /// cache-entry bytes). A failed build is kept too, so the group's
+    /// other members fail with the same [`RunError`] instead of building
+    /// again.
     ///
-    /// The thread budget splits between concurrent groups and the
-    /// members inside each group by [`HarnessOpts::pool_split_for`].
+    /// The last member of a group to start empties the group's slot, so
+    /// a source lives only while a running member holds it: at most
+    /// `opts.threads` groups' sources are live at once, and no core idles
+    /// while another group's points wait.
     ///
     /// # Crash resumability
     ///
@@ -553,57 +559,72 @@ impl Sweep {
             eprintln!("[{}] {hits}/{} cached", self.name, points.len());
         }
         let groups = plan_batches(&points, &misses);
-        let width = groups.iter().map(|g| g.members.len()).max().unwrap_or(1);
-        let (group_threads, member_threads) = opts.pool_split_for(width, groups.len());
-        let label = |group: &BatchGroup| {
-            let first = &points[group.members[0]];
-            format!("{}[{}]", first.workload.name, group.members.len())
-        };
-        // Build the group's source once, then run every member over a
-        // clone of it. Each member publishes through the store's
-        // single-flight path and journals the moment it finishes, so a
-        // crash mid-group loses only unfinished members.
-        let run_group = |group: &BatchGroup| -> Result<Vec<SimResult>, RunError> {
-            let source = points[group.members[0]].source()?;
-            let jobs: Vec<_> = group
-                .members
-                .iter()
-                .map(|&i| {
-                    let (point, name, source) = (&points[i], &names[i], &source);
-                    let (store, journal) = (&store, &journal);
-                    let point_label = format!(
-                        "{}:{}@{}",
-                        point.workload.name,
-                        point.org.id(),
-                        point.budget.label()
-                    );
-                    let job_label = point_label.clone();
-                    let job = move || {
-                        journaled(journal, name, &job_label, || {
-                            let run = RunOpts {
-                                source: Some(source),
-                                ..RunOpts::default()
-                            };
-                            store
-                                .try_get_or_compute(name, opts.fresh, || point.run_with(run))
-                                .map(|(result, _)| result)
-                        })
-                    };
-                    (point_label, job)
-                })
-                .collect();
-            try_run_named_jobs(&label(group), member_threads, jobs)
-        };
-        let jobs: Vec<_> = groups
+        let slots: Vec<Mutex<GroupSlot>> = groups
             .iter()
-            .map(|group| (label(group), move || run_group(group)))
+            .map(|group| {
+                Mutex::new(GroupSlot {
+                    source: None,
+                    members_left: group.members.len(),
+                })
+            })
+            .collect();
+        let build = |point: &SimPoint| -> Result<Arc<AnySource>, RunError> {
+            let source = Arc::new(point.source()?);
+            #[cfg(test)]
+            tests::gauge_live_sources(&self.name, &source);
+            Ok(source)
+        };
+        // One job per cache-missing point, group by group. A member takes
+        // its group's source from the slot: the first to start builds it
+        // (or its error, which every member then shares), the last to
+        // start empties the slot, so a source lives only while a member
+        // holds it. Each member publishes through the store's
+        // single-flight path and journals the moment it finishes, so a
+        // crash mid-sweep loses only unfinished points.
+        let queue: Vec<(usize, &Mutex<GroupSlot>)> = groups
+            .iter()
+            .zip(&slots)
+            .flat_map(|(group, slot)| group.members.iter().map(move |&i| (i, slot)))
+            .collect();
+        let jobs: Vec<_> = queue
+            .iter()
+            .map(|&(i, slot)| {
+                let (point, name) = (&points[i], &names[i]);
+                let (store, journal, build) = (&store, &journal, &build);
+                let point_label = format!(
+                    "{}:{}@{}",
+                    point.workload.name,
+                    point.org.id(),
+                    point.budget.label()
+                );
+                let job_label = point_label.clone();
+                let job = move || {
+                    journaled(journal, name, &job_label, || {
+                        let source = {
+                            let mut slot = slot.lock().unwrap();
+                            let source = slot.source.get_or_insert_with(|| build(point)).clone();
+                            slot.members_left -= 1;
+                            if slot.members_left == 0 {
+                                slot.source = None;
+                            }
+                            source
+                        }?;
+                        let run = RunOpts {
+                            source: Some(&*source),
+                            ..RunOpts::default()
+                        };
+                        store
+                            .try_get_or_compute(name, opts.fresh, || point.run_with(run))
+                            .map(|(result, _)| result)
+                    })
+                };
+                (point_label, job)
+            })
             .collect();
         // On a failed point the journal survives for --resume.
-        let computed = try_run_named_jobs(&self.name, group_threads, jobs)?;
-        for (group, group_results) in groups.iter().zip(computed) {
-            for (&i, result) in group.members.iter().zip(group_results) {
-                results[i] = Some(result);
-            }
+        let computed = try_run_named_jobs(&self.name, opts.threads, jobs)?;
+        for (&(i, _), result) in queue.iter().zip(computed) {
+            results[i] = Some(result);
         }
         // Every point resolved: the journal has served its purpose.
         journal.finish();
@@ -612,6 +633,13 @@ impl Sweep {
             .map(|r| r.expect("all points resolved"))
             .collect())
     }
+}
+
+/// A [`BatchGroup`]'s source while its members run: built by the first
+/// member to start, emptied by the last (see [`Sweep::try_run`]).
+struct GroupSlot {
+    source: Option<Result<Arc<AnySource>, RunError>>,
+    members_left: usize,
 }
 
 /// Journal bracket around one point's computation: `attempt` before the
@@ -639,12 +667,39 @@ mod tests {
     use super::*;
     use btbx_core::storage::BudgetPoint;
     use btbx_trace::suite;
+    use std::collections::BTreeMap;
     use std::fs;
     use std::path::Path;
-    use std::sync::Mutex;
+    use std::sync::Weak;
 
     /// Workload names of every source [`SimPoint::source`] built.
     pub(super) static SOURCES_BUILT: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Every group source a sweep built, and the most that were live at
+    /// once.
+    type SourceLog = (Vec<Weak<AnySource>>, usize);
+
+    /// [`SourceLog`]s by sweep name.
+    static GROUP_SOURCES: Mutex<BTreeMap<String, SourceLog>> = Mutex::new(BTreeMap::new());
+
+    /// Log a group source the named sweep just built. The live count only
+    /// rises at a build, so sampling it here records its peak.
+    pub(super) fn gauge_live_sources(sweep: &str, source: &Arc<AnySource>) {
+        let mut gauge = GROUP_SOURCES.lock().unwrap();
+        let (built, peak) = gauge.entry(sweep.to_string()).or_default();
+        built.push(Arc::downgrade(source));
+        let live = built.iter().filter(|s| s.strong_count() > 0).count();
+        *peak = (*peak).max(live);
+    }
+
+    fn sources_built(workload: &str) -> usize {
+        SOURCES_BUILT
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|name| *name == workload)
+            .count()
+    }
 
     fn tiny_opts(dir: &str) -> HarnessOpts {
         HarnessOpts {
@@ -920,14 +975,115 @@ mod tests {
         let _ = fs::remove_dir_all(&opts.out_dir);
         let results = sweep.run(&opts);
         assert_eq!(results.len(), 12);
-        let built = SOURCES_BUILT
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|name| *name == "source-once")
-            .count();
-        assert_eq!(built, 1, "12 points in one group must build one source");
+        assert_eq!(
+            sources_built("source-once"),
+            1,
+            "12 points in one group must build one source"
+        );
         let _ = fs::remove_dir_all(&opts.out_dir);
+    }
+
+    #[test]
+    fn one_queue_builds_a_source_per_group_and_holds_at_most_threads() {
+        // Workload and sweep names no other test uses, so the source log
+        // and the gauge are this test's alone.
+        let workloads: Vec<WorkloadSpec> = suite::ipc1_client()
+            .into_iter()
+            .take(3)
+            .enumerate()
+            .map(|(k, mut w)| {
+                w.name = format!("sched-{k}");
+                w
+            })
+            .collect();
+        let sweep = Sweep::named("sched")
+            .workloads(workloads.clone())
+            .orgs(OrgKind::PAPER_EVAL)
+            .budgets([BudgetPoint::Kb0_9])
+            .fdip_options([true])
+            .windows(2_000, 4_000);
+        let opts = tiny_opts("btbx-sweep-one-queue");
+        assert_eq!(opts.threads, 2);
+        let _ = fs::remove_dir_all(&opts.out_dir);
+        let results = sweep.run(&opts);
+        for w in &workloads {
+            assert_eq!(
+                sources_built(&w.name),
+                1,
+                "{}: one source per group",
+                w.name
+            );
+        }
+        let (built, live, peak) = {
+            let gauge = GROUP_SOURCES.lock().unwrap();
+            let (built, peak) = &gauge["sched"];
+            let live = built.iter().filter(|s| s.strong_count() > 0).count();
+            (built.len(), live, *peak)
+        };
+        assert_eq!(built, 3);
+        assert_eq!(live, 0, "every group source is dropped");
+        assert!(
+            (1..=opts.threads).contains(&peak),
+            "{peak} group sources live on {} threads",
+            opts.threads
+        );
+        let points = sweep.points();
+        assert_eq!(results.len(), points.len());
+        for (point, result) in points.iter().zip(&results) {
+            assert_eq!(result, &point.run(), "{}", point.cache_file());
+        }
+        let _ = fs::remove_dir_all(&opts.out_dir);
+    }
+
+    #[test]
+    fn a_failed_group_source_is_built_once_and_journalled() {
+        use btbx_trace::container::write_container;
+        use btbx_trace::source::VecSource;
+        use btbx_trace::TraceInstr;
+
+        let dir = std::env::temp_dir().join("btbx-sweep-missing-trace");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gone.btbt");
+        let instrs: Vec<TraceInstr> = (0..20_000u64)
+            .map(|i| TraceInstr::other(0x1000 + (i % 256) * 4, 4))
+            .collect();
+        write_container(
+            fs::File::create(&path).unwrap(),
+            "gone",
+            btbx_core::Arch::Arm64,
+            &mut VecSource::new("gone", instrs),
+            u64::MAX,
+        )
+        .unwrap();
+        let mut workload = WorkloadSpec::from_container(&path).unwrap();
+        workload.name = "missing-trace".into();
+        fs::remove_file(&path).unwrap();
+
+        let sweep = Sweep::named("missing")
+            .workloads([workload])
+            .orgs(OrgKind::PAPER_EVAL)
+            .budgets([BudgetPoint::Kb0_9])
+            .fdip_options([false])
+            .windows(1_000, 2_000);
+        let opts = tiny_opts("btbx-sweep-missing-run");
+        let _ = fs::remove_dir_all(&opts.out_dir);
+        let err = sweep.try_run(&opts).unwrap_err();
+        assert!(matches!(err, RunError::Trace { .. }), "{err}");
+        assert_eq!(
+            sources_built("missing-trace"),
+            1,
+            "a 3-member group shares its failed build"
+        );
+        let names: Vec<String> = sweep.points().iter().map(SimPoint::cache_file).collect();
+        let (_, recovery) =
+            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), true).unwrap();
+        assert!(!recovery.failed.is_empty(), "the failure is journalled");
+        for (key, _) in &recovery.failed {
+            assert!(names.contains(key), "{key}");
+        }
+        let _ = fs::remove_dir_all(&opts.out_dir);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

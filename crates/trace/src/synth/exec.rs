@@ -173,7 +173,7 @@ impl SyntheticTrace {
 
     fn step(&mut self) -> TraceInstr {
         let idx = self.cur as usize;
-        let SInstr { pc, size, kind } = self.image.instrs[idx];
+        let SInstr { pc, size, kind } = self.image.instrs.get(idx);
         match kind {
             SKind::Alu => {
                 self.cur += 1;
@@ -196,7 +196,7 @@ impl SyntheticTrace {
                 trips,
             } => {
                 let taken = self.cond_taken(bias_permille, loop_id, trips);
-                let target = self.image.instrs[target_idx as usize].pc;
+                let target = self.image.instrs.pc(target_idx as usize);
                 self.cur = if taken { target_idx } else { self.cur + 1 };
                 TraceInstr::branch(
                     pc,
@@ -210,7 +210,7 @@ impl SyntheticTrace {
                 )
             }
             SKind::Jump { target_idx } => {
-                let target = self.image.instrs[target_idx as usize].pc;
+                let target = self.image.instrs.pc(target_idx as usize);
                 self.cur = target_idx;
                 TraceInstr::branch(
                     pc,
@@ -222,7 +222,7 @@ impl SyntheticTrace {
                 self.stack.push(self.cur + 1);
                 let entry = self.image.funcs[callee as usize].entry;
                 self.cur = entry;
-                let target = self.image.instrs[entry as usize].pc;
+                let target = self.image.instrs.pc(entry as usize);
                 TraceInstr::branch(
                     pc,
                     size,
@@ -234,7 +234,7 @@ impl SyntheticTrace {
                 self.stack.push(self.cur + 1);
                 let entry = self.image.funcs[callee as usize].entry;
                 self.cur = entry;
-                let target = self.image.instrs[entry as usize].pc;
+                let target = self.image.instrs.pc(entry as usize);
                 TraceInstr::branch(
                     pc,
                     size,
@@ -245,7 +245,7 @@ impl SyntheticTrace {
                 let callee = self.pick_from_table(table);
                 let entry = self.image.funcs[callee as usize].entry;
                 self.cur = entry;
-                let target = self.image.instrs[entry as usize].pc;
+                let target = self.image.instrs.pc(entry as usize);
                 TraceInstr::branch(
                     pc,
                     size,
@@ -258,7 +258,7 @@ impl SyntheticTrace {
                 self.stack.push(self.cur + 1);
                 let entry = self.image.funcs[handler as usize].entry;
                 self.cur = entry;
-                let target = self.image.instrs[entry as usize].pc;
+                let target = self.image.instrs.pc(entry as usize);
                 TraceInstr::branch(
                     pc,
                     size,
@@ -271,7 +271,7 @@ impl SyntheticTrace {
                     self.image.funcs[self.image.dispatcher as usize].entry
                 });
                 self.cur = ret_idx;
-                let target = self.image.instrs[ret_idx as usize].pc;
+                let target = self.image.instrs.pc(ret_idx as usize);
                 TraceInstr::branch(
                     pc,
                     size,
@@ -451,7 +451,7 @@ mod tests {
         let mut dispatches = 0u32;
         let dpc = {
             let d = w.image().funcs[w.image().dispatcher as usize];
-            w.image().instrs[(d.entry + 2) as usize].pc
+            w.image().instrs.pc((d.entry + 2) as usize)
         };
         for _ in 0..1_000_000 {
             let i = w.next_instr().unwrap();

@@ -13,6 +13,18 @@
 //! builder finds a concrete target at (approximately) that byte distance.
 //! This is what calibrates the trace's offset distribution to the paper's
 //! Figure 4 / 12 / 13.
+//!
+//! # Storage
+//!
+//! The image stores each instruction as one 16-byte record: its pc, one
+//! `u32` operand, its size and a kind tag. The paper's own lesson applies
+//! to this record — most entries need few bits, so size it for the
+//! common case: over 80 % of static instructions are Alu/Load/Store with
+//! no operand, and only conditional branches (under 10 % of any suite
+//! image) need more than one `u32`, so their operands move to a 12-byte
+//! side table. [`Instrs`] reads instructions back by value as
+//! [`SInstr`]s. The builder computes pcs from a running cursor instead of
+//! keeping a per-instruction pc array next to the finished image.
 
 use super::profile::{sample_geometric, sample_x86_len, BranchKindMix, OffsetProfile, Zipf};
 use btbx_core::types::Arch;
@@ -180,13 +192,163 @@ pub struct FuncMeta {
     pub base: u64,
 }
 
+/// Stored form of one instruction: 16 bytes, sized for the common case
+/// (see the module docs); `Cond`'s operands live in [`Instrs`]' side
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    pc: u64,
+    /// `target_idx` (Jump), `callee` (Call), `table` (IndirectCall,
+    /// IndirectJump) or the index of the `Cond` side-table entry; 0 for
+    /// kinds without an operand.
+    op: u32,
+    size: u8,
+    tag: Tag,
+}
+
+/// Bytes one stored instruction occupies in a [`ProgramImage`] (a
+/// conditional branch adds a 12-byte side-table entry).
+pub const INSTR_RECORD_BYTES: usize = std::mem::size_of::<Record>();
+
+/// [`SKind`]'s variant, without operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Alu,
+    Load,
+    Store,
+    Cond,
+    Jump,
+    Call,
+    IndirectCall,
+    IndirectJump,
+    DispatchCall,
+    Return,
+}
+
+/// `SKind::Cond`'s operands: 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CondOps {
+    target_idx: u32,
+    loop_id: u32,
+    bias_permille: u16,
+    trips: u16,
+}
+
+/// The instructions of a [`ProgramImage`], functions concatenated, indexed
+/// by global instruction index. Each is stored as one 16-byte record
+/// (plus a 12-byte side-table entry for a conditional branch) and read
+/// back by value as an [`SInstr`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Instrs {
+    records: Vec<Record>,
+    conds: Vec<CondOps>,
+}
+
+impl Instrs {
+    fn with_capacity(n: usize) -> Self {
+        Instrs {
+            records: Vec::with_capacity(n),
+            conds: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, SInstr { pc, size, kind }: SInstr) {
+        let (tag, op) = match kind {
+            SKind::Alu => (Tag::Alu, 0),
+            SKind::Load => (Tag::Load, 0),
+            SKind::Store => (Tag::Store, 0),
+            SKind::Cond {
+                target_idx,
+                bias_permille,
+                loop_id,
+                trips,
+            } => {
+                self.conds.push(CondOps {
+                    target_idx,
+                    loop_id,
+                    bias_permille,
+                    trips,
+                });
+                (Tag::Cond, (self.conds.len() - 1) as u32)
+            }
+            SKind::Jump { target_idx } => (Tag::Jump, target_idx),
+            SKind::Call { callee } => (Tag::Call, callee),
+            SKind::IndirectCall { table } => (Tag::IndirectCall, table),
+            SKind::IndirectJump { table } => (Tag::IndirectJump, table),
+            SKind::DispatchCall => (Tag::DispatchCall, 0),
+            SKind::Return => (Tag::Return, 0),
+        };
+        self.records.push(Record { pc, op, size, tag });
+    }
+
+    /// Number of instructions.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the image has no instructions.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Virtual address of instruction `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[inline]
+    pub fn pc(&self, i: usize) -> u64 {
+        self.records[i].pc
+    }
+
+    /// Instruction `i`, decoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[inline]
+    pub fn get(&self, i: usize) -> SInstr {
+        let Record { pc, op, size, tag } = self.records[i];
+        let kind = match tag {
+            Tag::Alu => SKind::Alu,
+            Tag::Load => SKind::Load,
+            Tag::Store => SKind::Store,
+            Tag::Cond => {
+                let c = self.conds[op as usize];
+                SKind::Cond {
+                    target_idx: c.target_idx,
+                    bias_permille: c.bias_permille,
+                    loop_id: c.loop_id,
+                    trips: c.trips,
+                }
+            }
+            Tag::Jump => SKind::Jump { target_idx: op },
+            Tag::Call => SKind::Call { callee: op },
+            Tag::IndirectCall => SKind::IndirectCall { table: op },
+            Tag::IndirectJump => SKind::IndirectJump { table: op },
+            Tag::DispatchCall => SKind::DispatchCall,
+            Tag::Return => SKind::Return,
+        };
+        SInstr { pc, size, kind }
+    }
+
+    /// Every instruction in index order, decoded.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = SInstr> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
 /// A fully generated static program image.
+///
+/// Its size is dominated by [`Instrs`]: [`INSTR_RECORD_BYTES`] per
+/// instruction, so the largest suite image (`server_035`, ≈549k
+/// instructions) holds about 9 MB.
 #[derive(Debug, Clone)]
 pub struct ProgramImage {
     /// Instruction-set flavour.
     pub arch: Arch,
     /// All instructions, functions concatenated.
-    pub instrs: Vec<SInstr>,
+    pub instrs: Instrs,
     /// Function table; the dispatcher is the last entry.
     pub funcs: Vec<FuncMeta>,
     /// Indirect-call / tail-call target tables (function indices).
@@ -465,30 +627,19 @@ impl Builder {
         let sk = self.build_skeleton();
         let n = self.p.num_funcs;
 
-        // Per-function PC arrays (prefix sums of sizes).
-        let mut pcs: Vec<Vec<u64>> = Vec::with_capacity(n + 1);
-        for f in 0..=n {
-            let mut pc = sk.bases[f];
-            let mut v = Vec::with_capacity(sk.sizes[f].len());
-            for &s in &sk.sizes[f] {
-                v.push(pc);
-                pc += s as u64;
-            }
-            pcs.push(v);
-        }
-
-        let mut instrs: Vec<SInstr> = Vec::new();
+        let mut instrs = Instrs::with_capacity(sk.sizes.iter().map(Vec::len).sum());
         let mut funcs: Vec<FuncMeta> = Vec::with_capacity(n + 1);
         let mut tables: Vec<Vec<u32>> = Vec::new();
         let mut loop_slots = 0u32;
 
-        #[allow(clippy::needless_range_loop)]
         for f in 0..n {
             let entry = instrs.len() as u32;
             let len = sk.sizes[f].len();
             let layer = sk.layers[f];
+            // Each instruction's pc: the function base plus the sizes
+            // before it.
+            let mut pc = sk.bases[f];
             for i in 0..len {
-                let pc = pcs[f][i];
                 let size = sk.sizes[f][i];
                 let kind = if i == len - 1 {
                     SKind::Return
@@ -515,6 +666,7 @@ impl Builder {
                     }
                 };
                 instrs.push(SInstr { pc, size, kind });
+                pc += size as u64;
             }
             funcs.push(FuncMeta {
                 entry,
@@ -542,12 +694,10 @@ impl Builder {
             },
             SKind::Return,
         ];
-        for (i, kind) in dk.into_iter().enumerate() {
-            instrs.push(SInstr {
-                pc: pcs[n][i],
-                size: sk.sizes[n][i],
-                kind,
-            });
+        let mut pc = sk.bases[n];
+        for (kind, &size) in dk.into_iter().zip(&sk.sizes[n]) {
+            instrs.push(SInstr { pc, size, kind });
+            pc += size as u64;
         }
         funcs.push(FuncMeta {
             entry,
@@ -763,7 +913,7 @@ mod tests {
         let img = small_image();
         for f in &img.funcs {
             assert_eq!(
-                img.instrs[(f.end - 1) as usize].kind,
+                img.instrs.get((f.end - 1) as usize).kind,
                 SKind::Return,
                 "function at {:#x}",
                 f.base
@@ -777,7 +927,7 @@ mod tests {
         for f in &img.funcs {
             let mut prev = None;
             for i in f.entry..f.end {
-                let pc = img.instrs[i as usize].pc;
+                let pc = img.instrs.pc(i as usize);
                 if let Some(p) = prev {
                     assert!(pc > p);
                 }
@@ -789,7 +939,7 @@ mod tests {
     #[test]
     fn all_pcs_fit_48_bit_va() {
         let img = small_image();
-        for i in &img.instrs {
+        for i in img.instrs.iter() {
             assert!(i.pc < 1u64 << 48);
         }
     }
@@ -800,7 +950,7 @@ mod tests {
         for f in &img.funcs {
             for i in f.entry..f.end {
                 if let SKind::Cond { target_idx, .. } | SKind::Jump { target_idx } =
-                    img.instrs[i as usize].kind
+                    img.instrs.get(i as usize).kind
                 {
                     assert!(
                         (f.entry..f.end).contains(&target_idx),
@@ -819,7 +969,7 @@ mod tests {
                 continue;
             }
             for i in f.entry..f.end {
-                if let SKind::Call { callee } = img.instrs[i as usize].kind {
+                if let SKind::Call { callee } = img.instrs.get(i as usize).kind {
                     assert!(
                         img.funcs[callee as usize].layer > f.layer,
                         "call edge violates layering"
@@ -837,7 +987,7 @@ mod tests {
                 continue;
             }
             for i in f.entry..f.end {
-                let table = match img.instrs[i as usize].kind {
+                let table = match img.instrs.get(i as usize).kind {
                     SKind::IndirectCall { table } | SKind::IndirectJump { table } => table,
                     _ => continue,
                 };
@@ -854,7 +1004,7 @@ mod tests {
         let d = img.funcs[img.dispatcher as usize];
         assert_eq!(d.layer, u8::MAX);
         assert!(matches!(
-            img.instrs[(d.entry + 2) as usize].kind,
+            img.instrs.get((d.entry + 2) as usize).kind,
             SKind::DispatchCall
         ));
     }

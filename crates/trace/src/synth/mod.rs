@@ -27,5 +27,5 @@ pub mod image;
 pub mod profile;
 
 pub use exec::{SynthCheckpoint, SyntheticTrace};
-pub use image::{FuncMeta, ProgramImage, SInstr, SKind, SynthParams};
+pub use image::{FuncMeta, Instrs, ProgramImage, SInstr, SKind, SynthParams, INSTR_RECORD_BYTES};
 pub use profile::{BranchKindMix, OffsetLengthDist, OffsetProfile, Zipf};
