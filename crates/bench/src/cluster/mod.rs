@@ -16,9 +16,9 @@
 //!   ([`RequestError`] / [`PointError`] / [`ClusterError`]).
 //! * [`node`] — the per-node health state machine
 //!   (healthy → suspect → dead → probation).
-//! * [`scheduler`] — the shared work queue, per-node greedy workers,
-//!   dedup against the local [`crate::store::ResultStore`], and retry
-//!   with bounded backoff.
+//! * [`scheduler`] — the fleet executor: a shared work queue over the
+//!   cache misses of the front end it shares with the local sweep,
+//!   per-node greedy workers, and retry with bounded backoff.
 //! * [`LocalCluster`] — N in-process servers for tests and
 //!   single-machine fan-out.
 //!

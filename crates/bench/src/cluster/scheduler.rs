@@ -1,12 +1,24 @@
 //! The cluster coordinator: drives a whole [`Sweep`] matrix to
 //! completion across a fleet of `btbx serve` nodes.
 //!
+//! # One front end, two executors
+//!
+//! A cluster sweep and a local [`Sweep::try_run`] share everything
+//! around running points: one crate-private function in `sweep.rs`
+//! expands the points and their cache entry names once, opens the
+//! [`ResultStore`] and the sweep journal with its `--resume` recovery,
+//! probes the cache once per unique entry name, and prints the
+//! `resume:` and `N/M cached` lines. Same matrix, same journal key,
+//! whatever the transport: a local sweep's crash resumes here and vice
+//! versa. Only the executors differ, on purpose: the local queue stops
+//! at the first failure and shares one trace source per group, while
+//! this one retries, backs off and collects failures.
+//!
 //! # Scheduling model
 //!
-//! The matrix is flattened into a shared queue of *unique* points —
-//! duplicates collapse onto one work item keyed by the point's
-//! content-hashed cache entry name, and points already present in the
-//! coordinator's local [`ResultStore`] never enter the queue at all.
+//! The front end's cache misses form a shared queue of *unique* points —
+//! duplicates arrive collapsed onto one work item keyed by the point's
+//! content-hashed cache entry name, with every matrix index it answers.
 //! Each node gets `ceil(threads / nodes)` worker loops (at least one),
 //! so that many requests are in flight per node, and every worker
 //! **pulls greedily**: a fast node simply comes back for more work
@@ -43,13 +55,13 @@
 
 use super::node::{NodeState, NodeSummary, NodeTracker};
 use super::protocol::{self, ClusterError, HealthInfo, PointError, RequestError};
-use crate::journal::{self, SweepJournal};
+use crate::journal::SweepJournal;
 use crate::opts::HarnessOpts;
-use crate::store::{ResultStore, StoreError};
-use crate::sweep::{SimPoint, Sweep};
+use crate::store::ResultStore;
+use crate::sweep::{Prepared, SimPoint, Sweep};
 use btbx_uarch::SimResult;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashSet;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Sheds (HTTP 429) in a row one request absorbs before its point is
@@ -168,11 +180,6 @@ impl ClusterReport {
 /// inject faults at deterministic moments; the CLI ignores them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterEvent {
-    /// A point was answered from the coordinator's local cache.
-    LocalHit {
-        /// Cache entry name.
-        key: String,
-    },
     /// A node completed a point.
     PointDone {
         /// Node address.
@@ -433,92 +440,39 @@ pub fn run_sweep_observed(
         });
     };
 
-    // `--store` points the coordinator at the same shared cache the
-    // fleet reads/writes; the default stays the coordinator's private
-    // `dir://` cache under `out_dir`.
-    let store = match &opts.store {
-        None => ResultStore::open(opts.out_dir.join("cache")),
-        Some(url) => ResultStore::open_url(url, opts.http_timeout()),
-    }
-    .map_err(ClusterError::Store)?;
-    let point_names: Vec<String> = sweep.points().iter().map(SimPoint::cache_file).collect();
-    let (jnl, recovery) =
-        SweepJournal::open(&opts.out_dir, journal::sweep_key(&point_names), opts.resume).map_err(
-            |source| {
-                ClusterError::Store(StoreError::Io {
-                    action: "opening sweep journal",
-                    path: journal::journal_dir(&opts.out_dir),
-                    source: Arc::new(source),
-                })
-            },
-        )?;
-
-    // Flatten the matrix into unique work items (fleet-wide dedup rides
-    // the same content-hash keys the ResultStore single-flights on).
-    let points = sweep.points();
-    let mut by_key: HashMap<String, usize> = HashMap::new();
-    let mut items: Vec<WorkItem> = Vec::new();
-    for (i, point) in points.iter().enumerate() {
-        let key = point.cache_file();
-        match by_key.get(&key) {
-            Some(&at) => items[at].indices.push(i),
-            None => {
-                by_key.insert(key.clone(), items.len());
-                items.push(WorkItem {
-                    label: format!(
-                        "{}:{}@{}",
-                        point.workload.name,
-                        point.org.id(),
-                        point.budget.label()
-                    ),
-                    key,
-                    point: point.clone(),
-                    indices: vec![i],
-                    attempts: 0,
-                    not_before: Instant::now(),
-                });
-            }
-        }
-    }
-
-    let mut stats = ClusterStats {
-        unique_points: items.len(),
+    // The front end every transport shares; `--store` points it at the
+    // cache the fleet shares.
+    let Prepared {
+        store,
+        journal: jnl,
+        points,
+        names,
+        results,
+        misses,
+        hits,
+        resumed,
+    } = sweep.prepare(opts).map_err(ClusterError::Store)?;
+    let stats = ClusterStats {
+        unique_points: hits + misses.len(),
+        local_hits: hits as u64,
+        resumed_points: resumed as u64,
         ..ClusterStats::default()
     };
-    let mut results: Vec<Option<SimResult>> = vec![None; points.len()];
-    let mut pending = Vec::new();
-    for item in items {
-        let cached = if opts.fresh {
-            None
-        } else {
-            store.load(&item.key).map_err(ClusterError::Store)?
-        };
-        match cached {
-            Some(result) => {
-                for &i in &item.indices {
-                    results[i] = Some(result.clone());
-                }
-                stats.local_hits += 1;
-                if opts.resume && recovery.completed.contains(&item.key) {
-                    stats.resumed_points += 1;
-                }
-                observer(ClusterEvent::LocalHit { key: item.key });
+    let now = Instant::now();
+    let pending: Vec<WorkItem> = misses
+        .into_iter()
+        .map(|indices| {
+            let point = points[indices[0]].clone();
+            WorkItem {
+                key: names[indices[0]].clone(),
+                label: point.label(),
+                point,
+                indices,
+                attempts: 0,
+                not_before: now,
             }
-            None => pending.push(item),
-        }
-    }
-    if opts.resume {
-        eprintln!(
-            "[{}] resume: {} point(s) restored from the journal (resumed_points={})",
-            sweep.name, stats.resumed_points, stats.resumed_points
-        );
-    }
-    if stats.local_hits > 0 {
-        eprintln!(
-            "[{}] {}/{} cached locally",
-            sweep.name, stats.local_hits, stats.unique_points
-        );
-    }
+        })
+        .collect();
 
     // With a shared store, seed it with every trace container the
     // pending work references: nodes without a local copy (or whose

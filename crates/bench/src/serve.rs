@@ -63,9 +63,7 @@
 
 use crate::cluster::protocol;
 use crate::opts::{sane_timeout, HarnessOpts, StoreUrl};
-use crate::store::{
-    atomic_publish, open_store, Fetch, ResultStore, Store, StoreCounters, StoreError,
-};
+use crate::store::{atomic_publish, Fetch, ResultStore, Store, StoreCounters, StoreError};
 use crate::sweep::{RunError, RunOpts, SimPoint};
 use btbx_core::faults;
 use btbx_trace::container;
@@ -283,23 +281,15 @@ impl Server {
     /// [`StoreError`] when the cache directory is unusable or the
     /// socket cannot be bound.
     pub fn start(config: ServeConfig) -> Result<Server, StoreError> {
-        // One backend serves both consumers (results and trace fetches)
-        // so remote traffic aggregates on one counter set; the default
-        // and `dir://` paths keep the process-wide per-directory flight
-        // sharing that `ResultStore::open` provides.
-        let (store, blob_backend): (ResultStore, Option<Arc<dyn Store>>) = match &config.store {
+        // One backend serves both consumers (results and trace fetches);
+        // the default and `dir://` paths keep the process-wide
+        // per-directory flight sharing that `ResultStore::open` provides.
+        let (store, blob_backend) = match &config.store {
             None => (ResultStore::open(&config.cache_dir)?, None),
-            Some(StoreUrl::Dir(dir)) => {
-                let store = ResultStore::open(dir)?;
+            Some(url) => {
+                let store = ResultStore::open_url(url, config.http_timeout)?;
                 let backend = Arc::clone(store.backend());
                 (store, Some(backend))
-            }
-            Some(url) => {
-                let backend = open_store(url, config.http_timeout)?;
-                (
-                    ResultStore::open_backend(Arc::clone(&backend)),
-                    Some(backend),
-                )
             }
         };
         let listener =

@@ -103,10 +103,9 @@ pub enum Quarantine {
     Unsupported,
 }
 
-/// Monotonic counters for a backend's remote traffic, shared by every
-/// consumer wired to the same remote (results and trace fetches), and
-/// surfaced through [`super::StoreCounters`] /
-/// `GET /stats`.
+/// Monotonic counters for a backend's remote traffic (results and
+/// trace fetches through it), surfaced through
+/// [`super::StoreCounters`] / `GET /stats`.
 #[derive(Debug, Default)]
 pub struct RemoteCounters {
     /// Blobs served by the remote (`GET /blob` → 200).
@@ -327,33 +326,20 @@ pub struct HttpStore {
     /// `host:port`, normalized (no scheme prefix, no trailing slash).
     addr: String,
     timeout: Duration,
-    counters: Arc<RemoteCounters>,
+    counters: RemoteCounters,
 }
 
 impl HttpStore {
-    /// A store over `addr` (`host:port`, optionally `http://`-prefixed)
-    /// with fresh counters.
+    /// A store over `addr` (`host:port`, optionally `http://`-prefixed).
     pub fn new(addr: &str, timeout: Duration) -> Self {
-        Self::with_counters(addr, timeout, Arc::new(RemoteCounters::default()))
-    }
-
-    /// A store over `addr` sharing `counters` with other consumers
-    /// (a serve node aggregates result, warm and trace traffic on one
-    /// counter set).
-    pub fn with_counters(addr: &str, timeout: Duration, counters: Arc<RemoteCounters>) -> Self {
         HttpStore {
             addr: addr
                 .trim_start_matches("http://")
                 .trim_end_matches('/')
                 .to_string(),
             timeout: crate::opts::sane_timeout(timeout),
-            counters,
+            counters: RemoteCounters::default(),
         }
-    }
-
-    /// The shared counter handle (clone it into sibling consumers).
-    pub fn counters(&self) -> Arc<RemoteCounters> {
-        Arc::clone(&self.counters)
     }
 
     fn url(&self, key: &str) -> String {
@@ -532,8 +518,7 @@ impl Store for TieredStore {
     }
 }
 
-/// Build the backend a [`crate::opts::StoreUrl`] names, with fresh
-/// remote counters.
+/// Build the backend a [`crate::opts::StoreUrl`] names.
 ///
 /// # Errors
 ///
@@ -542,29 +527,14 @@ pub fn open_store(
     url: &crate::opts::StoreUrl,
     timeout: Duration,
 ) -> Result<Arc<dyn Store>, StoreError> {
-    open_store_with(url, timeout, Arc::new(RemoteCounters::default()))
-}
-
-/// [`open_store`] with a caller-supplied counter set, so every consumer
-/// a node wires to one remote (results and traces) reports
-/// through one [`RemoteCounters`].
-///
-/// # Errors
-///
-/// [`StoreError::Io`] when a directory-backed tier cannot be opened.
-pub fn open_store_with(
-    url: &crate::opts::StoreUrl,
-    timeout: Duration,
-    counters: Arc<RemoteCounters>,
-) -> Result<Arc<dyn Store>, StoreError> {
     use crate::opts::StoreUrl;
     Ok(match url {
         StoreUrl::Dir(dir) => Arc::new(DirStore::open(dir)?),
         StoreUrl::Mem => Arc::new(MemStore::new()),
-        StoreUrl::Http(addr) => Arc::new(HttpStore::with_counters(addr, timeout, counters)),
+        StoreUrl::Http(addr) => Arc::new(HttpStore::new(addr, timeout)),
         StoreUrl::Tiered { local, remote } => Arc::new(TieredStore::new(
             DirStore::open(local)?,
-            HttpStore::with_counters(remote, timeout, counters),
+            HttpStore::new(remote, timeout),
         )),
     })
 }

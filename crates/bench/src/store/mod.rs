@@ -46,8 +46,8 @@
 pub mod backend;
 
 pub use backend::{
-    atomic_publish, open_store, open_store_with, DirStore, HttpStore, MemStore, Quarantine,
-    RemoteCounters, Store, TieredStore,
+    atomic_publish, open_store, DirStore, HttpStore, MemStore, Quarantine, RemoteCounters, Store,
+    TieredStore,
 };
 
 use crate::sweep::RunError;
@@ -152,8 +152,7 @@ pub struct StoreCounters {
     #[serde(default)]
     pub store_failures: u64,
     /// Blobs served by a remote backend (`http://`/`tiered://` only;
-    /// aggregated across every consumer sharing the backend's
-    /// [`RemoteCounters`] — results and trace fetches).
+    /// its [`RemoteCounters`] count results and trace fetches alike).
     #[serde(default)]
     pub remote_hits: u64,
     /// Blobs a remote backend did not have (404).
@@ -322,7 +321,7 @@ impl ResultStore {
 
     /// Current counters for this store (shared across every store on
     /// the same canonical directory in this process; remote fields
-    /// aggregate every consumer wired to the backend's counter set).
+    /// count every consumer of the backend).
     pub fn counters(&self) -> StoreCounters {
         let mut counters = StoreCounters {
             computes: self.shared.computes.load(Ordering::Relaxed),

@@ -197,6 +197,17 @@ impl SimPoint {
         )
     }
 
+    /// Human-readable `workload:org@budget` label: the name of the
+    /// point's job, its journal `attempt` record and its failure.
+    pub(crate) fn label(&self) -> String {
+        format!(
+            "{}:{}@{}",
+            self.workload.name,
+            self.org.id(),
+            self.budget.label()
+        )
+    }
+
     /// Build this point's trace stream through the unified
     /// [`btbx_trace::AnySource`] entry point (synthetic or file-backed).
     ///
@@ -471,9 +482,12 @@ impl Sweep {
 
     /// [`run`](Sweep::run), returning a failure instead of panicking.
     ///
-    /// Cache-missing points run as one queue on `opts.threads` workers,
-    /// in [`plan_batches`] order: group by group, members ascending. Each
-    /// group builds its trace source once — for a synthetic workload, its
+    /// The store, the journal and the cache probe are the front end
+    /// every transport shares (`Sweep::prepare`); this is the local
+    /// executor. Cache-missing unique points run as one queue on
+    /// `opts.threads` workers, each once however often the matrix lists
+    /// it, in [`plan_batches`] order: group by group, members ascending.
+    /// Each group builds its trace source once — for a synthetic workload, its
     /// program image — when its first member starts, and every member
     /// runs over a clone of it through [`SimPoint::run_with`], the one run
     /// path. A member's result is therefore exactly its own
@@ -504,61 +518,17 @@ impl Sweep {
     /// records it as `failed`, queued points do not start, and the
     /// journal survives for `--resume`.
     pub fn try_run(&self, opts: &HarnessOpts) -> Result<Vec<SimResult>, RunError> {
-        // `--store` swaps the cache backend (mem/http/tiered) without
-        // touching any of the guarantees above; the default stays the
-        // local `<out>/cache` directory, byte-compatible with every
-        // cache written before backends existed.
-        let store = match &opts.store {
-            None => ResultStore::open(opts.out_dir.join("cache")),
-            Some(url) => ResultStore::open_url(url, opts.http_timeout()),
-        }?;
-        let points = self.points();
-        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
-        let (journal, recovery) =
-            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
-                |source| StoreError::Io {
-                    action: "opening sweep journal",
-                    path: journal::journal_dir(&opts.out_dir),
-                    source: Arc::new(source),
-                },
-            )?;
-        let mut results: Vec<Option<SimResult>> = Vec::with_capacity(points.len());
-        let mut misses: Vec<usize> = Vec::new();
-        let mut resumed = 0usize;
-        for (i, _point) in points.iter().enumerate() {
-            let cached = if opts.fresh {
-                None
-            } else {
-                store.load(&names[i])?
-            };
-            match cached {
-                Some(r) => {
-                    // A journalled `done` whose entry vanished from the
-                    // store falls through to the miss path below, so a
-                    // resumed point is always backed by a real entry.
-                    if opts.resume && recovery.completed.contains(&names[i]) {
-                        resumed += 1;
-                    }
-                    results.push(Some(r));
-                }
-                None => {
-                    results.push(None);
-                    misses.push(i);
-                }
-            }
-        }
-        if opts.resume {
-            eprintln!(
-                "[{}] resume: {resumed} point(s) restored from the journal \
-                 (resumed_points={resumed})",
-                self.name
-            );
-        }
-        let hits = points.len() - misses.len();
-        if hits > 0 {
-            eprintln!("[{}] {hits}/{} cached", self.name, points.len());
-        }
-        let groups = plan_batches(&points, &misses);
+        let Prepared {
+            store,
+            journal,
+            points,
+            names,
+            mut results,
+            misses,
+            ..
+        } = self.prepare(opts)?;
+        let runs: Vec<usize> = misses.iter().map(|indices| indices[0]).collect();
+        let groups = plan_batches(&points, &runs);
         let slots: Vec<Mutex<GroupSlot>> = groups
             .iter()
             .map(|group| {
@@ -574,7 +544,7 @@ impl Sweep {
             tests::gauge_live_sources(&self.name, &source);
             Ok(source)
         };
-        // One job per cache-missing point, group by group. A member takes
+        // One job per cache-missing unique point, group by group. A member takes
         // its group's source from the slot: the first to start builds it
         // (or its error, which every member then shares), the last to
         // start empties the slot, so a source lives only while a member
@@ -591,13 +561,8 @@ impl Sweep {
             .map(|&(i, slot)| {
                 let (point, name) = (&points[i], &names[i]);
                 let (store, journal, build) = (&store, &journal, &build);
-                let point_label = format!(
-                    "{}:{}@{}",
-                    point.workload.name,
-                    point.org.id(),
-                    point.budget.label()
-                );
-                let job_label = point_label.clone();
+                let label = point.label();
+                let job_label = label.clone();
                 let job = move || {
                     journaled(journal, name, &job_label, || {
                         let source = {
@@ -618,13 +583,17 @@ impl Sweep {
                             .map(|(result, _)| result)
                     })
                 };
-                (point_label, job)
+                (label, job)
             })
             .collect();
         // On a failed point the journal survives for --resume.
         let computed = try_run_named_jobs(&self.name, opts.threads, jobs)?;
         for (&(i, _), result) in queue.iter().zip(computed) {
-            results[i] = Some(result);
+            // `runs` ascends, as `Prepared::misses` does.
+            let miss = runs.binary_search(&i).expect("every job is a run");
+            for &j in &misses[miss] {
+                results[j] = Some(result.clone());
+            }
         }
         // Every point resolved: the journal has served its purpose.
         journal.finish();
@@ -633,6 +602,113 @@ impl Sweep {
             .map(|r| r.expect("all points resolved"))
             .collect())
     }
+
+    /// The sweep front end every transport shares — [`Sweep::try_run`]
+    /// and the cluster coordinator behind `--server` and `--cluster`:
+    /// expand the points and their cache names once, open the store
+    /// (`--store`, or `<out>/cache`) and the journal with its recovery,
+    /// and probe the cache once per unique entry name (not under
+    /// `--fresh`). Prints the `resume:` line under `--resume` and the
+    /// `N/M cached` line when anything hit. The transport then runs
+    /// [`Prepared::misses`] on its own executor and calls
+    /// `journal.finish()` once nothing failed.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when the store, a cache read or the journal fails.
+    pub(crate) fn prepare(&self, opts: &HarnessOpts) -> Result<Prepared, StoreError> {
+        // `--store` swaps the cache backend (mem/http/tiered); the
+        // default stays the local `<out>/cache` directory.
+        let store = match &opts.store {
+            None => ResultStore::open(opts.out_dir.join("cache")),
+            Some(url) => ResultStore::open_url(url, opts.http_timeout()),
+        }?;
+        let points = self.points();
+        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
+        let (journal, recovery) =
+            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
+                |source| StoreError::Io {
+                    action: "opening sweep journal",
+                    path: journal::journal_dir(&opts.out_dir),
+                    source: Arc::new(source),
+                },
+            )?;
+        // Every unique entry name with the indices it answers, in order
+        // of first appearance.
+        let mut unique: Vec<Vec<usize>> = Vec::new();
+        let mut first: HashMap<&str, usize> = HashMap::new();
+        for (i, name) in names.iter().enumerate() {
+            let at = *first.entry(name).or_insert(unique.len());
+            if at == unique.len() {
+                unique.push(Vec::new());
+            }
+            unique[at].push(i);
+        }
+        let mut results: Vec<Option<SimResult>> = vec![None; points.len()];
+        let mut misses = Vec::new();
+        let (mut hits, mut resumed) = (0, 0);
+        for indices in unique {
+            let name = &names[indices[0]];
+            let cached = if opts.fresh { None } else { store.load(name)? };
+            let Some(result) = cached else {
+                misses.push(indices);
+                continue;
+            };
+            // A journalled `done` whose entry vanished from the store is
+            // a miss, so a resumed point is always backed by a real entry.
+            hits += 1;
+            if opts.resume && recovery.completed.contains(name) {
+                resumed += 1;
+            }
+            for i in indices {
+                results[i] = Some(result.clone());
+            }
+        }
+        if opts.resume {
+            eprintln!(
+                "[{}] resume: {resumed} point(s) restored from the journal \
+                 (resumed_points={resumed})",
+                self.name
+            );
+        }
+        if hits > 0 {
+            eprintln!("[{}] {hits}/{} cached", self.name, hits + misses.len());
+        }
+        Ok(Prepared {
+            store,
+            journal,
+            points,
+            names,
+            results,
+            misses,
+            hits,
+            resumed,
+        })
+    }
+}
+
+/// A sweep ready to run its cache misses: what [`Sweep::prepare`]
+/// returns.
+pub(crate) struct Prepared {
+    /// The store results publish into.
+    pub(crate) store: ResultStore,
+    /// The sweep's journal, past its recovery.
+    pub(crate) journal: SweepJournal,
+    /// [`Sweep::points`].
+    pub(crate) points: Vec<SimPoint>,
+    /// Each point's [`SimPoint::cache_file`].
+    pub(crate) names: Vec<String>,
+    /// One slot per point: the cached result, `None` for a miss.
+    pub(crate) results: Vec<Option<SimResult>>,
+    /// The cache-missing unique points, each as every index it answers,
+    /// ascending; the first is the one to run, and the misses ascend by
+    /// it.
+    pub(crate) misses: Vec<Vec<usize>>,
+    /// Unique entry names the cache answered.
+    pub(crate) hits: usize,
+    /// Hits an earlier run's journal records as published
+    /// (`resumed_points`; always 0 without `--resume`).
+    pub(crate) resumed: usize,
 }
 
 /// A [`BatchGroup`]'s source while its members run: built by the first

@@ -7,16 +7,18 @@
 use btbx_bench::cluster::{
     self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState, RequestError,
 };
+use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
 use btbx_bench::serve::{ServeConfig, Server};
-use btbx_bench::{HarnessOpts, Sweep};
+use btbx_bench::{HarnessOpts, ResultStore, SimPoint, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
+use btbx_uarch::SimResult;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -145,6 +147,18 @@ fn killing_a_node_with_two_workers_requeues_its_work_onto_survivors() {
     kill_a_node_mid_sweep("kill2", 6);
 }
 
+/// How [`kill_a_node_mid_sweep`]'s fault injection stands.
+#[derive(Default)]
+struct Kill {
+    /// The node that completed the first point.
+    victim: String,
+    /// Its workers that reported a completion before the kill.
+    reported: usize,
+    killed: bool,
+    /// The coordinator declared the victim dead.
+    died: bool,
+}
+
 /// Run the twelve-point sweep on a 3-node fleet with `threads`
 /// coordinator workers, killing the node that completes the first point.
 fn kill_a_node_mid_sweep(tag: &str, threads: usize) {
@@ -161,22 +175,53 @@ fn kill_a_node_mid_sweep(tag: &str, threads: usize) {
         ..opts(&coord_out)
     };
 
-    // Fault injection: on the first completed point, kill the node that
-    // served it (graceful shutdown closes its listener, so the worker's
-    // next request is refused and the point must requeue).
+    // Fault injection: kill the node that completed the first point
+    // (graceful shutdown closes its listener, so the worker's next
+    // request is refused and the point must requeue). Each of that
+    // node's workers reports its first completion before the kill and
+    // waits for it, so none has a request in flight that the shutdown
+    // could drain into a success after the node died. Until the node is
+    // declared dead, every other node's worker waits after its
+    // completion, so the survivors cannot drain the queue first. Every
+    // wait is bounded.
+    let per_node = threads.div_ceil(addrs.len());
     let cluster = Mutex::new(cluster);
-    let killed = AtomicBool::new(false);
-    let killed_addr = Mutex::new(String::new());
-    let report = cluster::run_sweep_observed(&sweep, &coord_opts, &config(addrs.clone()), &|ev| {
-        if let ClusterEvent::PointDone { node, .. } = ev {
-            if !killed.swap(true, Ordering::SeqCst) {
-                let i = addrs.iter().position(|a| *a == node).expect("known node");
-                cluster.lock().unwrap().kill(i);
-                *killed_addr.lock().unwrap() = node;
+    let kill = Mutex::new(Kill::default());
+    let changed = Condvar::new();
+    let wait = Duration::from_secs(10);
+    let observer = |ev: ClusterEvent| match ev {
+        ClusterEvent::PointDone { node, .. } => {
+            let mut k = kill.lock().unwrap();
+            if k.victim.is_empty() {
+                k.victim = node.clone();
+            }
+            if k.victim != node {
+                let _ = changed.wait_timeout_while(k, wait, |k| !k.died);
+            } else if !k.killed {
+                k.reported += 1;
+                if k.reported < per_node {
+                    let _ = changed.wait_timeout_while(k, wait, |k| !k.killed);
+                } else {
+                    drop(k);
+                    let i = addrs.iter().position(|a| *a == node).expect("known node");
+                    cluster.lock().unwrap().kill(i);
+                    kill.lock().unwrap().killed = true;
+                    changed.notify_all();
+                }
             }
         }
-    })
-    .expect("cluster sweep survives the kill");
+        ClusterEvent::NodeDied { node } => {
+            let mut k = kill.lock().unwrap();
+            if k.victim == node {
+                k.died = true;
+                changed.notify_all();
+            }
+        }
+        _ => {}
+    };
+    let report =
+        cluster::run_sweep_observed(&sweep, &coord_opts, &config(addrs.clone()), &observer)
+            .expect("cluster sweep survives the kill");
 
     // The sweep completed on the survivors, with nothing lost.
     assert!(report.failures.is_empty(), "{:?}", report.failures);
@@ -187,7 +232,7 @@ fn kill_a_node_mid_sweep(tag: &str, threads: usize) {
         report.stats
     );
     let results = report.nodes.clone();
-    let killed_addr = killed_addr.lock().unwrap().clone();
+    let killed_addr = kill.lock().unwrap().victim.clone();
     let dead = results
         .iter()
         .find(|n| n.addr == killed_addr)
@@ -343,4 +388,140 @@ fn an_unreachable_fleet_is_a_typed_error_not_a_hang() {
     .expect_err("no node is listening");
     assert!(matches!(err, ClusterError::NoUsableNodes { .. }), "{err}");
     let _ = fs::remove_dir_all(&out);
+}
+
+/// `--fresh` bypasses the coordinator's cache reads: over a cache a local
+/// sweep just warmed, every point is still dispatched.
+#[test]
+fn a_fresh_cluster_sweep_dispatches_every_point_over_a_warm_cache() {
+    let base = scratch("fresh");
+    let coord_out = base.join("coordinator");
+    let sweep = four_point_sweep();
+    let warm = sweep.run(&opts(&coord_out));
+
+    let cluster = LocalCluster::start(1, base.join("fleet"), 2).expect("node starts");
+    let fresh_opts = HarnessOpts {
+        fresh: true,
+        ..opts(&coord_out)
+    };
+    let report =
+        cluster::run_sweep(&sweep, &fresh_opts, &config(cluster.addrs())).expect("sweep runs");
+
+    assert_eq!(report.stats.local_hits, 0, "{:?}", report.stats);
+    assert_eq!(report.stats.dispatched, 4, "{:?}", report.stats);
+    assert_eq!(report.stats.completed, 4, "{:?}", report.stats);
+    assert_eq!(report.into_results().expect("complete"), warm);
+
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// A local sweep's crash resumes through the coordinator: same matrix,
+/// same journal key, whatever the transport. The crash is crafted as a
+/// dying sweep leaves it: two entries lost, `done` records strictly for
+/// the two survivors, no `finish`.
+#[test]
+fn a_local_sweeps_crash_resumes_through_the_cluster() {
+    let base = scratch("resume");
+    let out = base.join("coordinator");
+    let sweep = four_point_sweep();
+    let first = sweep.run(&opts(&out));
+    let names: Vec<String> = sweep.points().iter().map(SimPoint::cache_file).collect();
+    let baseline: Vec<Vec<u8>> = names
+        .iter()
+        .map(|n| fs::read(out.join("cache").join(n)).unwrap())
+        .collect();
+    for name in &names[2..] {
+        fs::remove_file(out.join("cache").join(name)).unwrap();
+    }
+    let key = journal::sweep_key(&names);
+    {
+        let (journal, _) = SweepJournal::open(&out, key, false).unwrap();
+        for name in &names[..2] {
+            journal.attempt(name, "crafted");
+            journal.done(name);
+        }
+    }
+
+    let cluster = LocalCluster::start(1, base.join("fleet"), 2).expect("node starts");
+    let resume_opts = HarnessOpts {
+        resume: true,
+        ..opts(&out)
+    };
+    let done = Mutex::new(Vec::new());
+    let report =
+        cluster::run_sweep_observed(&sweep, &resume_opts, &config(cluster.addrs()), &|ev| {
+            if let ClusterEvent::PointDone { key, .. } = ev {
+                done.lock().unwrap().push(key);
+            }
+        })
+        .expect("resumed sweep runs");
+
+    assert_eq!(report.stats.resumed_points, 2, "{:?}", report.stats);
+    assert_eq!(report.stats.dispatched, 2, "{:?}", report.stats);
+    let mut dispatched = done.into_inner().unwrap();
+    dispatched.sort();
+    let mut lost = names[2..].to_vec();
+    lost.sort();
+    assert_eq!(dispatched, lost, "only the lost points are dispatched");
+    assert_eq!(report.into_results().expect("complete"), first);
+    for (name, bytes) in names.iter().zip(&baseline) {
+        let now = fs::read(out.join("cache").join(name)).unwrap();
+        assert_eq!(&now, bytes, "recomputed entry bytes diverge for {name}");
+    }
+    assert!(
+        !journal::journal_dir(&out)
+            .join(format!("sweep-{key:016x}.jnl"))
+            .exists(),
+        "a completed sweep retires its journal"
+    );
+
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// A matrix that lists one org twice has fewer unique points than
+/// points: both transports compute each unique point once and answer
+/// every listing, in `Sweep::points` order.
+#[test]
+fn a_duplicated_org_computes_each_point_once_on_both_transports() {
+    let sweep = Sweep::named("cluster-twice")
+        .workloads(suite::ipc1_client().into_iter().take(1))
+        .orgs([OrgKind::Conv, OrgKind::BtbX, OrgKind::Conv])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(2_000, 4_000);
+    let points = sweep.points();
+    assert_eq!(points.len(), 3);
+    let expected: Vec<SimResult> = points.iter().map(SimPoint::run).collect();
+
+    let local_out = scratch("twice-local");
+    let store = ResultStore::open(local_out.join("cache")).unwrap();
+    assert_eq!(sweep.run(&opts(&local_out)), expected);
+    let counters = store.counters();
+    assert_eq!(counters.computes, 2, "{counters:?}");
+    assert_eq!(
+        counters.joins + counters.disk_hits,
+        0,
+        "the duplicate is never dispatched: {counters:?}"
+    );
+
+    let base = scratch("twice-fleet");
+    let cluster = LocalCluster::start(1, &base, 2).expect("node starts");
+    let report = cluster::run_sweep(
+        &sweep,
+        &opts(&base.join("coordinator")),
+        &config(cluster.addrs()),
+    )
+    .expect("sweep runs");
+    assert_eq!(report.stats.unique_points, 2, "{:?}", report.stats);
+    assert_eq!(report.stats.dispatched, 2, "{:?}", report.stats);
+    let node =
+        cluster::protocol::probe_stats(&cluster.addrs()[0], Duration::from_secs(2)).expect("stats");
+    assert_eq!(node.store.computes, 2, "{:?}", node.store);
+    assert_eq!(report.into_results().expect("complete"), expected);
+
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&base);
+    let _ = fs::remove_dir_all(&local_out);
 }
