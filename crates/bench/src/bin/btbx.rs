@@ -116,10 +116,9 @@ options:
                    deadline header (the connection survives;
                    0 = no deadline)                           [0]
 shared options (--threads for the requests served at once, --out for
-the cache dir, --store for a non-default cache backend: another node's
-http:// blob endpoint, or tiered://DIR,http://HOST:PORT for a local
-cache in front of it) apply; results are byte-identical to the serial
-CLI path. A node with --store fetches trace containers it is missing
+the cache dir, --store for a non-default cache backend such as another
+node's http:// blob endpoint) apply; results are byte-identical to the
+serial CLI path. A node with --store fetches trace containers it is missing
 from the store by content hash.";
 
 fn main() {

@@ -21,7 +21,10 @@
 //! * A successful probe re-admits the node on *probation*: it serves
 //!   again, but its first failure sends it straight back to dead (no
 //!   second chance while unproven).
-//! * Any successful request makes the node fully *healthy* again.
+//! * A successful request makes a serving node fully *healthy* again.
+//!   It never revives a dead one: a request answered while the node
+//!   drained after being marked dead leaves it dead, so only a probe,
+//!   with its handshake re-check, brings a node back.
 //!
 //! The tracker also counts completed/failed requests for the end-of-run
 //! fleet summary.
@@ -112,12 +115,15 @@ impl NodeTracker {
         self.inner.lock().unwrap().state
     }
 
-    /// A `/sim` request succeeded: the node is fully healthy.
+    /// A `/sim` request succeeded: a serving node is fully healthy, and
+    /// a dead one stays dead until a probe re-admits it.
     pub fn record_success(&self) {
         let mut t = self.inner.lock().unwrap();
-        t.state = NodeState::Healthy;
-        t.probe_failures = 0;
         t.completed += 1;
+        if t.state != NodeState::Dead {
+            t.state = NodeState::Healthy;
+            t.probe_failures = 0;
+        }
     }
 
     /// A `/sim` request failed; returns the state after the transition
@@ -209,6 +215,21 @@ mod tests {
         t.record_probe_success();
         t.record_success();
         assert_eq!(t.state(), NodeState::Healthy);
+    }
+
+    #[test]
+    fn a_success_counts_but_never_revives_a_dead_node() {
+        let t = NodeTracker::new("n:1", NodeState::Healthy);
+        t.record_failure();
+        t.record_failure();
+        t.record_probe_failure();
+        // A request the node answered while it drained.
+        t.record_success();
+        assert_eq!(t.state(), NodeState::Dead, "only a probe re-admits");
+        assert_eq!(t.summary().completed, 1, "the success still counts");
+        assert_eq!(t.probe_failures(), 1, "the probe streak stands");
+        t.record_probe_success();
+        assert_eq!(t.state(), NodeState::Probation);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! A cluster sweep and a local [`Sweep::try_run`] share everything
 //! around running points: one crate-private function in `sweep.rs`
 //! expands the points and their cache entry names once, opens the
-//! [`ResultStore`] and the sweep journal with its `--resume` recovery,
-//! probes the cache once per unique entry name, and prints the
-//! `resume:` and `N/M cached` lines. Same matrix, same journal key,
-//! whatever the transport: a local sweep's crash resumes here and vice
-//! versa. Only the executors differ, on purpose: the local queue stops
-//! at the first failure and shares one trace source per group, while
-//! this one retries, backs off and collects failures.
+//! [`ResultStore`], probes the cache once per unique entry name, and
+//! prints the `N/M cached` line. Same matrix, same cache entries,
+//! whatever the transport: rerunning a crashed local sweep here
+//! recomputes only what it did not finish, and vice versa. Only the
+//! executors differ, on purpose: the local queue stops at the first
+//! failure and shares one trace source per group, while this one
+//! retries, backs off and collects failures.
 //!
 //! # Scheduling model
 //!
@@ -55,7 +55,6 @@
 
 use super::node::{NodeState, NodeSummary, NodeTracker};
 use super::protocol::{self, ClusterError, HealthInfo, PointError, RequestError};
-use crate::journal::SweepJournal;
 use crate::opts::HarnessOpts;
 use crate::store::ResultStore;
 use crate::sweep::{Prepared, SimPoint, Sweep};
@@ -136,10 +135,6 @@ pub struct ClusterStats {
     /// deterministically) and are listed in
     /// [`ClusterReport::failures`].
     pub failed: u64,
-    /// Points skipped on `--resume` because a previous (killed) run's
-    /// journal records them as published (always a subset of
-    /// [`ClusterStats::local_hits`]).
-    pub resumed_points: u64,
 }
 
 /// The outcome of [`run_sweep`]: per-point results in
@@ -281,13 +276,8 @@ impl Queue {
 
     /// Publish a completed item: write-through to the local store and
     /// fill every matrix slot it answers.
-    fn complete(&self, item: WorkItem, result: SimResult, store: &ResultStore, jnl: &SweepJournal) {
+    fn complete(&self, item: WorkItem, result: SimResult, store: &ResultStore) {
         let stored = store.store(&item.key, &result);
-        if stored.is_ok() {
-            // Only after the local entry is durable: `done` is the
-            // resume contract's "this point will never re-run" record.
-            jnl.done(&item.key);
-        }
         let mut st = self.state.lock().unwrap();
         st.in_flight -= 1;
         if let Err(e) = stored {
@@ -319,15 +309,11 @@ impl Queue {
         node: &str,
         error: RequestError,
         config: &ClusterConfig,
-        jnl: &SweepJournal,
     ) -> Option<usize> {
         item.attempts += 1;
         // A 429 gets here only after `post_riding_sheds` gave up on it.
         let permanent =
             error.is_permanent() || error.is_shed() || item.attempts >= config.max_attempts;
-        if permanent {
-            jnl.failed(&item.key, &error.to_string());
-        }
         let mut st = self.state.lock().unwrap();
         st.in_flight -= 1;
         let outcome = if permanent {
@@ -444,18 +430,15 @@ pub fn run_sweep_observed(
     // cache the fleet shares.
     let Prepared {
         store,
-        journal: jnl,
         points,
         names,
         results,
         misses,
         hits,
-        resumed,
     } = sweep.prepare(opts).map_err(ClusterError::Store)?;
     let stats = ClusterStats {
         unique_points: hits + misses.len(),
         local_hits: hits as u64,
-        resumed_points: resumed as u64,
         ..ClusterStats::default()
     };
     let now = Instant::now();
@@ -505,10 +488,9 @@ pub fn run_sweep_observed(
                 let queue = &queue;
                 let store = &store;
                 let fleet = &fleet;
-                let jnl = &jnl;
                 scope.spawn(move || {
                     let prober = lane == 0;
-                    node_worker(queue, tracker, prober, config, store, fleet, jnl, observer);
+                    node_worker(queue, tracker, prober, config, store, fleet, observer);
                 });
             }
         }
@@ -524,11 +506,6 @@ pub fn run_sweep_observed(
             "[{}@cluster] {}: {} ({} completed, {} failures)",
             sweep.name, n.addr, n.state, n.completed, n.failures
         );
-    }
-    if st.failures.is_empty() {
-        // A sweep with failures keeps its journal so --resume can
-        // re-dispatch exactly the recorded failures.
-        jnl.finish();
     }
     Ok(ClusterReport {
         results: st.results,
@@ -586,7 +563,6 @@ fn publish_pending_traces(name: &str, store: &ResultStore, pending: &[WorkItem])
 /// While it is dead, the node's `prober` worker probes for re-admission
 /// and the others wait for the verdict; all of them retire once the
 /// probes pass the give-up bound.
-#[allow(clippy::too_many_arguments)]
 fn node_worker(
     queue: &Queue,
     tracker: &NodeTracker,
@@ -594,7 +570,6 @@ fn node_worker(
     config: &ClusterConfig,
     store: &ResultStore,
     fleet: &HealthInfo,
-    jnl: &SweepJournal,
     observer: &(dyn Fn(ClusterEvent) + Sync),
 ) {
     let addr = tracker.addr();
@@ -644,12 +619,11 @@ fn node_worker(
             continue;
         }
         let Some(item) = queue.pull() else { break };
-        jnl.attempt(&item.key, &item.label);
         match post_riding_sheds(addr, &item.point, config.http_timeout) {
             Ok(result) => {
                 tracker.record_success();
                 let key = item.key.clone();
-                queue.complete(item, result, store, jnl);
+                queue.complete(item, result, store);
                 observer(ClusterEvent::PointDone {
                     node: addr.to_string(),
                     key,
@@ -668,7 +642,7 @@ fn node_worker(
                     }
                 }
                 let key = item.key.clone();
-                match queue.settle_failure(item, addr, error, config, jnl) {
+                match queue.settle_failure(item, addr, error, config) {
                     Some(attempts) => observer(ClusterEvent::Requeued {
                         node: addr.to_string(),
                         key,

@@ -18,12 +18,13 @@
 //! * [`faults`] — deterministic fault-injection plans (JSON) armed via
 //!   `--fault-plan` or `BTBX_FAULT_PLAN`, driving the I/O seam in
 //!   `btbx_core::faults`;
-//! * [`journal`] — the fsync'd per-point sweep journal behind
-//!   `btbx sweep --resume`;
+//! * [`journal`] — an fsync'd append-only record file that no sweep
+//!   writes, kept for the benchmark harness's append timing;
 //! * [`store`] — the durable per-point result cache ([`ResultStore`]):
 //!   atomic temp-file+rename writes, corrupt-entry quarantine, and
 //!   process-wide single-flight computation, shared by sweeps and the
-//!   server;
+//!   server. It is also the crash-recovery record: rerunning a killed
+//!   sweep recomputes only the points it has no entry for;
 //! * [`serve`] — `btbx serve`, a long-lived JSON-over-HTTP simulation
 //!   service deduplicating concurrent requests through the store;
 //! * [`cluster`] — the distributed sweep fabric: a coordinator that

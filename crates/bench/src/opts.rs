@@ -35,10 +35,6 @@ pub struct HarnessOpts {
     /// transports, applied per phase (connect, write, read) so a wedged
     /// node cannot stall a sweep indefinitely.
     pub http_timeout_ms: u64,
-    /// Resume a crashed sweep from its journal: points the journal
-    /// records as done (and whose cache entries exist) are skipped, and
-    /// only incomplete points are re-dispatched.
-    pub resume: bool,
     /// Read nowhere: every sweep runs its cache-missing points in
     /// [`plan_batches`](crate::sweep::plan_batches) groups that share one
     /// trace source. Kept only so struct literals that set it still
@@ -60,7 +56,6 @@ pub struct HarnessOpts {
 /// | `dir://<path>` (or a bare path) | local directory — the default layout |
 /// | `mem://` | in-process map (tests) |
 /// | `http://<host>:<port>` | a peer serve node's `GET/PUT /blob/<key>` endpoints |
-/// | `tiered://<path>,http://<host>:<port>` | local dir in front of a remote |
 ///
 /// Unknown schemes are loud parse errors, never silently treated as
 /// paths.
@@ -72,14 +67,6 @@ pub enum StoreUrl {
     Mem,
     /// `http://<host>:<port>`: a remote blob endpoint.
     Http(String),
-    /// `tiered://<path>,http://<host>:<port>`: a local dir in front of a
-    /// remote — reads backfill the local tier, writes replicate out.
-    Tiered {
-        /// The local (front) tier's directory.
-        local: PathBuf,
-        /// The remote (back) tier's `host:port`.
-        remote: String,
-    },
 }
 
 impl StoreUrl {
@@ -105,24 +92,9 @@ impl StoreUrl {
         if let Some(rest) = s.strip_prefix("http://") {
             return Ok(StoreUrl::Http(parse_http_addr(rest)?));
         }
-        if let Some(rest) = s.strip_prefix("tiered://") {
-            let (local, remote) = rest
-                .split_once(',')
-                .ok_or_else(|| "tiered:// needs `<local-dir>,http://<host>:<port>`".to_string())?;
-            if local.is_empty() {
-                return Err("tiered:// needs a non-empty local dir before the comma".to_string());
-            }
-            let remote = remote.strip_prefix("http://").ok_or_else(|| {
-                format!("tiered:// remote tier must be http://<host>:<port>, got `{remote}`")
-            })?;
-            return Ok(StoreUrl::Tiered {
-                local: PathBuf::from(local),
-                remote: parse_http_addr(remote)?,
-            });
-        }
         if let Some((scheme, _)) = s.split_once("://") {
             return Err(format!(
-                "unknown store scheme `{scheme}://` (expected dir://, mem://, http:// or tiered://)"
+                "unknown store scheme `{scheme}://` (expected dir://, mem:// or http://)"
             ));
         }
         if s.is_empty() {
@@ -159,9 +131,6 @@ impl std::fmt::Display for StoreUrl {
             StoreUrl::Dir(path) => write!(f, "dir://{}", path.display()),
             StoreUrl::Mem => f.write_str("mem://"),
             StoreUrl::Http(addr) => write!(f, "http://{addr}"),
-            StoreUrl::Tiered { local, remote } => {
-                write!(f, "tiered://{},http://{remote}", local.display())
-            }
         }
     }
 }
@@ -185,7 +154,6 @@ impl Default for HarnessOpts {
             shards: 1,
             trace: None,
             http_timeout_ms: DEFAULT_HTTP_TIMEOUT_MS,
-            resume: false,
             batch: true,
             fault_plan: None,
             store: None,
@@ -255,15 +223,13 @@ options:
   --http-timeout-ms N  per-phase HTTP timeout for --server/--cluster
                      transports                           [600000]
   --fresh            re-simulate even when cached results exist
-  --resume           resume a crashed sweep from its journal
-                     (<out>/cache/journal/), re-dispatching only
-                     incomplete points
+                     (a crashed sweep resumes by rerunning it without
+                     --fresh: finished points are cache hits)
   --fault-plan FILE  arm a JSON fault-injection plan for the run
                      (chaos testing; see EXPERIMENTS.md)
   --store URL        content-addressed store for cache blobs:
-                     dir://PATH [default: <out>/cache], mem://,
-                     http://HOST:PORT (a peer's /blob endpoints), or
-                     tiered://PATH,http://HOST:PORT
+                     dir://PATH [default: <out>/cache], mem://, or
+                     http://HOST:PORT (a peer's /blob endpoints)
   --out DIR          artifact + cache directory            [results]
   -h, --help         show this help";
 
@@ -302,7 +268,6 @@ impl HarnessOpts {
                     opts.offset_instrs = 300_000;
                 }
                 "--fresh" => opts.fresh = true,
-                "--resume" => opts.resume = true,
                 "--fault-plan" => {
                     let file = it.next().ok_or(OptError::BadValue {
                         flag: "--fault-plan".to_string(),
@@ -420,12 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn resume_and_fault_plan_flags() {
-        let o = parse(&[]).unwrap();
-        assert!(!o.resume);
-        assert_eq!(o.fault_plan, None);
-        let o = parse(&["--resume", "--fault-plan", "/tmp/plan.json"]).unwrap();
-        assert!(o.resume);
+    fn fault_plan_flag() {
+        assert_eq!(parse(&[]).unwrap().fault_plan, None);
+        let o = parse(&["--fault-plan", "/tmp/plan.json"]).unwrap();
         assert_eq!(o.fault_plan, Some(PathBuf::from("/tmp/plan.json")));
         assert!(parse(&["--fault-plan"]).is_err());
     }
@@ -455,6 +417,12 @@ mod tests {
         assert_eq!(
             parse(&["--shards", "2"]),
             Err(OptError::UnknownFlag("--shards".to_string()))
+        );
+        // A crashed sweep resumes by rerunning it; the cache is the
+        // record of what finished.
+        assert_eq!(
+            parse(&["--resume"]),
+            Err(OptError::UnknownFlag("--resume".to_string()))
         );
     }
 
@@ -512,13 +480,6 @@ mod tests {
             StoreUrl::Http("node:9000".to_string()),
             "trailing slash is tolerated"
         );
-        assert_eq!(
-            StoreUrl::parse("tiered://local/cache,http://node:9000").unwrap(),
-            StoreUrl::Tiered {
-                local: PathBuf::from("local/cache"),
-                remote: "node:9000".to_string()
-            }
-        );
     }
 
     #[test]
@@ -537,10 +498,6 @@ mod tests {
             ("http://host:notaport", "port must be"),
             ("http://host:99999", "port must be"),
             ("http://host:80/path", "no path"),
-            ("tiered://justlocal", "needs `<local-dir>,"),
-            ("tiered://,http://h:1", "non-empty local dir"),
-            ("tiered://d,mem://", "remote tier must be http://"),
-            ("tiered://d,http://h", "needs `<host>:<port>`"),
         ];
         for (input, fragment) in cases {
             let err = StoreUrl::parse(input).expect_err(input);
@@ -552,15 +509,21 @@ mod tests {
     }
 
     #[test]
+    fn the_tiered_scheme_is_unknown() {
+        let e = parse(&["--store", "tiered://local/cache,http://node:9000"]).unwrap_err();
+        assert!(matches!(e, OptError::BadStore { .. }), "{e:?}");
+        assert!(
+            e.to_string().contains("unknown store scheme `tiered://`"),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn store_url_display_round_trips() {
         let urls = [
             StoreUrl::Dir(PathBuf::from("/tmp/c")),
             StoreUrl::Mem,
             StoreUrl::Http("h:1234".to_string()),
-            StoreUrl::Tiered {
-                local: PathBuf::from("front"),
-                remote: "back:9".to_string(),
-            },
         ];
         for url in urls {
             assert_eq!(StoreUrl::parse(&url.to_string()).unwrap(), url, "{url}");

@@ -111,8 +111,8 @@ pub struct ServeConfig {
     pub deadline: Option<Duration>,
     /// Store backend for cache blobs (results, trace fetches). `None`
     /// keeps the default `dir://` store over `cache_dir`; an `http://`
-    /// or `tiered://` URL makes this node read/write a fleet-shared
-    /// cache and fetch missing trace containers by content hash.
+    /// URL makes this node read/write a fleet-shared cache and fetch
+    /// missing trace containers by content hash.
     pub store: Option<StoreUrl>,
     /// Timeout for this node's *outbound* store traffic (blob fetches
     /// and publishes when `store` is remote).

@@ -18,13 +18,10 @@
 //! | `mem://`    | [`MemStore`] — in-process map (tests)                |
 //! | `http://A`  | [`HttpStore`] — `GET/PUT /blob/<key>` on a peer      |
 //! |             | serve node (or any compatible blob endpoint)         |
-//! | `tiered://P,http://A` | [`TieredStore`] — a local dir in front of  |
-//! |             | a remote: reads fill the local tier, writes go to    |
-//! |             | both                                                 |
 //!
 //! Guarantees that are backend-*independent* (they live in the
 //! consumers, above this trait): single-flight dedup, the
-//! re-read-before-condemn damaged-entry protocol, and crash-resume
+//! re-read-before-condemn damaged-entry protocol, and crash-recovery
 //! byte-identity of published entries. Guarantees that are
 //! backend-*specific*: `dir://` publishes via the shared
 //! temp-file+rename helper ([`atomic_publish`]) and quarantines damage
@@ -77,12 +74,6 @@ pub trait Store: Send + Sync {
     /// Move a damaged blob aside (preserving the evidence where the
     /// backend can), clearing the key for a clean rewrite.
     fn quarantine(&self, key: &str) -> Quarantine;
-
-    /// The local directory blobs publish into, when there is one
-    /// (`dir://` and the local tier of `tiered://`).
-    fn local_dir(&self) -> Option<&Path> {
-        None
-    }
 
     /// Remote-traffic counters, when this backend talks to a peer.
     fn remote_counters(&self) -> Option<&RemoteCounters> {
@@ -248,10 +239,6 @@ impl Store for DirStore {
             Ok(()) => Quarantine::Moved(corrupt.display().to_string()),
             Err(e) => Quarantine::Failed(e.to_string()),
         }
-    }
-
-    fn local_dir(&self) -> Option<&Path> {
-        Some(&self.dir)
     }
 }
 
@@ -438,91 +425,11 @@ impl Store for HttpStore {
     }
 }
 
-/// A local directory in front of a remote: reads prefer the local tier
-/// and backfill it from the remote on a miss; writes publish locally
-/// (durability) and replicate to the remote best-effort (a fleet-shared
-/// cache must not fail a run because a peer is briefly down — the
-/// replication failure is counted and logged instead).
-pub struct TieredStore {
-    local: DirStore,
-    remote: HttpStore,
-}
-
-impl TieredStore {
-    /// Compose `local` in front of `remote`.
-    pub fn new(local: DirStore, remote: HttpStore) -> Self {
-        TieredStore { local, remote }
-    }
-}
-
-impl Store for TieredStore {
-    fn id(&self) -> String {
-        format!(
-            "tiered://{},{}",
-            self.local.dir().display(),
-            self.remote.id()
-        )
-    }
-
-    fn label(&self, key: &str) -> String {
-        self.local.label(key)
-    }
-
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(bytes) = self.local.get(key)? {
-            return Ok(Some(bytes));
-        }
-        match self.remote.get(key)? {
-            Some(bytes) => {
-                // Backfill the local tier so the next read is local.
-                // Best-effort: a full disk costs re-fetches, not the
-                // result.
-                if let Err(e) = self.local.put(key, &bytes) {
-                    eprintln!("[store] could not backfill local tier for {key}: {e}");
-                }
-                Ok(Some(bytes))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.local.put(key, bytes)?;
-        if let Err(e) = self.remote.put(key, bytes) {
-            // `HttpStore::put` already counted the error.
-            eprintln!(
-                "[store] could not replicate {key} to {}: {e}",
-                self.remote.id()
-            );
-        }
-        Ok(())
-    }
-
-    fn has(&self, key: &str) -> Result<bool, StoreError> {
-        if self.local.has(key)? {
-            return Ok(true);
-        }
-        self.remote.has(key)
-    }
-
-    fn quarantine(&self, key: &str) -> Quarantine {
-        self.local.quarantine(key)
-    }
-
-    fn local_dir(&self) -> Option<&Path> {
-        Some(self.local.dir())
-    }
-
-    fn remote_counters(&self) -> Option<&RemoteCounters> {
-        self.remote.remote_counters()
-    }
-}
-
 /// Build the backend a [`crate::opts::StoreUrl`] names.
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] when a directory-backed tier cannot be opened.
+/// [`StoreError::Io`] when a `dir://` store cannot be opened.
 pub fn open_store(
     url: &crate::opts::StoreUrl,
     timeout: Duration,
@@ -532,10 +439,6 @@ pub fn open_store(
         StoreUrl::Dir(dir) => Arc::new(DirStore::open(dir)?),
         StoreUrl::Mem => Arc::new(MemStore::new()),
         StoreUrl::Http(addr) => Arc::new(HttpStore::new(addr, timeout)),
-        StoreUrl::Tiered { local, remote } => Arc::new(TieredStore::new(
-            DirStore::open(local)?,
-            HttpStore::new(remote, timeout),
-        )),
     })
 }
 

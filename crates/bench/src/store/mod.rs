@@ -39,15 +39,14 @@
 //! The byte storage itself is pluggable: [`ResultStore`] and the serve
 //! node's trace resolution sit on the [`Store`] trait from [`backend`],
 //! selected by URL scheme (`dir://` — the default local layout,
-//! `mem://`, `http://` — a peer serve node's blob endpoints,
-//! `tiered://` — a local dir in front of a remote). Every guarantee above is backend-independent; `dir://` is
-//! byte-compatible with every cache written before backends existed.
+//! `mem://`, `http://` — a peer serve node's blob endpoints). Every
+//! guarantee above is backend-independent; `dir://` is byte-compatible
+//! with every cache written before backends existed.
 
 pub mod backend;
 
 pub use backend::{
     atomic_publish, open_store, DirStore, HttpStore, MemStore, Quarantine, RemoteCounters, Store,
-    TieredStore,
 };
 
 use crate::sweep::RunError;
@@ -151,7 +150,7 @@ pub struct StoreCounters {
     /// received the in-memory result; see [`ResultStore::get_or_compute`]).
     #[serde(default)]
     pub store_failures: u64,
-    /// Blobs served by a remote backend (`http://`/`tiered://` only;
+    /// Blobs served by a remote backend (`http://` only;
     /// its [`RemoteCounters`] count results and trace fetches alike).
     #[serde(default)]
     pub remote_hits: u64,
@@ -297,7 +296,7 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when a directory tier cannot be opened.
+    /// [`StoreError::Io`] when a `dir://` store cannot be opened.
     pub fn open_url(
         url: &crate::opts::StoreUrl,
         timeout: std::time::Duration,
@@ -311,12 +310,6 @@ impl ResultStore {
     /// The backend this store publishes through.
     pub fn backend(&self) -> &Arc<dyn Store> {
         &self.backend
-    }
-
-    /// The local directory entries publish into, when the backend has
-    /// one (`dir://`, `tiered://`).
-    pub fn local_dir(&self) -> Option<&Path> {
-        self.backend.local_dir()
     }
 
     /// Current counters for this store (shared across every store on
@@ -746,7 +739,7 @@ mod tests {
         let dir_a = fresh_dir("prune-a");
         let dir_b = fresh_dir("prune-b");
         let store_a = ResultStore::open(&dir_a).unwrap();
-        let canonical_a = store_a.local_dir().unwrap().to_path_buf();
+        let canonical_a = dir_a.canonicalize().unwrap();
         drop(store_a);
         // The next open prunes dead weak entries, so the dropped store's
         // directory no longer occupies a registry slot.

@@ -39,7 +39,6 @@
 //! sweep racing a server — on one cache directory compute each unique
 //! point once and never observe torn entries.
 
-use crate::journal::{self, SweepJournal};
 use crate::opts::HarnessOpts;
 use crate::store::{ResultStore, StoreError};
 use btbx_core::spec::{BtbSpec, Budget};
@@ -104,8 +103,8 @@ pub enum RunError {
         /// store is configured.
         store: Option<String>,
     },
-    /// The result store failed: reading the cache, opening the sweep
-    /// journal, or fetching and spooling a trace blob.
+    /// The result store failed: reading the cache, or fetching and
+    /// spooling a trace blob.
     Store(StoreError),
 }
 
@@ -198,7 +197,7 @@ impl SimPoint {
     }
 
     /// Human-readable `workload:org@budget` label: the name of the
-    /// point's job, its journal `attempt` record and its failure.
+    /// point's job and its failure.
     pub(crate) fn label(&self) -> String {
         format!(
             "{}:{}@{}",
@@ -321,7 +320,7 @@ pub struct BatchGroup {
 /// per-member state and deliberately absent.
 ///
 /// Groups come back in first-member order and members stay ascending, so
-/// the plan — and every journal/label derived from it — is deterministic.
+/// the plan — and every label derived from it — is deterministic.
 pub fn plan_batches(points: &[SimPoint], misses: &[usize]) -> Vec<BatchGroup> {
     let mut order: Vec<u64> = Vec::new();
     let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -482,9 +481,9 @@ impl Sweep {
 
     /// [`run`](Sweep::run), returning a failure instead of panicking.
     ///
-    /// The store, the journal and the cache probe are the front end
-    /// every transport shares (`Sweep::prepare`); this is the local
-    /// executor. Cache-missing unique points run as one queue on
+    /// The store and the cache probe are the front end every transport
+    /// shares (`Sweep::prepare`); this is the local executor.
+    /// Cache-missing unique points run as one queue on
     /// `opts.threads` workers, each once however often the matrix lists
     /// it, in [`plan_batches`] order: group by group, members ascending.
     /// Each group builds its trace source once — for a synthetic workload, its
@@ -502,25 +501,20 @@ impl Sweep {
     /// `opts.threads` groups' sources are live at once, and no core idles
     /// while another group's points wait.
     ///
-    /// # Crash resumability
+    /// # Crash recovery
     ///
-    /// Per-point progress is journalled (fsync'd, append-only) under
-    /// `<out>/cache/journal/` — see [`crate::journal`]. A sweep killed
-    /// mid-run leaves `done` records for exactly the points it durably
-    /// published; re-running with `--resume` re-dispatches only the
-    /// rest and reports the skipped count as `resumed_points=N`. The
-    /// journal is removed once the sweep completes.
+    /// Each point publishes its cache entry by an atomic rename the
+    /// moment it finishes, so a sweep killed mid-run leaves exactly its
+    /// finished points in the cache. Rerunning the same command reads
+    /// them back through the cache probe and recomputes only the rest.
     ///
     /// # Errors
     ///
-    /// [`RunError::Store`] when the cache directory or the journal is
-    /// unusable, or the first point's failure otherwise: the journal
-    /// records it as `failed`, queued points do not start, and the
-    /// journal survives for `--resume`.
+    /// [`RunError::Store`] when the cache directory is unusable, or the
+    /// first point's failure otherwise: queued points do not start.
     pub fn try_run(&self, opts: &HarnessOpts) -> Result<Vec<SimResult>, RunError> {
         let Prepared {
             store,
-            journal,
             points,
             names,
             mut results,
@@ -549,8 +543,8 @@ impl Sweep {
         // (or its error, which every member then shares), the last to
         // start empties the slot, so a source lives only while a member
         // holds it. Each member publishes through the store's
-        // single-flight path and journals the moment it finishes, so a
-        // crash mid-sweep loses only unfinished points.
+        // single-flight path the moment it finishes, so a crash
+        // mid-sweep loses only unfinished points.
         let queue: Vec<(usize, &Mutex<GroupSlot>)> = groups
             .iter()
             .zip(&slots)
@@ -560,33 +554,28 @@ impl Sweep {
             .iter()
             .map(|&(i, slot)| {
                 let (point, name) = (&points[i], &names[i]);
-                let (store, journal, build) = (&store, &journal, &build);
-                let label = point.label();
-                let job_label = label.clone();
+                let (store, build) = (&store, &build);
                 let job = move || {
-                    journaled(journal, name, &job_label, || {
-                        let source = {
-                            let mut slot = slot.lock().unwrap();
-                            let source = slot.source.get_or_insert_with(|| build(point)).clone();
-                            slot.members_left -= 1;
-                            if slot.members_left == 0 {
-                                slot.source = None;
-                            }
-                            source
-                        }?;
-                        let run = RunOpts {
-                            source: Some(&*source),
-                            ..RunOpts::default()
-                        };
-                        store
-                            .try_get_or_compute(name, opts.fresh, || point.run_with(run))
-                            .map(|(result, _)| result)
-                    })
+                    let source = {
+                        let mut slot = slot.lock().unwrap();
+                        let source = slot.source.get_or_insert_with(|| build(point)).clone();
+                        slot.members_left -= 1;
+                        if slot.members_left == 0 {
+                            slot.source = None;
+                        }
+                        source
+                    }?;
+                    let run = RunOpts {
+                        source: Some(&*source),
+                        ..RunOpts::default()
+                    };
+                    store
+                        .try_get_or_compute(name, opts.fresh, || point.run_with(run))
+                        .map(|(result, _)| result)
                 };
-                (label, job)
+                (point.label(), job)
             })
             .collect();
-        // On a failed point the journal survives for --resume.
         let computed = try_run_named_jobs(&self.name, opts.threads, jobs)?;
         for (&(i, _), result) in queue.iter().zip(computed) {
             // `runs` ascends, as `Prepared::misses` does.
@@ -595,8 +584,6 @@ impl Sweep {
                 results[j] = Some(result.clone());
             }
         }
-        // Every point resolved: the journal has served its purpose.
-        journal.finish();
         Ok(results
             .into_iter()
             .map(|r| r.expect("all points resolved"))
@@ -606,33 +593,24 @@ impl Sweep {
     /// The sweep front end every transport shares — [`Sweep::try_run`]
     /// and the cluster coordinator behind `--server` and `--cluster`:
     /// expand the points and their cache names once, open the store
-    /// (`--store`, or `<out>/cache`) and the journal with its recovery,
-    /// and probe the cache once per unique entry name (not under
-    /// `--fresh`). Prints the `resume:` line under `--resume` and the
-    /// `N/M cached` line when anything hit. The transport then runs
-    /// [`Prepared::misses`] on its own executor and calls
-    /// `journal.finish()` once nothing failed.
+    /// (`--store`, or `<out>/cache`), and probe the cache once per
+    /// unique entry name (not under `--fresh`). Prints the `N/M cached`
+    /// line when anything hit: after a crash, the count of points an
+    /// earlier run finished. The transport then runs
+    /// [`Prepared::misses`] on its own executor.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the store, a cache read or the journal fails.
+    /// [`StoreError`] when the store or a cache read fails.
     pub(crate) fn prepare(&self, opts: &HarnessOpts) -> Result<Prepared, StoreError> {
-        // `--store` swaps the cache backend (mem/http/tiered); the
-        // default stays the local `<out>/cache` directory.
+        // `--store` swaps the cache backend (dir/mem/http); the default
+        // stays the local `<out>/cache` directory.
         let store = match &opts.store {
             None => ResultStore::open(opts.out_dir.join("cache")),
             Some(url) => ResultStore::open_url(url, opts.http_timeout()),
         }?;
         let points = self.points();
         let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
-        let (journal, recovery) =
-            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), opts.resume).map_err(
-                |source| StoreError::Io {
-                    action: "opening sweep journal",
-                    path: journal::journal_dir(&opts.out_dir),
-                    source: Arc::new(source),
-                },
-            )?;
         // Every unique entry name with the indices it answers, in order
         // of first appearance.
         let mut unique: Vec<Vec<usize>> = Vec::new();
@@ -646,7 +624,7 @@ impl Sweep {
         }
         let mut results: Vec<Option<SimResult>> = vec![None; points.len()];
         let mut misses = Vec::new();
-        let (mut hits, mut resumed) = (0, 0);
+        let mut hits = 0;
         for indices in unique {
             let name = &names[indices[0]];
             let cached = if opts.fresh { None } else { store.load(name)? };
@@ -654,35 +632,21 @@ impl Sweep {
                 misses.push(indices);
                 continue;
             };
-            // A journalled `done` whose entry vanished from the store is
-            // a miss, so a resumed point is always backed by a real entry.
             hits += 1;
-            if opts.resume && recovery.completed.contains(name) {
-                resumed += 1;
-            }
             for i in indices {
                 results[i] = Some(result.clone());
             }
-        }
-        if opts.resume {
-            eprintln!(
-                "[{}] resume: {resumed} point(s) restored from the journal \
-                 (resumed_points={resumed})",
-                self.name
-            );
         }
         if hits > 0 {
             eprintln!("[{}] {hits}/{} cached", self.name, hits + misses.len());
         }
         Ok(Prepared {
             store,
-            journal,
             points,
             names,
             results,
             misses,
             hits,
-            resumed,
         })
     }
 }
@@ -692,8 +656,6 @@ impl Sweep {
 pub(crate) struct Prepared {
     /// The store results publish into.
     pub(crate) store: ResultStore,
-    /// The sweep's journal, past its recovery.
-    pub(crate) journal: SweepJournal,
     /// [`Sweep::points`].
     pub(crate) points: Vec<SimPoint>,
     /// Each point's [`SimPoint::cache_file`].
@@ -706,9 +668,6 @@ pub(crate) struct Prepared {
     pub(crate) misses: Vec<Vec<usize>>,
     /// Unique entry names the cache answered.
     pub(crate) hits: usize,
-    /// Hits an earlier run's journal records as published
-    /// (`resumed_points`; always 0 without `--resume`).
-    pub(crate) resumed: usize,
 }
 
 /// A [`BatchGroup`]'s source while its members run: built by the first
@@ -716,26 +675,6 @@ pub(crate) struct Prepared {
 struct GroupSlot {
     source: Option<Result<Arc<AnySource>, RunError>>,
     members_left: usize,
-}
-
-/// Journal bracket around one point's computation: `attempt` before the
-/// work, then `done` once `compute` returned a result — i.e. after
-/// [`ResultStore::try_get_or_compute`] durably published the entry — or
-/// `failed` with the error's text, so `--resume` re-dispatches the
-/// point.
-fn journaled(
-    journal: &SweepJournal,
-    name: &str,
-    label: &str,
-    compute: impl FnOnce() -> Result<SimResult, RunError>,
-) -> Result<SimResult, RunError> {
-    journal.attempt(name, label);
-    let outcome = compute();
-    match &outcome {
-        Ok(_) => journal.done(name),
-        Err(e) => journal.failed(name, &e.to_string()),
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -788,7 +727,6 @@ mod tests {
             shards: 1,
             trace: None,
             http_timeout_ms: 600_000,
-            resume: false,
             batch: true,
             fault_plan: None,
             store: None,
@@ -885,12 +823,8 @@ mod tests {
         assert_eq!(r3[0].stats.instructions, r1[0].stats.instructions);
         assert_eq!(r3[0].stats.cycles, r1[0].stats.cycles);
 
-        // Both windows' artifacts coexist in the cache directory (the
-        // journal subdirectory is not an artifact).
-        let cache_files = fs::read_dir(opts.out_dir.join("cache"))
-            .unwrap()
-            .filter(|e| e.as_ref().unwrap().path().is_file())
-            .count();
+        // Both windows' artifacts coexist in the cache directory.
+        let cache_files = fs::read_dir(opts.out_dir.join("cache")).unwrap().count();
         assert_eq!(cache_files, 2);
         let _ = fs::remove_dir_all(&opts.out_dir);
     }
@@ -1112,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_group_source_is_built_once_and_journalled() {
+    fn a_failed_group_source_is_built_once() {
         use btbx_trace::container::write_container;
         use btbx_trace::source::VecSource;
         use btbx_trace::TraceInstr;
@@ -1151,13 +1085,6 @@ mod tests {
             1,
             "a 3-member group shares its failed build"
         );
-        let names: Vec<String> = sweep.points().iter().map(SimPoint::cache_file).collect();
-        let (_, recovery) =
-            SweepJournal::open(&opts.out_dir, journal::sweep_key(&names), true).unwrap();
-        assert!(!recovery.failed.is_empty(), "the failure is journalled");
-        for (key, _) in &recovery.failed {
-            assert!(names.contains(key), "{key}");
-        }
         let _ = fs::remove_dir_all(&opts.out_dir);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -3,11 +3,10 @@
 //! performance optimization — bit-identical statistics AND
 //! byte-identical cache entries versus each point run alone with
 //! `SimPoint::run` and published through its own `ResultStore`, for
-//! every organization and across crash-resume. Any divergence here means
+//! every organization and across crash recovery. Any divergence here means
 //! a group is simulating a *different* machine, not the same machine
 //! faster.
 
-use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::store::ResultStore;
 use btbx_bench::{HarnessOpts, Sweep};
 use btbx_core::storage::BudgetPoint;
@@ -34,7 +33,6 @@ fn opts(out_dir: &Path) -> HarnessOpts {
         shards: 1,
         trace: None,
         http_timeout_ms: 600_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store: None,
@@ -100,10 +98,10 @@ fn batched_matches_per_point_for_every_org_and_budget() {
     let _ = fs::remove_dir_all(&serial_dir);
 }
 
-/// Crash-resume under grouping: with some members of a group journalled
-/// `done` (and durably published) and the rest lost, a `--resume` run
-/// restores exactly the completed points and recomputes only the
-/// missing ones — at member granularity, not group granularity.
+/// Crash recovery under grouping: with some members of a group
+/// published and the rest lost, rerunning the sweep restores exactly the
+/// published points from the cache and recomputes only the missing ones
+/// — at member granularity, not group granularity.
 #[test]
 fn resume_restores_exactly_completed_points_under_batching() {
     let sweep = Sweep::named("diff-resume")
@@ -121,45 +119,26 @@ fn resume_restores_exactly_completed_points_under_batching() {
         .map(|n| fs::read(dir.join("cache").join(n)).unwrap())
         .collect();
 
-    // Simulate a crash after two members published: drop the other two
-    // entries and craft the journal a dying sweep would have left —
-    // `done` strictly for the survivors, no `finish`.
+    // Simulate a crash after two members published: the other two
+    // entries never landed.
     for name in &names[2..] {
         fs::remove_file(dir.join("cache").join(name)).unwrap();
     }
-    let key = journal::sweep_key(&names);
-    {
-        let (journal, _) = SweepJournal::open(&dir, key, false).unwrap();
-        for name in &names[..2] {
-            journal.attempt(name, "crafted");
-            journal.done(name);
-        }
-        // Dropped without `finish()`: the journal file survives, as
-        // after a crash.
-    }
 
     let store = ResultStore::open(dir.join("cache")).unwrap();
-    let mut resume_opts = opts(&dir);
-    resume_opts.resume = true;
-    let resumed: Vec<SimResult> = sweep.run(&resume_opts);
+    let resumed: Vec<SimResult> = sweep.run(&opts(&dir));
 
     assert_eq!(resumed, first, "resumed sweep must reproduce the matrix");
+    let counters = store.counters();
     assert_eq!(
-        store.counters().computes,
-        2,
-        "exactly the lost members recompute; journalled-done points are restored"
+        counters.computes, 2,
+        "exactly the lost members recompute; published points are restored"
     );
+    assert_eq!(counters.disk_hits, 2, "{counters:?}");
     for (name, bytes) in names.iter().zip(&baseline) {
         let now = fs::read(dir.join("cache").join(name)).unwrap();
         assert_eq!(&now, bytes, "recomputed entry bytes diverge for {name}");
     }
-    // Completion removes the journal so a later --resume starts clean.
-    assert!(
-        !journal::journal_dir(&dir)
-            .join(format!("sweep-{key:016x}.jnl"))
-            .exists(),
-        "completed sweep must retire its journal"
-    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -7,7 +7,6 @@
 use btbx_bench::cluster::{
     self, ClusterConfig, ClusterError, ClusterEvent, LocalCluster, NodeState, RequestError,
 };
-use btbx_bench::journal::{self, SweepJournal};
 use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
 use btbx_bench::serve::{ServeConfig, Server};
 use btbx_bench::{HarnessOpts, ResultStore, SimPoint, Sweep};
@@ -38,7 +37,6 @@ fn opts(out_dir: &Path) -> HarnessOpts {
         shards: 1,
         trace: None,
         http_timeout_ms: 10_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store: None,
@@ -417,9 +415,8 @@ fn a_fresh_cluster_sweep_dispatches_every_point_over_a_warm_cache() {
 }
 
 /// A local sweep's crash resumes through the coordinator: same matrix,
-/// same journal key, whatever the transport. The crash is crafted as a
-/// dying sweep leaves it: two entries lost, `done` records strictly for
-/// the two survivors, no `finish`.
+/// same cache entries, whatever the transport. The crash is crafted as a
+/// dying sweep leaves it: two entries published, two lost.
 #[test]
 fn a_local_sweeps_crash_resumes_through_the_cluster() {
     let base = scratch("resume");
@@ -434,30 +431,18 @@ fn a_local_sweeps_crash_resumes_through_the_cluster() {
     for name in &names[2..] {
         fs::remove_file(out.join("cache").join(name)).unwrap();
     }
-    let key = journal::sweep_key(&names);
-    {
-        let (journal, _) = SweepJournal::open(&out, key, false).unwrap();
-        for name in &names[..2] {
-            journal.attempt(name, "crafted");
-            journal.done(name);
-        }
-    }
 
     let cluster = LocalCluster::start(1, base.join("fleet"), 2).expect("node starts");
-    let resume_opts = HarnessOpts {
-        resume: true,
-        ..opts(&out)
-    };
     let done = Mutex::new(Vec::new());
     let report =
-        cluster::run_sweep_observed(&sweep, &resume_opts, &config(cluster.addrs()), &|ev| {
+        cluster::run_sweep_observed(&sweep, &opts(&out), &config(cluster.addrs()), &|ev| {
             if let ClusterEvent::PointDone { key, .. } = ev {
                 done.lock().unwrap().push(key);
             }
         })
         .expect("resumed sweep runs");
 
-    assert_eq!(report.stats.resumed_points, 2, "{:?}", report.stats);
+    assert_eq!(report.stats.local_hits, 2, "{:?}", report.stats);
     assert_eq!(report.stats.dispatched, 2, "{:?}", report.stats);
     let mut dispatched = done.into_inner().unwrap();
     dispatched.sort();
@@ -469,12 +454,6 @@ fn a_local_sweeps_crash_resumes_through_the_cluster() {
         let now = fs::read(out.join("cache").join(name)).unwrap();
         assert_eq!(&now, bytes, "recomputed entry bytes diverge for {name}");
     }
-    assert!(
-        !journal::journal_dir(&out)
-            .join(format!("sweep-{key:016x}.jnl"))
-            .exists(),
-        "a completed sweep retires its journal"
-    );
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
@@ -524,4 +503,58 @@ fn a_duplicated_org_computes_each_point_once_on_both_transports() {
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
     let _ = fs::remove_dir_all(&local_out);
+}
+
+/// No sweep writes under `<out>/cache/journal/`: the cache is the whole
+/// crash-recovery record. Pinned on both transports, for a sweep that
+/// completes and for one whose point fails (its trace container is gone).
+#[test]
+fn no_sweep_leaves_a_journal_on_either_transport() {
+    use btbx_trace::container::write_container;
+    use btbx_trace::WorkloadSpec;
+
+    let base = scratch("no-journal");
+    fs::create_dir_all(&base).unwrap();
+    let trace = base.join("gone.btbt");
+    let mut stream = suite::ipc1_client()[0].build_trace();
+    let file = fs::File::create(&trace).unwrap();
+    write_container(file, "gone", btbx_core::Arch::Arm64, &mut stream, 20_000).unwrap();
+    let workload = WorkloadSpec::from_container(&trace).unwrap();
+    fs::remove_file(&trace).unwrap();
+    let failing = Sweep::named("cluster-gone")
+        .workloads([workload])
+        .orgs([OrgKind::Conv])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(1_000, 2_000);
+
+    let cluster = LocalCluster::start(1, base.join("fleet"), 2).expect("node starts");
+    for (tag, sweep, fails) in [
+        ("done", four_point_sweep(), false),
+        ("failed", failing, true),
+    ] {
+        let local = base.join(format!("local-{tag}"));
+        let outcome = sweep.try_run(&opts(&local));
+        assert_eq!(outcome.is_err(), fails, "{tag}: {outcome:?}");
+        let coordinator = base.join(format!("coordinator-{tag}"));
+        let report = cluster::run_sweep(&sweep, &opts(&coordinator), &config(cluster.addrs()))
+            .expect("the node passes the handshake");
+        assert_eq!(
+            !report.failures.is_empty(),
+            fails,
+            "{tag}: {:?}",
+            report.stats
+        );
+        for out in [&local, &coordinator] {
+            assert!(out.join("cache").is_dir(), "{}", out.display());
+            assert!(
+                !out.join("cache").join("journal").exists(),
+                "{tag}: {} has a journal",
+                out.display()
+            );
+        }
+    }
+
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&base);
 }

@@ -73,7 +73,6 @@ fn opts(out_dir: &std::path::Path) -> HarnessOpts {
         shards: 1,
         trace: None,
         http_timeout_ms: 600_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store: None,
@@ -129,10 +128,6 @@ fn concurrent_sweeps_share_one_computation_per_point() {
     let mut entries = 0;
     for entry in fs::read_dir(out.join("cache")).unwrap() {
         let path = entry.unwrap().path();
-        // The sweep journal lives under cache/journal/ by design.
-        if path.is_dir() && path.file_name().is_some_and(|n| n == "journal") {
-            continue;
-        }
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(
             name.ends_with(".json"),

@@ -181,7 +181,6 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
         shards: 1,
         trace: None,
         http_timeout_ms: 600_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store: None,
@@ -230,7 +229,6 @@ fn one_node_coordinator_matches_local_sweep_order_and_results() {
         shards: 1,
         trace: None,
         http_timeout_ms: 600_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store: None,

@@ -1,5 +1,5 @@
 //! Backend-conformance suite for the content-addressed [`Store`] trait:
-//! every backend (`dir://`, `mem://`, `http://`, `tiered://`) must
+//! every backend (`dir://`, `mem://`, `http://`) must
 //! uphold the same guarantees behind [`ResultStore`] — publish/load
 //! round-trips, damaged-entry quarantine (or absent-equivalence where
 //! quarantine is unsupported), and single-flight computation — and the
@@ -68,7 +68,7 @@ fn blob_host(tag: &str) -> (Server, PathBuf) {
 }
 
 /// Every backend under test, each with its own label. The server handle
-/// keeps the `http://` and `tiered://` backends' peer alive.
+/// keeps the `http://` backend's peer alive.
 fn all_backends(tag: &str) -> (Server, PathBuf, Vec<(&'static str, ResultStore)>) {
     let (server, out) = blob_host(tag);
     let addr = server.addr().to_string();
@@ -80,18 +80,7 @@ fn all_backends(tag: &str) -> (Server, PathBuf, Vec<(&'static str, ResultStore)>
         ("mem", ResultStore::open_backend(Arc::new(MemStore::new()))),
         (
             "http",
-            ResultStore::open_url(&StoreUrl::Http(addr.clone()), TIMEOUT).expect("http opens"),
-        ),
-        (
-            "tiered",
-            ResultStore::open_url(
-                &StoreUrl::Tiered {
-                    local: out.join("tier-local"),
-                    remote: addr,
-                },
-                TIMEOUT,
-            )
-            .expect("tiered opens"),
+            ResultStore::open_url(&StoreUrl::Http(addr), TIMEOUT).expect("http opens"),
         ),
     ];
     (server, out, stores)
@@ -164,10 +153,6 @@ fn every_backend_treats_damaged_entries_as_misses_and_recovers() {
         out.join("dir-backend").join("bad.json.corrupt").exists(),
         "dir backend quarantines to .corrupt"
     );
-    assert!(
-        out.join("tier-local").join("bad.json.corrupt").exists(),
-        "tiered backend quarantines its local tier"
-    );
     let _ = fs::remove_dir_all(&out);
 }
 
@@ -221,17 +206,15 @@ fn remote_counters_track_hits_misses_and_bytes() {
         let key = format!("{name}-m.json");
         assert_eq!(store.load(&key).unwrap(), None);
         store.store(&key, &canned_result(3)).unwrap();
-        // tiered:// answers the re-read locally; http:// refetches.
+        // http:// refetches on the re-read.
         let _ = store.load(&key).unwrap();
         let counters = store.counters();
         assert!(
             counters.remote_misses >= 1,
             "[{name}] the absent probe counts as a remote miss"
         );
-        if *name == "http" {
-            assert!(counters.remote_hits >= 1, "[{name}] refetch counts");
-            assert!(counters.remote_fetch_bytes > 0, "[{name}] bytes counted");
-        }
+        assert!(counters.remote_hits >= 1, "[{name}] refetch counts");
+        assert!(counters.remote_fetch_bytes > 0, "[{name}] bytes counted");
         assert_eq!(counters.remote_errors, 0, "[{name}] no errors in this test");
     }
     let _ = fs::remove_dir_all(&out);
@@ -297,14 +280,7 @@ fn open_store_builds_the_backend_a_url_names() {
     for (url, id_prefix) in [
         (StoreUrl::Dir(out.join("u-dir")), "dir://"),
         (StoreUrl::Mem, "mem://"),
-        (StoreUrl::Http(addr.clone()), "http://"),
-        (
-            StoreUrl::Tiered {
-                local: out.join("u-tier"),
-                remote: addr,
-            },
-            "tiered://",
-        ),
+        (StoreUrl::Http(addr), "http://"),
     ] {
         let backend = open_store(&url, TIMEOUT).expect("opens");
         assert!(

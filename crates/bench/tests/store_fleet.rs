@@ -35,7 +35,6 @@ fn opts(out_dir: &Path, store: Option<StoreUrl>) -> HarnessOpts {
         shards: 1,
         trace: None,
         http_timeout_ms: 10_000,
-        resume: false,
         batch: true,
         fault_plan: None,
         store,
