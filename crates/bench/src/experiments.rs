@@ -4,40 +4,14 @@
 //! EXPERIMENTS.md for the cache layout and window-size guidance).
 
 use crate::opts::HarnessOpts;
-use crate::sweep::{SimPoint, Sweep};
+use crate::sweep::Sweep;
 use btbx_analysis::hist::OffsetAggregate;
-use btbx_core::spec::Budget;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::stats::TraceStats;
 use btbx_trace::suite::{self, WorkloadSpec};
 use btbx_uarch::runner::run_jobs;
-use btbx_uarch::{SimConfig, SimResult};
-
-/// Run one simulation: `spec` on `org` at `budget_bits`, FDIP on/off
-/// (uncached; sweeps cache through [`Sweep::run`]).
-pub fn sim_one(
-    spec: &WorkloadSpec,
-    org: OrgKind,
-    budget_bits: u64,
-    fdip: bool,
-    warmup: u64,
-    measure: u64,
-) -> SimResult {
-    let config = SimConfig {
-        fdip,
-        ..SimConfig::default()
-    };
-    SimPoint {
-        workload: spec.clone(),
-        org,
-        budget: Budget::Bits(budget_bits),
-        warmup,
-        measure,
-        config,
-    }
-    .run()
-}
+use btbx_uarch::SimResult;
 
 /// The Figure 9/10/Table V matrix: every IPC-1 workload × {Conv, PDede,
 /// BTB-X} × {FDIP, no FDIP} at the 14.5 KB budget.
@@ -47,6 +21,23 @@ pub fn eval_matrix_sweep(opts: &HarnessOpts) -> Sweep {
         .orgs(OrgKind::PAPER_EVAL)
         .budgets([BudgetPoint::Kb14_5])
         .fdip_both()
+        .windows(opts.warmup, opts.measure)
+}
+
+/// A study of `workloads` × `orgs` at the [`eval_matrix_sweep`]'s budget
+/// and windows with FDIP on, so each of its points that the matrix also
+/// lists shares the matrix's cache entry.
+pub fn eval_matrix_study(
+    name: &str,
+    workloads: impl IntoIterator<Item = WorkloadSpec>,
+    orgs: impl IntoIterator<Item = OrgKind>,
+    opts: &HarnessOpts,
+) -> Sweep {
+    Sweep::named(name)
+        .workloads(workloads)
+        .orgs(orgs)
+        .budgets([BudgetPoint::Kb14_5])
+        .fdip_options([true])
         .windows(opts.warmup, opts.measure)
 }
 
@@ -119,13 +110,29 @@ pub fn is_server_workload(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SimPoint;
     use btbx_core::types::Arch;
+    use btbx_uarch::SimConfig;
+
+    /// Run `org` on `client_001` at 0.9 KB through [`SimPoint::run`].
+    fn client_point(org: OrgKind, fdip: bool, warmup: u64, measure: u64) -> SimResult {
+        SimPoint {
+            workload: suite::ipc1_client()[0].clone(),
+            org,
+            budget: BudgetPoint::Kb0_9.into(),
+            warmup,
+            measure,
+            config: SimConfig {
+                fdip,
+                ..SimConfig::default()
+            },
+        }
+        .run()
+    }
 
     #[test]
-    fn sim_one_produces_complete_result() {
-        let spec = &suite::ipc1_client()[0];
-        let budget = BudgetPoint::Kb0_9.bits(Arch::Arm64);
-        let r = sim_one(spec, OrgKind::BtbX, budget, true, 10_000, 20_000);
+    fn a_point_run_produces_a_complete_result() {
+        let r = client_point(OrgKind::BtbX, true, 10_000, 20_000);
         assert_eq!(r.workload, "client_001");
         assert_eq!(r.org, "btbx");
         assert!(r.fdip_enabled);
@@ -146,12 +153,33 @@ mod tests {
     }
 
     #[test]
+    fn a_study_shares_the_eval_matrix_cache_entries() {
+        let opts = HarnessOpts::default();
+        let matrix: Vec<String> = eval_matrix_sweep(&opts)
+            .points()
+            .iter()
+            .map(SimPoint::cache_file)
+            .collect();
+        let study = eval_matrix_study(
+            "study",
+            suite::ipc1_all().into_iter().step_by(10),
+            [OrgKind::Conv, OrgKind::RBtb, OrgKind::Pdede, OrgKind::BtbX],
+            &opts,
+        );
+        let (shared, own): (Vec<SimPoint>, Vec<SimPoint>) = study
+            .points()
+            .into_iter()
+            .partition(|p| matrix.contains(&p.cache_file()));
+        assert_eq!(shared.len(), 5 * 3);
+        assert!(own.iter().all(|p| p.org == OrgKind::RBtb));
+    }
+
+    #[test]
     fn find_matches_on_all_keys() {
-        let spec = &suite::ipc1_client()[0];
         let budget = BudgetPoint::Kb0_9.bits(Arch::Arm64);
         let results = vec![
-            sim_one(spec, OrgKind::Conv, budget, false, 5_000, 10_000),
-            sim_one(spec, OrgKind::BtbX, budget, true, 5_000, 10_000),
+            client_point(OrgKind::Conv, false, 5_000, 10_000),
+            client_point(OrgKind::BtbX, true, 5_000, 10_000),
         ];
         assert!(find(&results, "client_001", OrgKind::Conv, false, Some(budget)).is_some());
         assert!(find(&results, "client_001", OrgKind::Conv, true, None).is_none());

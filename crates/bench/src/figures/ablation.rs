@@ -20,9 +20,9 @@ use btbx_core::storage::BudgetPoint;
 use btbx_core::types::Arch;
 use btbx_core::x::{BtbX, BtbXConfig};
 use btbx_core::{Btb, BtbEngine, OrgKind};
-use btbx_trace::suite;
+use btbx_trace::suite::{self, WorkloadSpec};
 use btbx_uarch::runner::run_jobs;
-use btbx_uarch::{simulate, SimConfig};
+use btbx_uarch::{SimConfig, SimResult, SimSession};
 
 pub fn run(opts: &HarnessOpts) {
     let budget = BudgetPoint::Kb14_5.bits(Arch::Arm64);
@@ -62,20 +62,16 @@ pub fn run(opts: &HarnessOpts) {
             let (w, m) = (opts.warmup, opts.measure);
             jobs.push(move || {
                 let r = match variant {
-                    Variant::Org(org) => {
-                        // Build directly so the result records the actual
-                        // storage (the uniform ablation exceeds the
-                        // nominal budget by design).
-                        let btb = BtbEngine::build(org, budget, Arch::Arm64);
-                        simulate(
-                            SimConfig::with_fdip(),
-                            spec.build_trace(),
-                            btb,
-                            org.id(),
-                            w,
-                            m,
-                        )
-                    }
+                    // Built directly, so the result records the actual
+                    // storage (the uniform ablation exceeds the nominal
+                    // budget by design).
+                    Variant::Org(org) => run_sized(
+                        BtbEngine::build(org, budget, Arch::Arm64),
+                        org.id(),
+                        &spec,
+                        w,
+                        m,
+                    ),
                     Variant::UniformEqualStorage => {
                         // Shrink entries until uniform ways fit the budget.
                         let cfg = BtbXConfig::uniform(Arch::Arm64);
@@ -88,14 +84,7 @@ pub fn run(opts: &HarnessOpts) {
                             entries += 8;
                         }
                         let btb = BtbX::with_config(entries, Arch::Arm64, cfg);
-                        simulate(
-                            SimConfig::with_fdip(),
-                            spec.build_trace(),
-                            btb,
-                            "btbx-uniform-eqstore",
-                            w,
-                            m,
-                        )
+                        run_sized(btb, "btbx-uniform-eqstore", &spec, w, m)
                     }
                     Variant::NaiveLru => {
                         let cfg = BtbXConfig {
@@ -105,14 +94,7 @@ pub fn run(opts: &HarnessOpts) {
                         let entries =
                             btbx_core::factory::btbx_entries_for_budget(budget, Arch::Arm64);
                         let btb = BtbX::with_config(entries, Arch::Arm64, cfg);
-                        simulate(
-                            SimConfig::with_fdip(),
-                            spec.build_trace(),
-                            btb,
-                            "btbx-naive-lru",
-                            w,
-                            m,
-                        )
+                        run_sized(btb, "btbx-naive-lru", &spec, w, m)
                     }
                 };
                 (label, r)
@@ -148,4 +130,23 @@ pub fn run(opts: &HarnessOpts) {
         &t,
     );
     println!("note: 'uniform, equal entries' exceeds the budget (storage column); 'equal storage' pays in capacity instead.");
+}
+
+/// Simulate `spec` with FDIP on over an already-built BTB; the session
+/// records the instance's own storage as the budget.
+fn run_sized<B: Btb>(
+    btb: B,
+    label: &str,
+    spec: &WorkloadSpec,
+    warmup: u64,
+    measure: u64,
+) -> SimResult {
+    SimSession::new(spec.build_trace())
+        .btb(btb)
+        .config(SimConfig::with_fdip())
+        .label(label)
+        .warmup(warmup)
+        .measure(measure)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -85,6 +85,11 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 /// produces while still bounding a hostile request.
 const MAX_BLOB_BYTES: usize = 1 << 28;
 
+/// Largest accepted request head (request line plus headers). The read
+/// timeout applies per read, so without a cap a client trickling one
+/// endless header would grow a worker's buffer without bound.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
+
 /// Socket read timeout: a stalled or idle client must not pin a worker.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -666,10 +671,22 @@ struct HttpRequest {
 }
 
 /// Parse a request head + body. `Ok(None)` means the peer closed
-/// without sending anything (probes, the shutdown waker).
+/// without sending anything (probes, the shutdown waker). A head longer
+/// than [`MAX_HEAD_BYTES`] is refused.
 fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES);
+    let mut read_line = |line: &mut String| -> io::Result<usize> {
+        let n = head.read_line(line)?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request head too large",
+            ));
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line(&mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -685,7 +702,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequ
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line(&mut header)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "truncated headers",

@@ -329,3 +329,40 @@ fn an_unresolvable_trace_answers_500_and_the_server_stays_healthy() {
     server.join();
     let _ = fs::remove_dir_all(&out);
 }
+
+#[test]
+fn an_oversized_request_head_answers_400_and_the_server_stays_healthy() {
+    use btbx_bench::serve::ServeStats;
+    use std::io::{Read, Write};
+    let (server, out) = start("oversized-head");
+    let addr = server.addr().to_string();
+    let stats = || -> ServeStats {
+        let r = http_request(&addr, "GET", "/stats", "").unwrap();
+        serde_json::from_str(&r.body).unwrap()
+    };
+
+    let before = stats();
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    let pad = "a".repeat(64 << 10);
+    let request = format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+    // The server may answer and close before it has read the whole head,
+    // so a failed write is not the assertion; the response is.
+    let _ = raw.write_all(request.as_bytes());
+    let mut response = String::new();
+    let _ = raw.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response:.200}");
+    assert!(
+        response.contains("request head too large"),
+        "{response:.200}"
+    );
+    assert_eq!(stats().errors, before.errors + 1);
+
+    assert_eq!(
+        http_request(&addr, "GET", "/healthz", "").unwrap().status,
+        200
+    );
+
+    server.shutdown().unwrap();
+    server.join();
+    let _ = fs::remove_dir_all(&out);
+}

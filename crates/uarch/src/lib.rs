@@ -28,7 +28,7 @@
 //! * [`stats`] — IPC, MPKI, flush and energy-relevant access statistics;
 //! * [`runner`] — the panic-safe work-queue thread pool;
 //! * [`parallel`] — the [`ParallelSession`] builder, kept for older
-//!   callers: one serial run with an interval grid and telemetry;
+//!   callers: one serial run with telemetry;
 //! * [`batch`] — batched multi-lane execution: many org×budget lanes,
 //!   each a solo session over a clone of one shared trace source.
 //!
@@ -61,6 +61,6 @@ pub mod stats;
 pub use batch::{BatchLane, BatchSession};
 pub use config::SimConfig;
 pub use parallel::{ParallelOutcome, ParallelSession, ParallelTelemetry};
-pub use session::{run_resumed, IntervalStats, SessionError, SimSession};
-pub use sim::{simulate, Simulator};
+pub use session::{run_resumed, SessionError, SimSession};
+pub use sim::Simulator;
 pub use stats::{SimResult, SimStats};

@@ -2,8 +2,8 @@
 //!
 //! A run is one serial simulation: it warms up, then measures, exactly
 //! as [`SimSession`](crate::SimSession) does.
-//! [`shards`](ParallelSession::shards) only sets the default interval
-//! grid, and [`threads`](ParallelSession::threads) and
+//! [`shards`](ParallelSession::shards),
+//! [`threads`](ParallelSession::threads) and
 //! [`checkpoints`](ParallelSession::checkpoints) do nothing: interval
 //! shards could not overlap, because each started from its
 //! predecessor's end state (see EXPERIMENTS.md, "Warm snapshots").
@@ -12,7 +12,7 @@
 //! and restores a run mid-window, and the determinism suites and `btbx
 //! trace check` hold it to the uninterrupted run byte for byte.
 
-use crate::session::{spec_simulator, IntervalStats, SessionError};
+use crate::session::{spec_simulator, SessionError};
 use crate::sim::EVENT_BLOCK_BYTES;
 use crate::stats::SimResult;
 use crate::SimConfig;
@@ -46,14 +46,11 @@ pub struct ParallelTelemetry {
     pub warmed_instructions: u64,
 }
 
-/// Outcome of a run: the result plus its per-interval statistics.
+/// Outcome of a run: the result plus its telemetry.
 #[derive(Debug, Clone)]
 pub struct ParallelOutcome {
     /// The simulation result.
     pub result: SimResult,
-    /// The interval stream a [`crate::SimSession::every`] observer would
-    /// see on the same grid.
-    pub intervals: Vec<IntervalStats>,
     /// Telemetry for this run.
     pub telemetry: ParallelTelemetry,
 }
@@ -68,8 +65,6 @@ pub struct ParallelSession<F> {
     label: Option<String>,
     warmup: u64,
     measure: u64,
-    shards: u64,
-    interval: Option<u64>,
     abort: Option<Arc<AtomicBool>>,
 }
 
@@ -82,7 +77,7 @@ where
     /// describes the BTB under test.
     ///
     /// Defaults: Table II config, no warm-up, measurement to the end of
-    /// the trace, one interval over the whole window.
+    /// the trace.
     pub fn new(factory: F, spec: BtbSpec) -> Self {
         ParallelSession {
             factory,
@@ -91,8 +86,6 @@ where
             label: None,
             warmup: 0,
             measure: u64::MAX,
-            shards: 1,
-            interval: None,
             abort: None,
         }
     }
@@ -122,19 +115,9 @@ where
         self
     }
 
-    /// Split the default interval grid into `shards` intervals of
-    /// `measure.div_ceil(shards)` instructions (0 is treated as 1). The
-    /// run itself stays serial.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1) as u64;
-        self
-    }
-
-    /// Emit [`IntervalStats`] every `interval` measured instructions
-    /// (default: the [`shards`](Self::shards) grid).
-    pub fn every(mut self, interval: u64) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        self.interval = Some(interval);
+    /// Kept for source compatibility: a run is serial, so this does
+    /// nothing.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -178,19 +161,9 @@ where
         sim.run_until_committed(self.warmup);
         let warmed_instructions = sim.committed();
         sim.begin_measurement();
-        let step = self
-            .interval
-            .unwrap_or_else(|| self.measure.div_ceil(self.shards))
-            .clamp(1, self.measure.max(1));
-        let mut intervals = Vec::new();
-        sim.run_measured(
-            warmed_instructions.saturating_add(self.measure),
-            Some(step),
-            &mut |iv| intervals.push(*iv),
-        );
+        sim.run_until_committed(warmed_instructions.saturating_add(self.measure));
         Ok(ParallelOutcome {
             result: sim.into_result()?,
-            intervals,
             telemetry: ParallelTelemetry {
                 serial_setup_seconds,
                 peak_event_buffer_bytes: EVENT_BLOCK_BYTES,
@@ -222,13 +195,11 @@ mod tests {
     #[test]
     fn every_shard_count_equals_the_serial_session() {
         let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-        let mut serial_intervals = Vec::new();
         let serial = SimSession::new(straight_line(60_000))
             .btb_spec(spec)
             .fdip(false)
             .warmup(5_000)
             .measure(30_000)
-            .every(10_000, |iv| serial_intervals.push(*iv))
             .run()
             .unwrap();
         for shards in [1usize, 3] {
@@ -237,34 +208,12 @@ mod tests {
                 .warmup(5_000)
                 .measure(30_000)
                 .shards(shards)
-                .every(10_000)
                 .threads(4)
                 .run()
                 .unwrap();
             assert_eq!(out.result.stats, serial.stats, "shards = {shards}");
             assert_eq!(out.result.org, serial.org);
             assert_eq!(out.result.btb_budget_bits, serial.btb_budget_bits);
-            assert_eq!(out.intervals, serial_intervals, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn shards_set_the_default_interval_grid() {
-        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-        for (shards, expected) in [(1usize, 1usize), (4, 4)] {
-            let out = ParallelSession::new(|| straight_line(200_000), spec)
-                .config(SimConfig::without_fdip())
-                .warmup(10_000)
-                .measure(80_000)
-                .shards(shards)
-                .run()
-                .unwrap();
-            assert_eq!(out.intervals.len(), expected, "shards = {shards}");
-            let sum: u64 = out.intervals.iter().map(|iv| iv.delta_instructions).sum();
-            assert_eq!(sum, out.result.stats.instructions);
-            let last = out.intervals.last().unwrap();
-            assert_eq!(last.instructions, out.result.stats.instructions);
-            assert_eq!(last.cycles, out.result.stats.cycles);
         }
     }
 

@@ -1,9 +1,6 @@
 //! The [`SimSession`] builder: the public way to assemble and run one
-//! simulation.
-//!
-//! [`crate::sim::simulate`] grew six positional arguments; a session names
-//! every knob, validates the BTB spec instead of panicking, and can stream
-//! per-interval statistics while the simulation runs:
+//! simulation. A session names every knob and validates the BTB spec
+//! instead of panicking:
 //!
 //! ```
 //! use btbx_trace::suite;
@@ -12,20 +9,17 @@
 //! use btbx_core::OrgKind;
 //!
 //! let spec = &suite::ipc1_client()[0];
-//! let mut curve = Vec::new();
 //! let result = SimSession::new(spec.build_trace())
 //!     .btb_spec(BtbSpec::of(OrgKind::BtbX))
 //!     .fdip(true)
 //!     .warmup(10_000)
 //!     .measure(30_000)
-//!     .every(10_000, |iv| curve.push(iv.interval_ipc()))
 //!     .run()
 //!     .expect("valid session");
 //! assert!(result.stats.ipc() > 0.0);
-//! assert_eq!(curve.len(), 3);
 //! ```
 
-use crate::bpu::{Bpu, BpuStats};
+use crate::bpu::Bpu;
 use crate::config::SimConfig;
 use crate::sim::Simulator;
 use crate::stats::SimResult;
@@ -36,51 +30,6 @@ use btbx_trace::source::SeekableSource;
 use btbx_trace::TraceSource;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-
-/// A statistics snapshot streamed after every measurement interval.
-///
-/// All counters are cumulative over the measurement window; the `delta_*`
-/// fields cover just the interval that ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntervalStats {
-    /// 0-based interval number.
-    pub index: u64,
-    /// Instructions committed in the window so far.
-    pub instructions: u64,
-    /// Cycles elapsed in the window so far.
-    pub cycles: u64,
-    /// Instructions committed in this interval.
-    pub delta_instructions: u64,
-    /// Cycles elapsed in this interval.
-    pub delta_cycles: u64,
-    /// BPU counters accumulated over the window so far.
-    pub bpu: BpuStats,
-}
-
-impl IntervalStats {
-    /// IPC over the whole window so far.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// IPC over just this interval.
-    pub fn interval_ipc(&self) -> f64 {
-        if self.delta_cycles == 0 {
-            0.0
-        } else {
-            self.delta_instructions as f64 / self.delta_cycles as f64
-        }
-    }
-
-    /// Taken-branch BTB MPKI over the window so far.
-    pub fn btb_mpki(&self) -> f64 {
-        self.bpu.btb_mpki(self.instructions)
-    }
-}
 
 /// Why a [`SimSession`] (or [`crate::parallel::ParallelSession`] or
 /// [`run_resumed`]) cannot run.
@@ -136,29 +85,26 @@ enum BtbSource<B> {
     Spec(BtbSpec),
 }
 
-pub(crate) type Observer<'a> = (u64, Box<dyn FnMut(&IntervalStats) + 'a>);
-
 /// Builder for one simulation of a trace on a BTB organization.
 ///
 /// Defaults: Table II config with FDIP enabled, no warm-up, measurement to
-/// the end of the trace, no interval streaming.
+/// the end of the trace.
 ///
 /// The session is generic over the BTB type `B`. Spec-driven sessions
 /// ([`btb_spec`](Self::btb_spec)) build a [`btbx_core::BtbEngine`]
 /// regardless of `B`; [`btb`](Self::btb) accepts any already-built [`Btb`]
 /// instance, which is how out-of-tree organizations plug in.
-pub struct SimSession<'a, S, B: Btb = BtbEngine> {
+pub struct SimSession<S, B: Btb = BtbEngine> {
     trace: S,
     btb: BtbSource<B>,
     config: SimConfig,
     warmup: u64,
     measure: u64,
     label: Option<String>,
-    observer: Option<Observer<'a>>,
     abort: Option<Arc<AtomicBool>>,
 }
 
-impl<'a, S: TraceSource> SimSession<'a, S> {
+impl<S: TraceSource> SimSession<S> {
     /// Start a session over `trace`.
     pub fn new(trace: S) -> Self {
         SimSession {
@@ -168,18 +114,17 @@ impl<'a, S: TraceSource> SimSession<'a, S> {
             warmup: 0,
             measure: u64::MAX,
             label: None,
-            observer: None,
             abort: None,
         }
     }
 }
 
-impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
+impl<S: TraceSource, B: Btb> SimSession<S, B> {
     /// Use an already-built BTB instance — a [`btbx_core::BtbEngine`] or
     /// any other [`Btb`] implementation. Its reported storage is
     /// recorded as the budget; prefer [`btb_spec`](Self::btb_spec) for
     /// validated, declarative construction.
-    pub fn btb<B2: Btb>(self, btb: B2) -> SimSession<'a, S, B2> {
+    pub fn btb<B2: Btb>(self, btb: B2) -> SimSession<S, B2> {
         let label = btb.name().to_string();
         let budget_bits = btb.storage().total_bits;
         SimSession {
@@ -193,7 +138,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
             warmup: self.warmup,
             measure: self.measure,
             label: self.label,
-            observer: self.observer,
             abort: self.abort,
         }
     }
@@ -238,14 +182,6 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
         self
     }
 
-    /// Stream an [`IntervalStats`] snapshot to `callback` after every
-    /// `interval` committed instructions of the measurement window.
-    pub fn every(mut self, interval: u64, callback: impl FnMut(&IntervalStats) + 'a) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        self.observer = Some((interval, Box::new(callback)));
-        self
-    }
-
     /// Attach a cooperative cancellation flag: once it turns true, the
     /// run stops and returns [`SessionError::Aborted`] instead of ticking
     /// to completion. Services use this to bound runaway requests.
@@ -269,62 +205,34 @@ impl<'a, S: TraceSource, B: Btb> SimSession<'a, S, B> {
                 btb,
                 label,
                 budget_bits,
-            } => run_with(
-                btb,
-                self.label.unwrap_or(label),
-                budget_bits,
-                self.config,
-                self.trace,
-                self.warmup,
-                self.measure,
-                self.observer,
-                self.abort,
-            ),
+            } => {
+                let bpu = Bpu::new(btb, self.config.ras_entries, self.config.decode_resteer);
+                let label = self.label.unwrap_or(label);
+                let sim = Simulator::new(self.config, self.trace, bpu, label, budget_bits);
+                run_armed(sim, self.warmup, self.measure, self.abort)
+            }
             BtbSource::Spec(spec) => {
                 // Static dispatch: the engine monomorphizes the hot path.
-                let engine = spec.build_engine()?;
-                run_with(
-                    engine,
-                    self.label.unwrap_or_else(|| spec.org.id().to_string()),
-                    spec.bits(),
-                    self.config,
-                    self.trace,
-                    self.warmup,
-                    self.measure,
-                    self.observer,
-                    self.abort,
-                )
+                let label = self.label.unwrap_or_else(|| spec.org.id().to_string());
+                let sim = spec_simulator(&spec, &self.config, self.trace, label)?;
+                run_armed(sim, self.warmup, self.measure, self.abort)
             }
         }
     }
 }
 
-/// Shared back half of [`SimSession::run`], monomorphized per BTB type.
-#[allow(clippy::too_many_arguments)]
-fn run_with<S: TraceSource, B: Btb>(
-    btb: B,
-    label: String,
-    budget_bits: u64,
-    config: SimConfig,
-    trace: S,
+/// Shared back half of [`SimSession::run`], monomorphized per BTB type:
+/// attach the abort flag, then warm up and measure.
+fn run_armed<S: TraceSource, B: Btb>(
+    mut sim: Simulator<S, B>,
     warmup: u64,
     measure: u64,
-    mut observer: Option<Observer<'_>>,
     abort: Option<Arc<AtomicBool>>,
 ) -> Result<SimResult, SessionError> {
-    let bpu = Bpu::new(btb, config.ras_entries, config.decode_resteer);
-    let mut sim = Simulator::new(config, trace, bpu, label, budget_bits);
     if let Some(flag) = abort {
         sim.set_abort(flag);
     }
-    let interval = observer.as_ref().map(|(n, _)| *n);
-    let mut result = sim.run_observed(warmup, measure, interval, &mut |iv| {
-        if let Some((_, cb)) = observer.as_mut() {
-            cb(iv);
-        }
-    })?;
-    result.btb_budget_bits = budget_bits;
-    Ok(result)
+    sim.run(warmup, measure)
 }
 
 /// A simulator over `source` with the BTB `spec` describes, recording
@@ -431,68 +339,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SessionError::Spec(_)), "{err}");
-    }
-
-    #[test]
-    fn session_matches_positional_simulate() {
-        let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-        let session = SimSession::new(straight_line(40_000))
-            .btb_spec(spec)
-            .fdip(false)
-            .warmup(5_000)
-            .measure(20_000)
-            .run()
-            .unwrap();
-        let positional = crate::sim::simulate(
-            SimConfig::without_fdip(),
-            straight_line(40_000),
-            spec.build_engine().unwrap(),
-            "conv",
-            5_000,
-            20_000,
-        );
-        assert_eq!(session.stats.instructions, positional.stats.instructions);
-        assert_eq!(session.stats.cycles, positional.stats.cycles);
-        assert_eq!(session.org, positional.org);
-    }
-
-    #[test]
-    fn intervals_stream_and_sum_to_totals() {
-        let mut snapshots: Vec<IntervalStats> = Vec::new();
-        let result = SimSession::new(straight_line(100_000))
-            .btb_spec(BtbSpec::of(OrgKind::Conv))
-            .fdip(false)
-            .warmup(10_000)
-            .measure(60_000)
-            .every(20_000, |iv| snapshots.push(*iv))
-            .run()
-            .unwrap();
-        assert_eq!(snapshots.len(), 3, "60k window / 20k interval");
-        for (i, iv) in snapshots.iter().enumerate() {
-            assert_eq!(iv.index, i as u64);
-            assert!(iv.delta_instructions >= 20_000);
-            assert!(iv.interval_ipc() > 0.0);
-        }
-        let last = snapshots.last().unwrap();
-        assert_eq!(last.instructions, result.stats.instructions);
-        assert_eq!(last.cycles, result.stats.cycles);
-        let delta_sum: u64 = snapshots.iter().map(|iv| iv.delta_instructions).sum();
-        assert_eq!(delta_sum, result.stats.instructions);
-    }
-
-    #[test]
-    fn trailing_partial_interval_is_reported() {
-        let mut count = 0u64;
-        let result = SimSession::new(straight_line(100_000))
-            .btb_spec(BtbSpec::of(OrgKind::Conv))
-            .fdip(false)
-            .measure(50_000)
-            .every(20_000, |_| count += 1)
-            .run()
-            .unwrap();
-        // 50k window = two full 20k intervals + one 10k remainder.
-        assert_eq!(count, 3);
-        assert!(result.stats.instructions >= 50_000);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! at commit by taken branches; BTB-missing unconditional-direct branches
 //! and taken-predicted conditionals resteer at decode.
 //!
-//! The driving loops skip spans of provably inert cycles in one O(1) jump
-//! (see `Simulator::fast_forward_span`) instead of ticking through them.
+//! The driving loop (`Simulator::run_until_committed`) skips spans of
+//! provably inert cycles in one O(1) jump (see
+//! `Simulator::fast_forward_span`) instead of ticking through them.
 //! The trajectory — every counter, every structure — is bit-identical to
 //! ticking every cycle; the unit tests keep that plain tick loop as an
 //! oracle and compare the two.
@@ -23,7 +24,7 @@ use crate::config::SimConfig;
 use crate::fdip::Fdip;
 use crate::ftq::Ftq;
 use crate::hierarchy::{Hierarchy, Port};
-use crate::session::{IntervalStats, SessionError};
+use crate::session::SessionError;
 use crate::stats::{SimResult, SimStats};
 use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use btbx_core::types::BranchEvent;
@@ -101,7 +102,7 @@ pub struct Simulator<S, B: btbx_core::Btb> {
     org_id: String,
     budget_bits: u64,
     /// Cooperative cancellation: when set and flipped true, the driving
-    /// loops stop at the next poll boundary and `aborted` turns true.
+    /// loop stops at the next poll boundary and `aborted` turns true.
     abort: Option<Arc<AtomicBool>>,
     abort_poll: u32,
     aborted: bool,
@@ -167,7 +168,7 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     }
 
     /// Attach a cancellation flag: once `flag` turns true, the driving
-    /// loops stop within [`ABORT_POLL_MASK`] + 1 ticks, as they do at
+    /// loop stops within [`ABORT_POLL_MASK`] + 1 ticks, as it does at
     /// trace end, and [`into_result`](Self::into_result) reports
     /// [`SessionError::Aborted`]. Used by `btbx serve` to enforce
     /// per-request deadlines.
@@ -196,35 +197,23 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     }
 
     /// Warm structures over `warmup` committed instructions, then measure
-    /// the next `measure` instructions, streaming an [`IntervalStats`]
-    /// snapshot to `observer` after every `interval` committed
-    /// instructions of the measurement window (plus a trailing partial
-    /// interval when the run ends between boundaries; `interval: None`
-    /// streams nothing). Section VI-A methodology; used by
+    /// the next `measure` instructions (Section VI-A methodology); used by
     /// [`crate::session::SimSession`].
     ///
     /// # Errors
     ///
     /// See [`into_result`](Self::into_result).
-    pub fn run_observed(
-        mut self,
-        warmup: u64,
-        measure: u64,
-        interval: Option<u64>,
-        observer: &mut dyn FnMut(&IntervalStats),
-    ) -> Result<SimResult, SessionError> {
-        // Warm-up phase.
+    pub fn run(mut self, warmup: u64, measure: u64) -> Result<SimResult, SessionError> {
         self.run_until_committed(warmup);
         self.begin_measurement();
-        let target = self.committed.saturating_add(measure);
-        self.run_measured(target, interval, observer);
+        self.run_until_committed(self.committed.saturating_add(measure));
         self.into_result()
     }
 
     /// Tick until the *absolute* committed-instruction count reaches
-    /// `target` (or the trace drains): the warm-up phase, or a stretch of
-    /// the measurement window that streams no intervals. An aborted
-    /// simulator does nothing.
+    /// `target` (or the trace drains): the one driving loop, for the
+    /// warm-up and the measurement window alike. An aborted simulator
+    /// does nothing.
     pub fn run_until_committed(&mut self, target: u64) {
         if self.aborted {
             return;
@@ -236,62 +225,6 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
             if self.poll_abort() {
                 return;
             }
-        }
-    }
-
-    /// Tick the measurement window until the *absolute* committed count
-    /// reaches `target`, streaming interval snapshots (boundaries are
-    /// relative to the [`Self::begin_measurement`] point). Callers must
-    /// have started measurement first. An aborted simulator does nothing,
-    /// and an abort streams no further interval.
-    pub fn run_measured(
-        &mut self,
-        target: u64,
-        interval: Option<u64>,
-        observer: &mut dyn FnMut(&IntervalStats),
-    ) {
-        if self.aborted {
-            return;
-        }
-        let step = interval.unwrap_or(u64::MAX);
-        let mut next_boundary = step;
-        let mut index = 0u64;
-        let (mut emitted_instr, mut emitted_cycles) = (0u64, 0u64);
-        let mut emit = |sim: &Self, index: u64, emitted_instr: u64, emitted_cycles: u64| {
-            let instructions = sim.committed - sim.measure_start_committed;
-            let cycles = sim.cycle - sim.measure_start_cycle;
-            let iv = IntervalStats {
-                index,
-                instructions,
-                cycles,
-                delta_instructions: instructions - emitted_instr,
-                delta_cycles: cycles - emitted_cycles,
-                bpu: sim.bpu.stats(),
-            };
-            observer(&iv);
-            (instructions, cycles)
-        };
-        while self.committed < target && !self.finished() {
-            if self.skip_inert() {
-                // A jump commits nothing, so no boundary can fire.
-                if self.poll_abort() {
-                    return;
-                }
-                continue;
-            }
-            self.tick();
-            if self.poll_abort() {
-                return;
-            }
-            if self.committed - self.measure_start_committed >= next_boundary {
-                (emitted_instr, emitted_cycles) = emit(self, index, emitted_instr, emitted_cycles);
-                index += 1;
-                next_boundary = next_boundary.saturating_add(step);
-            }
-        }
-        // Trailing partial interval.
-        if interval.is_some() && self.committed - self.measure_start_committed > emitted_instr {
-            emit(self, index, emitted_instr, emitted_cycles);
         }
     }
 
@@ -345,8 +278,8 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
         }
     }
 
-    /// Why the driving loops stopped short of their target, if they
-    /// did: the abort flag fired, or the trace source failed mid-stream.
+    /// Why the driving loop stopped short of its target, if it did: the
+    /// abort flag fired, or the trace source failed mid-stream.
     pub fn failure(&self) -> Option<SessionError> {
         if self.aborted {
             return Some(SessionError::Aborted);
@@ -838,36 +771,10 @@ impl<S: TraceSource, B: btbx_core::Btb> std::fmt::Debug for Simulator<S, B> {
     }
 }
 
-/// Positional convenience over [`crate::session::SimSession`]: run
-/// `trace` against an already-built BTB (e.g. a [`btbx_core::BtbEngine`]).
-/// Prefer the session builder for new code — it validates specs,
-/// exposes interval streaming and returns trace failures as errors.
-///
-/// # Panics
-///
-/// Panics when the trace source fails mid-stream
-/// ([`SessionError::Trace`]).
-pub fn simulate<S: TraceSource, B: btbx_core::Btb>(
-    config: SimConfig,
-    trace: S,
-    btb: B,
-    org_id: &str,
-    warmup: u64,
-    measure: u64,
-) -> SimResult {
-    crate::session::SimSession::new(trace)
-        .btb(btb)
-        .config(config)
-        .label(org_id)
-        .warmup(warmup)
-        .measure(measure)
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bpu::BpuStats;
     use btbx_core::snap::{restore_sealed, save_sealed};
     use btbx_core::spec::BtbSpec;
     use btbx_core::storage::BudgetPoint;
@@ -877,8 +784,21 @@ mod tests {
     use btbx_trace::source::{SeekableSource, VecSource};
     use btbx_trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
 
-    fn btb(kind: OrgKind) -> BtbEngine {
-        BtbEngine::build(kind, BudgetPoint::Kb14_5.bits(Arch::Arm64), Arch::Arm64)
+    /// Run `trace` on `kind` at 14.5 KB: warm up, then measure.
+    fn run_session<S: TraceSource>(
+        config: SimConfig,
+        trace: S,
+        kind: OrgKind,
+        warmup: u64,
+        measure: u64,
+    ) -> SimResult {
+        crate::SimSession::new(trace)
+            .btb_spec(BtbSpec::of(kind))
+            .config(config)
+            .warmup(warmup)
+            .measure(measure)
+            .run()
+            .unwrap()
     }
 
     fn straight_line(n: u64) -> VecSource {
@@ -910,11 +830,10 @@ mod tests {
 
     #[test]
     fn resident_code_streams_at_near_fetch_width() {
-        let r = simulate(
+        let r = run_session(
             SimConfig::without_fdip(),
             resident_kernel(100),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             20_000,
             60_000,
         );
@@ -931,11 +850,10 @@ mod tests {
         // 60 K instructions of never-revisited code: every block is a
         // cold L1-I miss; without a prefetcher IPC collapses — the
         // front-end bottleneck the paper opens with.
-        let r = simulate(
+        let r = run_session(
             SimConfig::without_fdip(),
             straight_line(60_000),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             10_000,
             40_000,
         );
@@ -958,11 +876,10 @@ mod tests {
                 BranchEvent::taken(0x203c, 0x2000, BranchClass::UncondDirect),
             ));
         }
-        let r = simulate(
+        let r = run_session(
             SimConfig::without_fdip(),
             VecSource::new("loop", instrs),
-            btb(OrgKind::BtbX),
-            "btbx",
+            OrgKind::BtbX,
             30_000,
             30_000,
         );
@@ -974,11 +891,10 @@ mod tests {
     fn synthetic_server_runs_end_to_end() {
         let image = ProgramImage::generate(&SynthParams::server(200), 5);
         let trace = SyntheticTrace::new(image, "server_mini", 5);
-        let r = simulate(
+        let r = run_session(
             SimConfig::with_fdip(),
             trace,
-            btb(OrgKind::BtbX),
-            "btbx",
+            OrgKind::BtbX,
             50_000,
             100_000,
         );
@@ -995,19 +911,17 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "server_033")
             .unwrap();
-        let base = simulate(
+        let base = run_session(
             SimConfig::without_fdip(),
             spec.build_trace(),
-            btb(OrgKind::BtbX),
-            "btbx",
+            OrgKind::BtbX,
             200_000,
             400_000,
         );
-        let fdip = simulate(
+        let fdip = run_session(
             SimConfig::with_fdip(),
             spec.build_trace(),
-            btb(OrgKind::BtbX),
-            "btbx",
+            OrgKind::BtbX,
             200_000,
             400_000,
         );
@@ -1029,19 +943,17 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "server_030")
             .unwrap();
-        let conv = simulate(
+        let conv = run_session(
             SimConfig::with_fdip(),
             spec.build_trace(),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             400_000,
             400_000,
         );
-        let bx = simulate(
+        let bx = run_session(
             SimConfig::with_fdip(),
             spec.build_trace(),
-            btb(OrgKind::BtbX),
-            "btbx",
+            OrgKind::BtbX,
             400_000,
             400_000,
         );
@@ -1059,19 +971,17 @@ mod tests {
         let image = ProgramImage::generate(&SynthParams::server(900), 13);
         let mut no_dr = SimConfig::without_fdip();
         no_dr.decode_resteer = false;
-        let slow = simulate(
+        let slow = run_session(
             no_dr,
             SyntheticTrace::new(image.clone(), "srv", 13),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             80_000,
             150_000,
         );
-        let fast = simulate(
+        let fast = run_session(
             SimConfig::without_fdip(),
             SyntheticTrace::new(image, "srv", 13),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             80_000,
             150_000,
         );
@@ -1085,11 +995,10 @@ mod tests {
 
     #[test]
     fn finite_trace_terminates_cleanly() {
-        let r = simulate(
+        let r = run_session(
             SimConfig::without_fdip(),
             straight_line(5_000),
-            btb(OrgKind::Conv),
-            "conv",
+            OrgKind::Conv,
             1_000,
             100_000, // more than available: must stop at trace end
         );
@@ -1120,18 +1029,27 @@ mod tests {
         sim
     }
 
-    /// Measure `measure` instructions from the current state with an
-    /// interval that does not divide the window, so the stream ends in a
-    /// trailing partial record.
-    fn measure_intervals<S: TraceSource>(
+    /// Committed count, cycle and BPU counters at one mid-window stop.
+    type Probe = (u64, u64, BpuStats);
+
+    /// Measure `measure` instructions from the current state, stopping
+    /// the driving loop at every 7,000-instruction boundary (which does
+    /// not divide the window) to record a [`Probe`], so the two loops
+    /// must agree mid-window as well as at the end.
+    fn measure_in_steps<S: TraceSource>(
         mut sim: Simulator<S, BtbEngine>,
         measure: u64,
-    ) -> (SimStats, Vec<IntervalStats>) {
+    ) -> (SimStats, Vec<Probe>) {
         sim.begin_measurement();
-        let target = sim.committed() + measure;
-        let mut intervals = Vec::new();
-        sim.run_measured(target, Some(7_000), &mut |iv| intervals.push(*iv));
-        (sim.into_result().unwrap().stats, intervals)
+        let start = sim.committed();
+        let mut probes = Vec::new();
+        let mut done = 0;
+        while done < measure {
+            done = (done + 7_000).min(measure);
+            sim.run_until_committed(start + done);
+            probes.push((sim.committed, sim.cycle, sim.bpu.stats()));
+        }
+        (sim.into_result().unwrap().stats, probes)
     }
 
     /// Warm a simulator over `fresh()` for `warmup` instructions, seal it
@@ -1145,7 +1063,7 @@ mod tests {
         fdip: bool,
         warmup: u64,
         measure: u64,
-    ) -> (SimStats, Vec<IntervalStats>) {
+    ) -> (SimStats, Vec<Probe>) {
         let mut warm = oracle_sim(fresh(), kind, fdip, false);
         warm.run_until_committed(warmup);
         let sealed = save_sealed("oracle", &warm);
@@ -1155,7 +1073,7 @@ mod tests {
             source.restore(&checkpoint);
             let mut sim = oracle_sim(source, kind, fdip, plain);
             restore_sealed(&mut sim, "oracle", &sealed).unwrap();
-            measure_intervals(sim, measure)
+            measure_in_steps(sim, measure)
         };
         let fast = restored(false);
         assert_eq!(fast, restored(true), "{} fdip={fdip} restored", kind.id());
@@ -1187,11 +1105,11 @@ mod tests {
                 let straight = |plain: bool| {
                     let mut sim = oracle_sim(trace(), kind, fdip, plain);
                     sim.run_until_committed(WARMUP);
-                    measure_intervals(sim, MEASURE)
+                    measure_in_steps(sim, MEASURE)
                 };
                 let fast = straight(false);
                 assert_eq!(fast, straight(true), "{what}");
-                assert!(fast.1.len() > 1, "{what}: intervals must stream");
+                assert!(fast.1.len() > 1, "{what}: the window must stop mid-way");
 
                 // Both loops must agree with the uninterrupted run after
                 // a restore, from the generator and from the container.

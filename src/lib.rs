@@ -56,4 +56,4 @@ pub use btbx_trace as trace;
 pub use btbx_uarch as uarch;
 
 pub use btbx_core::spec::{BtbSpec, Budget, SpecError};
-pub use btbx_uarch::{IntervalStats, SessionError, SimSession};
+pub use btbx_uarch::{SessionError, SimSession};

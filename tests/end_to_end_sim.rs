@@ -3,9 +3,9 @@
 //! claims behind Figures 9–11.
 
 use btbx::core::storage::BudgetPoint;
-use btbx::core::{Arch, BtbEngine, OrgKind};
+use btbx::core::{Arch, BtbSpec, OrgKind};
 use btbx::trace::suite;
-use btbx::uarch::{simulate, SimConfig, SimResult};
+use btbx::uarch::{SimConfig, SimResult, SimSession};
 
 const WARM: u64 = 250_000;
 const MEAS: u64 = 500_000;
@@ -20,8 +20,13 @@ fn run(workload: &str, org: OrgKind, budget: BudgetPoint, fdip: bool) -> SimResu
     } else {
         SimConfig::without_fdip()
     };
-    let btb = BtbEngine::build(org, budget.bits(Arch::Arm64), Arch::Arm64);
-    simulate(config, spec.build_trace(), btb, org.id(), WARM, MEAS)
+    SimSession::new(spec.build_trace())
+        .btb_spec(BtbSpec::of(org).at(budget))
+        .config(config)
+        .warmup(WARM)
+        .measure(MEAS)
+        .run()
+        .expect("a synthetic trace runs to completion")
 }
 
 #[test]
@@ -166,12 +171,13 @@ fn champsim_round_trip_preserves_simulation_behaviour() {
     let mut bytes = Vec::new();
     write_champsim(&mut bytes, instrs.iter().copied()).unwrap();
     let reader = ChampSimReader::new(&bytes[..], spec.name.clone());
-    let btb = BtbEngine::build(
-        OrgKind::BtbX,
-        BudgetPoint::Kb14_5.bits(Arch::Arm64),
-        Arch::Arm64,
-    );
-    let r = simulate(SimConfig::with_fdip(), reader, btb, "btbx", 50_000, 100_000);
+    let r = SimSession::new(reader)
+        .btb_spec(BtbSpec::of(OrgKind::BtbX))
+        .config(SimConfig::with_fdip())
+        .warmup(50_000)
+        .measure(100_000)
+        .run()
+        .expect("the ChampSim stream replays");
     assert!(r.stats.ipc() > 0.1);
     assert!(r.stats.bpu.branches > 0);
 }

@@ -3,8 +3,8 @@
 //! from the previous one's sealed snapshot and trace checkpoint
 //! (`btbx::uarch::run_resumed`), must reproduce the uninterrupted
 //! `SimSession` exactly at the default commit width, for every segment
-//! count. `ParallelSession`, kept for older callers, must equal it too,
-//! interval stream included (see EXPERIMENTS.md, "Warm snapshots").
+//! count. `ParallelSession`, kept for older callers, must equal it too
+//! (see EXPERIMENTS.md, "Warm snapshots").
 //!
 //! The workloads are small steady-state loops exercising every front-end
 //! structure (BTB, RAS, direction predictor, caches, FTQ), plus a
@@ -18,13 +18,10 @@ use btbx::core::{BranchEvent, BtbSpec, OrgKind};
 use btbx::trace::record::{MemAccess, TraceInstr};
 use btbx::trace::source::{SeekableSource, TraceSource, VecSource};
 use btbx::trace::suite;
-use btbx::uarch::{
-    run_resumed, IntervalStats, ParallelSession, SimConfig, SimResult, SimSession, SimStats,
-};
+use btbx::uarch::{run_resumed, ParallelSession, SimConfig, SimResult, SimSession, SimStats};
 
 const WARMUP: u64 = 8_000;
 const MEASURE: u64 = 64_000;
-const INTERVAL: u64 = 8_000;
 
 /// A call-and-return loop with a dynamic period of 16 instructions:
 /// straight-line code, a load and a store, a direct call, a return and a
@@ -132,45 +129,14 @@ fn assert_stats_identical(ctx: &str, a: &SimStats, b: &SimStats) {
     );
 }
 
-fn assert_intervals_identical(ctx: &str, a: &[IntervalStats], b: &[IntervalStats]) {
-    assert_eq!(a.len(), b.len(), "{ctx}: interval count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.index, y.index, "{ctx}: interval index");
-        assert_eq!(
-            x.instructions, y.instructions,
-            "{ctx}: boundary {} instructions",
-            x.index
-        );
-        assert_eq!(x.cycles, y.cycles, "{ctx}: boundary {} cycles", x.index);
-        assert_eq!(
-            x.delta_instructions, y.delta_instructions,
-            "{ctx}: interval {} delta",
-            x.index
-        );
-        assert_eq!(
-            x.delta_cycles, y.delta_cycles,
-            "{ctx}: interval {} delta cycles",
-            x.index
-        );
-        assert_eq!(x.bpu, y.bpu, "{ctx}: interval {} bpu", x.index);
-    }
-}
-
-fn serial_reference(
-    trace: impl TraceSource,
-    spec: BtbSpec,
-    config: &SimConfig,
-) -> (SimResult, Vec<IntervalStats>) {
-    let mut intervals = Vec::new();
-    let result = SimSession::new(trace)
+fn serial_reference(trace: impl TraceSource, spec: BtbSpec, config: &SimConfig) -> SimResult {
+    SimSession::new(trace)
         .btb_spec(spec)
         .config(config.clone())
         .warmup(WARMUP)
         .measure(MEASURE)
-        .every(INTERVAL, |iv| intervals.push(*iv))
         .run()
-        .expect("valid serial session");
-    (result, intervals)
+        .expect("valid serial session")
 }
 
 /// The window cut into `segments` stretches, each resumed from a warm
@@ -188,7 +154,7 @@ fn resumed<S: SeekableSource>(
 fn call_loop_is_shard_invariant() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let (serial, _) = serial_reference(call_loop(), spec, &config);
+    let serial = serial_reference(call_loop(), spec, &config);
     for segments in [1u64, 2, 8] {
         let out = resumed(call_loop, spec, &config, segments);
         let ctx = format!("call loop, {segments} segment(s)");
@@ -205,7 +171,7 @@ fn call_loop_is_shard_invariant() {
 fn branchy_loop_is_shard_invariant() {
     let config = SimConfig::without_fdip();
     let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
-    let (serial, _) = serial_reference(branchy_loop(), spec, &config);
+    let serial = serial_reference(branchy_loop(), spec, &config);
     for segments in [1u64, 2, 8] {
         let out = resumed(branchy_loop, spec, &config, segments);
         let ctx = format!("branchy loop, {segments} segment(s)");
@@ -223,8 +189,8 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
     let server = suite::ipc1_server()[0].build_trace();
     for org in OrgKind::PAPER_EVAL {
         let spec = BtbSpec::of(org).at(BudgetPoint::Kb3_6);
-        let (serial, _) = serial_reference(call_loop(), spec, &config);
-        let (server_serial, _) = serial_reference(server.clone(), spec, &config);
+        let serial = serial_reference(call_loop(), spec, &config);
+        let server_serial = serial_reference(server.clone(), spec, &config);
         for segments in [2u64, 4, 8] {
             let out = resumed(call_loop, spec, &config, segments);
             let ctx = format!("{org}, call loop, {segments} segments");
@@ -241,14 +207,13 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
 /// which can overshoot the nominal cut by up to `commit_width - 1`
 /// instructions; the resumed run still equals the serial run at the
 /// default commit width, because each cut is a committed target, not a
-/// tick count. `ParallelSession`, whose `shards` only set the interval
-/// grid, equals the serial run interval for interval and reports the
-/// warmed count `W′`.
+/// tick count. `ParallelSession`, whose `shards` do nothing, equals the
+/// serial run and reports the warmed count `W′`.
 #[test]
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let (serial, serial_intervals) = serial_reference(call_loop(), spec, &config);
+    let serial = serial_reference(call_loop(), spec, &config);
     for segments in [2u64, 5, 8] {
         let out = resumed(call_loop, spec, &config, segments);
         let ctx = format!("resumed call loop, {segments} segment(s)");
@@ -258,13 +223,11 @@ fn checkpoint_mode_is_exact_at_default_width() {
             .config(config.clone())
             .warmup(WARMUP)
             .measure(MEASURE)
-            .every(INTERVAL)
             .shards(segments as usize)
             .run()
             .expect("valid session");
         let ctx = format!("ParallelSession, {segments} shard(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.result.stats);
-        assert_intervals_identical(&ctx, &serial_intervals, &out.intervals);
         let warmed = out.telemetry.warmed_instructions;
         assert!(
             (WARMUP..WARMUP + config.commit_width as u64).contains(&warmed),
