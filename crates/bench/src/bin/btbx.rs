@@ -14,7 +14,6 @@
 //! results are cached per-parameter-set under `<out>/cache`, so repeated
 //! and overlapping invocations share runs.
 
-use btbx_bench::cluster::{self, ClusterConfig};
 use btbx_bench::faults;
 use btbx_bench::opts::{OptError, OPTIONS_USAGE};
 use btbx_bench::registry::{self, ExperimentKind};
@@ -48,7 +47,6 @@ commands:
   all             run the full reproduction and write RESULTS.md
   sweep           run a custom workload x org x budget x FDIP matrix
   serve           run a JSON-over-HTTP simulation service over the cache
-  cluster         probe a fleet of serve nodes (cluster status ADDR,...)
   trace           convert/inspect/check .btbt trace containers
   list            list every runnable experiment
   help            show this help
@@ -72,16 +70,10 @@ selection:
   --fdip MODE      on | off | both                          [on]
   --trace FILE     replay a .btbt container instead of a suite
                    (orgs/budgets/fdip still apply; see btbx trace)
-  --server ADDR    POST every point to a running `btbx serve` at ADDR
-                   (host:port) instead of simulating locally: a one-node
-                   --cluster, keeping --threads requests in flight
-  --cluster LIST   fan the matrix out across a fleet of serve nodes
-                   (comma-separated host:port list) with work stealing,
-                   health probing and retry-on-node-loss; results are
-                   published into the local <out>/cache (or, with
-                   --store, into the shared store: the coordinator also
-                   seeds it with the sweep's trace containers so nodes
-                   without a local copy fetch them by content hash)
+
+Points run on --threads local workers; each finished point is
+published into <out>/cache at once, so rerunning a killed sweep
+computes only the points it had not finished.
 
 spec files:
   --save FILE      write the sweep as JSON and exit (no simulation)
@@ -98,11 +90,8 @@ requests, sweeps and restarts. See EXPERIMENTS.md for the protocol.
 endpoints:
   POST /sim        SimPoint JSON -> SimResult JSON (X-Btbx-Cache header
                    reports disk|computed|joined)
-  GET  /healthz    liveness probe
-  GET  /stats      request + cache counters (incl. remote store traffic)
-  GET  /blob/KEY   fetch a cache blob by content-addressed key (404 on
-                   miss); HEAD probes existence
-  PUT  /blob/KEY   publish a blob (atomic; results, traces)
+  GET  /healthz    liveness probe (version, cache version, orgs)
+  GET  /stats      request + cache counters
   POST /shutdown   graceful shutdown (drains in-flight requests)
 
 options:
@@ -116,10 +105,8 @@ options:
                    deadline header (the connection survives;
                    0 = no deadline)                           [0]
 shared options (--threads for the requests served at once, --out for
-the cache dir, --store for a non-default cache backend such as another
-node's http:// blob endpoint) apply; results are byte-identical to the
-serial CLI path. A node with --store fetches trace containers it is missing
-from the store by content hash.";
+the cache dir, --store for a non-default cache backend) apply; results
+are byte-identical to the serial CLI path.";
 
 fn main() {
     // Chaos testing: BTBX_FAULT_PLAN arms a fault plan for the whole
@@ -159,7 +146,6 @@ fn main() {
         }
         "sweep" => sweep_cmd(args),
         "serve" => serve_cmd(args),
-        "cluster" => cluster_cmd(args),
         "trace" => trace_cmd(args),
         name => match registry::find(name) {
             Some(e) => {
@@ -232,10 +218,6 @@ fn list() {
         "  {:<12} {:<8} JSON-over-HTTP simulation service (btbx serve --help)",
         "serve", ""
     );
-    println!(
-        "  {:<12} {:<8} probe a serve fleet (btbx cluster --help)",
-        "cluster", ""
-    );
 }
 
 fn sweep_cmd(args: Vec<String>) {
@@ -247,8 +229,6 @@ fn sweep_cmd(args: Vec<String>) {
     let mut fdip = vec![true];
     let mut save: Option<String> = None;
     let mut spec_file: Option<String> = None;
-    let mut server: Option<String> = None;
-    let mut cluster_list: Option<String> = None;
     let mut rest = Vec::new();
 
     let mut it = args.into_iter();
@@ -279,8 +259,6 @@ fn sweep_cmd(args: Vec<String>) {
             }
             "--save" => save = Some(value("--save")),
             "--spec" => spec_file = Some(value("--spec")),
-            "--server" => server = Some(value("--server")),
-            "--cluster" => cluster_list = Some(value("--cluster")),
             "--help" | "-h" => {
                 println!("{SWEEP_USAGE}\n\n{OPTIONS_USAGE}");
                 return;
@@ -291,9 +269,6 @@ fn sweep_cmd(args: Vec<String>) {
     let opts = parse_opts(rest, "sweep", Some(SWEEP_USAGE));
     let _fault_guard =
         faults::arm_from_opts(&opts).unwrap_or_else(|e| fail(&format!("--fault-plan: {e}")));
-    if server.is_some() && cluster_list.is_some() {
-        fail("--server and --cluster are mutually exclusive");
-    }
 
     let sweep = if let Some(path) = spec_file {
         let json = std::fs::read_to_string(&path)
@@ -361,20 +336,7 @@ fn sweep_cmd(args: Vec<String>) {
         return;
     }
 
-    // `--server ADDR` is a one-node `--cluster`.
-    let fleet = match cluster_list {
-        Some(list) => Some(
-            cluster::parse_node_list(&list).unwrap_or_else(|e| fail(&format!("--cluster: {e}"))),
-        ),
-        None => server.map(|addr| vec![addr]),
-    };
-    let results = if let Some(nodes) = fleet {
-        let config = ClusterConfig::from_opts(nodes, &opts);
-        cluster::sweep_via_cluster(&sweep, &opts, &config).map_err(|e| e.to_string())
-    } else {
-        sweep.try_run(&opts).map_err(|e| e.to_string())
-    };
-    let results = results.unwrap_or_else(|e| {
+    let results = sweep.try_run(&opts).unwrap_or_else(|e| {
         eprintln!("error: sweep failed: {e}");
         std::process::exit(1);
     });
@@ -464,157 +426,6 @@ fn serve_cmd(args: Vec<String>) {
             .unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
     }
     server.join();
-}
-
-const CLUSTER_USAGE: &str = "\
-usage: btbx cluster status ADDR[,ADDR...]
-
-Probe every node of a `btbx serve` fleet (GET /healthz + GET /stats)
-and print a per-node table: reachability, service and cache versions,
-and request/cache counters.
-
-Exits 1 when any node is unreachable, the fleet mixes cache versions
-(a coordinator would refuse it too), or any node has shed more
-requests than --max-shed allows.
-
-The table includes the overload counters: `shed` (requests refused
-with 429 under admission control) and `dlabort` (simulations aborted
-at the per-request deadline).
-
-options:
-  --http-timeout-ms N  per-phase probe timeout            [2000]
-  --max-shed N         tolerate at most N shed requests per node
-                       before exiting non-zero (unset: shedding
-                       is reported but never fails the probe)";
-
-fn cluster_cmd(mut args: Vec<String>) {
-    match args.first().map(String::as_str) {
-        Some("--help") | Some("-h") | None => {
-            println!("{CLUSTER_USAGE}");
-            return;
-        }
-        Some("status") => {
-            args.remove(0);
-        }
-        Some(other) => fail(&format!("unknown cluster subcommand `{other}`")),
-    }
-    let mut list: Option<String> = None;
-    let mut timeout = std::time::Duration::from_secs(2);
-    let mut max_shed: Option<u64> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--http-timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--http-timeout-ms expects milliseconds"));
-                timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--max-shed" => {
-                max_shed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--max-shed expects a count")),
-                );
-            }
-            "--help" | "-h" => {
-                println!("{CLUSTER_USAGE}");
-                return;
-            }
-            other if list.is_none() && !other.starts_with('-') => list = Some(other.to_string()),
-            other => fail(&format!("cluster status: unexpected `{other}`")),
-        }
-    }
-    let list = list.unwrap_or_else(|| fail("cluster status expects a node list"));
-    let nodes = cluster::parse_node_list(&list).unwrap_or_else(|e| fail(&format!("cluster: {e}")));
-
-    println!(
-        "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>6} {:>6} {:>5}",
-        "node",
-        "state",
-        "version",
-        "cachev",
-        "reqs",
-        "computes",
-        "disk",
-        "joins",
-        "shed",
-        "dlabort",
-        "rhit",
-        "rmiss",
-        "rerr"
-    );
-    let mut cache_versions: Vec<u32> = Vec::new();
-    let mut unreachable = 0usize;
-    let mut overshed: Vec<String> = Vec::new();
-    for node in &nodes {
-        match cluster::protocol::probe_health(node, timeout) {
-            Ok(health) => {
-                cache_versions.push(health.cache_version);
-                let stats = cluster::protocol::probe_stats(node, timeout);
-                let row: [String; 9] = match &stats {
-                    Ok(s) => {
-                        if max_shed.is_some_and(|limit| s.shed > limit) {
-                            overshed.push(format!("{node} shed {} request(s)", s.shed));
-                        }
-                        [
-                            s.requests.to_string(),
-                            s.store.computes.to_string(),
-                            s.store.disk_hits.to_string(),
-                            s.store.joins.to_string(),
-                            s.shed.to_string(),
-                            s.deadline_aborts.to_string(),
-                            s.store.remote_hits.to_string(),
-                            s.store.remote_misses.to_string(),
-                            s.store.remote_errors.to_string(),
-                        ]
-                    }
-                    Err(_) => std::array::from_fn(|_| "?".to_string()),
-                };
-                println!(
-                    "{:<22} {:<12} {:>8} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6} {:>8} {:>6} {:>6} {:>5}",
-                    node,
-                    "healthy",
-                    health.version,
-                    health.cache_version,
-                    row[0],
-                    row[1],
-                    row[2],
-                    row[3],
-                    row[4],
-                    row[5],
-                    row[6],
-                    row[7],
-                    row[8]
-                );
-            }
-            Err(e) => {
-                unreachable += 1;
-                println!("{node:<22} {:<12} {e}", "unreachable");
-            }
-        }
-    }
-    let mut problems = Vec::new();
-    if unreachable > 0 {
-        problems.push(format!("{unreachable} node(s) unreachable"));
-    }
-    if !overshed.is_empty() {
-        problems.push(format!(
-            "overload shedding above --max-shed {}: {}",
-            max_shed.unwrap_or_default(),
-            overshed.join(", ")
-        ));
-    }
-    cache_versions.dedup();
-    if cache_versions.len() > 1 {
-        problems.push("fleet mixes cache versions".to_string());
-    }
-    if !problems.is_empty() {
-        eprintln!("cluster status: {}", problems.join("; "));
-        std::process::exit(1);
-    }
-    println!("fleet OK: {} node(s) healthy and compatible", nodes.len());
 }
 
 const TRACE_USAGE: &str = "\

@@ -30,7 +30,7 @@ pub fn run(opts: &HarnessOpts) {
          DESIGN.md; absolute magnitudes therefore differ from the paper, and\n\
          the reproduced claims are the *shapes*: orderings, ratios and\n\
          crossovers. Simulation windows: warm-up {} / measure {} instructions\n\
-         per run (paper: 50 M / 50 M on a cluster).\n",
+         per run (paper: 50 M / 50 M).\n",
         opts.warmup, opts.measure
     );
 

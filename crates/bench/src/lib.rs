@@ -27,12 +27,8 @@
 //!   sweep recomputes only the points it has no entry for;
 //! * [`serve`] — `btbx serve`, a long-lived JSON-over-HTTP simulation
 //!   service deduplicating concurrent requests through the store;
-//! * [`cluster`] — the distributed sweep fabric: a coordinator that
-//!   drives a sweep matrix across a fleet of serve nodes with work
-//!   stealing, health tracking, and retry-on-node-loss;
 //! * [`report`] — text/CSV emission helpers.
 
-pub mod cluster;
 pub mod experiments;
 pub mod faults;
 pub mod figures;

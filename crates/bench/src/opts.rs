@@ -22,8 +22,8 @@ pub struct HarnessOpts {
     pub fresh: bool,
     /// Output directory for CSV/JSON artifacts and the simulation cache.
     pub out_dir: PathBuf,
-    /// Worker threads; through `--server`/`--cluster`, the coordinator's
-    /// bound on requests in flight.
+    /// Worker threads: points simulated (or, under `btbx serve`,
+    /// requests handled) at once.
     pub threads: usize,
     /// Read nowhere: every simulation runs serially. Kept only so struct
     /// literals that set it still compile.
@@ -31,10 +31,6 @@ pub struct HarnessOpts {
     /// Replay this `.btbt` trace container instead of the synthetic
     /// suites (`sweep` substitutes it for the selected suite).
     pub trace: Option<PathBuf>,
-    /// HTTP client timeout in milliseconds for `--server`/`--cluster`
-    /// transports, applied per phase (connect, write, read) so a wedged
-    /// node cannot stall a sweep indefinitely.
-    pub http_timeout_ms: u64,
     /// Read nowhere: every sweep runs its cache-missing points in
     /// [`plan_batches`](crate::sweep::plan_batches) groups that share one
     /// trace source. Kept only so struct literals that set it still
@@ -43,19 +39,17 @@ pub struct HarnessOpts {
     /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
     /// the whole run — chaos testing only.
     pub fault_plan: Option<PathBuf>,
-    /// Where content-addressed cache blobs (results, trace containers)
-    /// live. `None` keeps today's default: a `dir://` store under
-    /// `<out>/cache`.
+    /// Where cached results live. `None` keeps the default: a `dir://`
+    /// store under `<out>/cache`.
     pub store: Option<StoreUrl>,
 }
 
-/// Where a run's content-addressed blobs live, parsed from `--store`.
+/// Where a run's cached results live, parsed from `--store`.
 ///
 /// | Form | Backend |
 /// |------|---------|
 /// | `dir://<path>` (or a bare path) | local directory — the default layout |
 /// | `mem://` | in-process map (tests) |
-/// | `http://<host>:<port>` | a peer serve node's `GET/PUT /blob/<key>` endpoints |
 ///
 /// Unknown schemes are loud parse errors, never silently treated as
 /// paths.
@@ -65,8 +59,6 @@ pub enum StoreUrl {
     Dir(PathBuf),
     /// `mem://`: an in-process map (tests).
     Mem,
-    /// `http://<host>:<port>`: a remote blob endpoint.
-    Http(String),
 }
 
 impl StoreUrl {
@@ -89,12 +81,9 @@ impl StoreUrl {
             }
             return Ok(StoreUrl::Mem);
         }
-        if let Some(rest) = s.strip_prefix("http://") {
-            return Ok(StoreUrl::Http(parse_http_addr(rest)?));
-        }
         if let Some((scheme, _)) = s.split_once("://") {
             return Err(format!(
-                "unknown store scheme `{scheme}://` (expected dir://, mem:// or http://)"
+                "unknown store scheme `{scheme}://` (expected dir:// or mem://)"
             ));
         }
         if s.is_empty() {
@@ -105,40 +94,14 @@ impl StoreUrl {
     }
 }
 
-/// Validate the `<host>:<port>` part of an `http://` store URL.
-fn parse_http_addr(rest: &str) -> Result<String, String> {
-    let addr = rest.trim_end_matches('/');
-    if addr.contains('/') {
-        return Err(format!(
-            "http:// store takes `<host>:<port>` only (no path), got `{rest}`"
-        ));
-    }
-    let (host, port) = addr
-        .rsplit_once(':')
-        .ok_or_else(|| format!("http:// store needs `<host>:<port>`, got `{rest}`"))?;
-    if host.is_empty() {
-        return Err(format!("http:// store needs a host, got `{rest}`"));
-    }
-    if port.parse::<u16>().is_err() {
-        return Err(format!("http:// store port must be 1-65535, got `{port}`"));
-    }
-    Ok(addr.to_string())
-}
-
 impl std::fmt::Display for StoreUrl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreUrl::Dir(path) => write!(f, "dir://{}", path.display()),
             StoreUrl::Mem => f.write_str("mem://"),
-            StoreUrl::Http(addr) => write!(f, "http://{addr}"),
         }
     }
 }
-
-/// Default [`HarnessOpts::http_timeout_ms`]: generous enough for the
-/// largest single simulation a node might compute synchronously, small
-/// enough that a truly wedged peer is eventually abandoned.
-pub const DEFAULT_HTTP_TIMEOUT_MS: u64 = 600_000;
 
 impl Default for HarnessOpts {
     fn default() -> Self {
@@ -153,7 +116,6 @@ impl Default for HarnessOpts {
                 .unwrap_or(2),
             shards: 1,
             trace: None,
-            http_timeout_ms: DEFAULT_HTTP_TIMEOUT_MS,
             batch: true,
             fault_plan: None,
             store: None,
@@ -216,20 +178,16 @@ options:
   --measure N        measured instructions per simulation  [1000000]
   --offset-instrs N  instructions per offset study         [1000000]
   --quick            preset: 150k warm-up / 300k measured windows
-  --threads N        worker threads (with --server or      [all cores]
-                     --cluster: requests in flight)
+  --threads N        worker threads                        [all cores]
   --trace FILE       replay a .btbt trace container instead of the
                      synthetic suites (see `btbx trace --help`)
-  --http-timeout-ms N  per-phase HTTP timeout for --server/--cluster
-                     transports                           [600000]
   --fresh            re-simulate even when cached results exist
                      (a crashed sweep resumes by rerunning it without
                      --fresh: finished points are cache hits)
   --fault-plan FILE  arm a JSON fault-injection plan for the run
                      (chaos testing; see EXPERIMENTS.md)
-  --store URL        content-addressed store for cache blobs:
-                     dir://PATH [default: <out>/cache], mem://, or
-                     http://HOST:PORT (a peer's /blob endpoints)
+  --store URL        where cached results live: dir://PATH
+                     [default: <out>/cache] or mem://
   --out DIR          artifact + cache directory            [results]
   -h, --help         show this help";
 
@@ -259,9 +217,6 @@ impl HarnessOpts {
                 "--measure" => opts.measure = take("--measure")?,
                 "--offset-instrs" => opts.offset_instrs = take("--offset-instrs")?,
                 "--threads" => opts.threads = take("--threads")? as usize,
-                "--http-timeout-ms" => {
-                    opts.http_timeout_ms = take("--http-timeout-ms")?.max(1);
-                }
                 "--quick" => {
                     opts.warmup = 150_000;
                     opts.measure = 300_000;
@@ -305,28 +260,6 @@ impl HarnessOpts {
         }
         Ok(opts)
     }
-
-    /// The HTTP client timeout as a [`std::time::Duration`], clamped to
-    /// the sane range (see [`sane_timeout`]).
-    pub fn http_timeout(&self) -> std::time::Duration {
-        sane_timeout(std::time::Duration::from_millis(self.http_timeout_ms))
-    }
-}
-
-/// Longest timeout any network phase is allowed: a full day. Anything
-/// larger is a unit mistake (or an overflow feeding `Instant` math) and
-/// behaves like "forever" in practice.
-pub const MAX_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(24 * 60 * 60);
-
-/// Clamp a timeout into the sane range `[1 ms, 24 h]`.
-///
-/// Every socket timeout in the codebase goes through this one helper:
-/// `TcpStream::connect_timeout` panics on a zero duration, and
-/// arithmetic on huge durations (backoff multiplication, deadline
-/// addition to `Instant`) can overflow — both classes of bug are cut off
-/// here instead of at each call site.
-pub fn sane_timeout(timeout: std::time::Duration) -> std::time::Duration {
-    timeout.clamp(std::time::Duration::from_millis(1), MAX_TIMEOUT)
 }
 
 #[cfg(test)]
@@ -374,37 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn http_timeout_parses_and_clamps() {
-        assert_eq!(parse(&[]).unwrap().http_timeout_ms, DEFAULT_HTTP_TIMEOUT_MS);
-        let o = parse(&["--http-timeout-ms", "2500"]).unwrap();
-        assert_eq!(o.http_timeout_ms, 2500);
-        assert_eq!(o.http_timeout(), std::time::Duration::from_millis(2500));
-        let o = parse(&["--http-timeout-ms", "0"]).unwrap();
-        assert_eq!(o.http_timeout_ms, 1, "zero would panic connect_timeout");
-        assert!(parse(&["--http-timeout-ms", "soon"]).is_err());
-    }
-
-    #[test]
     fn fault_plan_flag() {
         assert_eq!(parse(&[]).unwrap().fault_plan, None);
         let o = parse(&["--fault-plan", "/tmp/plan.json"]).unwrap();
         assert_eq!(o.fault_plan, Some(PathBuf::from("/tmp/plan.json")));
         assert!(parse(&["--fault-plan"]).is_err());
-    }
-
-    #[test]
-    fn sane_timeout_clamps_both_ends() {
-        use std::time::Duration;
-        assert_eq!(sane_timeout(Duration::ZERO), Duration::from_millis(1));
-        assert_eq!(
-            sane_timeout(Duration::from_secs(5)),
-            Duration::from_secs(5),
-            "in-range timeouts pass through"
-        );
-        assert_eq!(sane_timeout(Duration::MAX), MAX_TIMEOUT);
-        // The overflow class this guards: Duration::MAX would panic
-        // `Instant::now() + timeout`; the clamped value must not.
-        let _ = std::time::Instant::now() + sane_timeout(Duration::MAX);
     }
 
     #[test]
@@ -423,6 +330,11 @@ mod tests {
         assert_eq!(
             parse(&["--resume"]),
             Err(OptError::UnknownFlag("--resume".to_string()))
+        );
+        // No option makes an outbound HTTP request.
+        assert_eq!(
+            parse(&["--http-timeout-ms", "2500"]),
+            Err(OptError::UnknownFlag("--http-timeout-ms".to_string()))
         );
     }
 
@@ -471,15 +383,6 @@ mod tests {
             "a bare path is a directory store"
         );
         assert_eq!(StoreUrl::parse("mem://").unwrap(), StoreUrl::Mem);
-        assert_eq!(
-            StoreUrl::parse("http://127.0.0.1:8080").unwrap(),
-            StoreUrl::Http("127.0.0.1:8080".to_string())
-        );
-        assert_eq!(
-            StoreUrl::parse("http://node:9000/").unwrap(),
-            StoreUrl::Http("node:9000".to_string()),
-            "trailing slash is tolerated"
-        );
     }
 
     #[test]
@@ -492,12 +395,7 @@ mod tests {
             ("mem://extra", "takes no location"),
             ("s3://bucket", "unknown store scheme `s3://`"),
             ("ftp://x", "unknown store scheme `ftp://`"),
-            ("http://", "needs `<host>:<port>`"),
-            ("http://nohost", "needs `<host>:<port>`"),
-            ("http://:8080", "needs a host"),
-            ("http://host:notaport", "port must be"),
-            ("http://host:99999", "port must be"),
-            ("http://host:80/path", "no path"),
+            ("http://node:9000", "unknown store scheme `http://`"),
         ];
         for (input, fragment) in cases {
             let err = StoreUrl::parse(input).expect_err(input);
@@ -510,7 +408,7 @@ mod tests {
 
     #[test]
     fn the_tiered_scheme_is_unknown() {
-        let e = parse(&["--store", "tiered://local/cache,http://node:9000"]).unwrap_err();
+        let e = parse(&["--store", "tiered://local/cache,mem://"]).unwrap_err();
         assert!(matches!(e, OptError::BadStore { .. }), "{e:?}");
         assert!(
             e.to_string().contains("unknown store scheme `tiered://`"),
@@ -520,11 +418,7 @@ mod tests {
 
     #[test]
     fn store_url_display_round_trips() {
-        let urls = [
-            StoreUrl::Dir(PathBuf::from("/tmp/c")),
-            StoreUrl::Mem,
-            StoreUrl::Http("h:1234".to_string()),
-        ];
+        let urls = [StoreUrl::Dir(PathBuf::from("/tmp/c")), StoreUrl::Mem];
         for url in urls {
             assert_eq!(StoreUrl::parse(&url.to_string()).unwrap(), url, "{url}");
         }
@@ -533,8 +427,8 @@ mod tests {
     #[test]
     fn store_flag_wires_through() {
         assert_eq!(parse(&[]).unwrap().store, None, "default is no override");
-        let o = parse(&["--store", "http://127.0.0.1:7700"]).unwrap();
-        assert_eq!(o.store, Some(StoreUrl::Http("127.0.0.1:7700".to_string())));
+        let o = parse(&["--store", "mem://"]).unwrap();
+        assert_eq!(o.store, Some(StoreUrl::Mem));
         assert_eq!(
             parse(&["--store"]),
             Err(OptError::BadValue {

@@ -24,20 +24,16 @@
 //! | Endpoint         | Body / response                                   |
 //! |------------------|---------------------------------------------------|
 //! | `POST /sim`      | [`SimPoint`] JSON → [`SimResult`] JSON            |
-//! | `GET /healthz`   | [`crate::cluster::HealthInfo`] JSON: liveness +   |
-//! |                  | the fleet compat handshake (version, cache        |
-//! |                  | version, orgs)                                    |
+//! | `GET /healthz`   | [`HealthInfo`] JSON: liveness, crate version,     |
+//! |                  | cache version and supported orgs                  |
 //! | `GET /stats`     | [`ServeStats`] JSON (request + cache counters)    |
 //! | `POST /shutdown` | `{"ok":true}`, then graceful drain and exit       |
-//! | `GET /blob/<key>`  | Raw blob bytes from this node's cache (404 on   |
-//! |                  | a miss); `HEAD` probes without fetching           |
-//! | `PUT /blob/<key>`  | Atomically publish a blob into this node's      |
-//! |                  | cache (`201`) — how a fleet shares one store      |
 //!
 //! `/sim` responses carry an `X-Btbx-Cache` header (`disk`, `computed`
 //! or `joined`) reporting how the result was obtained. Errors are JSON
-//! `{"error": "..."}` with 400 (malformed request) or 500 (failed
-//! simulation) status. See EXPERIMENTS.md, "The simulation service".
+//! `{"error": "..."}` with 400 (malformed request), 404 (unknown route)
+//! or 500 (failed simulation) status. See EXPERIMENTS.md, "The
+//! simulation service".
 //!
 //! # Overload protection
 //!
@@ -53,37 +49,31 @@
 //!   (the driving loop polls an abort flag) and the request answered
 //!   with `503 Service Unavailable` and an `X-Btbx-Abort: deadline`
 //!   header — again on the open connection. The header tells a
-//!   coordinator the abort is deterministic: the node is healthy, and
-//!   the same point would run into the same deadline anywhere.
+//!   client the abort is deterministic: the server is healthy, and the
+//!   same point would run into the same deadline again.
 //!
 //! Both surface in `GET /stats` as [`ServeStats::shed`] and
 //! [`ServeStats::deadline_aborts`]. Every other failed `/sim` (a trace
-//! that does not open or resolve, a cache failure) is a `500` carrying
-//! the [`RunError`] text.
+//! that does not open, a cache failure) is a `500` carrying the
+//! [`RunError`] text.
 
-use crate::cluster::protocol;
-use crate::opts::{sane_timeout, HarnessOpts, StoreUrl};
-use crate::store::{atomic_publish, Fetch, ResultStore, Store, StoreCounters, StoreError};
-use crate::sweep::{RunError, RunOpts, SimPoint};
+use crate::opts::{HarnessOpts, StoreUrl};
+use crate::store::{Fetch, ResultStore, StoreCounters, StoreError};
+use crate::sweep::{RunError, RunOpts, SimPoint, CACHE_VERSION};
 use btbx_core::faults;
-use btbx_trace::container;
+use btbx_core::OrgKind;
 use btbx_uarch::runner::ServicePool;
 use btbx_uarch::{SessionError, SimResult};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request body; a [`SimPoint`] is well under this.
 const MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Largest accepted `/blob/` body: trace containers are the biggest
-/// blobs a fleet shares, and 256 MiB covers any container this harness
-/// produces while still bounding a hostile request.
-const MAX_BLOB_BYTES: usize = 1 << 28;
 
 /// Largest accepted request head (request line plus headers). The read
 /// timeout applies per read, so without a cap a client trickling one
@@ -92,6 +82,42 @@ const MAX_HEAD_BYTES: u64 = 16 << 10;
 
 /// Socket read timeout: a stalled or idle client must not pin a worker.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Per-phase (connect, write, read) timeout of [`http_request`]:
+/// generous enough for the largest single simulation a server computes
+/// while the client waits, finite so a wedged server is abandoned.
+const HTTP_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// What `GET /healthz` reports: liveness plus the versions a client
+/// needs to know whether the server's results match its own.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HealthInfo {
+    /// Liveness (always `true` in a response; kept for probe scripts
+    /// that only check this field).
+    pub ok: bool,
+    /// The serving binary's crate version.
+    pub version: String,
+    /// The server's [`CACHE_VERSION`]: results are only cache-compatible
+    /// between equal versions.
+    pub cache_version: u32,
+    /// Organization ids this server can simulate.
+    pub orgs: Vec<String>,
+}
+
+/// The [`HealthInfo`] this build reports.
+pub fn health_info() -> HealthInfo {
+    HealthInfo {
+        ok: true,
+        version: env!("CARGO_PKG_VERSION").to_string(),
+        cache_version: CACHE_VERSION,
+        orgs: OrgKind::ALL.iter().map(|o| o.id().to_string()).collect(),
+    }
+}
+
+/// The header (name, value) a server adds to the `503` that answers a
+/// `/sim` request its per-request deadline aborted: the same point would
+/// run into the same deadline again, so a client should not retry it.
+pub const DEADLINE_ABORT: (&str, &str) = ("X-Btbx-Abort", "deadline");
 
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -114,13 +140,12 @@ pub struct ServeConfig {
     /// running when it expires is aborted and answered with `503` on the
     /// open connection. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Store backend for cache blobs (results, trace fetches). `None`
-    /// keeps the default `dir://` store over `cache_dir`; an `http://`
-    /// URL makes this node read/write a fleet-shared cache and fetch
-    /// missing trace containers by content hash.
+    /// Store backend for results: `None` keeps the default `dir://`
+    /// store over `cache_dir`; `dir://` names another directory and
+    /// `mem://` keeps results in memory.
     pub store: Option<StoreUrl>,
-    /// Timeout for this node's *outbound* store traffic (blob fetches
-    /// and publishes when `store` is remote).
+    /// Read nowhere: the server makes no outbound requests. Kept only so
+    /// struct literals that set it still compile.
     pub http_timeout: Duration,
 }
 
@@ -137,13 +162,13 @@ impl ServeConfig {
             max_inflight: 0,
             deadline: None,
             store: opts.store.clone(),
-            http_timeout: opts.http_timeout(),
+            http_timeout: HTTP_TIMEOUT,
         }
     }
 }
 
-/// Counters reported by `GET /stats` (`Deserialize` so cluster
-/// clients can read them back, e.g. `btbx cluster status`).
+/// Counters reported by `GET /stats` (`Deserialize` so clients can
+/// read them back).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ServeStats {
     /// HTTP requests accepted (all endpoints).
@@ -164,13 +189,6 @@ pub struct ServeStats {
 
 struct ServerState {
     store: ResultStore,
-    /// This node's local cache directory: blob endpoints publish into
-    /// it and fetched trace containers spool under `<cache_dir>/trace`.
-    cache_dir: PathBuf,
-    /// The backend behind [`ServerState::store`] when `--store` was
-    /// given — also used to fetch trace containers by content hash.
-    /// `None` means traces must exist locally (today's behavior).
-    blob_backend: Option<Arc<dyn Store>>,
     max_inflight: usize,
     deadline: Option<Duration>,
     /// Live `/sim` deadline registrations, polled by the watch thread.
@@ -286,16 +304,11 @@ impl Server {
     /// [`StoreError`] when the cache directory is unusable or the
     /// socket cannot be bound.
     pub fn start(config: ServeConfig) -> Result<Server, StoreError> {
-        // One backend serves both consumers (results and trace fetches);
-        // the default and `dir://` paths keep the process-wide
+        // The default and `dir://` stores keep the process-wide
         // per-directory flight sharing that `ResultStore::open` provides.
-        let (store, blob_backend) = match &config.store {
-            None => (ResultStore::open(&config.cache_dir)?, None),
-            Some(url) => {
-                let store = ResultStore::open_url(url, config.http_timeout)?;
-                let backend = Arc::clone(store.backend());
-                (store, Some(backend))
-            }
+        let store = match &config.store {
+            None => ResultStore::open(&config.cache_dir)?,
+            Some(url) => ResultStore::open_url(url)?,
         };
         let listener =
             TcpListener::bind(("127.0.0.1", config.port)).map_err(|source| StoreError::Io {
@@ -310,8 +323,6 @@ impl Server {
         })?;
         let state = Arc::new(ServerState {
             store,
-            cache_dir: config.cache_dir.clone(),
-            blob_backend,
             max_inflight: config.max_inflight,
             deadline: config.deadline,
             deadlines: Mutex::new(Vec::new()),
@@ -401,9 +412,12 @@ fn handle_connection(state: &ServerState, stream: TcpStream, self_addr: SocketAd
 /// header, answered on the open connection as `{"error": message}`.
 type Refusal = (u16, String, Option<(&'static str, &'static str)>);
 
-/// The JSON body of an error response.
+/// The JSON body of an error response: `{"error": message}`, escaped
+/// by the JSON serializer so any message (a request path with control
+/// characters, say) yields valid JSON.
 fn error_body(message: &str) -> String {
-    format!("{{\"error\":{message:?}}}")
+    let message = serde_json::to_string(message).expect("strings serialize");
+    format!("{{\"error\":{message}}}")
 }
 
 /// Route one parsed request; a [`Refusal`] is answered (and counted in
@@ -416,10 +430,7 @@ fn route(
 ) -> Result<(), Refusal> {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            // Liveness plus the fleet compat handshake: version,
-            // CACHE_VERSION, supported orgs.
-            let info = protocol::health_info();
-            let body = serde_json::to_string(&info).expect("health info serializes");
+            let body = serde_json::to_string(&health_info()).expect("health info serializes");
             let _ = respond_json(stream, 200, &body, None);
             Ok(())
         }
@@ -459,7 +470,7 @@ fn route(
                 } => {
                     state.deadline_aborts.fetch_add(1, Ordering::Relaxed);
                     let message = format!("deadline exceeded: {e}");
-                    (503, message, Some(protocol::DEADLINE_ABORT))
+                    (503, message, Some(DEADLINE_ABORT))
                 }
                 e => (500, e.to_string(), None),
             })?;
@@ -472,93 +483,7 @@ fn route(
             let _ = respond_json(stream, 200, &body, Some(("X-Btbx-Cache", cache_header)));
             Ok(())
         }
-        (method @ ("GET" | "HEAD" | "PUT"), path) if path.starts_with("/blob/") => {
-            let key = &path["/blob/".len()..];
-            if !valid_blob_key(key) {
-                return Err((400, format!("invalid blob key `{key}`"), None));
-            }
-            match method {
-                "PUT" => blob_put(state, key, &request.body, stream),
-                head_or_get => blob_get(state, key, stream, head_or_get == "HEAD"),
-            }
-        }
         (_, path) => Err((404, format!("no route {path}"), None)),
-    }
-}
-
-/// Blob keys are flat content-addressed file names: no path separators,
-/// no leading dot (dotfiles and `..` cannot be named), a conservative
-/// charset, and a bounded length. Everything a harness consumer
-/// publishes (`<workload>-<org>-<hash>.json`, `trace-<hash>.btbt`)
-/// passes; traversal attempts do not.
-fn valid_blob_key(key: &str) -> bool {
-    !key.is_empty()
-        && key.len() <= 160
-        && !key.starts_with('.')
-        && key
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
-}
-
-/// Map a blob key onto this node's cache layout, so blobs published
-/// over HTTP land exactly where local consumers write (and read) them:
-/// trace containers under `<cache>/trace`, everything else (sweep
-/// results) at the top level. That placement is what keeps a
-/// coordinator's blob-fed cache byte-identical to a CLI run's.
-fn blob_dir(cache_dir: &Path, key: &str) -> PathBuf {
-    if key.starts_with("trace-") && key.ends_with(".btbt") {
-        cache_dir.join("trace")
-    } else {
-        cache_dir.to_path_buf()
-    }
-}
-
-/// Serve `GET`/`HEAD /blob/<key>` from this node's cache directory.
-/// A missing blob is a well-formed 404 (an expected miss, not counted
-/// as a server error); read failures are 500s.
-fn blob_get(
-    state: &ServerState,
-    key: &str,
-    stream: &mut TcpStream,
-    head_only: bool,
-) -> Result<(), Refusal> {
-    let path = blob_dir(&state.cache_dir, key).join(key);
-    match faults::read(&path) {
-        Ok(bytes) => {
-            let _ = respond_bytes(stream, 200, &bytes, head_only);
-            Ok(())
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let _ = respond_bytes(stream, 404, b"", head_only);
-            Ok(())
-        }
-        Err(e) => Err((500, format!("reading blob {key}: {e}"), None)),
-    }
-}
-
-/// Serve `PUT /blob/<key>`: publish the body atomically into this
-/// node's cache directory (temp file + rename, exactly like a local
-/// store write), answering `201 Created`.
-fn blob_put(
-    state: &ServerState,
-    key: &str,
-    body: &[u8],
-    stream: &mut TcpStream,
-) -> Result<(), Refusal> {
-    let dir = blob_dir(&state.cache_dir, key);
-    let publish = faults::create_dir_all(&dir)
-        .map_err(|e| StoreError::Io {
-            action: "creating blob dir",
-            path: dir.clone(),
-            source: Arc::new(e),
-        })
-        .and_then(|()| atomic_publish(&dir, key, body));
-    match publish {
-        Ok(()) => {
-            let _ = respond_json(stream, 201, "{\"ok\":true}", None);
-            Ok(())
-        }
-        Err(e) => Err((500, format!("publishing blob {key}: {e}"), None)),
     }
 }
 
@@ -569,98 +494,11 @@ fn simulate(state: &ServerState, point: &SimPoint) -> Result<(SimResult, Fetch),
     state
         .store
         .try_get_or_compute(&point.cache_file(), false, || {
-            // Resolve inside the compute closure: cache hits and joins
-            // never need the trace bytes at all.
-            resolve_trace(state, point)?.run_with(RunOpts {
+            point.run_with(RunOpts {
                 abort: abort.clone(),
                 source: None,
             })
         })
-}
-
-/// Make a point's trace container (if any) openable locally, fetching
-/// it by content hash from the blob backend when it is not:
-///
-/// 1. A local path whose container still matches the reference's
-///    content hash wins outright — no fetch, no rewrite.
-/// 2. Otherwise the spool (`<cache>/trace/trace-<hash>.btbt`) is
-///    probed; a previously fetched (or blob-PUT-seeded) container is
-///    reused.
-/// 3. Otherwise the blob backend fetches `trace-<hash>.btbt`, the bytes
-///    are spooled atomically, and the spooled container's header hash
-///    is verified against the reference before use.
-///
-/// Runs inside the single-flight compute closure, so cache hits and
-/// joins never touch the trace. A failure answers 500, and a cluster
-/// scheduler retries the point on a node that *can* resolve the trace —
-/// exactly the pre-backend semantics for a missing local file.
-///
-/// # Errors
-///
-/// [`RunError::TraceUnavailable`] when no store can supply the blob and
-/// [`RunError::Store`] when fetching, spooling or verifying it fails.
-fn resolve_trace(state: &ServerState, point: &SimPoint) -> Result<SimPoint, RunError> {
-    let Some(tref) = &point.workload.trace else {
-        return Ok(point.clone());
-    };
-    if !tref.is_store_only() {
-        if let Ok(info) = container::read_info(&tref.path) {
-            if info.content_hash == tref.content_hash {
-                return Ok(point.clone());
-            }
-        }
-    }
-    let key = tref.blob_key();
-    let spool_dir = state.cache_dir.join("trace");
-    let spool = spool_dir.join(&key);
-    let rewired = |spool: PathBuf| {
-        let mut point = point.clone();
-        if let Some(tref) = &mut point.workload.trace {
-            tref.path = spool;
-        }
-        point
-    };
-    if let Ok(info) = container::read_info(&spool) {
-        if info.content_hash == tref.content_hash {
-            return Ok(rewired(spool));
-        }
-    }
-    let unavailable = |store: Option<String>| RunError::TraceUnavailable {
-        workload: point.workload.name.clone(),
-        key: key.clone(),
-        store,
-    };
-    let Some(backend) = &state.blob_backend else {
-        return Err(unavailable(None));
-    };
-    let Some(bytes) = backend.get(&key)? else {
-        return Err(unavailable(Some(backend.id())));
-    };
-    faults::create_dir_all(&spool_dir).map_err(|source| StoreError::Io {
-        action: "creating trace spool dir",
-        path: spool_dir.clone(),
-        source: Arc::new(source),
-    })?;
-    atomic_publish(&spool_dir, &key, &bytes)?;
-    // Verify the *spooled file* (not just the bytes): the header hash
-    // must match the requested identity, or the fetched blob is damaged
-    // (or mislabeled) and must not silently simulate a different trace.
-    let detail = match container::read_info(&spool) {
-        Ok(info) if info.content_hash == tref.content_hash => return Ok(rewired(spool)),
-        Ok(info) => format!(
-            "content hash {:016x} != expected {:016x}",
-            info.content_hash, tref.content_hash
-        ),
-        Err(e) => e.to_string(),
-    };
-    let mut corrupt = spool.clone().into_os_string();
-    corrupt.push(".corrupt");
-    let _ = std::fs::rename(&spool, &corrupt);
-    Err(StoreError::Damaged {
-        url: backend.label(&key),
-        detail,
-    }
-    .into())
 }
 
 /// One parsed HTTP request.
@@ -720,14 +558,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequ
             }
         }
     }
-    // Blob payloads (trace containers) dwarf every JSON body, so the
-    // cap is per-namespace: generous for `/blob/`, tight elsewhere.
-    let cap = if path.starts_with("/blob/") {
-        MAX_BLOB_BYTES
-    } else {
-        MAX_BODY_BYTES
-    };
-    if content_length > cap {
+    if content_length > MAX_BODY_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
     let mut body = vec![0u8; content_length];
@@ -760,7 +591,6 @@ fn respond_json(
 fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        201 => "Created",
         400 => "Bad Request",
         404 => "Not Found",
         429 => "Too Many Requests",
@@ -769,40 +599,18 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a binary (octet-stream) response and close. `head_only`
-/// answers a `HEAD`: the real `Content-Length` with no body bytes.
-fn respond_bytes(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &[u8],
-    head_only: bool,
-) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/octet-stream\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        status_reason(status),
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    if !head_only {
-        stream.write_all(body)?;
-    }
-    stream.flush()
-}
-
-/// A parsed HTTP response: a text body from [`http_request`], raw bytes
-/// from [`http_request_bytes`].
+/// A parsed HTTP response from [`http_request`].
 #[derive(Debug)]
-pub struct HttpResponse<B = String> {
+pub struct HttpResponse {
     /// Status code.
     pub status: u16,
     /// Response headers, lower-cased names.
     pub headers: Vec<(String, String)>,
     /// Response body.
-    pub body: B,
+    pub body: String,
 }
 
-impl<B> HttpResponse<B> {
+impl HttpResponse {
     /// Look up a header by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
@@ -813,79 +621,36 @@ impl<B> HttpResponse<B> {
     }
 }
 
-/// Minimal blocking HTTP/1.1 client for the service (tests, smoke
-/// scripts and the benchmark) with a text body and the default request
-/// timeout ([`crate::opts::DEFAULT_HTTP_TIMEOUT_MS`]); see
-/// [`http_request_bytes`]. `addr` is `host:port`, optionally prefixed
-/// with `http://`.
+/// Minimal blocking HTTP/1.1 client for the service (tests, scripts and
+/// the benchmark). `addr` is `host:port`, optionally prefixed with
+/// `http://`. Every phase (connect, write, read) honours one fixed
+/// timeout, and the `Connect`/`HttpRead` fault-injection checkpoints
+/// fire here.
 ///
 /// # Errors
 ///
-/// [`io::Error`] on connection or protocol failures, or a non-UTF-8
-/// body. Non-2xx statuses are returned, not errors.
+/// [`io::Error`] on connection or protocol failures, a phase that times
+/// out, or a non-UTF-8 body. Non-2xx statuses are returned, not errors.
 pub fn http_request(addr: &str, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
-    let timeout = Duration::from_millis(crate::opts::DEFAULT_HTTP_TIMEOUT_MS);
-    let response = http_request_bytes(addr, method, path, body.as_bytes(), timeout)?;
-    let body = String::from_utf8(response.body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(HttpResponse {
-        status: response.status,
-        headers: response.headers,
-        body,
-    })
-}
-
-/// The HTTP client: request and response bodies are raw bytes, which
-/// the blob transport ([`crate::store::HttpStore`]) needs — trace
-/// containers are not UTF-8. Every phase (connect, write, read) honours
-/// `timeout`, so a hung or wedged peer can never stall the caller
-/// indefinitely (one wedged node must not pin a whole cluster sweep),
-/// and the `Connect`/`HttpRead` fault-injection
-/// checkpoints fire here, so remote operations are injectable exactly
-/// like local ones.
-///
-/// # Errors
-///
-/// [`io::Error`] on connection or protocol failures;
-/// [`io::ErrorKind::TimedOut`]/[`io::ErrorKind::WouldBlock`] when a
-/// phase exceeds `timeout`. Non-2xx statuses are returned, not errors.
-pub fn http_request_bytes(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    timeout: Duration,
-) -> io::Result<HttpResponse<Vec<u8>>> {
-    let addr = addr
-        .trim_start_matches("http://")
-        .trim_end_matches('/')
-        .to_string();
-    // connect_timeout panics on zero and a multi-day timeout is a unit
-    // bug, not a choice; every call site shares one clamp.
-    let timeout = sane_timeout(timeout);
-    faults::check_connect(&addr)?;
+    let addr = addr.trim_start_matches("http://").trim_end_matches('/');
+    faults::check_connect(addr)?;
     // connect_timeout needs a resolved SocketAddr; take the first.
     let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: no address"))
     })?;
-    let mut stream = TcpStream::connect_timeout(&socket_addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let content_type = if path.starts_with("/blob/") {
-        "application/octet-stream"
-    } else {
-        "application/json"
-    };
+    let mut stream = TcpStream::connect_timeout(&socket_addr, HTTP_TIMEOUT)?;
+    stream.set_read_timeout(Some(HTTP_TIMEOUT))?;
+    stream.set_write_timeout(Some(HTTP_TIMEOUT))?;
     stream.write_all(
         format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: {content_type}\r\n\
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n",
             body.len()
         )
         .as_bytes(),
     )?;
-    stream.write_all(body)?;
-    faults::check_http_read(&addr)?;
+    stream.write_all(body.as_bytes())?;
+    faults::check_http_read(addr)?;
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
@@ -914,23 +679,20 @@ pub fn http_request_bytes(
             headers.push((name, value));
         }
     }
-    // A HEAD response advertises the blob's length but carries no body.
-    let body = if method.eq_ignore_ascii_case("HEAD") {
-        Vec::new()
-    } else {
-        match content_length {
-            Some(n) => {
-                let mut buf = vec![0u8; n];
-                reader.read_exact(&mut buf)?;
-                buf
-            }
-            None => {
-                let mut buf = Vec::new();
-                reader.read_to_end(&mut buf)?;
-                buf
-            }
+    let body = match content_length {
+        Some(n) => {
+            let mut buf = vec![0u8; n];
+            reader.read_exact(&mut buf)?;
+            buf
+        }
+        None => {
+            let mut buf = Vec::new();
+            reader.read_to_end(&mut buf)?;
+            buf
         }
     };
+    let body = String::from_utf8(body)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
     Ok(HttpResponse {
         status,
         headers,

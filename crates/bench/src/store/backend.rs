@@ -1,23 +1,19 @@
 //! Pluggable content-addressed store backends behind one [`Store`]
 //! trait.
 //!
-//! Every durable artifact the harness produces — sweep results
-//! (`<workload>-<org>-<hash>.json`) and `.btbt` trace containers
-//! (`trace-<hash>.btbt`) — is a *content-addressed blob*: its name is
-//! derived from a hash of everything that determines its bytes. That
-//! makes the storage layer swappable: any backend that can `get`/`put`/
-//! `has` blobs by name, publish atomically, and distinguish *absent*
-//! from *damaged* can sit behind [`super::ResultStore`] and the serve
-//! node's trace resolution.
+//! Every durable artifact the harness produces — a sweep result
+//! (`<workload>-<org>-<hash>.json`) — is a *content-addressed blob*:
+//! its name is derived from a hash of everything that determines its
+//! bytes. Any backend that can `get`/`put` blobs by name, publish
+//! atomically, and distinguish *absent* from *damaged* can sit behind
+//! [`super::ResultStore`].
 //!
 //! Backends are selected by URL scheme ([`crate::opts::StoreUrl`]):
 //!
 //! | Scheme      | Backend                                              |
 //! |-------------|------------------------------------------------------|
-//! | `dir://P`   | [`DirStore`] — today's local-directory layout        |
+//! | `dir://P`   | [`DirStore`] — the local-directory layout            |
 //! | `mem://`    | [`MemStore`] — in-process map (tests)                |
-//! | `http://A`  | [`HttpStore`] — `GET/PUT /blob/<key>` on a peer      |
-//! |             | serve node (or any compatible blob endpoint)         |
 //!
 //! Guarantees that are backend-*independent* (they live in the
 //! consumers, above this trait): single-flight dedup, the
@@ -25,17 +21,10 @@
 //! byte-identity of published entries. Guarantees that are
 //! backend-*specific*: `dir://` publishes via the shared
 //! temp-file+rename helper ([`atomic_publish`]) and quarantines damage
-//! to `<key>.corrupt`; `http://` cannot quarantine a peer's blob (the
-//! peer's own store quarantines damage it detects locally) and reports
-//! remote traffic through [`RemoteCounters`].
-//!
-//! Remote operations ride the same fault-injection seam as local ones:
-//! the HTTP client path calls `faults::check_connect`/`check_http_read`,
-//! so a `ConnReset`/`SlowRead`/`Stall` plan exercises [`HttpStore`]
-//! exactly like `Enospc` exercises [`DirStore`].
+//! to `<key>.corrupt`; `mem://` moves damage to `<key>.corrupt` in its
+//! map.
 
 use super::StoreError;
-use crate::serve::{http_request_bytes, HttpResponse};
 use btbx_core::faults;
 use std::collections::HashMap;
 use std::fs;
@@ -43,7 +32,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A content-addressed blob store. Keys are flat file-name-like strings
 /// (`[A-Za-z0-9._-]`, no path separators); values are opaque bytes.
@@ -61,24 +49,16 @@ pub trait Store: Send + Sync {
     fn label(&self, key: &str) -> String;
 
     /// Read the blob under `key`. Absent is `Ok(None)`; only real
-    /// failures (I/O, transport, non-404 statuses) are `Err`.
+    /// failures (I/O errors) are `Err`.
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError>;
 
     /// Atomically publish `bytes` under `key`, replacing any previous
     /// blob.
     fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError>;
 
-    /// Whether `key` exists, without fetching the blob.
-    fn has(&self, key: &str) -> Result<bool, StoreError>;
-
     /// Move a damaged blob aside (preserving the evidence where the
     /// backend can), clearing the key for a clean rewrite.
     fn quarantine(&self, key: &str) -> Quarantine;
-
-    /// Remote-traffic counters, when this backend talks to a peer.
-    fn remote_counters(&self) -> Option<&RemoteCounters> {
-        None
-    }
 }
 
 /// How a [`Store::quarantine`] attempt ended.
@@ -89,25 +69,6 @@ pub enum Quarantine {
     Moved(String),
     /// The move failed; the damage stays in place.
     Failed(String),
-    /// The backend has no quarantine notion (remote blobs): the caller
-    /// should treat the blob as absent and expect a re-fetch.
-    Unsupported,
-}
-
-/// Monotonic counters for a backend's remote traffic (results and
-/// trace fetches through it), surfaced through
-/// [`super::StoreCounters`] / `GET /stats`.
-#[derive(Debug, Default)]
-pub struct RemoteCounters {
-    /// Blobs served by the remote (`GET /blob` → 200).
-    pub hits: AtomicU64,
-    /// Blobs the remote did not have (`GET /blob` → 404).
-    pub misses: AtomicU64,
-    /// Total bytes fetched from the remote.
-    pub fetch_bytes: AtomicU64,
-    /// Failed remote operations (transport errors, non-2xx/404
-    /// statuses, on any verb).
-    pub errors: AtomicU64,
 }
 
 /// Write `bytes` to `<dir>/<name>` atomically: a fresh temp file
@@ -117,8 +78,7 @@ pub struct RemoteCounters {
 /// write or rename removes the temp file so no litter survives.
 ///
 /// This is the one publish implementation behind every local store
-/// consumer ([`super::ResultStore`], the serve node's blob endpoint and
-/// trace spool).
+/// write.
 ///
 /// # Errors
 ///
@@ -217,19 +177,6 @@ impl Store for DirStore {
         atomic_publish(&self.dir, key, bytes)
     }
 
-    fn has(&self, key: &str) -> Result<bool, StoreError> {
-        let path = self.dir.join(key);
-        match fs::metadata(&path) {
-            Ok(m) => Ok(m.is_file()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(source) => Err(StoreError::Io {
-                action: "probing store entry",
-                path,
-                source: Arc::new(source),
-            }),
-        }
-    }
-
     fn quarantine(&self, key: &str) -> Quarantine {
         let path = self.dir.join(key);
         let mut corrupt = path.as_os_str().to_owned();
@@ -287,11 +234,6 @@ impl Store for MemStore {
         Ok(())
     }
 
-    fn has(&self, key: &str) -> Result<bool, StoreError> {
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        Ok(map.contains_key(key))
-    }
-
     fn quarantine(&self, key: &str) -> Quarantine {
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         match map.remove(key) {
@@ -305,140 +247,16 @@ impl Store for MemStore {
     }
 }
 
-/// The remote backend: blobs live behind a peer's `GET/PUT /blob/<key>`
-/// endpoints (any `btbx serve` node serves them over its own cache
-/// directory). Every operation is fault-injectable through the
-/// `Connect`/`HttpRead` seam and counted in [`RemoteCounters`].
-pub struct HttpStore {
-    /// `host:port`, normalized (no scheme prefix, no trailing slash).
-    addr: String,
-    timeout: Duration,
-    counters: RemoteCounters,
-}
-
-impl HttpStore {
-    /// A store over `addr` (`host:port`, optionally `http://`-prefixed).
-    pub fn new(addr: &str, timeout: Duration) -> Self {
-        HttpStore {
-            addr: addr
-                .trim_start_matches("http://")
-                .trim_end_matches('/')
-                .to_string(),
-            timeout: crate::opts::sane_timeout(timeout),
-            counters: RemoteCounters::default(),
-        }
-    }
-
-    fn url(&self, key: &str) -> String {
-        format!("http://{}/blob/{key}", self.addr)
-    }
-
-    fn request(
-        &self,
-        action: &'static str,
-        method: &str,
-        key: &str,
-        body: &[u8],
-    ) -> Result<HttpResponse<Vec<u8>>, StoreError> {
-        let path = format!("/blob/{key}");
-        http_request_bytes(&self.addr, method, &path, body, self.timeout).map_err(|source| {
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            StoreError::Remote {
-                action,
-                url: self.url(key),
-                detail: source.to_string(),
-            }
-        })
-    }
-
-    fn unexpected(
-        &self,
-        action: &'static str,
-        key: &str,
-        response: &HttpResponse<Vec<u8>>,
-    ) -> StoreError {
-        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        StoreError::Remote {
-            action,
-            url: self.url(key),
-            detail: format!(
-                "HTTP {}: {}",
-                response.status,
-                String::from_utf8_lossy(&response.body[..response.body.len().min(200)])
-            ),
-        }
-    }
-}
-
-impl Store for HttpStore {
-    fn id(&self) -> String {
-        format!("http://{}", self.addr)
-    }
-
-    fn label(&self, key: &str) -> String {
-        self.url(key)
-    }
-
-    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        let response = self.request("fetching remote blob", "GET", key, &[])?;
-        match response.status {
-            200 => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .fetch_bytes
-                    .fetch_add(response.body.len() as u64, Ordering::Relaxed);
-                Ok(Some(response.body))
-            }
-            404 => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-            _ => Err(self.unexpected("fetching remote blob", key, &response)),
-        }
-    }
-
-    fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let response = self.request("publishing remote blob", "PUT", key, bytes)?;
-        match response.status {
-            200 | 201 => Ok(()),
-            _ => Err(self.unexpected("publishing remote blob", key, &response)),
-        }
-    }
-
-    fn has(&self, key: &str) -> Result<bool, StoreError> {
-        let response = self.request("probing remote blob", "HEAD", key, &[])?;
-        match response.status {
-            200 => Ok(true),
-            404 => Ok(false),
-            _ => Err(self.unexpected("probing remote blob", key, &response)),
-        }
-    }
-
-    fn quarantine(&self, _key: &str) -> Quarantine {
-        // A peer's blob cannot be renamed from here; the peer's own
-        // store quarantines damage it detects locally. Treat as absent.
-        Quarantine::Unsupported
-    }
-
-    fn remote_counters(&self) -> Option<&RemoteCounters> {
-        Some(&self.counters)
-    }
-}
-
 /// Build the backend a [`crate::opts::StoreUrl`] names.
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] when a `dir://` store cannot be opened.
-pub fn open_store(
-    url: &crate::opts::StoreUrl,
-    timeout: Duration,
-) -> Result<Arc<dyn Store>, StoreError> {
+pub fn open_store(url: &crate::opts::StoreUrl) -> Result<Arc<dyn Store>, StoreError> {
     use crate::opts::StoreUrl;
     Ok(match url {
         StoreUrl::Dir(dir) => Arc::new(DirStore::open(dir)?),
         StoreUrl::Mem => Arc::new(MemStore::new()),
-        StoreUrl::Http(addr) => Arc::new(HttpStore::new(addr, timeout)),
     })
 }
 
@@ -457,10 +275,8 @@ mod tests {
         let dir = fresh_dir("roundtrip");
         let store = DirStore::open(&dir).unwrap();
         assert_eq!(store.get("a.json").unwrap(), None);
-        assert!(!store.has("a.json").unwrap());
         store.put("a.json", b"{\"x\":1}").unwrap();
         assert_eq!(store.get("a.json").unwrap().unwrap(), b"{\"x\":1}");
-        assert!(store.has("a.json").unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -487,7 +303,7 @@ mod tests {
             Quarantine::Moved(evidence) => assert!(evidence.ends_with("a.json.corrupt")),
             other => panic!("expected Moved, got {other:?}"),
         }
-        assert!(!store.has("a.json").unwrap());
+        assert_eq!(store.get("a.json").unwrap(), None);
         assert!(dir.join("a.json.corrupt").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -498,7 +314,6 @@ mod tests {
         assert_eq!(store.get("k").unwrap(), None);
         store.put("k", b"bytes").unwrap();
         assert_eq!(store.get("k").unwrap().unwrap(), b"bytes");
-        assert!(store.has("k").unwrap());
         match store.quarantine("k") {
             Quarantine::Moved(evidence) => assert!(evidence.ends_with("k.corrupt")),
             other => panic!("expected Moved, got {other:?}"),

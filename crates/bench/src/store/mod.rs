@@ -36,18 +36,15 @@
 //!
 //! # Backends
 //!
-//! The byte storage itself is pluggable: [`ResultStore`] and the serve
-//! node's trace resolution sit on the [`Store`] trait from [`backend`],
-//! selected by URL scheme (`dir://` — the default local layout,
-//! `mem://`, `http://` — a peer serve node's blob endpoints). Every
-//! guarantee above is backend-independent; `dir://` is byte-compatible
-//! with every cache written before backends existed.
+//! The byte storage itself is pluggable: [`ResultStore`] sits on the
+//! [`Store`] trait from [`backend`], selected by URL scheme (`dir://` —
+//! the default local layout — or `mem://`). Every guarantee above is
+//! backend-independent; `dir://` is byte-compatible with every cache
+//! written before backends existed.
 
 pub mod backend;
 
-pub use backend::{
-    atomic_publish, open_store, DirStore, HttpStore, MemStore, Quarantine, RemoteCounters, Store,
-};
+pub use backend::{atomic_publish, open_store, DirStore, MemStore, Quarantine, Store};
 
 use crate::sweep::RunError;
 use btbx_uarch::SimResult;
@@ -73,24 +70,6 @@ pub enum StoreError {
         /// The underlying error.
         source: Arc<io::Error>,
     },
-    /// A remote (HTTP) store operation failed: transport error or an
-    /// unexpected status. Absent blobs (404) are *not* errors.
-    Remote {
-        /// What the store was doing.
-        action: &'static str,
-        /// The blob URL the action failed on.
-        url: String,
-        /// Transport error or `HTTP <status>: <body prefix>`.
-        detail: String,
-    },
-    /// A fetched blob failed its integrity check (e.g. a trace container
-    /// whose content hash does not match the requested identity).
-    Damaged {
-        /// Where the damaged blob came from.
-        url: String,
-        /// What failed to validate.
-        detail: String,
-    },
     /// A result refused to serialize (a bug, not an environment issue).
     Serialize(serde_json::Error),
 }
@@ -103,14 +82,6 @@ impl fmt::Display for StoreError {
                 path,
                 source,
             } => write!(f, "{action} {}: {source}", path.display()),
-            StoreError::Remote {
-                action,
-                url,
-                detail,
-            } => write!(f, "{action} {url}: {detail}"),
-            StoreError::Damaged { url, detail } => {
-                write!(f, "damaged blob {url}: {detail}")
-            }
             StoreError::Serialize(e) => write!(f, "serializing result: {e}"),
         }
     }
@@ -131,8 +102,8 @@ pub enum Fetch {
 }
 
 /// Monotonic counters for one shared (per-directory) store
-/// (`Deserialize` so cluster clients can read them back out of a
-/// node's `GET /stats` response).
+/// (`Deserialize` so clients can read them back out of a server's
+/// `GET /stats` response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreCounters {
     /// Computations actually run (cache misses that won their flight).
@@ -150,19 +121,6 @@ pub struct StoreCounters {
     /// received the in-memory result; see [`ResultStore::get_or_compute`]).
     #[serde(default)]
     pub store_failures: u64,
-    /// Blobs served by a remote backend (`http://` only;
-    /// its [`RemoteCounters`] count results and trace fetches alike).
-    #[serde(default)]
-    pub remote_hits: u64,
-    /// Blobs a remote backend did not have (404).
-    #[serde(default)]
-    pub remote_misses: u64,
-    /// Total bytes fetched from a remote backend.
-    #[serde(default)]
-    pub remote_fetch_bytes: u64,
-    /// Failed remote operations (transport errors, unexpected statuses).
-    #[serde(default)]
-    pub remote_errors: u64,
 }
 
 enum FlightState {
@@ -278,9 +236,9 @@ impl ResultStore {
 
     /// Open the store over an explicit backend. Unlike [`open`], each
     /// call gets its own in-flight table and counter set (clone the
-    /// returned store — or its backend `Arc` — to share them): URL
-    /// backends belong to one configured consumer (a serve node, one
-    /// sweep), not to a process-wide directory identity.
+    /// returned store — or its backend `Arc` — to share them): a
+    /// `mem://` backend belongs to one configured consumer (a server,
+    /// one sweep), not to a process-wide directory identity.
     ///
     /// [`open`]: ResultStore::open
     pub fn open_backend(backend: Arc<dyn Store>) -> Self {
@@ -297,13 +255,10 @@ impl ResultStore {
     /// # Errors
     ///
     /// [`StoreError::Io`] when a `dir://` store cannot be opened.
-    pub fn open_url(
-        url: &crate::opts::StoreUrl,
-        timeout: std::time::Duration,
-    ) -> Result<Self, StoreError> {
+    pub fn open_url(url: &crate::opts::StoreUrl) -> Result<Self, StoreError> {
         match url {
             crate::opts::StoreUrl::Dir(dir) => Self::open(dir),
-            other => Ok(Self::open_backend(open_store(other, timeout)?)),
+            other => Ok(Self::open_backend(open_store(other)?)),
         }
     }
 
@@ -313,27 +268,15 @@ impl ResultStore {
     }
 
     /// Current counters for this store (shared across every store on
-    /// the same canonical directory in this process; remote fields
-    /// count every consumer of the backend).
+    /// the same canonical directory in this process).
     pub fn counters(&self) -> StoreCounters {
-        let mut counters = StoreCounters {
+        StoreCounters {
             computes: self.shared.computes.load(Ordering::Relaxed),
             disk_hits: self.shared.disk_hits.load(Ordering::Relaxed),
             joins: self.shared.joins.load(Ordering::Relaxed),
             quarantined: self.shared.quarantined.load(Ordering::Relaxed),
             store_failures: self.shared.store_failures.load(Ordering::Relaxed),
-            remote_hits: 0,
-            remote_misses: 0,
-            remote_fetch_bytes: 0,
-            remote_errors: 0,
-        };
-        if let Some(remote) = self.backend.remote_counters() {
-            counters.remote_hits = remote.hits.load(Ordering::Relaxed);
-            counters.remote_misses = remote.misses.load(Ordering::Relaxed);
-            counters.remote_fetch_bytes = remote.fetch_bytes.load(Ordering::Relaxed);
-            counters.remote_errors = remote.errors.load(Ordering::Relaxed);
         }
-        counters
     }
 
     /// Read the entry named `name`, distinguishing absent from damaged.
@@ -347,7 +290,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// [`StoreError`] for read failures other than the entry being
-    /// absent (permissions, I/O errors, transport failures): those are
+    /// absent (permissions, I/O errors): those are
     /// environment problems the caller must hear about, not cache
     /// misses.
     pub fn load(&self, name: &str) -> Result<Option<SimResult>, StoreError> {
@@ -403,22 +346,16 @@ impl ResultStore {
                 Quarantine::Failed(e) => {
                     eprintln!("[store] damaged cache entry {label} ({why}); quarantine failed: {e}")
                 }
-                Quarantine::Unsupported => eprintln!(
-                    "[store] damaged cache entry {label} ({why}); backend cannot \
-                     quarantine, treating as absent"
-                ),
             }
         }
     }
 
     /// Durably write `result` as the entry named `name`.
     ///
-    /// Local backends write the JSON to a fresh temp file in the cache
-    /// directory and rename it into place, so concurrent readers (and
-    /// readers after a crash) see either the previous state or the
-    /// complete new entry — never a prefix. Remote backends publish the
-    /// whole body in one request and the serving node applies the same
-    /// atomic publish on its side.
+    /// The `dir://` backend writes the JSON to a fresh temp file in the
+    /// cache directory and renames it into place, so concurrent readers
+    /// (and readers after a crash) see either the previous state or the
+    /// complete new entry — never a prefix.
     ///
     /// # Errors
     ///
@@ -822,13 +759,14 @@ mod tests {
         // A failed computation is an error, not a panic, and does not
         // wedge the key either.
         let failed = store.try_get_or_compute("k.json", false, || {
-            Err(RunError::Store(StoreError::Damaged {
-                url: "k.json".into(),
-                detail: "sim failed".into(),
+            Err(RunError::Store(StoreError::Io {
+                action: "sim failed",
+                path: PathBuf::from("k.json"),
+                source: Arc::new(io::Error::other("injected")),
             }))
         });
         assert!(
-            matches!(&failed, Err(RunError::Store(StoreError::Damaged { detail, .. })) if detail == "sim failed"),
+            matches!(&failed, Err(RunError::Store(StoreError::Io { action, .. })) if *action == "sim failed"),
             "{failed:?}"
         );
         // The key is not wedged: the next caller computes normally.

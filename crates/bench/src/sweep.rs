@@ -38,6 +38,14 @@
 //! which this module shares with `btbx serve`: overlapping sweeps — or a
 //! sweep racing a server — on one cache directory compute each unique
 //! point once and never observe torn entries.
+//!
+//! # Execution
+//!
+//! A sweep has one executor, [`Sweep::try_run`]: it probes the cache and
+//! runs the missing points on local worker threads. `btbx serve` answers
+//! one point per request through the same store and the same
+//! [`SimPoint::run_with`], so a served result equals the sweep's byte
+//! for byte.
 
 use crate::opts::HarnessOpts;
 use crate::store::{ResultStore, StoreError};
@@ -69,8 +77,8 @@ use std::sync::{Arc, Mutex};
 /// serial entries with approximate sharded ones; the bump orphans both.
 pub const CACHE_VERSION: u32 = 3;
 
-/// Why running a point failed. Every way of running one — a sweep, the
-/// server, a cluster node — fails through this one type; callers match
+/// Why running a point failed. Every way of running one — a sweep or
+/// the server — fails through this one type; callers match
 /// on its variants (the server answers `Session` +
 /// [`SessionError::Aborted`] with a deadline 503), never on its text.
 /// `Clone` so a single-flight failure reaches every joined caller.
@@ -92,19 +100,7 @@ pub enum RunError {
         /// What opening it reported.
         error: Arc<TraceOpenError>,
     },
-    /// The point's trace container is not readable on this node, and no
-    /// store could supply its blob.
-    TraceUnavailable {
-        /// The point's workload name.
-        workload: String,
-        /// The container's blob key (`trace-<hash>.btbt`).
-        key: String,
-        /// The store that was asked and lacks the blob; `None` when no
-        /// store is configured.
-        store: Option<String>,
-    },
-    /// The result store failed: reading the cache, or fetching and
-    /// spooling a trace blob.
+    /// The result store failed to read the cache.
     Store(StoreError),
 }
 
@@ -113,20 +109,6 @@ impl fmt::Display for RunError {
         match self {
             RunError::Session { point, error } => write!(f, "sim point {point}: {error}"),
             RunError::Trace { point, error } => write!(f, "sim point {point}: {error}"),
-            RunError::TraceUnavailable {
-                workload,
-                key,
-                store,
-            } => {
-                let lack = match store {
-                    None => "no --store is configured to fetch".to_string(),
-                    Some(store) => format!("{store} does not have"),
-                };
-                write!(
-                    f,
-                    "trace container for `{workload}` is not readable locally and {lack} blob {key}"
-                )
-            }
             RunError::Store(e) => write!(f, "{e}"),
         }
     }
@@ -481,20 +463,20 @@ impl Sweep {
 
     /// [`run`](Sweep::run), returning a failure instead of panicking.
     ///
-    /// The store and the cache probe are the front end every transport
-    /// shares (`Sweep::prepare`); this is the local executor.
-    /// Cache-missing unique points run as one queue on
-    /// `opts.threads` workers, each once however often the matrix lists
-    /// it, in [`plan_batches`] order: group by group, members ascending.
-    /// Each group builds its trace source once — for a synthetic workload, its
-    /// program image — when its first member starts, and every member
-    /// runs over a clone of it through [`SimPoint::run_with`], the one run
-    /// path. A member's result is therefore exactly its own
-    /// [`SimPoint::run`], published under the same cache key
-    /// (`crates/bench/tests/batch_differential.rs` pins stats *and*
-    /// cache-entry bytes). A failed build is kept too, so the group's
-    /// other members fail with the same [`RunError`] instead of building
-    /// again.
+    /// Opens the store (`--store`, or `<out>/cache`) and probes the cache
+    /// once per unique entry name (not under `--fresh`), printing the
+    /// `N/M cached` line when anything hit. Cache-missing unique points
+    /// then run as one queue on `opts.threads` workers, each once however
+    /// often the matrix lists it, in [`plan_batches`] order: group by
+    /// group, members ascending. Each group builds its trace source once
+    /// — for a synthetic workload, its program image — when its first
+    /// member starts, and every member runs over a clone of it through
+    /// [`SimPoint::run_with`], the one run path. A member's result is
+    /// therefore exactly its own [`SimPoint::run`], published under the
+    /// same cache key (`crates/bench/tests/batch_differential.rs` pins
+    /// stats *and* cache-entry bytes). A failed build is kept too, so the
+    /// group's other members fail with the same [`RunError`] instead of
+    /// building again.
     ///
     /// The last member of a group to start empties the group's slot, so
     /// a source lives only while a running member holds it: at most
@@ -506,21 +488,53 @@ impl Sweep {
     /// Each point publishes its cache entry by an atomic rename the
     /// moment it finishes, so a sweep killed mid-run leaves exactly its
     /// finished points in the cache. Rerunning the same command reads
-    /// them back through the cache probe and recomputes only the rest.
+    /// them back through the cache probe (the `N/M cached` line counts
+    /// them) and recomputes only the rest.
     ///
     /// # Errors
     ///
-    /// [`RunError::Store`] when the cache directory is unusable, or the
-    /// first point's failure otherwise: queued points do not start.
+    /// [`RunError::Store`] when the cache directory is unusable or a
+    /// cache read fails, or the first point's failure otherwise: queued
+    /// points do not start.
     pub fn try_run(&self, opts: &HarnessOpts) -> Result<Vec<SimResult>, RunError> {
-        let Prepared {
-            store,
-            points,
-            names,
-            mut results,
-            misses,
-            ..
-        } = self.prepare(opts)?;
+        let store = match &opts.store {
+            None => ResultStore::open(opts.out_dir.join("cache")),
+            Some(url) => ResultStore::open_url(url),
+        }?;
+        let points = self.points();
+        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
+        // Every unique entry name with the indices it answers, in order
+        // of first appearance.
+        let mut unique: Vec<Vec<usize>> = Vec::new();
+        let mut first: HashMap<&str, usize> = HashMap::new();
+        for (i, name) in names.iter().enumerate() {
+            let at = *first.entry(name).or_insert(unique.len());
+            if at == unique.len() {
+                unique.push(Vec::new());
+            }
+            unique[at].push(i);
+        }
+        let mut results: Vec<Option<SimResult>> = vec![None; points.len()];
+        // The cache-missing unique points, each as every index it
+        // answers; the first is the one to run, and the misses ascend by
+        // it.
+        let mut misses: Vec<Vec<usize>> = Vec::new();
+        let mut hits = 0;
+        for indices in unique {
+            let name = &names[indices[0]];
+            let cached = if opts.fresh { None } else { store.load(name)? };
+            let Some(result) = cached else {
+                misses.push(indices);
+                continue;
+            };
+            hits += 1;
+            for i in indices {
+                results[i] = Some(result.clone());
+            }
+        }
+        if hits > 0 {
+            eprintln!("[{}] {hits}/{} cached", self.name, hits + misses.len());
+        }
         let runs: Vec<usize> = misses.iter().map(|indices| indices[0]).collect();
         let groups = plan_batches(&points, &runs);
         let slots: Vec<Mutex<GroupSlot>> = groups
@@ -578,7 +592,7 @@ impl Sweep {
             .collect();
         let computed = try_run_named_jobs(&self.name, opts.threads, jobs)?;
         for (&(i, _), result) in queue.iter().zip(computed) {
-            // `runs` ascends, as `Prepared::misses` does.
+            // `runs` ascends, as `misses` does.
             let miss = runs.binary_search(&i).expect("every job is a run");
             for &j in &misses[miss] {
                 results[j] = Some(result.clone());
@@ -589,85 +603,6 @@ impl Sweep {
             .map(|r| r.expect("all points resolved"))
             .collect())
     }
-
-    /// The sweep front end every transport shares — [`Sweep::try_run`]
-    /// and the cluster coordinator behind `--server` and `--cluster`:
-    /// expand the points and their cache names once, open the store
-    /// (`--store`, or `<out>/cache`), and probe the cache once per
-    /// unique entry name (not under `--fresh`). Prints the `N/M cached`
-    /// line when anything hit: after a crash, the count of points an
-    /// earlier run finished. The transport then runs
-    /// [`Prepared::misses`] on its own executor.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] when the store or a cache read fails.
-    pub(crate) fn prepare(&self, opts: &HarnessOpts) -> Result<Prepared, StoreError> {
-        // `--store` swaps the cache backend (dir/mem/http); the default
-        // stays the local `<out>/cache` directory.
-        let store = match &opts.store {
-            None => ResultStore::open(opts.out_dir.join("cache")),
-            Some(url) => ResultStore::open_url(url, opts.http_timeout()),
-        }?;
-        let points = self.points();
-        let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
-        // Every unique entry name with the indices it answers, in order
-        // of first appearance.
-        let mut unique: Vec<Vec<usize>> = Vec::new();
-        let mut first: HashMap<&str, usize> = HashMap::new();
-        for (i, name) in names.iter().enumerate() {
-            let at = *first.entry(name).or_insert(unique.len());
-            if at == unique.len() {
-                unique.push(Vec::new());
-            }
-            unique[at].push(i);
-        }
-        let mut results: Vec<Option<SimResult>> = vec![None; points.len()];
-        let mut misses = Vec::new();
-        let mut hits = 0;
-        for indices in unique {
-            let name = &names[indices[0]];
-            let cached = if opts.fresh { None } else { store.load(name)? };
-            let Some(result) = cached else {
-                misses.push(indices);
-                continue;
-            };
-            hits += 1;
-            for i in indices {
-                results[i] = Some(result.clone());
-            }
-        }
-        if hits > 0 {
-            eprintln!("[{}] {hits}/{} cached", self.name, hits + misses.len());
-        }
-        Ok(Prepared {
-            store,
-            points,
-            names,
-            results,
-            misses,
-            hits,
-        })
-    }
-}
-
-/// A sweep ready to run its cache misses: what [`Sweep::prepare`]
-/// returns.
-pub(crate) struct Prepared {
-    /// The store results publish into.
-    pub(crate) store: ResultStore,
-    /// [`Sweep::points`].
-    pub(crate) points: Vec<SimPoint>,
-    /// Each point's [`SimPoint::cache_file`].
-    pub(crate) names: Vec<String>,
-    /// One slot per point: the cached result, `None` for a miss.
-    pub(crate) results: Vec<Option<SimResult>>,
-    /// The cache-missing unique points, each as every index it answers,
-    /// ascending; the first is the one to run, and the misses ascend by
-    /// it.
-    pub(crate) misses: Vec<Vec<usize>>,
-    /// Unique entry names the cache answered.
-    pub(crate) hits: usize,
 }
 
 /// A [`BatchGroup`]'s source while its members run: built by the first
@@ -726,7 +661,6 @@ mod tests {
             threads: 2,
             shards: 1,
             trace: None,
-            http_timeout_ms: 600_000,
             batch: true,
             fault_plan: None,
             store: None,

@@ -5,10 +5,12 @@
 //! `SimPoint::run` and published through its own `ResultStore`, for
 //! every organization and across crash recovery. Any divergence here means
 //! a group is simulating a *different* machine, not the same machine
-//! faster.
+//! faster. The suite also pins what the one sweep executor promises
+//! beyond grouping: a point listed twice computes once, and no sweep
+//! writes a journal.
 
 use btbx_bench::store::ResultStore;
-use btbx_bench::{HarnessOpts, Sweep};
+use btbx_bench::{HarnessOpts, SimPoint, Sweep};
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
@@ -32,7 +34,6 @@ fn opts(out_dir: &Path) -> HarnessOpts {
         threads: 4,
         shards: 1,
         trace: None,
-        http_timeout_ms: 600_000,
         batch: true,
         fault_plan: None,
         store: None,
@@ -162,4 +163,75 @@ fn mixed_workload_groups_match_per_point_end_to_end() {
     assert_cache_bytes_equal(&sweep, &batched_dir, &serial_dir);
     let _ = fs::remove_dir_all(&batched_dir);
     let _ = fs::remove_dir_all(&serial_dir);
+}
+
+/// A matrix that lists one point twice computes it once: the duplicate
+/// answers from the first's result and is never dispatched, so the
+/// store sees no join and no disk hit for it.
+#[test]
+fn a_duplicated_org_computes_each_point_once() {
+    let sweep = Sweep::named("diff-twice")
+        .workloads(suite::ipc1_client().into_iter().take(1))
+        .orgs([OrgKind::Conv, OrgKind::BtbX, OrgKind::Conv])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(2_000, 4_000);
+    let points = sweep.points();
+    assert_eq!(points.len(), 3);
+    let expected: Vec<SimResult> = points.iter().map(SimPoint::run).collect();
+
+    let dir = scratch("twice");
+    let store = ResultStore::open(dir.join("cache")).unwrap();
+    assert_eq!(sweep.run(&opts(&dir)), expected);
+    let counters = store.counters();
+    assert_eq!(counters.computes, 2, "{counters:?}");
+    assert_eq!(
+        counters.joins + counters.disk_hits,
+        0,
+        "the duplicate is never dispatched: {counters:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// No sweep writes under `<out>/cache/journal/`: the cache is the whole
+/// crash-recovery record. Pinned for a sweep that completes and for one
+/// whose point fails (its trace container is gone).
+#[test]
+fn no_sweep_leaves_a_journal() {
+    use btbx_trace::container::write_container;
+    use btbx_trace::WorkloadSpec;
+
+    let base = scratch("no-journal");
+    fs::create_dir_all(&base).unwrap();
+    let trace = base.join("gone.btbt");
+    let mut stream = suite::ipc1_client()[0].build_trace();
+    let file = fs::File::create(&trace).unwrap();
+    write_container(file, "gone", btbx_core::Arch::Arm64, &mut stream, 20_000).unwrap();
+    let workload = WorkloadSpec::from_container(&trace).unwrap();
+    fs::remove_file(&trace).unwrap();
+    let failing = Sweep::named("diff-gone")
+        .workloads([workload])
+        .orgs([OrgKind::Conv])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(1_000, 2_000);
+    let completing = Sweep::named("diff-done")
+        .workloads(suite::ipc1_client().into_iter().take(2))
+        .orgs([OrgKind::Conv, OrgKind::BtbX])
+        .budgets([BudgetPoint::Kb0_9])
+        .fdip_options([false])
+        .windows(2_000, 4_000);
+
+    for (tag, sweep, fails) in [("done", completing, false), ("failed", failing, true)] {
+        let out = base.join(format!("local-{tag}"));
+        let outcome = sweep.try_run(&opts(&out));
+        assert_eq!(outcome.is_err(), fails, "{tag}: {outcome:?}");
+        assert!(out.join("cache").is_dir(), "{}", out.display());
+        assert!(
+            !out.join("cache").join("journal").exists(),
+            "{tag}: {} has a journal",
+            out.display()
+        );
+    }
+    let _ = fs::remove_dir_all(&base);
 }

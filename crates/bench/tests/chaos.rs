@@ -20,12 +20,10 @@
 //!    fails the run with a typed error — in a session, a served request
 //!    and a CLI sweep — and never the process.
 
-use btbx_bench::cluster::{self, ClusterConfig, ClusterEvent, NodeState};
 use btbx_bench::faults::{self, ErrKind, FaultOp, FaultPlan, FaultRule};
-use btbx_bench::opts::DEFAULT_HTTP_TIMEOUT_MS;
-use btbx_bench::serve::{http_request, ServeConfig, ServeStats, Server};
+use btbx_bench::serve::{http_request, ServeConfig, Server};
 use btbx_bench::store::ResultStore;
-use btbx_bench::{HarnessOpts, Sweep};
+use btbx_bench::Sweep;
 use btbx_core::storage::BudgetPoint;
 use btbx_core::OrgKind;
 use btbx_trace::suite;
@@ -156,7 +154,7 @@ fn overloaded_server_sheds_with_retry_after_and_completes_admitted_work() {
         max_inflight: 1,
         deadline: None,
         store: None,
-        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+        http_timeout: Duration::from_secs(600),
     })
     .expect("server starts");
     let addr = server.addr().to_string();
@@ -275,80 +273,6 @@ fn four_point_sweep(name: &str) -> Sweep {
         .windows(2_000, 4_000)
 }
 
-/// `--server` is a one-node coordinator that keeps `--threads` requests
-/// in flight. Against a node admitting one request at a time the
-/// surplus is shed, and a shed charges neither the node's health nor
-/// the point's attempts: the sweep completes with the node healthy and
-/// results equal to a local run. The worker holding a shed point
-/// re-sends it, so the shed budget belongs to requests in flight: with
-/// far more pending points than slots, no point goes back on the queue.
-#[test]
-fn one_node_coordinator_rides_out_shedding() {
-    let _serial = fault_lock();
-    let node = scratch("shed-node");
-    let server = Server::start(ServeConfig {
-        port: 0,
-        cache_dir: node.join("cache"),
-        threads: 4,
-        shards: 1,
-        max_inflight: 1,
-        deadline: None,
-        store: None,
-        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
-    })
-    .expect("server starts");
-    let addr = server.addr().to_string();
-    // Each admitted request holds the node's only slot for ≥400 ms, so
-    // the coordinator's other in-flight requests are shed.
-    let guard = faults::arm(stall_publishes_under("btbx-chaos-shed-node"));
-
-    let sweep = four_point_sweep("chaos-shed")
-        .budgets([BudgetPoint::Kb0_9, BudgetPoint::Kb1_8, BudgetPoint::Kb3_6])
-        .fdip_options([false, true]);
-    assert_eq!(sweep.points().len(), 12);
-    let opts = |out: PathBuf| HarnessOpts {
-        warmup: 2_000,
-        measure: 4_000,
-        out_dir: out,
-        threads: 4,
-        shards: 1,
-        ..HarnessOpts::default()
-    };
-    let coordinator = opts(scratch("shed-coordinator"));
-    let config = ClusterConfig::from_opts(vec![addr.clone()], &coordinator);
-    let requeued = Mutex::new(Vec::new());
-    let report = cluster::run_sweep_observed(&sweep, &coordinator, &config, &|event| {
-        if let ClusterEvent::Requeued { key, .. } = event {
-            requeued.lock().unwrap().push(key);
-        }
-    })
-    .expect("the node passes the handshake");
-    drop(guard);
-
-    let stats = http_request(&addr, "GET", "/stats", "").unwrap();
-    let stats: ServeStats = serde_json::from_str(&stats.body).unwrap();
-    assert!(
-        stats.shed >= 1,
-        "4 in flight into 1 slot must shed: {stats:?}"
-    );
-    assert_eq!(report.stats.failed, 0, "{:?}", report.failures);
-    let requeued = requeued.into_inner().unwrap();
-    assert!(requeued.is_empty(), "sheds requeued points: {requeued:?}");
-    assert_eq!(report.stats.requeued, 0);
-    // A shed is not a node failure: it must not even be counted as one.
-    let summary = &report.nodes[0];
-    let health = (summary.state, summary.failures);
-    assert_eq!(health, (NodeState::Healthy, 0), "{summary:?}");
-    let local = opts(scratch("shed-local"));
-    assert_eq!(report.into_results().unwrap(), sweep.run(&local));
-
-    server.shutdown().unwrap();
-    server.join();
-    for dir in [node, coordinator.out_dir, local.out_dir] {
-        let _ = fs::remove_dir_all(dir);
-    }
-}
-
 /// A runaway simulation is aborted at the per-request deadline with a
 /// `503` on the *same connection* (no reset), counted, and the server
 /// remains healthy for normal-sized work afterwards.
@@ -363,7 +287,7 @@ fn deadline_aborts_runaway_simulations_and_the_server_survives() {
         max_inflight: 0,
         deadline: Some(Duration::from_millis(150)),
         store: None,
-        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+        http_timeout: Duration::from_secs(600),
     })
     .expect("server starts");
     let addr = server.addr().to_string();
@@ -588,7 +512,7 @@ fn a_failed_container_block_read_fails_the_run_not_the_process() {
         max_inflight: 0,
         deadline: None,
         store: None,
-        http_timeout: Duration::from_millis(DEFAULT_HTTP_TIMEOUT_MS),
+        http_timeout: Duration::from_secs(600),
     })
     .expect("server starts");
     let addr = server.addr().to_string();

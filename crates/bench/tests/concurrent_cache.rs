@@ -72,7 +72,6 @@ fn opts(out_dir: &std::path::Path) -> HarnessOpts {
         threads: 4,
         shards: 1,
         trace: None,
-        http_timeout_ms: 600_000,
         batch: true,
         fault_plan: None,
         store: None,

@@ -57,38 +57,10 @@ impl Suite {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRef {
     /// Where the container currently lives. Not part of the trace's
-    /// identity. May be a `store://` URL form (see
-    /// [`TraceRef::store_only`]) for references that are resolvable
-    /// only by fetching the container from a content-addressed store.
+    /// identity.
     pub path: PathBuf,
     /// Content hash from the container header.
     pub content_hash: u64,
-}
-
-impl TraceRef {
-    /// The content-addressed blob key this container publishes under in
-    /// a store (`trace-<hash>.btbt`) — the name a serve node asks a
-    /// peer's `/blob` endpoint for.
-    pub fn blob_key(&self) -> String {
-        format!("trace-{:016x}.btbt", self.content_hash)
-    }
-
-    /// A reference with no local path: the `store://` URL form. Opening
-    /// it directly fails; a consumer with a store backend resolves it
-    /// by fetching [`blob_key`](TraceRef::blob_key) and rewriting
-    /// `path` to the spooled file.
-    pub fn store_only(content_hash: u64) -> TraceRef {
-        TraceRef {
-            path: PathBuf::from(format!("store://trace-{content_hash:016x}.btbt")),
-            content_hash,
-        }
-    }
-
-    /// Whether this reference carries no usable local path (empty, or
-    /// the `store://` URL form) and must be resolved through a store.
-    pub fn is_store_only(&self) -> bool {
-        self.path.as_os_str().is_empty() || self.path.to_string_lossy().starts_with("store://")
-    }
 }
 
 /// A fully specified workload: a synthetic generator configuration, or a
