@@ -105,15 +105,15 @@ options:
                    deadline header (the connection survives;
                    0 = no deadline)                           [0]
 shared options (--threads for the requests served at once, --out for
-the cache dir, --store for a non-default cache backend) apply; results
-are byte-identical to the serial CLI path.";
+the directory holding the cache) apply; results are byte-identical to
+the serial CLI path.";
 
 fn main() {
-    // Chaos testing: BTBX_FAULT_PLAN arms a fault plan for the whole
-    // process (any subcommand). A malformed plan is fatal — silently
-    // running *without* the requested faults would make a chaos run
-    // look like a pass.
-    let _env_fault_guard = faults::arm_from_env()
+    // Chaos testing: BTBX_FAULT_PLAN, the one way to arm a fault plan,
+    // arms it for the whole process (any subcommand). A malformed plan
+    // is fatal — silently running *without* the requested faults would
+    // make a chaos run look like a pass.
+    let _fault_guard = faults::arm_from_env()
         .unwrap_or_else(|e| fail(&format!("{}: {e}", faults::FAULT_PLAN_ENV)));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -267,8 +267,6 @@ fn sweep_cmd(args: Vec<String>) {
         }
     }
     let opts = parse_opts(rest, "sweep", Some(SWEEP_USAGE));
-    let _fault_guard =
-        faults::arm_from_opts(&opts).unwrap_or_else(|e| fail(&format!("--fault-plan: {e}")));
 
     let sweep = if let Some(path) = spec_file {
         let json = std::fs::read_to_string(&path)

@@ -4,15 +4,12 @@
 //! [`btbx_core::faults`] so every crate in the stack — the trace
 //! container layer included — can route I/O through it; this module
 //! re-exports it and adds what only the harness needs: JSON plan files
-//! and environment/CLI arming.
+//! and environment arming.
 //!
-//! A plan can be armed two ways:
-//!
-//! * `--fault-plan FILE` on any sweep-capable subcommand
-//!   ([`HarnessOpts::fault_plan`]);
-//! * the `BTBX_FAULT_PLAN` environment variable, holding either inline
-//!   JSON (first byte `{`) or a file path — how CI's chaos-smoke job
-//!   arms child processes it spawns.
+//! A plan is armed one way: the `BTBX_FAULT_PLAN` environment variable,
+//! holding either inline JSON (first byte `{`) or a file path. `btbx`
+//! arms it in `main`, before any subcommand runs, so every subcommand
+//! runs under it.
 //!
 //! See EXPERIMENTS.md ("Fault injection") for the plan format.
 
@@ -20,7 +17,6 @@ pub use btbx_core::faults::{
     arm, armed, disarm, ErrKind, FaultGuard, FaultOp, FaultPlan, FaultRule,
 };
 
-use crate::opts::HarnessOpts;
 use std::path::Path;
 
 /// Environment variable arming a fault plan process-wide: inline JSON
@@ -68,18 +64,6 @@ pub fn arm_from_env() -> Result<Option<FaultGuard>, String> {
         load_plan(Path::new(&value))?
     };
     Ok(Some(arm(plan)))
-}
-
-/// Arm the plan named by `--fault-plan`, if any.
-///
-/// # Errors
-///
-/// A human-readable message when the file is missing or malformed.
-pub fn arm_from_opts(opts: &HarnessOpts) -> Result<Option<FaultGuard>, String> {
-    match &opts.fault_plan {
-        Some(path) => load_plan(path).map(|plan| Some(arm(plan))),
-        None => Ok(None),
-    }
 }
 
 #[cfg(test)]

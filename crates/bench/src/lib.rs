@@ -16,11 +16,11 @@
 //! * [`opts`] — shared command-line options (`--warmup`, `--measure`,
 //!   `--quick`, `--fresh`, `--threads`, `--out`), `Result`-based;
 //! * [`faults`] — deterministic fault-injection plans (JSON) armed via
-//!   `--fault-plan` or `BTBX_FAULT_PLAN`, driving the I/O seam in
-//!   `btbx_core::faults`;
+//!   `BTBX_FAULT_PLAN`, driving the I/O seam in `btbx_core::faults`;
 //! * [`journal`] — an fsync'd append-only record file that no sweep
 //!   writes, kept for the benchmark harness's append timing;
-//! * [`store`] — the durable per-point result cache ([`ResultStore`]):
+//! * [`store`] — the durable per-point result cache ([`ResultStore`])
+//!   over one directory (`<out>/cache`, or a server's `cache_dir`):
 //!   atomic temp-file+rename writes, corrupt-entry quarantine, and
 //!   process-wide single-flight computation, shared by sweeps and the
 //!   server. It is also the crash-recovery record: rerunning a killed

@@ -36,71 +36,6 @@ pub struct HarnessOpts {
     /// trace source. Kept only so struct literals that set it still
     /// compile.
     pub batch: bool,
-    /// Arm this JSON fault plan (a `btbx_bench::faults::FaultPlan`) for
-    /// the whole run — chaos testing only.
-    pub fault_plan: Option<PathBuf>,
-    /// Where cached results live. `None` keeps the default: a `dir://`
-    /// store under `<out>/cache`.
-    pub store: Option<StoreUrl>,
-}
-
-/// Where a run's cached results live, parsed from `--store`.
-///
-/// | Form | Backend |
-/// |------|---------|
-/// | `dir://<path>` (or a bare path) | local directory — the default layout |
-/// | `mem://` | in-process map (tests) |
-///
-/// Unknown schemes are loud parse errors, never silently treated as
-/// paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreUrl {
-    /// `dir://<path>`: the local-directory layout (today's default).
-    Dir(PathBuf),
-    /// `mem://`: an in-process map (tests).
-    Mem,
-}
-
-impl StoreUrl {
-    /// Parse a store URL, rejecting unknown schemes loudly.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason (scheme unknown, location missing or
-    /// malformed); the caller wraps it in [`OptError::BadStore`].
-    pub fn parse(s: &str) -> Result<Self, String> {
-        if let Some(rest) = s.strip_prefix("dir://") {
-            if rest.is_empty() {
-                return Err("dir:// needs a path, e.g. dir://results/cache".to_string());
-            }
-            return Ok(StoreUrl::Dir(PathBuf::from(rest)));
-        }
-        if let Some(rest) = s.strip_prefix("mem://") {
-            if !rest.is_empty() {
-                return Err(format!("mem:// takes no location, got `{rest}`"));
-            }
-            return Ok(StoreUrl::Mem);
-        }
-        if let Some((scheme, _)) = s.split_once("://") {
-            return Err(format!(
-                "unknown store scheme `{scheme}://` (expected dir:// or mem://)"
-            ));
-        }
-        if s.is_empty() {
-            return Err("empty store URL".to_string());
-        }
-        // A bare path is a directory store, same as `--out` paths.
-        Ok(StoreUrl::Dir(PathBuf::from(s)))
-    }
-}
-
-impl std::fmt::Display for StoreUrl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreUrl::Dir(path) => write!(f, "dir://{}", path.display()),
-            StoreUrl::Mem => f.write_str("mem://"),
-        }
-    }
 }
 
 impl Default for HarnessOpts {
@@ -117,8 +52,6 @@ impl Default for HarnessOpts {
             shards: 1,
             trace: None,
             batch: true,
-            fault_plan: None,
-            store: None,
         }
     }
 }
@@ -134,13 +67,6 @@ pub enum OptError {
         flag: String,
         /// What was found instead of a value.
         found: Option<String>,
-    },
-    /// `--store` was given an unparseable or unknown-scheme URL.
-    BadStore {
-        /// What was passed.
-        found: String,
-        /// Why it was rejected.
-        why: String,
     },
     /// `--help` was requested; the caller should print usage and exit 0.
     HelpRequested,
@@ -160,9 +86,6 @@ impl std::fmt::Display for OptError {
             }
             OptError::BadValue { flag, found: None } => {
                 write!(f, "{flag} expects a value")
-            }
-            OptError::BadStore { found, why } => {
-                write!(f, "--store: {why} (got `{found}`)")
             }
             OptError::HelpRequested => f.write_str("help requested"),
         }
@@ -184,12 +107,13 @@ options:
   --fresh            re-simulate even when cached results exist
                      (a crashed sweep resumes by rerunning it without
                      --fresh: finished points are cache hits)
-  --fault-plan FILE  arm a JSON fault-injection plan for the run
-                     (chaos testing; see EXPERIMENTS.md)
-  --store URL        where cached results live: dir://PATH
-                     [default: <out>/cache] or mem://
-  --out DIR          artifact + cache directory            [results]
-  -h, --help         show this help";
+  --out DIR          artifact directory; results cache in
+                     DIR/cache                             [results]
+  -h, --help         show this help
+
+environment:
+  BTBX_FAULT_PLAN    inline JSON or a file path: arm a fault-injection
+                     plan for the run (chaos testing; see EXPERIMENTS.md)";
 
 impl HarnessOpts {
     /// Parse from an iterator of arguments (without the program name).
@@ -223,29 +147,12 @@ impl HarnessOpts {
                     opts.offset_instrs = 300_000;
                 }
                 "--fresh" => opts.fresh = true,
-                "--fault-plan" => {
-                    let file = it.next().ok_or(OptError::BadValue {
-                        flag: "--fault-plan".to_string(),
-                        found: None,
-                    })?;
-                    opts.fault_plan = Some(PathBuf::from(file));
-                }
                 "--trace" => {
                     let file = it.next().ok_or(OptError::BadValue {
                         flag: "--trace".to_string(),
                         found: None,
                     })?;
                     opts.trace = Some(PathBuf::from(file));
-                }
-                "--store" => {
-                    let url = it.next().ok_or(OptError::BadValue {
-                        flag: "--store".to_string(),
-                        found: None,
-                    })?;
-                    opts.store = Some(
-                        StoreUrl::parse(&url)
-                            .map_err(|why| OptError::BadStore { found: url, why })?,
-                    );
                 }
                 "--out" => {
                     let dir = it.next().ok_or(OptError::BadValue {
@@ -307,14 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_flag() {
-        assert_eq!(parse(&[]).unwrap().fault_plan, None);
-        let o = parse(&["--fault-plan", "/tmp/plan.json"]).unwrap();
-        assert_eq!(o.fault_plan, Some(PathBuf::from("/tmp/plan.json")));
-        assert!(parse(&["--fault-plan"]).is_err());
-    }
-
-    #[test]
     fn unknown_flag_is_an_error() {
         assert_eq!(
             parse(&["--bogus"]),
@@ -335,6 +234,16 @@ mod tests {
         assert_eq!(
             parse(&["--http-timeout-ms", "2500"]),
             Err(OptError::UnknownFlag("--http-timeout-ms".to_string()))
+        );
+        // The cache is always `<out>/cache`; `--out` places it.
+        assert_eq!(
+            parse(&["--store", "dir:///tmp/cache"]),
+            Err(OptError::UnknownFlag("--store".to_string()))
+        );
+        // `BTBX_FAULT_PLAN` is the one way to arm a fault plan.
+        assert_eq!(
+            parse(&["--fault-plan", "/tmp/plan.json"]),
+            Err(OptError::UnknownFlag("--fault-plan".to_string()))
         );
     }
 
@@ -369,78 +278,5 @@ mod tests {
         assert!(e.to_string().contains("--bogus"));
         let e = parse(&["--warmup", "x"]).unwrap_err();
         assert!(e.to_string().contains("expects a number"));
-    }
-
-    #[test]
-    fn store_url_parses_every_scheme() {
-        assert_eq!(
-            StoreUrl::parse("dir:///tmp/cache").unwrap(),
-            StoreUrl::Dir(PathBuf::from("/tmp/cache"))
-        );
-        assert_eq!(
-            StoreUrl::parse("results/cache").unwrap(),
-            StoreUrl::Dir(PathBuf::from("results/cache")),
-            "a bare path is a directory store"
-        );
-        assert_eq!(StoreUrl::parse("mem://").unwrap(), StoreUrl::Mem);
-    }
-
-    #[test]
-    fn store_url_rejects_malformed_forms_loudly() {
-        // (input, fragment the error must mention), so every rejection
-        // path keeps a useful message.
-        let cases: &[(&str, &str)] = &[
-            ("", "empty"),
-            ("dir://", "needs a path"),
-            ("mem://extra", "takes no location"),
-            ("s3://bucket", "unknown store scheme `s3://`"),
-            ("ftp://x", "unknown store scheme `ftp://`"),
-            ("http://node:9000", "unknown store scheme `http://`"),
-        ];
-        for (input, fragment) in cases {
-            let err = StoreUrl::parse(input).expect_err(input);
-            assert!(
-                err.contains(fragment),
-                "`{input}` error `{err}` must mention `{fragment}`"
-            );
-        }
-    }
-
-    #[test]
-    fn the_tiered_scheme_is_unknown() {
-        let e = parse(&["--store", "tiered://local/cache,mem://"]).unwrap_err();
-        assert!(matches!(e, OptError::BadStore { .. }), "{e:?}");
-        assert!(
-            e.to_string().contains("unknown store scheme `tiered://`"),
-            "{e}"
-        );
-    }
-
-    #[test]
-    fn store_url_display_round_trips() {
-        let urls = [StoreUrl::Dir(PathBuf::from("/tmp/c")), StoreUrl::Mem];
-        for url in urls {
-            assert_eq!(StoreUrl::parse(&url.to_string()).unwrap(), url, "{url}");
-        }
-    }
-
-    #[test]
-    fn store_flag_wires_through() {
-        assert_eq!(parse(&[]).unwrap().store, None, "default is no override");
-        let o = parse(&["--store", "mem://"]).unwrap();
-        assert_eq!(o.store, Some(StoreUrl::Mem));
-        assert_eq!(
-            parse(&["--store"]),
-            Err(OptError::BadValue {
-                flag: "--store".to_string(),
-                found: None
-            })
-        );
-        let e = parse(&["--store", "gopher://x"]).unwrap_err();
-        assert!(matches!(e, OptError::BadStore { .. }), "{e:?}");
-        assert!(
-            e.to_string().contains("gopher://"),
-            "the offending scheme must be named: {e}"
-        );
     }
 }

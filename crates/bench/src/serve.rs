@@ -57,10 +57,9 @@
 //! that does not open, a cache failure) is a `500` carrying the
 //! [`RunError`] text.
 
-use crate::opts::{HarnessOpts, StoreUrl};
+use crate::opts::HarnessOpts;
 use crate::store::{Fetch, ResultStore, StoreCounters, StoreError};
 use crate::sweep::{RunError, RunOpts, SimPoint, CACHE_VERSION};
-use btbx_core::faults;
 use btbx_core::OrgKind;
 use btbx_uarch::runner::ServicePool;
 use btbx_uarch::{SessionError, SimResult};
@@ -140,10 +139,9 @@ pub struct ServeConfig {
     /// running when it expires is aborted and answered with `503` on the
     /// open connection. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Store backend for results: `None` keeps the default `dir://`
-    /// store over `cache_dir`; `dir://` names another directory and
-    /// `mem://` keeps results in memory.
-    pub store: Option<StoreUrl>,
+    /// Read nowhere: results always live in `cache_dir`. Kept only so
+    /// struct literals that set it still compile.
+    pub store: Option<PathBuf>,
     /// Read nowhere: the server makes no outbound requests. Kept only so
     /// struct literals that set it still compile.
     pub http_timeout: Duration,
@@ -161,7 +159,7 @@ impl ServeConfig {
             shards: 1,
             max_inflight: 0,
             deadline: None,
-            store: opts.store.clone(),
+            store: None,
             http_timeout: HTTP_TIMEOUT,
         }
     }
@@ -304,12 +302,7 @@ impl Server {
     /// [`StoreError`] when the cache directory is unusable or the
     /// socket cannot be bound.
     pub fn start(config: ServeConfig) -> Result<Server, StoreError> {
-        // The default and `dir://` stores keep the process-wide
-        // per-directory flight sharing that `ResultStore::open` provides.
-        let store = match &config.store {
-            None => ResultStore::open(&config.cache_dir)?,
-            Some(url) => ResultStore::open_url(url)?,
-        };
+        let store = ResultStore::open(&config.cache_dir)?;
         let listener =
             TcpListener::bind(("127.0.0.1", config.port)).map_err(|source| StoreError::Io {
                 action: "binding service socket",
@@ -624,8 +617,7 @@ impl HttpResponse {
 /// Minimal blocking HTTP/1.1 client for the service (tests, scripts and
 /// the benchmark). `addr` is `host:port`, optionally prefixed with
 /// `http://`. Every phase (connect, write, read) honours one fixed
-/// timeout, and the `Connect`/`HttpRead` fault-injection checkpoints
-/// fire here.
+/// timeout.
 ///
 /// # Errors
 ///
@@ -633,7 +625,6 @@ impl HttpResponse {
 /// out, or a non-UTF-8 body. Non-2xx statuses are returned, not errors.
 pub fn http_request(addr: &str, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
     let addr = addr.trim_start_matches("http://").trim_end_matches('/');
-    faults::check_connect(addr)?;
     // connect_timeout needs a resolved SocketAddr; take the first.
     let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: no address"))
@@ -650,7 +641,6 @@ pub fn http_request(addr: &str, method: &str, path: &str, body: &str) -> io::Res
         .as_bytes(),
     )?;
     stream.write_all(body.as_bytes())?;
-    faults::check_http_read(addr)?;
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;

@@ -34,23 +34,21 @@
 //! complete or not at all) but not deduplicated — both processes compute
 //! and the second rename wins with byte-identical content.
 //!
-//! # Backends
+//! # Layout
 //!
-//! The byte storage itself is pluggable: [`ResultStore`] sits on the
-//! [`Store`] trait from [`backend`], selected by URL scheme (`dir://` —
-//! the default local layout — or `mem://`). Every guarantee above is
-//! backend-independent; `dir://` is byte-compatible with every cache
-//! written before backends existed.
-
-pub mod backend;
-
-pub use backend::{atomic_publish, open_store, DirStore, MemStore, Quarantine, Store};
+//! The store is one directory (a sweep's `<out>/cache`, a server's
+//! `cache_dir`) holding one plain file per entry, named by the entry's
+//! content-addressed key. Every read, write, rename and directory
+//! creation goes through [`btbx_core::faults`] on the real path, so a
+//! fault plan can fail any of them.
 
 use crate::sweep::RunError;
+use btbx_core::faults;
 use btbx_uarch::SimResult;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,12 +192,13 @@ fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<Shared>>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// A durable result cache over one [`Store`] backend: atomic writes,
+/// A durable result cache over one directory: atomic writes,
 /// corrupt-entry quarantine, and process-wide single-flight computation.
 /// See the module docs for the guarantees.
 #[derive(Clone)]
 pub struct ResultStore {
-    backend: Arc<dyn Store>,
+    /// The canonical cache directory.
+    dir: PathBuf,
     shared: Arc<Shared>,
 }
 
@@ -212,59 +211,33 @@ impl ResultStore {
     /// [`StoreError::Io`] when the directory cannot be created or
     /// canonicalized.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let backend = DirStore::open(dir)?;
-        let canonical = backend.dir().to_path_buf();
+        let dir = dir.as_ref();
+        faults::create_dir_all(dir).map_err(|source| StoreError::Io {
+            action: "creating store dir",
+            path: dir.to_path_buf(),
+            source: Arc::new(source),
+        })?;
+        // Canonical, so two opens of one directory agree on identity.
+        let dir = dir.canonicalize().map_err(|source| StoreError::Io {
+            action: "resolving store dir",
+            path: dir.to_path_buf(),
+            source: Arc::new(source),
+        })?;
         let mut reg = registry().lock().unwrap();
         // The registry holds weak references, so entries for dropped
         // stores linger as dead weaks; prune them here or the map grows
         // by one entry per distinct directory for the process lifetime
         // (real for long-lived servers cycling per-request temp dirs).
         reg.retain(|_, shared| shared.strong_count() > 0);
-        let shared = match reg.get(&canonical).and_then(Weak::upgrade) {
+        let shared = match reg.get(&dir).and_then(Weak::upgrade) {
             Some(shared) => shared,
             None => {
                 let shared = Arc::new(Shared::new());
-                reg.insert(canonical, Arc::downgrade(&shared));
+                reg.insert(dir.clone(), Arc::downgrade(&shared));
                 shared
             }
         };
-        Ok(ResultStore {
-            backend: Arc::new(backend),
-            shared,
-        })
-    }
-
-    /// Open the store over an explicit backend. Unlike [`open`], each
-    /// call gets its own in-flight table and counter set (clone the
-    /// returned store — or its backend `Arc` — to share them): a
-    /// `mem://` backend belongs to one configured consumer (a server,
-    /// one sweep), not to a process-wide directory identity.
-    ///
-    /// [`open`]: ResultStore::open
-    pub fn open_backend(backend: Arc<dyn Store>) -> Self {
-        ResultStore {
-            backend,
-            shared: Arc::new(Shared::new()),
-        }
-    }
-
-    /// Open the store a [`crate::opts::StoreUrl`] names; `dir://` routes
-    /// through [`open`](ResultStore::open) and keeps the process-wide
-    /// per-directory sharing.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when a `dir://` store cannot be opened.
-    pub fn open_url(url: &crate::opts::StoreUrl) -> Result<Self, StoreError> {
-        match url {
-            crate::opts::StoreUrl::Dir(dir) => Self::open(dir),
-            other => Ok(Self::open_backend(open_store(other)?)),
-        }
-    }
-
-    /// The backend this store publishes through.
-    pub fn backend(&self) -> &Arc<dyn Store> {
-        &self.backend
+        Ok(ResultStore { dir, shared })
     }
 
     /// Current counters for this store (shared across every store on
@@ -283,9 +256,9 @@ impl ResultStore {
     ///
     /// Returns `Ok(None)` when the entry does not exist **or** when it
     /// exists but is unreadable as a result — in the latter case the
-    /// entry is logged (once per label) and quarantined by the backend
-    /// (renamed to `<name>.corrupt` on local backends) so the next write
-    /// lands cleanly and the damage stays inspectable.
+    /// entry is logged (once per path) and quarantined by renaming it
+    /// to `<name>.corrupt`, so the next write lands cleanly and the
+    /// damage stays inspectable.
     ///
     /// # Errors
     ///
@@ -294,7 +267,7 @@ impl ResultStore {
     /// environment problems the caller must hear about, not cache
     /// misses.
     pub fn load(&self, name: &str) -> Result<Option<SimResult>, StoreError> {
-        let bytes = match self.backend.get(name)? {
+        let bytes = match self.read(name)? {
             Some(bytes) => bytes,
             None => return Ok(None),
         };
@@ -308,7 +281,7 @@ impl ResultStore {
                 // writer may have atomically replaced the damaged bytes
                 // with a clean entry since the read above — quarantining
                 // then would throw away a valid result.
-                if let Ok(Some(second)) = self.backend.get(name) {
+                if let Ok(Some(second)) = self.read(name) {
                     if second != bytes {
                         if let Ok(result) = serde_json::from_slice(&second) {
                             self.shared.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -322,48 +295,97 @@ impl ResultStore {
         }
     }
 
-    /// Quarantine a damaged entry through the backend and log it, once
-    /// per entry label per store. Quarantine is best-effort: if it fails
-    /// the damaged entry stays put and the atomic rewrite will replace
-    /// it anyway. The caller re-reads before quarantining, but a writer
-    /// landing in the remaining window only costs a recompute — a
-    /// quarantined entry is treated as a miss, never as data loss.
+    /// Read the bytes of the entry named `name`. Absent is `Ok(None)`;
+    /// only real failures (I/O errors) are `Err`.
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        let path = self.dir.join(name);
+        match faults::read(&path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(source) => Err(StoreError::Io {
+                action: "reading store entry",
+                path,
+                source: Arc::new(source),
+            }),
+        }
+    }
+
+    /// Quarantine a damaged entry by renaming it to `<name>.corrupt`
+    /// and log it, once per entry path per store. Quarantine is
+    /// best-effort: if the rename fails the damaged entry stays put and
+    /// the atomic rewrite will replace it anyway. The caller re-reads
+    /// before quarantining, but a writer landing in the remaining window
+    /// only costs a recompute — a quarantined entry is treated as a
+    /// miss, never as data loss.
     fn condemn(&self, name: &str, why: &serde_json::Error) {
-        let outcome = self.backend.quarantine(name);
+        let path = self.dir.join(name);
+        let mut corrupt = path.as_os_str().to_owned();
+        corrupt.push(".corrupt");
+        let corrupt = PathBuf::from(corrupt);
+        let outcome = faults::rename(&path, &corrupt);
         // Count per successful quarantine, not per first-log: a failed
         // quarantine moved nothing, and an entry damaged again after a
-        // clean rewrite is a new quarantine event even though its label
+        // clean rewrite is a new quarantine event even though its path
         // was already logged.
-        if matches!(outcome, Quarantine::Moved(_)) {
+        if outcome.is_ok() {
             self.shared.quarantined.fetch_add(1, Ordering::Relaxed);
         }
-        let label = self.backend.label(name);
+        let label = path.display().to_string();
         if self.shared.logged.lock().unwrap().insert(label.clone()) {
-            match &outcome {
-                Quarantine::Moved(to) => {
-                    eprintln!("[store] damaged cache entry {label} ({why}); quarantined to {to}")
-                }
-                Quarantine::Failed(e) => {
+            match outcome {
+                Ok(()) => eprintln!(
+                    "[store] damaged cache entry {label} ({why}); quarantined to {}",
+                    corrupt.display()
+                ),
+                Err(e) => {
                     eprintln!("[store] damaged cache entry {label} ({why}); quarantine failed: {e}")
                 }
             }
         }
     }
 
-    /// Durably write `result` as the entry named `name`.
-    ///
-    /// The `dir://` backend writes the JSON to a fresh temp file in the
-    /// cache directory and renames it into place, so concurrent readers
-    /// (and readers after a crash) see either the previous state or the
-    /// complete new entry — never a prefix.
+    /// Durably write `result` as the entry named `name`: the JSON goes
+    /// to a fresh temp file (`<name>.tmp.<pid>.<seq>`) in the cache
+    /// directory and is renamed into place, so concurrent readers (and
+    /// readers after a crash) see either the previous state or the
+    /// complete new entry — never a prefix. A failed write or rename
+    /// removes the temp file, so no litter survives.
     ///
     /// # Errors
     ///
     /// [`StoreError`] on serialization or I/O failure; unlike the old
     /// `store_cached`, nothing is discarded.
     pub fn store(&self, name: &str, result: &SimResult) -> Result<(), StoreError> {
+        // Unique per writer so concurrent publishes of one key never
+        // share a temp file; the final rename is the only point of
+        // contention and it is atomic.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let json = serde_json::to_vec(result).map_err(StoreError::Serialize)?;
-        self.backend.put(name, &json)
+        let path = self.dir.join(name);
+        let tmp = self.dir.join(format!(
+            "{name}.tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        faults::write(&tmp, &json).map_err(|source| {
+            // A failed (possibly torn) temp write must not linger: the
+            // half-file is unreachable as an entry but would read as
+            // litter — and as a counterexample to "no half-entries".
+            let _ = fs::remove_file(&tmp);
+            StoreError::Io {
+                action: "writing store temp file",
+                path: tmp.clone(),
+                source: Arc::new(source),
+            }
+        })?;
+        faults::rename(&tmp, &path).map_err(|source| {
+            let _ = fs::remove_file(&tmp);
+            StoreError::Io {
+                action: "publishing store entry",
+                path,
+                source: Arc::new(source),
+            }
+        })
     }
 
     /// [`try_get_or_compute`](ResultStore::try_get_or_compute) for a

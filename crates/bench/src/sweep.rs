@@ -463,7 +463,7 @@ impl Sweep {
 
     /// [`run`](Sweep::run), returning a failure instead of panicking.
     ///
-    /// Opens the store (`--store`, or `<out>/cache`) and probes the cache
+    /// Opens the store over `<out>/cache` and probes the cache
     /// once per unique entry name (not under `--fresh`), printing the
     /// `N/M cached` line when anything hit. Cache-missing unique points
     /// then run as one queue on `opts.threads` workers, each once however
@@ -497,10 +497,7 @@ impl Sweep {
     /// cache read fails, or the first point's failure otherwise: queued
     /// points do not start.
     pub fn try_run(&self, opts: &HarnessOpts) -> Result<Vec<SimResult>, RunError> {
-        let store = match &opts.store {
-            None => ResultStore::open(opts.out_dir.join("cache")),
-            Some(url) => ResultStore::open_url(url),
-        }?;
+        let store = ResultStore::open(opts.out_dir.join("cache"))?;
         let points = self.points();
         let names: Vec<String> = points.iter().map(SimPoint::cache_file).collect();
         // Every unique entry name with the indices it answers, in order
@@ -662,8 +659,6 @@ mod tests {
             shards: 1,
             trace: None,
             batch: true,
-            fault_plan: None,
-            store: None,
         }
     }
 

@@ -35,8 +35,6 @@ fn opts(out_dir: &Path) -> HarnessOpts {
         shards: 1,
         trace: None,
         batch: true,
-        fault_plan: None,
-        store: None,
     }
 }
 

@@ -533,7 +533,8 @@ fn a_failed_container_block_read_fails_the_run_not_the_process() {
     server.shutdown().unwrap();
     server.join();
 
-    // `btbx sweep` exits 1 and names the typed error.
+    // `btbx sweep` exits 1 and names the typed error. The plan travels
+    // as a file path in `BTBX_FAULT_PLAN`, so that form stays covered.
     let spec = out.join("spec.json");
     fs::write(&spec, sweep.to_json().unwrap()).unwrap();
     let plan_file = out.join("plan.json");
@@ -541,7 +542,7 @@ fn a_failed_container_block_read_fails_the_run_not_the_process() {
     let cli_out = out.join("cli");
     let run = Command::new(env!("CARGO_BIN_EXE_btbx"))
         .args(["sweep", "--spec", spec.to_str().unwrap(), "--fresh"])
-        .args(["--fault-plan", plan_file.to_str().unwrap()])
+        .env(faults::FAULT_PLAN_ENV, &plan_file)
         .args(["--out", cli_out.to_str().unwrap()])
         .output()
         .unwrap();

@@ -73,8 +73,6 @@ fn opts(out_dir: &std::path::Path) -> HarnessOpts {
         shards: 1,
         trace: None,
         batch: true,
-        fault_plan: None,
-        store: None,
     }
 }
 

@@ -199,8 +199,6 @@ fn served_results_are_byte_identical_to_the_serial_cli_path() {
         shards: 1,
         trace: None,
         batch: true,
-        fault_plan: None,
-        store: None,
     });
 
     // Same points through a fresh server (separate cache).

@@ -1,15 +1,15 @@
 //! Deterministic fault injection behind the workspace's I/O seam.
 //!
 //! Every durable-state layer in the stack (the result store, the warm
-//! snapshot cache, `.btbt` containers, the HTTP client) routes its
-//! filesystem and socket operations through the thin wrappers in this
-//! module. With no plan armed the wrappers are a single relaxed atomic
-//! load in front of the real `std::fs` call — nothing allocates, nothing
-//! locks — so production binaries pay effectively zero cost. Arming a
+//! snapshot cache, `.btbt` containers) routes its filesystem operations
+//! through the thin wrappers in this module. With no plan armed the
+//! wrappers are a single relaxed atomic load in front of the real
+//! `std::fs` call — nothing allocates, nothing locks — so production
+//! binaries pay effectively zero cost. Arming a
 //! [`FaultPlan`] (tests, the chaos suite, `BTBX_FAULT_PLAN` in CI) turns
 //! selected operations into injected failures: `ENOSPC` on a cache
-//! publish, a torn temp-file write, a rename that never lands, a reset
-//! connection, a stalled read.
+//! publish, a torn temp-file write, a rename that never lands, a stalled
+//! read.
 //!
 //! # Determinism
 //!
@@ -24,9 +24,8 @@
 //! # Sites
 //!
 //! The path a wrapper matches against is the real filesystem path for
-//! file operations, the `host:port` address for socket operations, and
-//! the stream name for container-writer sinks (which write through a
-//! generic `Write + Seek` and have no path).
+//! file operations and the stream name for container-writer sinks
+//! (which write through a generic `Write + Seek` and have no path).
 
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -50,8 +49,6 @@ pub enum ErrKind {
     RenameFail,
     /// The read succeeds after an injected delay.
     SlowRead,
-    /// The peer resets the connection: `ErrorKind::ConnectionReset`.
-    ConnReset,
     /// The operation stalls for the rule's delay, then proceeds.
     Stall,
 }
@@ -69,10 +66,6 @@ pub enum FaultOp {
     Rename,
     /// Creating a directory tree.
     CreateDir,
-    /// Establishing an outbound TCP connection.
-    Connect,
-    /// Reading an HTTP response off an established connection.
-    HttpRead,
 }
 
 /// One scheduled fault: "the `nth` `op` touching a path containing
@@ -108,8 +101,8 @@ fn default_delay_ms() -> u64 {
 }
 
 /// A seeded schedule of fault rules. Serializable so plans travel as
-/// JSON through `BTBX_FAULT_PLAN` / `--fault-plan` and proptest shrinks
-/// them structurally.
+/// JSON through `BTBX_FAULT_PLAN` and proptest shrinks them
+/// structurally.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FaultPlan {
     /// Seed for rules with `nth = 0`; also recorded so a failing chaos
@@ -226,9 +219,6 @@ fn error_for(kind: ErrKind) -> io::Error {
         ErrKind::RenameFail => {
             io::Error::new(io::ErrorKind::PermissionDenied, "injected rename failure")
         }
-        ErrKind::ConnReset => {
-            io::Error::new(io::ErrorKind::ConnectionReset, "injected connection reset")
-        }
         // Delay kinds never produce an error; keep the mapping total.
         ErrKind::SlowRead | ErrKind::Stall => io::Error::other("injected delay"),
     }
@@ -343,16 +333,6 @@ pub fn check_read(site: &str) -> io::Result<()> {
 /// the stream name.
 pub fn check_write(site: &str) -> io::Result<()> {
     gate(FaultOp::Write, site)
-}
-
-/// Gate an outbound TCP connect; `site` is the `host:port` address.
-pub fn check_connect(site: &str) -> io::Result<()> {
-    gate(FaultOp::Connect, site)
-}
-
-/// Gate an HTTP response read; `site` is the `host:port` address.
-pub fn check_http_read(site: &str) -> io::Result<()> {
-    gate(FaultOp::HttpRead, site)
 }
 
 #[cfg(test)]
@@ -496,9 +476,9 @@ mod tests {
         let plan = FaultPlan {
             seed: 42,
             rules: vec![FaultRule {
-                op: FaultOp::Connect,
-                kind: ErrKind::ConnReset,
-                path: "127.0.0.1".into(),
+                op: FaultOp::Read,
+                kind: ErrKind::SlowRead,
+                path: "cache".into(),
                 nth: 3,
                 count: 2,
                 delay_ms: 5,
