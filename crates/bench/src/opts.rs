@@ -6,9 +6,11 @@ use std::path::PathBuf;
 ///
 /// The paper warms for 50 M instructions and measures 50 M; the defaults
 /// here are scaled to interactive hardware and can be raised with
-/// `--warmup`/`--measure` for higher-fidelity runs (shapes are stable
-/// well below the paper's window sizes because the synthetic workloads
-/// cycle their working sets quickly).
+/// `--warmup`/`--measure`. Not every figure shape survives the smaller
+/// windows: at 14.5 KB the server-average BTB-X/PDede MPKI ratio reads
+/// 1.03 at `--quick`, 0.97 at the defaults and 0.94 at 2M/4M, with PDede
+/// ahead on 26, 21 and 17 of 35 servers (EXPERIMENTS.md, "Window-size
+/// guidance").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessOpts {
     /// Warm-up instructions per simulation.
@@ -47,7 +49,7 @@ impl Default for HarnessOpts {
             fresh: false,
             out_dir: PathBuf::from("results"),
             threads: std::thread::available_parallelism()
-                .map(|n| n.get())
+                .map(|n| n.get().min(MAX_THREADS))
                 .unwrap_or(2),
             shards: 1,
             trace: None,
@@ -55,6 +57,11 @@ impl Default for HarnessOpts {
         }
     }
 }
+
+/// Largest `--threads` value accepted. `btbx serve` starts every worker
+/// up front, so the bound keeps a typo from asking the OS for a hundred
+/// thousand threads.
+pub const MAX_THREADS: usize = 1024;
 
 /// A command-line parse failure, formatted for terminal display.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +88,12 @@ impl std::fmt::Display for OptError {
             OptError::BadValue {
                 flag,
                 found: Some(v),
+            } if flag == "--threads" => {
+                write!(f, "{flag} expects a number in 1..={MAX_THREADS}, got `{v}`")
+            }
+            OptError::BadValue {
+                flag,
+                found: Some(v),
             } => {
                 write!(f, "{flag} expects a number, got `{v}`")
             }
@@ -101,7 +114,7 @@ options:
   --measure N        measured instructions per simulation  [1000000]
   --offset-instrs N  instructions per offset study         [1000000]
   --quick            preset: 150k warm-up / 300k measured windows
-  --threads N        worker threads                        [all cores]
+  --threads N        worker threads, 1-1024                [all cores]
   --trace FILE       replay a .btbt trace container instead of the
                      synthetic suites (see `btbx trace --help`)
   --fresh            re-simulate even when cached results exist
@@ -140,7 +153,16 @@ impl HarnessOpts {
                 "--warmup" => opts.warmup = take("--warmup")?,
                 "--measure" => opts.measure = take("--measure")?,
                 "--offset-instrs" => opts.offset_instrs = take("--offset-instrs")?,
-                "--threads" => opts.threads = take("--threads")? as usize,
+                "--threads" => {
+                    let n = take("--threads")?;
+                    if !(1..=MAX_THREADS as u64).contains(&n) {
+                        return Err(OptError::BadValue {
+                            flag: "--threads".to_string(),
+                            found: Some(n.to_string()),
+                        });
+                    }
+                    opts.threads = n as usize;
+                }
                 "--quick" => {
                     opts.warmup = 150_000;
                     opts.measure = 300_000;
@@ -190,6 +212,24 @@ mod tests {
         assert_eq!(o.warmup, 1000);
         assert_eq!(o.measure, 2000);
         assert_eq!(o.threads, 4);
+    }
+
+    #[test]
+    fn threads_must_be_between_1_and_1024() {
+        assert_eq!(parse(&["--threads", "1"]).unwrap().threads, 1);
+        assert_eq!(parse(&["--threads", "1024"]).unwrap().threads, MAX_THREADS);
+        for bad in ["0", "1025", "100000", "18446744073709551615"] {
+            let err = parse(&["--threads", bad]).unwrap_err();
+            assert_eq!(
+                err,
+                OptError::BadValue {
+                    flag: "--threads".to_string(),
+                    found: Some(bad.to_string()),
+                }
+            );
+            assert!(err.to_string().contains("1..=1024"), "{err}");
+        }
+        assert!(HarnessOpts::default().threads <= MAX_THREADS);
     }
 
     #[test]

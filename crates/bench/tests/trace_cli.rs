@@ -1,7 +1,7 @@
-//! `btbx trace` at the command line: `check` gates a converted trace on
-//! a replay resumed from a warm snapshot, a raw ChampSim file does not
-//! replay, and `convert` rejects an instruction size it cannot use
-//! before it creates its output file.
+//! `btbx trace` at the command line: `check` decodes a converted trace
+//! and replays it once, refuses a truncated container and a raw ChampSim
+//! file, and `convert` rejects an instruction size it cannot use before
+//! it creates its output file.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -32,11 +32,37 @@ fn check_passes_a_converted_trace_and_takes_no_shard_count() {
     let out = btbx(&["trace", "check", dest_str]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(stdout.contains("resumed"), "{stdout}");
+    assert!(stdout.contains("decode   50000 events"), "{stdout}");
+    assert!(stdout.contains("replay   btbx+fdip"), "{stdout}");
     assert!(stdout.contains("OK"), "{stdout}");
     let out = btbx(&["trace", "check", dest_str, "--shards", "4"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let _ = std::fs::remove_file(&dest);
+}
+
+#[test]
+fn check_fails_a_container_truncated_mid_file_and_names_it() {
+    let dest = std::env::temp_dir().join(format!("btbx-cli-cut-{}.btbt", std::process::id()));
+    let dest_str = dest.to_str().unwrap();
+    let out = btbx(&[
+        "trace",
+        "convert",
+        fixture().to_str().unwrap(),
+        "-o",
+        dest_str,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let bytes = std::fs::read(&dest).unwrap();
+    std::fs::write(&dest, &bytes[..bytes.len() / 2]).unwrap();
+    let out = btbx(&["trace", "check", dest_str]);
+    let _ = std::fs::remove_file(&dest);
+    assert_ne!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(dest_str),
+        "the path must be named: {stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("OK"));
 }
 
 #[test]

@@ -8,7 +8,6 @@
 
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::replacement::LruSet;
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::tag::{partial_tag, set_index, PARTIAL_TAG_BITS};
 use crate::types::{Arch, BranchEvent, BtbBranchType, TargetSource};
@@ -36,22 +35,6 @@ impl Entry {
         btype: BtbBranchType::Unconditional,
         target: 0,
     };
-
-    fn save(&self, w: &mut SnapWriter) {
-        w.bool(self.valid);
-        w.u16(self.tag);
-        w.u8(self.btype.snap_code());
-        w.u64(self.target);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Entry {
-            valid: r.bool()?,
-            tag: r.u16()?,
-            btype: BtbBranchType::from_snap_code(r.u8()?)?,
-            target: r.u64()?,
-        })
-    }
 }
 
 /// The conventional BTB of Figure 1.
@@ -191,30 +174,6 @@ impl Btb for ConvBtb {
 
     fn name(&self) -> &'static str {
         "conv"
-    }
-}
-
-impl Snapshot for ConvBtb {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        for e in &self.entries {
-            e.save(w);
-        }
-        for l in &self.lru {
-            l.save_state(w);
-        }
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "conv set count")?;
-        for e in &mut self.entries {
-            *e = Entry::load(r)?;
-        }
-        for l in &mut self.lru {
-            l.restore_state(r)?;
-        }
-        self.counts.restore_state(r)
     }
 }
 

@@ -32,7 +32,6 @@ use crate::hooger::MixedBtb;
 use crate::infinite::InfiniteBtb;
 use crate::pdede::PdedeBtb;
 use crate::rbtb::RBtb;
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::types::{Arch, BranchEvent};
 use crate::x::{BtbX, BtbXConfig};
@@ -187,36 +186,6 @@ impl BtbEngine {
     pub fn branch_capacity(&self) -> u64 {
         dispatch!(self, b => b.branch_capacity())
     }
-
-    /// Stable snapshot discriminant of the active variant. Distinct from
-    /// [`OrgKind`] values only in being a codec contract: reordering
-    /// `OrgKind` must not silently change snapshot bytes.
-    const fn snap_code(&self) -> u8 {
-        match self {
-            BtbEngine::Conv(_) => 0,
-            BtbEngine::Pdede(_) => 1,
-            BtbEngine::BtbX(_) => 2,
-            BtbEngine::RBtb(_) => 3,
-            BtbEngine::Hoogerbrugge(_) => 4,
-            BtbEngine::Infinite(_) => 5,
-            BtbEngine::BtbXUniform(_) => 6,
-            BtbEngine::BtbXNoXc(_) => 7,
-        }
-    }
-}
-
-impl Snapshot for BtbEngine {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(self.snap_code());
-        dispatch!(self, b => b.save_state(w))
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.u8()? != self.snap_code() {
-            return Err(SnapError::Corrupt("btb engine organization"));
-        }
-        dispatch!(self, b => b.restore_state(r))
-    }
 }
 
 impl Btb for BtbEngine {
@@ -291,95 +260,6 @@ mod tests {
             Arch::Arm64,
         );
         assert!(probe(&mut e));
-    }
-
-    fn pseudo_events(seed: u64, n: usize) -> Vec<BranchEvent> {
-        // Deterministic xorshift stream exercising every branch class,
-        // short and long offsets, and not-taken conditionals.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        (0..n)
-            .map(|_| {
-                let r = next();
-                let pc = (r % 4096) * 4 + 0x1_0000;
-                let class = BranchClass::ALL[(r >> 12) as usize % BranchClass::ALL.len()];
-                let span = if r & (1 << 20) != 0 { 1 << 27 } else { 1 << 9 };
-                let target = pc ^ ((r >> 24) % span * 4).max(4);
-                BranchEvent {
-                    pc,
-                    target,
-                    class,
-                    taken: class.is_always_taken() || r & (1 << 21) != 0,
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn snapshot_restore_continues_bit_identically_for_every_kind() {
-        use crate::snap::{restore_sealed, save_sealed};
-        let bits = BudgetPoint::Kb0_9.bits(Arch::Arm64);
-        for kind in OrgKind::ALL {
-            let key = format!("{kind}/test");
-            let mut original = BtbEngine::build(kind, bits, Arch::Arm64);
-            for ev in pseudo_events(7, 4000) {
-                original.update(&ev);
-                original.lookup(ev.pc);
-            }
-            let sealed = save_sealed(&key, &original);
-            let mut restored = BtbEngine::build(kind, bits, Arch::Arm64);
-            restore_sealed(&mut restored, &key, &sealed).unwrap();
-            // Continue both with the same stream: every prediction and
-            // every counter must stay identical.
-            for ev in pseudo_events(99, 4000) {
-                assert_eq!(original.lookup(ev.pc), restored.lookup(ev.pc), "{kind}");
-                original.update(&ev);
-                restored.update(&ev);
-            }
-            assert_eq!(original.counts(), restored.counts(), "{kind}");
-            assert_eq!(
-                save_sealed(&key, &original),
-                save_sealed(&key, &restored),
-                "{kind}: snapshots of identical state must be byte-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_rejects_the_wrong_organization() {
-        let bits = BudgetPoint::Kb0_9.bits(Arch::Arm64);
-        let conv = BtbEngine::build(OrgKind::Conv, bits, Arch::Arm64);
-        let mut w = SnapWriter::new();
-        conv.save_state(&mut w);
-        let bytes = w.into_vec();
-        let mut pdede = BtbEngine::build(OrgKind::Pdede, bits, Arch::Arm64);
-        let err = pdede
-            .restore_state(&mut SnapReader::new(&bytes))
-            .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("btb engine organization"));
-    }
-
-    #[test]
-    fn snapshot_rejects_a_different_geometry() {
-        let mut small = BtbEngine::build(
-            OrgKind::Conv,
-            BudgetPoint::Kb0_9.bits(Arch::Arm64),
-            Arch::Arm64,
-        );
-        let big = BtbEngine::build(
-            OrgKind::Conv,
-            BudgetPoint::Kb14_5.bits(Arch::Arm64),
-            Arch::Arm64,
-        );
-        let mut w = SnapWriter::new();
-        big.save_state(&mut w);
-        let bytes = w.into_vec();
-        assert!(small.restore_state(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

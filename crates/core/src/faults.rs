@@ -1,11 +1,11 @@
 //! Deterministic fault injection behind the workspace's I/O seam.
 //!
-//! Every durable-state layer in the stack (the result store, the warm
-//! snapshot cache, `.btbt` containers) routes its filesystem operations
-//! through the thin wrappers in this module. With no plan armed the
-//! wrappers are a single relaxed atomic load in front of the real
-//! `std::fs` call — nothing allocates, nothing locks — so production
-//! binaries pay effectively zero cost. Arming a
+//! Every durable-state layer in the stack (the result store and `.btbt`
+//! containers) routes its filesystem operations through the thin
+//! wrappers in this module. With no plan armed the wrappers are a single
+//! relaxed atomic load in front of the real `std::fs` call — nothing
+//! allocates, nothing locks — so production binaries pay effectively
+//! zero cost. Arming a
 //! [`FaultPlan`] (tests, the chaos suite, `BTBX_FAULT_PLAN` in CI) turns
 //! selected operations into injected failures: `ENOSPC` on a cache
 //! publish, a torn temp-file write, a rename that never lands, a stalled

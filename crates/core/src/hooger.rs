@@ -11,7 +11,6 @@
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::offset::{extract_offset, reconstruct_target, stored_offset_len};
 use crate::replacement::{eligibility_mask, LruSet};
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::tag::{partial_tag, set_index, PARTIAL_TAG_BITS};
 use crate::types::{Arch, BranchEvent, BtbBranchType, TargetSource};
@@ -205,38 +204,6 @@ impl Btb for MixedBtb {
 
     fn name(&self) -> &'static str {
         "hoogerbrugge"
-    }
-}
-
-impl Snapshot for MixedBtb {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        for e in &self.entries {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u8(e.btype.snap_code());
-            w.u64(e.payload);
-        }
-        for l in &self.lru {
-            l.save_state(w);
-        }
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "mixed set count")?;
-        for e in &mut self.entries {
-            *e = Entry {
-                valid: r.bool()?,
-                tag: r.u16()?,
-                btype: BtbBranchType::from_snap_code(r.u8()?)?,
-                payload: r.u64()?,
-            };
-        }
-        for l in &mut self.lru {
-            l.restore_state(r)?;
-        }
-        self.counts.restore_state(r)
     }
 }
 

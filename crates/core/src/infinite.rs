@@ -8,7 +8,6 @@
 
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::hash::FxHashMap;
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::types::{BranchEvent, BtbBranchType, TargetSource};
 
@@ -92,37 +91,6 @@ impl Btb for InfiniteBtb {
 
     fn name(&self) -> &'static str {
         "infinite"
-    }
-}
-
-impl Snapshot for InfiniteBtb {
-    fn save_state(&self, w: &mut SnapWriter) {
-        // The map iterates in hasher order; sort by PC so identical state
-        // always produces identical bytes (snapshots are content-hashed).
-        let mut pcs: Vec<(&u64, &(BtbBranchType, u64))> = self.entries.iter().collect();
-        pcs.sort_unstable_by_key(|(pc, _)| **pc);
-        w.u64(pcs.len() as u64);
-        for (pc, (btype, target)) in pcs {
-            w.u64(*pc);
-            w.u8(btype.snap_code());
-            w.u64(*target);
-        }
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let len = r.u64()? as usize;
-        self.entries.clear();
-        self.entries.reserve(len);
-        for _ in 0..len {
-            let pc = r.u64()?;
-            let btype = BtbBranchType::from_snap_code(r.u8()?)?;
-            let target = r.u64()?;
-            if self.entries.insert(pc, (btype, target)).is_some() {
-                return Err(SnapError::Corrupt("duplicate infinite-btb pc"));
-            }
-        }
-        self.counts.restore_state(r)
     }
 }
 

@@ -87,7 +87,6 @@ pub use hooger::MixedBtb;
 pub use infinite::InfiniteBtb;
 pub use pdede::PdedeBtb;
 pub use rbtb::RBtb;
-pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use spec::{BtbSpec, Budget, SpecError};
 pub use stats::{AccessCounts, StorageReport};
 pub use types::{Arch, BranchClass, BranchEvent, BtbBranchType, TargetSource};

@@ -24,7 +24,6 @@
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::offset::{pdede_page_bits, region_number};
 use crate::replacement::{eligibility_mask, LruSet};
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::tag::{partial_tag, set_index};
 use crate::types::{Arch, BranchEvent, BtbBranchType, TargetSource};
@@ -77,68 +76,6 @@ impl MainEntry {
             MainEntry::Invalid => None,
             MainEntry::SamePage { tag, .. } | MainEntry::DiffPage { tag, .. } => Some(*tag),
         }
-    }
-
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            MainEntry::Invalid => w.u8(0),
-            MainEntry::SamePage {
-                tag,
-                btype,
-                offset,
-                delta,
-            } => {
-                w.u8(1);
-                w.u16(tag);
-                w.u8(btype.snap_code());
-                w.u16(offset);
-                w.bool(delta);
-            }
-            MainEntry::DiffPage {
-                tag,
-                btype,
-                offset,
-                page_ptr,
-                region_ptr,
-            } => {
-                w.u8(2);
-                w.u16(tag);
-                w.u8(btype.snap_code());
-                w.u16(offset);
-                w.u32(page_ptr);
-                w.u8(region_ptr);
-            }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>, page_entries: usize) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => MainEntry::Invalid,
-            1 => MainEntry::SamePage {
-                tag: r.u16()?,
-                btype: BtbBranchType::from_snap_code(r.u8()?)?,
-                offset: r.u16()?,
-                delta: r.bool()?,
-            },
-            2 => {
-                let tag = r.u16()?;
-                let btype = BtbBranchType::from_snap_code(r.u8()?)?;
-                let offset = r.u16()?;
-                let page_ptr = r.u32()?;
-                let region_ptr = r.u8()?;
-                if page_ptr as usize >= page_entries || region_ptr as usize >= REGION_ENTRIES {
-                    return Err(SnapError::Corrupt("pdede pointer out of range"));
-                }
-                MainEntry::DiffPage {
-                    tag,
-                    btype,
-                    offset,
-                    page_ptr,
-                    region_ptr,
-                }
-            }
-            _ => return Err(SnapError::Corrupt("pdede entry discriminant")),
-        })
     }
 }
 
@@ -583,61 +520,6 @@ impl Btb for PdedeBtb {
 
     fn name(&self) -> &'static str {
         "pdede"
-    }
-}
-
-impl Snapshot for PdedeBtb {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        w.u64(self.pages.len() as u64);
-        for e in &self.main {
-            e.save(w);
-        }
-        for l in &self.main_lru {
-            l.save_state(w);
-        }
-        for p in &self.pages {
-            w.bool(p.valid);
-            w.u16(p.page);
-        }
-        for l in &self.page_lru {
-            l.save_state(w);
-        }
-        for e in &self.regions {
-            w.bool(e.valid);
-            w.u32(e.region);
-        }
-        self.region_lru.save_state(w);
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "pdede main set count")?;
-        r.expect_u64(self.pages.len() as u64, "pdede page entry count")?;
-        let page_entries = self.pages.len();
-        for e in &mut self.main {
-            *e = MainEntry::load(r, page_entries)?;
-        }
-        for l in &mut self.main_lru {
-            l.restore_state(r)?;
-        }
-        for p in &mut self.pages {
-            *p = PageEntry {
-                valid: r.bool()?,
-                page: r.u16()?,
-            };
-        }
-        for l in &mut self.page_lru {
-            l.restore_state(r)?;
-        }
-        for e in &mut self.regions {
-            *e = RegionEntry {
-                valid: r.bool()?,
-                region: r.u32()?,
-            };
-        }
-        self.region_lru.restore_state(r)?;
-        self.counts.restore_state(r)
     }
 }
 

@@ -12,7 +12,6 @@
 
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::replacement::LruSet;
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::tag::{partial_tag, set_index, PARTIAL_TAG_BITS};
 use crate::types::{Arch, BranchEvent, BtbBranchType, TargetSource};
@@ -277,61 +276,6 @@ impl Btb for RBtb {
 
     fn name(&self) -> &'static str {
         "rbtb"
-    }
-}
-
-impl Snapshot for RBtb {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        w.u64(self.pages.len() as u64);
-        for e in &self.main {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u8(e.btype.snap_code());
-            w.u16(e.offset);
-            w.u32(e.page_ptr);
-        }
-        for l in &self.lru {
-            l.save_state(w);
-        }
-        for p in &self.pages {
-            match p {
-                Some(page) => {
-                    w.bool(true);
-                    w.u64(*page);
-                }
-                None => w.bool(false),
-            }
-        }
-        self.page_lru.save_state(w);
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "rbtb set count")?;
-        r.expect_u64(self.pages.len() as u64, "rbtb page entry count")?;
-        let page_entries = self.pages.len() as u32;
-        for e in &mut self.main {
-            let new = MainEntry {
-                valid: r.bool()?,
-                tag: r.u16()?,
-                btype: BtbBranchType::from_snap_code(r.u8()?)?,
-                offset: r.u16()?,
-                page_ptr: r.u32()?,
-            };
-            if new.valid && new.page_ptr >= page_entries {
-                return Err(SnapError::Corrupt("rbtb page pointer out of range"));
-            }
-            *e = new;
-        }
-        for l in &mut self.lru {
-            l.restore_state(r)?;
-        }
-        for p in &mut self.pages {
-            *p = if r.bool()? { Some(r.u64()?) } else { None };
-        }
-        self.page_lru.restore_state(r)?;
-        self.counts.restore_state(r)
     }
 }
 

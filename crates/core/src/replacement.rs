@@ -84,35 +84,6 @@ impl LruSet {
     }
 }
 
-impl crate::snap::Snapshot for LruSet {
-    fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.age.len() as u64);
-        for &a in &self.age {
-            w.u8(a);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        r.expect_u64(self.age.len() as u64, "lru way count")?;
-        let ways = self.age.len();
-        let mut seen = 0u64;
-        for a in &mut self.age {
-            let age = r.u8()?;
-            if age as usize >= ways || seen & (1 << age) != 0 {
-                return Err(crate::snap::SnapError::Corrupt(
-                    "lru ages not a permutation",
-                ));
-            }
-            seen |= 1 << age;
-            *a = age;
-        }
-        Ok(())
-    }
-}
-
 /// Build an eligibility mask for `ways` ways from a predicate.
 pub fn eligibility_mask(ways: usize, mut eligible: impl FnMut(usize) -> bool) -> u64 {
     let mut mask = 0u64;

@@ -66,36 +66,6 @@ impl AccessCounts {
     }
 }
 
-impl crate::snap::Snapshot for AccessCounts {
-    fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.reads);
-        w.u64(self.read_hits);
-        w.u64(self.writes);
-        w.u64(self.page_reads);
-        w.u64(self.page_writes);
-        w.u64(self.page_searches);
-        w.u64(self.region_reads);
-        w.u64(self.region_writes);
-        w.u64(self.region_searches);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.reads = r.u64()?;
-        self.read_hits = r.u64()?;
-        self.writes = r.u64()?;
-        self.page_reads = r.u64()?;
-        self.page_writes = r.u64()?;
-        self.page_searches = r.u64()?;
-        self.region_reads = r.u64()?;
-        self.region_writes = r.u64()?;
-        self.region_searches = r.u64()?;
-        Ok(())
-    }
-}
-
 /// Itemized storage cost of a BTB organization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageReport {

@@ -80,32 +80,6 @@ pub enum BranchClass {
 }
 
 impl BranchClass {
-    /// Stable snapshot discriminant (see [`crate::snap`]).
-    #[inline]
-    pub const fn snap_code(self) -> u8 {
-        match self {
-            BranchClass::CondDirect => 0,
-            BranchClass::UncondDirect => 1,
-            BranchClass::CallDirect => 2,
-            BranchClass::CallIndirect => 3,
-            BranchClass::UncondIndirect => 4,
-            BranchClass::Return => 5,
-        }
-    }
-
-    /// Inverse of [`Self::snap_code`].
-    pub fn from_snap_code(code: u8) -> Result<Self, crate::snap::SnapError> {
-        Ok(match code {
-            0 => BranchClass::CondDirect,
-            1 => BranchClass::UncondDirect,
-            2 => BranchClass::CallDirect,
-            3 => BranchClass::CallIndirect,
-            4 => BranchClass::UncondIndirect,
-            5 => BranchClass::Return,
-            _ => return Err(crate::snap::SnapError::Corrupt("branch class discriminant")),
-        })
-    }
-
     /// The 2-bit type stored in a BTB entry (Figure 1).
     #[inline]
     pub const fn btb_type(self) -> BtbBranchType {
@@ -182,32 +156,6 @@ pub enum BtbBranchType {
 impl BtbBranchType {
     /// Encoding width in bits (constant, documents Figure 1).
     pub const BITS: u32 = 2;
-
-    /// Stable snapshot discriminant (see [`crate::snap`]).
-    #[inline]
-    pub const fn snap_code(self) -> u8 {
-        match self {
-            BtbBranchType::Conditional => 0,
-            BtbBranchType::Unconditional => 1,
-            BtbBranchType::Call => 2,
-            BtbBranchType::Return => 3,
-        }
-    }
-
-    /// Inverse of [`Self::snap_code`].
-    pub fn from_snap_code(code: u8) -> Result<Self, crate::snap::SnapError> {
-        Ok(match code {
-            0 => BtbBranchType::Conditional,
-            1 => BtbBranchType::Unconditional,
-            2 => BtbBranchType::Call,
-            3 => BtbBranchType::Return,
-            _ => {
-                return Err(crate::snap::SnapError::Corrupt(
-                    "btb branch type discriminant",
-                ))
-            }
-        })
-    }
 }
 
 /// Where a predicted target comes from after a BTB hit.
@@ -270,24 +218,6 @@ impl BranchEvent {
             class: BranchClass::CondDirect,
             taken: false,
         }
-    }
-
-    /// Serialize into the snapshot codec (see [`crate::snap`]).
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.pc);
-        w.u64(self.target);
-        w.u8(self.class.snap_code());
-        w.bool(self.taken);
-    }
-
-    /// Deserialize an event written by [`Self::save_state`].
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(BranchEvent {
-            pc: r.u64()?,
-            target: r.u64()?,
-            class: BranchClass::from_snap_code(r.u8()?)?,
-            taken: r.bool()?,
-        })
     }
 }
 

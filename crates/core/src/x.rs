@@ -16,7 +16,6 @@
 use crate::btb::{Btb, BtbHit, HitSite};
 use crate::offset::{extract_offset, reconstruct_target, stored_offset_len};
 use crate::replacement::{eligibility_mask, LruSet};
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::{AccessCounts, StorageReport};
 use crate::tag::{partial_tag, set_index, PARTIAL_TAG_BITS};
 use crate::types::{Arch, BranchEvent, BtbBranchType, TargetSource};
@@ -393,62 +392,6 @@ impl Btb for BtbX {
 
     fn name(&self) -> &'static str {
         "btbx"
-    }
-}
-
-impl Snapshot for BtbX {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        w.u64(self.xc.len() as u64);
-        for width in self.config.way_widths {
-            w.u32(width);
-        }
-        for e in &self.ways {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u8(e.btype.snap_code());
-            w.u64(e.stored);
-        }
-        for l in &self.lru {
-            l.save_state(w);
-        }
-        for e in &self.xc {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u8(e.btype.snap_code());
-            w.u64(e.target);
-        }
-        self.counts.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "btbx set count")?;
-        r.expect_u64(self.xc.len() as u64, "btbx xc entry count")?;
-        for width in self.config.way_widths {
-            if r.u32()? != width {
-                return Err(SnapError::Corrupt("btbx way widths"));
-            }
-        }
-        for e in &mut self.ways {
-            *e = WayEntry {
-                valid: r.bool()?,
-                tag: r.u16()?,
-                btype: BtbBranchType::from_snap_code(r.u8()?)?,
-                stored: r.u64()?,
-            };
-        }
-        for l in &mut self.lru {
-            l.restore_state(r)?;
-        }
-        for e in &mut self.xc {
-            *e = XcEntry {
-                valid: r.bool()?,
-                tag: r.u16()?,
-                btype: BtbBranchType::from_snap_code(r.u8()?)?,
-                target: r.u64()?,
-            };
-        }
-        self.counts.restore_state(r)
     }
 }
 

@@ -3,10 +3,8 @@
 //!
 //! `AnySource` unifies the two replayable stream kinds — the synthetic
 //! walker and `.btbt` packed containers — behind one concrete type that
-//! is `Clone + Send` and fully seekable, so a source factory
-//! (`Fn() -> AnySource`) such as `btbx_uarch::run_resumed`'s works
-//! identically for every workload kind and one checkpoint type
-//! ([`AnyCheckpoint`]) serves them all.
+//! is `Clone + Send`, so a sweep group hands every member a clone of one
+//! source whatever the workload kind.
 //!
 //! `.btbt` is the only trace file format that replays. Raw ChampSim
 //! traces are an import format: `btbx trace convert` turns them into
@@ -15,11 +13,11 @@
 //! carrying the `BTBX` magic of the retired varint codec get their own
 //! typed error.
 
-use crate::container::{ContainerError, FileCheckpoint, PackedFileSource};
+use crate::container::{ContainerError, PackedFileSource};
 use crate::packed::PackedBuf;
 use crate::record::TraceInstr;
-use crate::source::{SeekableSource, TraceSource};
-use crate::synth::{SynthCheckpoint, SyntheticTrace};
+use crate::source::TraceSource;
+use crate::synth::SyntheticTrace;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -35,17 +33,6 @@ pub enum AnySource {
     Synth(SyntheticTrace),
     /// A `.btbt` indexed packed container.
     Packed(PackedFileSource),
-}
-
-/// Snapshot of an [`AnySource`], tagged by stream kind. Restoring a
-/// checkpoint onto a source of a different kind is a logic error and
-/// panics, mirroring each inner source's foreign-checkpoint guards.
-#[derive(Debug, Clone)]
-pub enum AnyCheckpoint {
-    /// Snapshot of a synthetic walker.
-    Synth(SynthCheckpoint),
-    /// Snapshot of a packed container source.
-    Packed(FileCheckpoint),
 }
 
 /// Why a trace file could not be opened as an [`AnySource`].
@@ -149,13 +136,6 @@ impl TraceSource for AnySource {
         }
     }
 
-    fn advance(&mut self, n: u64) -> u64 {
-        match self {
-            AnySource::Synth(s) => s.advance(n),
-            AnySource::Packed(s) => s.advance(n),
-        }
-    }
-
     fn fill_block(&mut self, block: &mut PackedBuf, max: usize) -> usize {
         // One dispatch per block refill; the concrete fill loops stay
         // monomorphic, so per-event cost is unchanged.
@@ -166,46 +146,12 @@ impl TraceSource for AnySource {
     }
 }
 
-impl SeekableSource for AnySource {
-    type Checkpoint = AnyCheckpoint;
-
-    fn position(&self) -> u64 {
-        match self {
-            AnySource::Synth(s) => s.position(),
-            AnySource::Packed(s) => SeekableSource::position(s),
-        }
-    }
-
-    fn checkpoint(&self) -> AnyCheckpoint {
-        match self {
-            AnySource::Synth(s) => AnyCheckpoint::Synth(s.checkpoint()),
-            AnySource::Packed(s) => AnyCheckpoint::Packed(s.checkpoint()),
-        }
-    }
-
-    fn restore(&mut self, cp: &AnyCheckpoint) {
-        match (self, cp) {
-            (AnySource::Synth(s), AnyCheckpoint::Synth(c)) => s.restore(c),
-            (AnySource::Packed(s), AnyCheckpoint::Packed(c)) => s.restore(c),
-            _ => panic!("checkpoint from a different source kind"),
-        }
-    }
-
-    fn seek(&mut self, n: u64) -> u64 {
-        match self {
-            AnySource::Synth(s) => s.seek(n),
-            AnySource::Packed(s) => s.seek(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::champsim::write_champsim;
     use crate::container::write_container;
     use crate::source::VecSource;
-    use crate::synth::{ProgramImage, SynthParams};
     use btbx_core::types::Arch;
     use std::path::{Path, PathBuf};
 
@@ -266,48 +212,5 @@ mod tests {
             AnySource::open(temp_path("gone")),
             Err(TraceOpenError::Io(_))
         ));
-    }
-
-    #[test]
-    fn seek_contract_holds_for_every_kind() {
-        // seek(k) == step()×k across all variants, including the synth
-        // walker wrapped in AnySource.
-        let btbt = temp_path("contract.btbt");
-        write_btbt(&btbt, sample());
-
-        let params = SynthParams::client(40);
-        let synth = SyntheticTrace::new(ProgramImage::generate(&params, 7), "synth", 7);
-
-        for mut source in [AnySource::from(synth), AnySource::open(&btbt).unwrap()] {
-            let mut stepped = source.clone();
-            for _ in 0..123 {
-                stepped.next_instr();
-            }
-            source.seek(123);
-            assert_eq!(SeekableSource::position(&source), 123);
-            let cp = source.checkpoint();
-            let a = source.next_instr();
-            assert_eq!(a, stepped.next_instr(), "{}", source.source_name());
-            source.restore(&cp);
-            assert_eq!(source.next_instr(), a, "restore rewinds one step");
-        }
-        let _ = std::fs::remove_file(&btbt);
-    }
-
-    #[test]
-    #[should_panic(expected = "different source kind")]
-    fn cross_kind_checkpoints_panic() {
-        let params = SynthParams::client(40);
-        let synth = AnySource::from(SyntheticTrace::new(
-            ProgramImage::generate(&params, 7),
-            "synth",
-            7,
-        ));
-        let btbt = temp_path("cross.btbt");
-        write_btbt(&btbt, sample());
-        let mut file_backed = AnySource::open(&btbt).unwrap();
-        let cp = synth.checkpoint();
-        let _ = std::fs::remove_file(&btbt);
-        file_backed.restore(&cp);
     }
 }

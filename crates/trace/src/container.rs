@@ -45,11 +45,10 @@
 //! `btbx_bench::sweep`).
 //!
 //! [`PackedFileSource`] replays a container as a
-//! [`TraceSource`] + [`SeekableSource`]: a checkpoint is just the
-//! absolute instruction position (block id and intra-block offset are
-//! derived from the index), so `checkpoint`/`restore`/`seek` are all
-//! O(1) plus one lazy block read — cheaper than the synthetic walker's
-//! O(state) snapshots. Clones share the file handle and the loaded index
+//! [`TraceSource`] + [`SeekableSource`]: its state is just the absolute
+//! instruction position (block id and intra-block offset are derived
+//! from the index), so `seek` is O(1) plus one lazy block read. Clones
+//! share the file handle and the loaded index
 //! behind `Arc`s, so handing every member of a sweep group its own
 //! source is allocation-cheap and never re-reads the header.
 
@@ -493,16 +492,6 @@ pub struct PackedFileSource {
     error: Option<Arc<ContainerError>>,
 }
 
-/// Snapshot of a [`PackedFileSource`]: the absolute instruction position
-/// plus the container's content hash, so restoring onto a source over a
-/// *different* container is detected instead of silently replaying the
-/// wrong trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileCheckpoint {
-    pos: u64,
-    content_hash: u64,
-}
-
 impl PackedFileSource {
     /// Open a container file: reads and validates the header, index and
     /// escape table, then streams blocks on demand.
@@ -663,13 +652,6 @@ impl TraceSource for PackedFileSource {
         self.error.as_deref().map(|e| e as _)
     }
 
-    fn advance(&mut self, n: u64) -> u64 {
-        let left = self.info.total_events - self.pos;
-        let skipped = n.min(left);
-        self.pos += skipped;
-        skipped
-    }
-
     fn fill_block(&mut self, block: &mut crate::packed::PackedBuf, max: usize) -> usize {
         let mut filled = 0;
         while filled < max && self.pos < self.info.total_events {
@@ -689,31 +671,6 @@ impl TraceSource for PackedFileSource {
 }
 
 impl SeekableSource for PackedFileSource {
-    type Checkpoint = FileCheckpoint;
-
-    fn position(&self) -> u64 {
-        self.pos
-    }
-
-    fn checkpoint(&self) -> FileCheckpoint {
-        FileCheckpoint {
-            pos: self.pos,
-            content_hash: self.info.content_hash,
-        }
-    }
-
-    fn restore(&mut self, cp: &FileCheckpoint) {
-        assert_eq!(
-            cp.content_hash, self.info.content_hash,
-            "checkpoint from a different container (content hash mismatch)"
-        );
-        assert!(
-            cp.pos <= self.info.total_events,
-            "checkpoint beyond the container: not from this stream"
-        );
-        self.pos = cp.pos;
-    }
-
     fn seek(&mut self, n: u64) -> u64 {
         self.pos = n.min(self.info.total_events);
         self.pos
@@ -773,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn seek_restore_match_stepping() {
+    fn seek_matches_stepping() {
         let instrs = mixed_stream(BLOCK_EVENTS as u64 + 100);
         let path = temp_path("seek");
         write_to(&path, &instrs, "seek");
@@ -786,15 +743,6 @@ mod tests {
         assert_eq!(s.next_instr().unwrap(), instrs[5], "seek rewinds");
         assert_eq!(s.seek(u64::MAX), instrs.len() as u64, "clamped to end");
         assert!(s.next_instr().is_none());
-
-        let mut t = PackedFileSource::open(&path).unwrap();
-        t.advance(40);
-        let cp = t.checkpoint();
-        let tail_a: Vec<TraceInstr> = t.clone().into_iter_instrs().take(50).collect();
-        t.advance(500);
-        t.restore(&cp);
-        let tail_b: Vec<TraceInstr> = t.into_iter_instrs().take(50).collect();
-        assert_eq!(tail_a, tail_b);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -804,12 +752,12 @@ mod tests {
         let path = temp_path("clone");
         write_to(&path, &instrs, "clone");
         let mut a = PackedFileSource::open(&path).unwrap();
-        a.advance(100);
+        a.seek(100);
         let mut b = a.clone();
         assert_eq!(a.next_instr(), b.next_instr());
-        a.advance(50);
-        assert_eq!(b.position(), 101);
-        assert_eq!(a.position(), 151);
+        a.seek(151);
+        assert_eq!(b.next_instr().unwrap(), instrs[101]);
+        assert_eq!(a.next_instr().unwrap(), instrs[151]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -830,21 +778,6 @@ mod tests {
         for p in [path_a, path_b, path_c] {
             let _ = std::fs::remove_file(&p);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "content hash mismatch")]
-    fn foreign_checkpoints_are_rejected() {
-        let path_a = temp_path("foreign-a");
-        let path_b = temp_path("foreign-b");
-        write_to(&path_a, &mixed_stream(100), "a");
-        write_to(&path_b, &mixed_stream(101), "b");
-        let a = PackedFileSource::open(&path_a).unwrap();
-        let mut b = PackedFileSource::open(&path_b).unwrap();
-        let cp = a.checkpoint();
-        let _ = std::fs::remove_file(&path_a);
-        let _ = std::fs::remove_file(&path_b);
-        b.restore(&cp);
     }
 
     #[test]
@@ -915,7 +848,7 @@ mod tests {
         let path = temp_path("fill");
         write_to(&path, &instrs, "fill");
         let mut s = PackedFileSource::open(&path).unwrap();
-        s.advance(BLOCK_EVENTS as u64 - 10);
+        s.seek(BLOCK_EVENTS as u64 - 10);
         let mut buf = crate::packed::PackedBuf::new();
         assert_eq!(s.fill_block(&mut buf, 40), 40, "spans the block boundary");
         for (i, want) in instrs[BLOCK_EVENTS - 10..BLOCK_EVENTS + 30]

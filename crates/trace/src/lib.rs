@@ -7,8 +7,8 @@
 //!
 //! * [`record`] — the instruction record every consumer shares
 //!   ([`TraceInstr`]), carrying branch and memory semantics;
-//! * [`source`] — the [`TraceSource`] streaming abstraction with
-//!   combinators (`take`, `skip`) used by the simulator;
+//! * [`source`] — the [`TraceSource`] streaming abstraction (with a
+//!   `take` combinator) the simulator pulls from;
 //! * [`champsim`] — a streaming parser/writer for the 64-byte ChampSim
 //!   `input_instr` format, including ChampSim's register-based branch
 //!   classification and typed truncation errors. ChampSim is an import
@@ -44,11 +44,11 @@ pub mod stats;
 pub mod suite;
 pub mod synth;
 
-pub use any::{AnyCheckpoint, AnySource, TraceOpenError};
+pub use any::{AnySource, TraceOpenError};
 pub use container::{ContainerInfo, ContainerWriter, PackedFileSource};
 pub use packed::{PackedBuf, PackedInstr};
 pub use record::{MemAccess, Op, TraceInstr};
 pub use source::{SeekableSource, TraceSource};
 pub use stats::TraceStats;
 pub use suite::{Suite, TraceRef, WorkloadSpec};
-pub use synth::{SynthCheckpoint, SynthParams, SyntheticTrace};
+pub use synth::{SynthParams, SyntheticTrace};

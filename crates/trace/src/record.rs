@@ -1,7 +1,6 @@
 //! The instruction record shared by trace producers (generators, parsers)
 //! and consumers (the simulator, analyses).
 
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter};
 use btbx_core::types::BranchEvent;
 use serde::{Deserialize, Serialize};
 
@@ -102,42 +101,6 @@ impl TraceInstr {
             Op::Branch(ev) if ev.taken => ev.target,
             _ => self.pc + self.size as u64,
         }
-    }
-
-    /// Serialize into a [`SnapWriter`] (microarchitectural snapshots carry
-    /// in-flight instructions through checkpoint/restore).
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.u64(self.pc);
-        w.u8(self.size);
-        match &self.op {
-            Op::Other => w.u8(0),
-            Op::Mem(MemAccess::Load(a)) => {
-                w.u8(1);
-                w.u64(*a);
-            }
-            Op::Mem(MemAccess::Store(a)) => {
-                w.u8(2);
-                w.u64(*a);
-            }
-            Op::Branch(ev) => {
-                w.u8(3);
-                ev.save_state(w);
-            }
-        }
-    }
-
-    /// Deserialize an instruction written by [`TraceInstr::save_snap`].
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let pc = r.u64()?;
-        let size = r.u8()?;
-        let op = match r.u8()? {
-            0 => Op::Other,
-            1 => Op::Mem(MemAccess::Load(r.u64()?)),
-            2 => Op::Mem(MemAccess::Store(r.u64()?)),
-            3 => Op::Branch(BranchEvent::load_state(r)?),
-            _ => return Err(SnapError::Corrupt("trace instruction op discriminant")),
-        };
-        Ok(TraceInstr { pc, size, op })
     }
 }
 

@@ -13,7 +13,7 @@
 
 use super::image::{ProgramImage, SInstr, SKind};
 use crate::record::{MemAccess, TraceInstr};
-use crate::source::{SeekableSource, TraceSource};
+use crate::source::TraceSource;
 use btbx_core::types::{BranchClass, BranchEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +35,6 @@ const GLOBAL_WINDOW: u64 = 16 << 20;
 pub struct SyntheticTrace {
     image: std::sync::Arc<ProgramImage>,
     name: String,
-    seed: u64,
     rng: SmallRng,
     /// Current global instruction index.
     cur: u32,
@@ -48,32 +47,6 @@ pub struct SyntheticTrace {
     table_last: Vec<u32>,
     heap_off: u64,
     emitted: u64,
-}
-
-/// A snapshot of the walker's full dynamic state: restoring it resumes
-/// the exact instruction stream from the captured position, without
-/// re-stepping the prefix. Size is O(image state) — a few KB for the
-/// largest server images — never O(position).
-///
-/// Pinned by the `seek(k) == step()×k` property suite in
-/// `crates/trace/tests/synth_seek.rs`.
-#[derive(Debug, Clone)]
-pub struct SynthCheckpoint {
-    seed: u64,
-    rng: SmallRng,
-    cur: u32,
-    stack: Vec<u32>,
-    loop_counters: Vec<u16>,
-    table_last: Vec<u32>,
-    heap_off: u64,
-    emitted: u64,
-}
-
-impl SynthCheckpoint {
-    /// Position (instructions emitted) at which this snapshot was taken.
-    pub fn position(&self) -> u64 {
-        self.emitted
-    }
 }
 
 impl SyntheticTrace {
@@ -91,7 +64,6 @@ impl SyntheticTrace {
         SyntheticTrace {
             image,
             name: name.into(),
-            seed,
             rng: SmallRng::seed_from_u64(seed ^ 0x7ace_c0de),
             cur: entry,
             stack: Vec::with_capacity(64),
@@ -105,17 +77,6 @@ impl SyntheticTrace {
     /// Instructions emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
-    }
-
-    /// Reset the dynamic state to position 0 (the state `new` builds).
-    fn rewind(&mut self) {
-        self.rng = SmallRng::seed_from_u64(self.seed ^ 0x7ace_c0de);
-        self.cur = self.image.funcs[self.image.dispatcher as usize].entry;
-        self.stack.clear();
-        self.loop_counters.fill(0);
-        self.table_last.fill(u32::MAX);
-        self.heap_off = 0;
-        self.emitted = 0;
     }
 
     /// Borrow the underlying image.
@@ -290,70 +251,6 @@ impl TraceSource for SyntheticTrace {
 
     fn source_name(&self) -> &str {
         &self.name
-    }
-
-    fn advance(&mut self, n: u64) -> u64 {
-        // Same state transitions as `next_instr`, but the emitted record
-        // is dead on arrival: the compiler elides its construction, so a
-        // skip-step costs only the RNG draws and control-flow updates.
-        for _ in 0..n {
-            self.emitted += 1;
-            let _ = self.step();
-        }
-        n
-    }
-}
-
-impl SeekableSource for SyntheticTrace {
-    type Checkpoint = SynthCheckpoint;
-
-    fn position(&self) -> u64 {
-        self.emitted
-    }
-
-    fn checkpoint(&self) -> SynthCheckpoint {
-        SynthCheckpoint {
-            seed: self.seed,
-            rng: self.rng.clone(),
-            cur: self.cur,
-            stack: self.stack.clone(),
-            loop_counters: self.loop_counters.clone(),
-            table_last: self.table_last.clone(),
-            heap_off: self.heap_off,
-            emitted: self.emitted,
-        }
-    }
-
-    fn restore(&mut self, cp: &SynthCheckpoint) {
-        assert_eq!(
-            cp.seed, self.seed,
-            "checkpoint from a different walker (seed mismatch)"
-        );
-        assert_eq!(
-            cp.loop_counters.len(),
-            self.loop_counters.len(),
-            "checkpoint from a different image (loop-slot mismatch)"
-        );
-        assert_eq!(
-            cp.table_last.len(),
-            self.table_last.len(),
-            "checkpoint from a different image (table mismatch)"
-        );
-        self.rng = cp.rng.clone();
-        self.cur = cp.cur;
-        self.stack.clone_from(&cp.stack);
-        self.loop_counters.clone_from(&cp.loop_counters);
-        self.table_last.clone_from(&cp.table_last);
-        self.heap_off = cp.heap_off;
-        self.emitted = cp.emitted;
-    }
-
-    fn seek(&mut self, n: u64) -> u64 {
-        if n < self.emitted {
-            self.rewind();
-        }
-        self.advance(n - self.emitted);
-        self.emitted
     }
 }
 
@@ -580,61 +477,33 @@ mod tests {
         }
     }
 
+    /// Every record the walker generates survives the packed 16-byte
+    /// event encoding, for each profile family the suites use: IPC-1-like
+    /// servers and clients, the CVP-1-like low-Zipf servers and the x86
+    /// applications (variable instruction sizes).
     #[test]
-    fn advance_matches_stepping() {
-        let mut stepped = walker(60, 11);
-        for _ in 0..12_345 {
-            stepped.next_instr();
+    fn generated_streams_survive_the_packed_encoding() {
+        let mut cvp = SynthParams::server(160);
+        cvp.big_gap_fraction = 0.08;
+        cvp.zipf_s = 0.35;
+        let mut x86 = SynthParams::server(110);
+        x86.arch = btbx_core::types::Arch::X86;
+        for (params, seed) in [
+            (SynthParams::server(120), 3),
+            (SynthParams::client(90), 5),
+            (cvp, 7),
+            (x86, 11),
+        ] {
+            let image = ProgramImage::generate(&params, seed);
+            let stream: Vec<_> = SyntheticTrace::new(image, "packed", seed)
+                .into_iter_instrs()
+                .take(6_000)
+                .collect();
+            let buf: crate::packed::PackedBuf = stream.iter().copied().collect();
+            for (i, want) in stream.iter().enumerate() {
+                assert_eq!(buf.get(i), *want, "seed {seed}: event {i}");
+            }
         }
-        let mut advanced = walker(60, 11);
-        assert_eq!(advanced.advance(12_345), 12_345);
-        assert_eq!(advanced.position(), stepped.position());
-        let a: Vec<_> = stepped.into_iter_instrs().take(2_000).collect();
-        let b: Vec<_> = advanced.into_iter_instrs().take(2_000).collect();
-        assert_eq!(a, b, "advance must be stream-equivalent to stepping");
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_the_exact_stream() {
-        let mut w = walker(70, 19);
-        w.advance(5_000);
-        let cp = w.checkpoint();
-        assert_eq!(cp.position(), 5_000);
-        let tail_a: Vec<_> = (0..3_000).map(|_| w.next_instr().unwrap()).collect();
-        w.restore(&cp);
-        assert_eq!(w.position(), 5_000);
-        let tail_b: Vec<_> = (0..3_000).map(|_| w.next_instr().unwrap()).collect();
-        assert_eq!(tail_a, tail_b);
-    }
-
-    #[test]
-    fn restore_works_across_instances() {
-        let mut a = walker(50, 29);
-        a.advance(7_777);
-        let cp = a.checkpoint();
-        let mut b = walker(50, 29);
-        b.restore(&cp);
-        for _ in 0..2_000 {
-            assert_eq!(a.next_instr(), b.next_instr());
-        }
-    }
-
-    #[test]
-    fn seek_rewinds_and_fast_forwards() {
-        let reference: Vec<_> = walker(40, 37).into_iter_instrs().take(9_000).collect();
-        let mut w = walker(40, 37);
-        w.seek(6_000);
-        assert_eq!(w.next_instr().unwrap(), reference[6_000]);
-        w.seek(100); // behind the cursor: must rewind
-        assert_eq!(w.position(), 100);
-        assert_eq!(w.next_instr().unwrap(), reference[100]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different")]
-    fn foreign_checkpoint_is_rejected() {
-        let cp = walker(50, 1).checkpoint();
-        walker(50, 2).restore(&cp);
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod exec;
 pub mod image;
 pub mod profile;
 
-pub use exec::{SynthCheckpoint, SyntheticTrace};
+pub use exec::SyntheticTrace;
 pub use image::{FuncMeta, Instrs, ProgramImage, SInstr, SKind, SynthParams, INSTR_RECORD_BYTES};
 pub use profile::{BranchKindMix, OffsetLengthDist, OffsetProfile, Zipf};

@@ -283,8 +283,8 @@ proptest! {
     }
 
     /// The container's seek contract: from any position `k`,
-    /// `seek(k)` ≡ `step()×k` — the property a run resumed from a
-    /// checkpoint stands on, mirrored from `synth_seek.rs`.
+    /// `seek(k)` ≡ `step()×k`, and seeking back behind the cursor
+    /// rewinds.
     #[test]
     fn container_seek_matches_stepping(
         instrs in proptest::collection::vec(arb_weird_instr(), 2..200),
@@ -296,16 +296,16 @@ proptest! {
         for _ in 0..k {
             stepper.next_instr();
         }
-        seeker.seek(k);
-        prop_assert_eq!(seeker.position(), k);
-        let cp = seeker.checkpoint();
+        prop_assert_eq!(seeker.seek(k), k);
         let a: Vec<TraceInstr> = seeker.clone().into_iter_instrs().collect();
         let b: Vec<TraceInstr> = stepper.into_iter_instrs().collect();
         prop_assert_eq!(&a, &b, "seek({}) != step()x{}", k, k);
-        seeker.advance(3);
-        seeker.restore(&cp);
+        for _ in 0..3 {
+            seeker.next_instr();
+        }
+        seeker.seek(k);
         let c: Vec<TraceInstr> = seeker.into_iter_instrs().collect();
         let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(a, c, "restore must rewind to the checkpoint");
+        prop_assert_eq!(a, c, "seeking behind the cursor must rewind");
     }
 }

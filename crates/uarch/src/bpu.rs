@@ -19,7 +19,6 @@
 
 use crate::perceptron::HashedPerceptron;
 use crate::ras::ReturnAddressStack;
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use btbx_core::types::{BranchClass, BranchEvent, BtbBranchType, TargetSource};
 use btbx_core::Btb;
 use serde::{Deserialize, Serialize};
@@ -60,51 +59,6 @@ pub struct Verdict {
     /// Extra BPU cycles consumed by the BTB lookup (PDede's second-cycle
     /// Page-/Region-BTB access for taken different-page branches).
     pub extra_bpu_cycles: u32,
-}
-
-impl Verdict {
-    /// Serialize into a [`SnapWriter`] (FTQ entries carry verdicts through
-    /// checkpoint/restore).
-    pub fn save_snap(&self, w: &mut SnapWriter) {
-        w.u8(match self.resolution {
-            Resolution::Correct => 0,
-            Resolution::DecodeResteer => 1,
-            Resolution::ExecuteResteer => 2,
-        });
-        w.u8(match self.kind {
-            None => 0,
-            Some(MispredictKind::BtbMissTaken) => 1,
-            Some(MispredictKind::Direction) => 2,
-            Some(MispredictKind::Target) => 3,
-            Some(MispredictKind::FalseHit) => 4,
-        });
-        w.bool(self.predicted_taken);
-        w.u32(self.extra_bpu_cycles);
-    }
-
-    /// Deserialize a verdict written by [`Verdict::save_snap`].
-    pub fn load_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let resolution = match r.u8()? {
-            0 => Resolution::Correct,
-            1 => Resolution::DecodeResteer,
-            2 => Resolution::ExecuteResteer,
-            _ => return Err(SnapError::Corrupt("verdict resolution discriminant")),
-        };
-        let kind = match r.u8()? {
-            0 => None,
-            1 => Some(MispredictKind::BtbMissTaken),
-            2 => Some(MispredictKind::Direction),
-            3 => Some(MispredictKind::Target),
-            4 => Some(MispredictKind::FalseHit),
-            _ => return Err(SnapError::Corrupt("verdict kind discriminant")),
-        };
-        Ok(Verdict {
-            resolution,
-            kind,
-            predicted_taken: r.bool()?,
-            extra_bpu_cycles: r.u32()?,
-        })
-    }
 }
 
 /// BPU statistics over the measurement window.
@@ -161,35 +115,6 @@ impl BpuStats {
         self.decode_resteers += o.decode_resteers;
         self.execute_resteers += o.execute_resteers;
         self.cond_predictions += o.cond_predictions;
-    }
-}
-
-impl Snapshot for BpuStats {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.lookups);
-        w.u64(self.branches);
-        w.u64(self.taken_branches);
-        w.u64(self.btb_miss_taken);
-        w.u64(self.direction_mispredicts);
-        w.u64(self.target_mispredicts);
-        w.u64(self.false_hits);
-        w.u64(self.decode_resteers);
-        w.u64(self.execute_resteers);
-        w.u64(self.cond_predictions);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.lookups = r.u64()?;
-        self.branches = r.u64()?;
-        self.taken_branches = r.u64()?;
-        self.btb_miss_taken = r.u64()?;
-        self.direction_mispredicts = r.u64()?;
-        self.target_mispredicts = r.u64()?;
-        self.false_hits = r.u64()?;
-        self.decode_resteers = r.u64()?;
-        self.execute_resteers = r.u64()?;
-        self.cond_predictions = r.u64()?;
-        Ok(())
     }
 }
 
@@ -386,26 +311,6 @@ impl<B: Btb> Bpu<B> {
     /// Section VI-A; the call ignores not-taken events internally).
     pub fn commit(&mut self, ev: &BranchEvent) {
         self.btb.update(ev);
-    }
-}
-
-impl<B: Btb + Snapshot> Snapshot for Bpu<B> {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.bool(self.decode_resteer_enabled);
-        self.btb.save_state(w);
-        self.dir.save_state(w);
-        self.ras.save_state(w);
-        self.stats.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.bool()? != self.decode_resteer_enabled {
-            return Err(SnapError::Corrupt("decode-resteer configuration mismatch"));
-        }
-        self.btb.restore_state(r)?;
-        self.dir.restore_state(r)?;
-        self.ras.restore_state(r)?;
-        self.stats.restore_state(r)
     }
 }
 

@@ -10,7 +10,6 @@
 
 use crate::config::CacheParams;
 use btbx_core::replacement::LruSet;
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// Cache block size (bytes) used throughout the hierarchy.
@@ -241,79 +240,6 @@ impl Cache {
         }
         self.stats.prefetches += 1;
         Some(now)
-    }
-}
-
-impl Snapshot for CacheStats {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.accesses);
-        w.u64(self.hits);
-        w.u64(self.mshr_merges);
-        w.u64(self.misses);
-        w.u64(self.mshr_stall_cycles);
-        w.u64(self.prefetches);
-        w.u64(self.prefetch_drops);
-        w.u64(self.prefetch_hits);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.accesses = r.u64()?;
-        self.hits = r.u64()?;
-        self.mshr_merges = r.u64()?;
-        self.misses = r.u64()?;
-        self.mshr_stall_cycles = r.u64()?;
-        self.prefetches = r.u64()?;
-        self.prefetch_drops = r.u64()?;
-        self.prefetch_hits = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for Cache {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.sets as u64);
-        w.u64(self.ways as u64);
-        w.u64(self.mshr_capacity as u64);
-        for line in &self.lines {
-            w.u64(line.block);
-            w.bool(line.prefetched);
-        }
-        for l in &self.lru {
-            l.save_state(w);
-        }
-        w.u64(self.mshrs.len() as u64);
-        for m in &self.mshrs {
-            w.u64(m.block);
-            w.u64(m.fill_at);
-        }
-        self.stats.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.sets as u64, "cache set count")?;
-        r.expect_u64(self.ways as u64, "cache way count")?;
-        r.expect_u64(self.mshr_capacity as u64, "cache mshr capacity")?;
-        for line in &mut self.lines {
-            *line = Line {
-                block: r.u64()?,
-                prefetched: r.bool()?,
-            };
-        }
-        for l in &mut self.lru {
-            l.restore_state(r)?;
-        }
-        let inflight = r.u64()? as usize;
-        if inflight > self.mshr_capacity {
-            return Err(SnapError::Corrupt("cache mshr occupancy exceeds capacity"));
-        }
-        self.mshrs.clear();
-        for _ in 0..inflight {
-            self.mshrs.push(Mshr {
-                block: r.u64()?,
-                fill_at: r.u64()?,
-            });
-        }
-        self.stats.restore_state(r)
     }
 }
 

@@ -9,7 +9,6 @@
 
 use crate::ftq::Ftq;
 use crate::hierarchy::Hierarchy;
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use serde::{Deserialize, Serialize};
 
 /// FDIP statistics.
@@ -99,23 +98,6 @@ impl Fdip {
             self.cursor += 1;
             examined += 1;
         }
-    }
-}
-
-impl Snapshot for Fdip {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.scan_width as u64);
-        w.u64(self.cursor as u64);
-        w.u64(self.stats.issued);
-        w.u64(self.stats.scanned);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.scan_width as u64, "fdip scan width")?;
-        self.cursor = r.u64()? as usize;
-        self.stats.issued = r.u64()?;
-        self.stats.scanned = r.u64()?;
-        Ok(())
     }
 }
 

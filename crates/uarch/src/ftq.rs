@@ -7,7 +7,6 @@
 //! exactly the prefetcher's lookahead.
 
 use crate::bpu::Verdict;
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use btbx_trace::TraceInstr;
 use std::collections::VecDeque;
 
@@ -104,44 +103,6 @@ impl Ftq {
     /// Drop all entries (pipeline flush).
     pub fn clear(&mut self) {
         self.entries.clear();
-    }
-}
-
-impl Snapshot for Ftq {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.capacity as u64);
-        w.u64(self.entries.len() as u64);
-        for e in &self.entries {
-            e.instr.save_snap(w);
-            e.verdict.save_snap(w);
-            match e.block_ready {
-                None => w.bool(false),
-                Some(cycle) => {
-                    w.bool(true);
-                    w.u64(cycle);
-                }
-            }
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.capacity as u64, "ftq capacity")?;
-        let len = r.u64()? as usize;
-        if len > self.capacity {
-            return Err(SnapError::Corrupt("ftq occupancy exceeds capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..len {
-            let instr = TraceInstr::load_snap(r)?;
-            let verdict = Verdict::load_snap(r)?;
-            let block_ready = if r.bool()? { Some(r.u64()?) } else { None };
-            self.entries.push_back(FtqEntry {
-                instr,
-                verdict,
-                block_ready,
-            });
-        }
-        Ok(())
     }
 }
 

@@ -3,7 +3,6 @@
 
 use crate::cache::{block_of, Cache, CacheStats, Probe};
 use crate::config::SimConfig;
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Which L1 a request enters through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,24 +106,6 @@ impl Hierarchy {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.llc.reset_stats();
-    }
-}
-
-impl Snapshot for Hierarchy {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.memory_latency as u64);
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.llc.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.memory_latency as u64, "memory latency")?;
-        self.l1i.restore_state(r)?;
-        self.l1d.restore_state(r)?;
-        self.l2.restore_state(r)?;
-        self.llc.restore_state(r)
     }
 }
 

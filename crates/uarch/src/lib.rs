@@ -61,6 +61,6 @@ pub mod stats;
 pub use batch::{BatchLane, BatchSession};
 pub use config::SimConfig;
 pub use parallel::{ParallelOutcome, ParallelSession, ParallelTelemetry};
-pub use session::{run_resumed, SessionError, SimSession};
+pub use session::{SessionError, SimSession};
 pub use sim::Simulator;
 pub use stats::{SimResult, SimStats};

@@ -6,11 +6,7 @@
 //! [`threads`](ParallelSession::threads) and
 //! [`checkpoints`](ParallelSession::checkpoints) do nothing: interval
 //! shards could not overlap, because each started from its
-//! predecessor's end state (see EXPERIMENTS.md, "Warm snapshots").
-//!
-//! Warm snapshots themselves stay: [`crate::session::run_resumed`] seals
-//! and restores a run mid-window, and the determinism suites and `btbx
-//! trace check` hold it to the uninterrupted run byte for byte.
+//! predecessor's end state (see EXPERIMENTS.md, "Warm state").
 
 use crate::session::{spec_simulator, SessionError};
 use crate::sim::EVENT_BLOCK_BYTES;

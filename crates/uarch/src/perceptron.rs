@@ -7,8 +7,6 @@
 //! training bumps the selected weights when the outcome disagrees or the
 //! magnitude is below threshold.
 
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// Number of weight tables.
 const TABLES: usize = 8;
 /// Entries per table (power of two).
@@ -122,35 +120,6 @@ impl HashedPerceptron {
     /// negligible), ~16 KB for the default geometry.
     pub fn storage_bits(&self) -> u64 {
         (TABLES * TABLE_ENTRIES) as u64 * 6
-    }
-}
-
-impl Snapshot for HashedPerceptron {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(TABLES as u64);
-        w.u64(TABLE_ENTRIES as u64);
-        for table in &self.weights {
-            for &weight in table.iter() {
-                w.i8(weight);
-            }
-        }
-        w.u128(self.history);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(TABLES as u64, "perceptron table count")?;
-        r.expect_u64(TABLE_ENTRIES as u64, "perceptron table entries")?;
-        for table in &mut self.weights {
-            for weight in table.iter_mut() {
-                let v = r.i8()?;
-                if !(WEIGHT_MIN..=WEIGHT_MAX).contains(&v) {
-                    return Err(SnapError::Corrupt("perceptron weight out of range"));
-                }
-                *weight = v;
-            }
-        }
-        self.history = r.u128()?;
-        Ok(())
     }
 }
 

@@ -5,8 +5,6 @@
 //! entry (deep recursion then mispredicts, as on real hardware), and
 //! popping an empty stack yields `None`.
 
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// A fixed-capacity circular return address stack.
 #[derive(Debug, Clone)]
 pub struct ReturnAddressStack {
@@ -73,32 +71,6 @@ impl ReturnAddressStack {
     pub fn clear(&mut self) {
         self.len = 0;
         self.top = 0;
-    }
-}
-
-impl Snapshot for ReturnAddressStack {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.entries.len() as u64);
-        for &e in &self.entries {
-            w.u64(e);
-        }
-        w.u64(self.top as u64);
-        w.u64(self.len as u64);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.entries.len() as u64, "ras capacity")?;
-        for e in &mut self.entries {
-            *e = r.u64()?;
-        }
-        let top = r.u64()? as usize;
-        let len = r.u64()? as usize;
-        if top >= self.entries.len() || len > self.entries.len() {
-            return Err(SnapError::Corrupt("ras cursor out of range"));
-        }
-        self.top = top;
-        self.len = len;
-        Ok(())
     }
 }
 

@@ -23,16 +23,14 @@ use crate::bpu::Bpu;
 use crate::config::SimConfig;
 use crate::sim::Simulator;
 use crate::stats::SimResult;
-use btbx_core::snap::{restore_sealed, save_sealed};
 use btbx_core::spec::{BtbSpec, SpecError};
 use btbx_core::{Btb, BtbEngine};
-use btbx_trace::source::SeekableSource;
 use btbx_trace::TraceSource;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Why a [`SimSession`] (or [`crate::parallel::ParallelSession`] or
-/// [`run_resumed`]) cannot run.
+/// Why a [`SimSession`] (or [`crate::parallel::ParallelSession`]) cannot
+/// run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// Neither [`SimSession::btb`] nor [`SimSession::btb_spec`] was called.
@@ -252,60 +250,6 @@ pub(crate) fn spec_simulator<S: TraceSource>(
         org,
         spec.bits(),
     ))
-}
-
-/// Run one point as [`SimSession`] would, but cut its measurement window
-/// into `segments` equal stretches and carry the run across each cut
-/// through a warm snapshot: the running simulator is sealed
-/// ([`save_sealed`]) alongside a trace checkpoint and dropped, and a fresh
-/// simulator over a fresh `factory()` source restores both and goes on.
-///
-/// A restore reproduces the simulator and the source bit for bit, so the
-/// result equals the uninterrupted run's whatever `segments` is (0 is
-/// treated as 1). `btbx trace check` and the determinism suites hold the
-/// warm-snapshot code to that.
-///
-/// # Errors
-///
-/// [`SessionError::Spec`] when `spec` does not validate and
-/// [`SessionError::Trace`] when a source fails mid-stream.
-///
-/// # Panics
-///
-/// Panics when a snapshot fails to restore into the simulator it was
-/// sealed from, which would be a bug in a [`btbx_core::snap::Snapshot`]
-/// implementation.
-pub fn run_resumed<S: SeekableSource>(
-    factory: impl Fn() -> S,
-    spec: BtbSpec,
-    config: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    segments: u64,
-) -> Result<SimResult, SessionError> {
-    let org = spec.org.id();
-    let identity = format!("resume|{org}|{}b|{config:?}", spec.bits());
-    let mut sim = spec_simulator(&spec, config, factory(), org.to_string())?;
-    sim.run_until_committed(warmup);
-    sim.begin_measurement();
-    let start = sim.committed();
-    let segments = segments.max(1);
-    let chunk = measure.div_ceil(segments);
-    for cut in 1..segments {
-        sim.run_until_committed(start.saturating_add(chunk.saturating_mul(cut)));
-        if let Some(e) = sim.failure() {
-            return Err(e);
-        }
-        let sealed = save_sealed(&identity, &sim);
-        let mut source = factory();
-        source.restore(&sim.trace().checkpoint());
-        sim = spec_simulator(&spec, config, source, org.to_string())
-            .expect("the spec built the first simulator");
-        restore_sealed(&mut sim, &identity, &sealed)
-            .unwrap_or_else(|e| panic!("restoring the snapshot sealed at cut {cut}: {e}"));
-    }
-    sim.run_until_committed(start.saturating_add(measure));
-    sim.into_result()
 }
 
 #[cfg(test)]

@@ -26,10 +26,9 @@ use crate::ftq::Ftq;
 use crate::hierarchy::{Hierarchy, Port};
 use crate::session::SessionError;
 use crate::stats::{SimResult, SimStats};
-use btbx_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use btbx_core::types::BranchEvent;
 use btbx_trace::packed::PackedBuf;
-use btbx_trace::record::{MemAccess, Op, TraceInstr};
+use btbx_trace::record::{MemAccess, Op};
 use btbx_trace::TraceSource;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,11 +110,10 @@ pub struct Simulator<S, B: btbx_core::Btb> {
     #[cfg(test)]
     plain: bool,
     /// Number of leading FTQ entries known to have issued their L1-I
-    /// access (`block_ready` is `Some`). Derived state, never serialized:
-    /// a snapshot restore resets it to 0 and the next ifetch window
-    /// rebuilds it. The invariant is an *under*-count — entries below the
-    /// prefix are always issued; entries above it may be too — so a stale
-    /// low value only costs a redundant scan, never skips an issue.
+    /// access (`block_ready` is `Some`). The invariant is an
+    /// *under*-count — entries below the prefix are always issued; entries
+    /// above it may be too — so a stale low value only costs a redundant
+    /// scan, never skips an issue.
     issued_prefix: usize,
 }
 
@@ -237,12 +235,6 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     /// to the measurement window).
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// Borrow the trace source (a resumed run records the source
-    /// position alongside a microarchitectural snapshot).
-    pub fn trace(&self) -> &S {
-        &self.trace
     }
 
     /// Pop the next trace event from the staging block, refilling it from
@@ -644,123 +636,6 @@ impl<S: TraceSource, B: btbx_core::Btb> Simulator<S, B> {
     }
 }
 
-impl<S: TraceSource, B: btbx_core::Btb + Snapshot> Snapshot for Simulator<S, B> {
-    /// Serialize the complete microarchitectural state — pipeline, BPU,
-    /// caches, prefetcher, staging block and all counters. The trace
-    /// source is *not* included: a snapshot pairs with a trace checkpoint
-    /// taken at the same moment (the source sits ahead of commit by the
-    /// in-flight instructions, which the snapshot carries).
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.budget_bits);
-        self.bpu.save_state(w);
-        self.ftq.save_state(w);
-        self.hierarchy.save_state(w);
-        match &self.fdip {
-            None => w.bool(false),
-            Some(f) => {
-                w.bool(true);
-                f.save_state(w);
-            }
-        }
-        w.u64(self.rob.len() as u64);
-        for e in &self.rob {
-            w.u64(e.complete_at);
-            match &e.branch {
-                None => w.bool(false),
-                Some(ev) => {
-                    w.bool(true);
-                    ev.save_state(w);
-                }
-            }
-        }
-        // Unconsumed remnant of the staging block, re-serialized as wide
-        // records (the paired trace checkpoint sits just past it).
-        w.u64((self.block.len() - self.block_pos) as u64);
-        for i in self.block_pos..self.block.len() {
-            self.block.get(i).save_snap(w);
-        }
-        w.u64(self.cycle);
-        w.u64(self.committed);
-        match self.bpu_state {
-            BpuState::Running => w.u8(0),
-            BpuState::BlockedUnknown => w.u8(1),
-            BpuState::BlockedUntil(t) => {
-                w.u8(2);
-                w.u64(t);
-            }
-        }
-        w.u64(self.bpu_busy_until);
-        w.u64(self.last_complete);
-        w.bool(self.trace_done);
-        w.bool(self.measuring);
-        w.u64(self.measure_start_cycle);
-        w.u64(self.measure_start_committed);
-        w.u64(self.bubble_cycles);
-        w.u64(self.fetch_starved_cycles);
-        w.u64(self.rob_full_cycles);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_u64(self.budget_bits, "btb budget bits")?;
-        self.bpu.restore_state(r)?;
-        self.ftq.restore_state(r)?;
-        self.hierarchy.restore_state(r)?;
-        let has_fdip = r.bool()?;
-        if has_fdip != self.fdip.is_some() {
-            return Err(SnapError::Corrupt("fdip configuration mismatch"));
-        }
-        if let Some(f) = &mut self.fdip {
-            f.restore_state(r)?;
-        }
-        let rob_len = r.u64()? as usize;
-        if rob_len > self.config.rob_entries {
-            return Err(SnapError::Corrupt("rob occupancy exceeds capacity"));
-        }
-        self.rob.clear();
-        for _ in 0..rob_len {
-            let complete_at = r.u64()?;
-            let branch = if r.bool()? {
-                Some(BranchEvent::load_state(r)?)
-            } else {
-                None
-            };
-            self.rob.push_back(RobEntry {
-                complete_at,
-                branch,
-            });
-        }
-        let remnant = r.u64()? as usize;
-        if remnant > EVENT_BLOCK_EVENTS {
-            return Err(SnapError::Corrupt("staging block exceeds capacity"));
-        }
-        self.block.clear();
-        self.block_pos = 0;
-        for _ in 0..remnant {
-            self.block.push(TraceInstr::load_snap(r)?);
-        }
-        // Derived, not serialized: rebuilt by the next ifetch window.
-        self.issued_prefix = 0;
-        self.cycle = r.u64()?;
-        self.committed = r.u64()?;
-        self.bpu_state = match r.u8()? {
-            0 => BpuState::Running,
-            1 => BpuState::BlockedUnknown,
-            2 => BpuState::BlockedUntil(r.u64()?),
-            _ => return Err(SnapError::Corrupt("bpu state discriminant")),
-        };
-        self.bpu_busy_until = r.u64()?;
-        self.last_complete = r.u64()?;
-        self.trace_done = r.bool()?;
-        self.measuring = r.bool()?;
-        self.measure_start_cycle = r.u64()?;
-        self.measure_start_committed = r.u64()?;
-        self.bubble_cycles = r.u64()?;
-        self.fetch_starved_cycles = r.u64()?;
-        self.rob_full_cycles = r.u64()?;
-        Ok(())
-    }
-}
-
 impl<S: TraceSource, B: btbx_core::Btb> std::fmt::Debug for Simulator<S, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
@@ -775,14 +650,14 @@ impl<S: TraceSource, B: btbx_core::Btb> std::fmt::Debug for Simulator<S, B> {
 mod tests {
     use super::*;
     use crate::bpu::BpuStats;
-    use btbx_core::snap::{restore_sealed, save_sealed};
     use btbx_core::spec::BtbSpec;
     use btbx_core::storage::BudgetPoint;
     use btbx_core::types::{Arch, BranchClass};
     use btbx_core::{BtbEngine, OrgKind};
     use btbx_trace::record::TraceInstr;
-    use btbx_trace::source::{SeekableSource, VecSource};
+    use btbx_trace::source::VecSource;
     use btbx_trace::synth::{ProgramImage, SynthParams, SyntheticTrace};
+    use btbx_trace::AnySource;
 
     /// Run `trace` on `kind` at 14.5 KB: warm up, then measure.
     fn run_session<S: TraceSource>(
@@ -1052,34 +927,6 @@ mod tests {
         (sim.into_result().unwrap().stats, probes)
     }
 
-    /// Warm a simulator over `fresh()` for `warmup` instructions, seal it
-    /// with a trace checkpoint, and measure `measure` instructions from a
-    /// restored copy over another `fresh()` source. A restore resets the
-    /// derived `issued_prefix` while the FTQ is occupied; the fast and
-    /// the plain loop must still agree after it.
-    fn resumed<S: SeekableSource>(
-        fresh: impl Fn() -> S,
-        kind: OrgKind,
-        fdip: bool,
-        warmup: u64,
-        measure: u64,
-    ) -> (SimStats, Vec<Probe>) {
-        let mut warm = oracle_sim(fresh(), kind, fdip, false);
-        warm.run_until_committed(warmup);
-        let sealed = save_sealed("oracle", &warm);
-        let checkpoint = warm.trace().checkpoint();
-        let restored = |plain: bool| {
-            let mut source = fresh();
-            source.restore(&checkpoint);
-            let mut sim = oracle_sim(source, kind, fdip, plain);
-            restore_sealed(&mut sim, "oracle", &sealed).unwrap();
-            measure_in_steps(sim, measure)
-        };
-        let fast = restored(false);
-        assert_eq!(fast, restored(true), "{} fdip={fdip} restored", kind.id());
-        fast
-    }
-
     #[test]
     fn fast_forward_matches_the_plain_tick_loop() {
         const WARMUP: u64 = 20_000;
@@ -1102,21 +949,18 @@ mod tests {
         for kind in OrgKind::ALL {
             for fdip in [false, true] {
                 let what = format!("{} fdip={fdip}", kind.id());
-                let straight = |plain: bool| {
-                    let mut sim = oracle_sim(trace(), kind, fdip, plain);
+                let straight = |source: AnySource, plain: bool| {
+                    let mut sim = oracle_sim(source, kind, fdip, plain);
                     sim.run_until_committed(WARMUP);
                     measure_in_steps(sim, MEASURE)
                 };
-                let fast = straight(false);
-                assert_eq!(fast, straight(true), "{what}");
+                let fast = straight(trace().into(), false);
+                assert_eq!(fast, straight(trace().into(), true), "{what}");
                 assert!(fast.1.len() > 1, "{what}: the window must stop mid-way");
 
-                // Both loops must agree with the uninterrupted run after
-                // a restore, from the generator and from the container.
-                let synthetic = resumed(trace, kind, fdip, WARMUP, MEASURE);
-                assert_eq!(synthetic, fast, "{what} restored vs uninterrupted");
-                let packed = resumed(|| container.clone(), kind, fdip, WARMUP, MEASURE);
-                assert_eq!(packed, fast, "{what} restored from .btbt vs uninterrupted");
+                // The container replays the generator's stream exactly.
+                let packed = straight(container.clone().into(), false);
+                assert_eq!(packed, fast, "{what}: .btbt vs generator");
             }
         }
         let _ = std::fs::remove_file(&path);

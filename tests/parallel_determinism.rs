@@ -1,10 +1,9 @@
-//! Determinism suite for warm snapshots: a run whose measurement window
-//! is cut into `K` segments ("shards"), each resumed in a fresh simulator
-//! from the previous one's sealed snapshot and trace checkpoint
-//! (`btbx::uarch::run_resumed`), must reproduce the uninterrupted
-//! `SimSession` exactly at the default commit width, for every segment
-//! count. `ParallelSession`, kept for older callers, must equal it too
-//! (see EXPERIMENTS.md, "Warm snapshots").
+//! Determinism suite for stopping a run mid-window: a run whose
+//! measurement window is cut into `K` stretches ("shards"), with the
+//! driving loop stopped at each cut and continued, must reproduce the
+//! uninterrupted `SimSession` exactly at the default commit width, for
+//! every cut count. `ParallelSession`, kept for older callers, must
+//! equal it too at every shard count (see EXPERIMENTS.md, "Warm state").
 //!
 //! The workloads are small steady-state loops exercising every front-end
 //! structure (BTB, RAS, direction predictor, caches, FTQ), plus a
@@ -16,9 +15,10 @@ use btbx::core::storage::BudgetPoint;
 use btbx::core::types::BranchClass;
 use btbx::core::{BranchEvent, BtbSpec, OrgKind};
 use btbx::trace::record::{MemAccess, TraceInstr};
-use btbx::trace::source::{SeekableSource, TraceSource, VecSource};
+use btbx::trace::source::{TraceSource, VecSource};
 use btbx::trace::suite;
-use btbx::uarch::{run_resumed, ParallelSession, SimConfig, SimResult, SimSession, SimStats};
+use btbx::uarch::bpu::Bpu;
+use btbx::uarch::{ParallelSession, SimConfig, SimResult, SimSession, SimStats, Simulator};
 
 const WARMUP: u64 = 8_000;
 const MEASURE: u64 = 64_000;
@@ -139,15 +139,20 @@ fn serial_reference(trace: impl TraceSource, spec: BtbSpec, config: &SimConfig) 
         .expect("valid serial session")
 }
 
-/// The window cut into `segments` stretches, each resumed from a warm
-/// snapshot of the one before.
-fn resumed<S: SeekableSource>(
-    factory: impl Fn() -> S,
-    spec: BtbSpec,
-    config: &SimConfig,
-    segments: u64,
-) -> SimResult {
-    run_resumed(factory, spec, config, WARMUP, MEASURE, segments).expect("valid resumed run")
+/// The window cut into `segments` stretches: one simulator whose driving
+/// loop stops at each cut, an absolute committed target, and goes on.
+fn cut_run(trace: impl TraceSource, spec: BtbSpec, config: &SimConfig, segments: u64) -> SimResult {
+    let engine = spec.build_engine().expect("valid spec");
+    let bpu = Bpu::new(engine, config.ras_entries, config.decode_resteer);
+    let mut sim = Simulator::new(config.clone(), trace, bpu, spec.org.id(), spec.bits());
+    sim.run_until_committed(WARMUP);
+    sim.begin_measurement();
+    let start = sim.committed();
+    let chunk = MEASURE.div_ceil(segments);
+    for cut in 1..=segments {
+        sim.run_until_committed(start + (chunk * cut).min(MEASURE));
+    }
+    sim.into_result().expect("valid cut run")
 }
 
 #[test]
@@ -156,7 +161,7 @@ fn call_loop_is_shard_invariant() {
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
     let serial = serial_reference(call_loop(), spec, &config);
     for segments in [1u64, 2, 8] {
-        let out = resumed(call_loop, spec, &config, segments);
+        let out = cut_run(call_loop(), spec, &config, segments);
         let ctx = format!("call loop, {segments} segment(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.stats);
         assert_eq!(serial.org, out.org, "{ctx}");
@@ -173,16 +178,16 @@ fn branchy_loop_is_shard_invariant() {
     let spec = BtbSpec::of(OrgKind::Conv).at(BudgetPoint::Kb1_8);
     let serial = serial_reference(branchy_loop(), spec, &config);
     for segments in [1u64, 2, 8] {
-        let out = resumed(branchy_loop, spec, &config, segments);
+        let out = cut_run(branchy_loop(), spec, &config, segments);
         let ctx = format!("branchy loop, {segments} segment(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.stats);
     }
 }
 
-/// Every paper-evaluation organization resumes exactly, not just the
+/// Every paper-evaluation organization stops and goes on exactly, not just the
 /// default one (the replacement and indirection machinery differs per
-/// organization, and all of it rides through the snapshot) — on the call
-/// loop and on a small-window synthetic server trace.
+/// organization) — on the call loop and on a small-window synthetic
+/// server trace.
 #[test]
 fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
     let config = SimConfig::with_fdip();
@@ -192,31 +197,31 @@ fn every_paper_org_is_shard_invariant_on_the_call_loop_and_a_server_trace() {
         let serial = serial_reference(call_loop(), spec, &config);
         let server_serial = serial_reference(server.clone(), spec, &config);
         for segments in [2u64, 4, 8] {
-            let out = resumed(call_loop, spec, &config, segments);
+            let out = cut_run(call_loop(), spec, &config, segments);
             let ctx = format!("{org}, call loop, {segments} segments");
             assert_stats_identical(&ctx, &serial.stats, &out.stats);
 
-            let out = resumed(|| server.clone(), spec, &config, segments);
+            let out = cut_run(server.clone(), spec, &config, segments);
             let ctx = format!("{org}, {}, {segments} segments", server.source_name());
             assert_stats_identical(&ctx, &server_serial.stats, &out.stats);
         }
     }
 }
 
-/// A snapshot is sealed at the first tick boundary at or past its cut,
+/// The driving loop stops at the first tick boundary at or past its cut,
 /// which can overshoot the nominal cut by up to `commit_width - 1`
-/// instructions; the resumed run still equals the serial run at the
+/// instructions; the cut run still equals the serial run at the
 /// default commit width, because each cut is a committed target, not a
-/// tick count. `ParallelSession`, whose `shards` do nothing, equals the
-/// serial run and reports the warmed count `W′`.
+/// tick count. `ParallelSession`, whose `shards` and `checkpoints` do
+/// nothing, equals the serial run and reports the warmed count `W′`.
 #[test]
 fn checkpoint_mode_is_exact_at_default_width() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
     let serial = serial_reference(call_loop(), spec, &config);
     for segments in [2u64, 5, 8] {
-        let out = resumed(call_loop, spec, &config, segments);
-        let ctx = format!("resumed call loop, {segments} segment(s)");
+        let out = cut_run(call_loop(), spec, &config, segments);
+        let ctx = format!("cut call loop, {segments} segment(s)");
         assert_stats_identical(&ctx, &serial.stats, &out.stats);
 
         let out = ParallelSession::new(call_loop, spec)
@@ -224,6 +229,7 @@ fn checkpoint_mode_is_exact_at_default_width() {
             .warmup(WARMUP)
             .measure(MEASURE)
             .shards(segments as usize)
+            .checkpoints(true)
             .run()
             .expect("valid session");
         let ctx = format!("ParallelSession, {segments} shard(s)");
@@ -238,20 +244,20 @@ fn checkpoint_mode_is_exact_at_default_width() {
 
 /// With the default 6-wide commit, the window may overshoot by up to
 /// `commit_width - 1` instructions, exactly as the serial run does. Pin
-/// the contract for a resumed run: coverage is complete (never short),
+/// the contract for a cut run: coverage is complete (never short),
 /// the overshoot stays that of one serial window, and repeating the run
 /// gives the same bytes.
 #[test]
 fn default_width_sharding_is_deterministic_with_bounded_overshoot() {
     let config = SimConfig::with_fdip();
     let spec = BtbSpec::of(OrgKind::BtbX).at(BudgetPoint::Kb3_6);
-    let a = resumed(call_loop, spec, &config, 8);
-    let b = resumed(call_loop, spec, &config, 8);
+    let a = cut_run(call_loop(), spec, &config, 8);
+    let b = cut_run(call_loop(), spec, &config, 8);
     assert!(a.stats.instructions >= MEASURE);
     assert!(a.stats.instructions < MEASURE + config.commit_width as u64);
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap(),
-        "repeated resumed runs"
+        "repeated cut runs"
     );
 }
